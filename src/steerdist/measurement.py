@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .gaussian import (
     GaussianState,
@@ -211,11 +210,31 @@ def reconstruction_tolerance(se: np.ndarray) -> float:
     return float(max(RECONSTRUCTION_TOL, 5.0 * np.max(se)))
 
 
+def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
+    """Standard error of ``func(cov)`` by central differences, step 1e-5*max(1, |cov_ij|),
+    over the entries i <= j, taken as independent (as the reconstruction estimates them).
+    """
+    var = 0.0
+    for i in range(cov.shape[0]):
+        for j in range(i, cov.shape[0]):
+            if se[i, j] == 0.0:
+                continue
+            h = 1e-5 * max(1.0, abs(cov[i, j]))
+            up = cov.copy()
+            dn = cov.copy()
+            up[i, j] = up[j, i] = cov[i, j] + h
+            dn[i, j] = dn[j, i] = cov[i, j] - h
+            grad = (func(up) - func(dn)) / (2.0 * h)
+            var += (grad * se[i, j]) ** 2
+    return float(np.sqrt(var))
+
+
 def _var_se(x: np.ndarray):
     n = len(x)
     d = x - x.mean()
-    m2 = np.mean(d * d)
-    m4 = np.mean(d**4)
+    d2 = d * d
+    m2 = np.mean(d2)
+    m4 = np.mean(d2 * d2)
     var = m2 * n / (n - 1)
     return var, np.sqrt(max(m4 - m2 * m2, 0.0) / n)
 
@@ -310,19 +329,19 @@ class MomentStats:
 
 
 def moment_stats(values: np.ndarray) -> MomentStats:
-    """Sample mean/variance/skewness/kurtosis (kurtosis non-excess)."""
+    """Sample mean, variance m2, skewness m3/m2^1.5, kurtosis m4/m2^2 (non-excess)."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("need at least two values")
-    var = float(np.var(values))
+    mean = float(np.mean(values))
+    d = values - mean
+    d2 = d * d
+    var = float(np.mean(d2))
     if var == 0.0:
         raise ValueError("degenerate input: zero variance")
-    return MomentStats(
-        mean=float(np.mean(values)),
-        variance=var,
-        skewness=float(stats.skew(values)),
-        kurtosis=float(stats.kurtosis(values, fisher=False)),
-    )
+    return MomentStats(mean=mean, variance=var,
+                       skewness=float(np.mean(d2 * d) / var**1.5),
+                       kurtosis=float(np.mean(d2 * d2) / (var * var)))
 
 
 # --- CSV interface ------------------------------------------------------------

@@ -11,10 +11,14 @@ with diagonal G1 = diag(A, A, B, B), G2 = diag(2C, 2C, 2D, 2D) and
     B = (g2^2+1)/(2(g2^2-1)),  D = g2/(1-g2^2).
 
 The transform requires 2 G1 - sigma > 0, otherwise the amplified state is
-unnormalizable.  One-sided amplification is the g_other -> 1 limit, taken
-numerically with Richardson extrapolation (the leading error is linear in
-g_other - 1); the two-mode-squeezed eigen-relation g^(n) |TMSS(lam)> ~
-|TMSS(g lam)> and the Monte Carlo pipeline both guard against a wrong limit.
+unnormalizable.  One-sided amplification is the exact g_other -> 1 limit of
+this map (Fiurasek & Cerf, PRA 2012): with K, L, X the kept, amplified and
+cross (kept-row) blocks, B = B(g), D = D(g) and M = (2B I - L)^{-1},
+
+    K -> K + X M X^T,   X -> -2D X M,   L -> 4D^2 M - 2B I = (2B L - I) M
+
+(the last form, from D^2 - B^2 = -1/4, avoids cancellation as g -> 1).  It
+needs 2B I - L > 0, the bound :func:`max_single_mode_gain` states.
 
 Only zero-mean states appear in the experiments, so means are not
 transformed; nonzero-mean inputs are rejected.
@@ -75,19 +79,14 @@ def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-_LIMIT_STEPS = (1e-4, 1e-5, 1e-6)
-_CONVERGENCE_FACTOR = 5.0
-
-
 def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b",
                     mean: np.ndarray | None = None) -> np.ndarray:
-    """One-sided amplification: the g_other -> 1 limit of the two-mode map.
-
-    Evaluates at g_other in {1+1e-4, 1+1e-5, 1+1e-6} and Richardson-
-    extrapolates the (linear-in-epsilon) error, checking that successive
-    differences shrink by at least 5x.
+    """Exact one-sided amplification: with M = (2B(g) I - L)^{-1}, the kept,
+    cross and amplified blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
     """
     sigma = _require_cov(sigma)
+    if sigma.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 covariance matrix, got {sigma.shape}")
     if mean is not None and np.any(np.asarray(mean) != 0.0):
         raise ValueError("only zero-mean states are supported")
     if side not in ("a", "b"):
@@ -96,19 +95,21 @@ def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b",
         raise ValueError(f"gain must be >= 1, got {g}")
     if g == 1.0:
         return sigma.copy()
-
-    def pair(eps: float) -> GainPair:
-        return GainPair(1.0 + eps, g) if side == "b" else GainPair(g, 1.0 + eps)
-
-    vals = [nla_cov_two_mode(sigma, pair(eps)) for eps in _LIMIT_STEPS]
-    d1 = float(np.max(np.abs(vals[1] - vals[0])))
-    d2 = float(np.max(np.abs(vals[2] - vals[1])))
-    if d2 > d1 / _CONVERGENCE_FACTOR + 1e-12:
-        raise RuntimeError(
-            f"one-sided limit did not converge: successive differences {d1:.3e}, {d2:.3e}"
-        )
-    # steps shrink 10x, so the linear-term Richardson weights are (10, -1)/9
-    out = (10.0 * vals[2] - vals[1]) / 9.0
+    keep, amp = (slice(0, 2), slice(2, 4)) if side == "b" else (slice(2, 4), slice(0, 2))
+    b = (g * g + 1.0) / (2.0 * (g * g - 1.0))
+    d = g / (1.0 - g * g)
+    k, l, x = sigma[keep, keep], sigma[amp, amp], sigma[keep, amp]
+    n = 2.0 * b * np.eye(2) - l
+    eig = np.linalg.eigvalsh(n)[0]
+    if eig <= 0:
+        raise GainTooLargeError(f"gain {g} too large for this state on side {side!r}: "
+                                f"2*B*I - L has eigenvalue {eig:.6g} <= 0")
+    m = np.linalg.inv(n)
+    out = np.empty((4, 4))
+    out[keep, keep] = k + x @ m @ x.T
+    out[keep, amp] = -2.0 * d * (x @ m)
+    out[amp, keep] = out[keep, amp].T
+    out[amp, amp] = (2.0 * b * l - np.eye(2)) @ m
     out = (out + out.T) / 2.0
     report = check_physical(out)
     if not report:

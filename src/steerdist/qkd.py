@@ -34,6 +34,7 @@ from .gaussian import GaussianState, UnphysicalStateError, _require_cov, check_p
 from .measurement import (
     FilterSpec,
     post_select,
+    propagate_se,
     reconstruct_covariance,
     reconstruction_tolerance,
     sample_batch,
@@ -93,19 +94,7 @@ def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
     """Key rate and standard error from an estimated covariance matrix."""
     result = key_rate(cov, physicality_tol)
-    var = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            if se[i, j] == 0.0:
-                continue
-            h = 1e-5 * max(1.0, abs(cov[i, j]))
-            up = cov.copy()
-            dn = cov.copy()
-            up[i, j] = up[j, i] = cov[i, j] + h
-            dn[i, j] = dn[j, i] = cov[i, j] - h
-            grad = (key_rate(up, np.inf).key_rate - key_rate(dn, np.inf).key_rate) / (2 * h)
-            var += (grad * se[i, j]) ** 2
-    return result, float(np.sqrt(var))
+    return result, propagate_se(lambda c: key_rate(c, np.inf).key_rate, cov, se)
 
 
 class NoPositiveKeyError(RuntimeError):

@@ -21,9 +21,11 @@ from .gaussian import (
     GaussianState,
     UnphysicalStateError,
     check_physical,
+    from_cov,
     schur_complement,
     symplectic_eigenvalues,
 )
+from .measurement import propagate_se
 
 # Monotone values below this are reported as exactly "not steerable".
 STEERING_POSITIVITY_TOL = 1e-9
@@ -109,30 +111,12 @@ def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
                          physicality_tol: float = 1e-2):
     """Monotone value and its standard error from an estimated covariance.
 
-    Propagates the per-entry standard errors through a central-difference
-    gradient of the signed steering quantity (entries are treated as
-    independent, which matches how the reconstruction estimates them).
+    Propagates the per-entry standard errors through the signed steering
+    quantity with :func:`steerdist.measurement.propagate_se`.
     """
-    from .gaussian import from_cov  # cycle-free; gaussian has no steering dep
-
-    state = from_cov(cov)
-    value = steerability(state, direction, physicality_tol)
-    var = 0.0
-    for i in range(4):
-        for j in range(i, 4):
-            if se[i, j] == 0.0:
-                continue
-            h = 1e-5 * max(1.0, abs(cov[i, j]))
-            up = cov.copy()
-            dn = cov.copy()
-            up[i, j] = up[j, i] = cov[i, j] + h
-            dn[i, j] = dn[j, i] = cov[i, j] - h
-            grad = (
-                steering_signed(from_cov(up), direction, np.inf)
-                - steering_signed(from_cov(dn), direction, np.inf)
-            ) / (2.0 * h)
-            var += (grad * se[i, j]) ** 2
-    return value, float(np.sqrt(var))
+    value = steerability(from_cov(cov), direction, physicality_tol)
+    return value, propagate_se(
+        lambda c: steering_signed(from_cov(c), direction, np.inf), cov, se)
 
 
 class NoThresholdError(ValueError):

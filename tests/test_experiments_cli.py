@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +307,12 @@ def test_cli_env_override(tmp_path, monkeypatch):
     assert main(["fig4", "--out", str(out)]) == 0
     rows = _read_rows(out / "fig4.csv")
     assert len(rows) == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    code = ("import sys, steerdist.cli, steerdist.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -69,6 +69,19 @@ def test_kurtosis_matches_monte_carlo(model_state):
     assert abs(stats.skewness) < 4 * np.sqrt(6.0 / n_acc)
 
 
+def test_tail_sum_matches_incomplete_gamma():
+    from math import factorial
+
+    from scipy.special import gammaincc  # test oracle only
+
+    from steerdist.filtered_moments import _upper_gamma_tail
+
+    for k in range(5):
+        for y in (1e-3, 0.1, 1.0, 4.5, 20.0, 60.0, 300.0):
+            want = gammaincc(k + 1, y) * factorial(k)
+            assert _upper_gamma_tail(k, y) == pytest.approx(want, rel=1e-12)
+
+
 def test_strong_truncation_is_detectably_non_gaussian(model_state):
     ens = filtered_ensemble(model_state, FilterSpec(1.25, 2.0))
     assert abs(ens.bob_kurtosis - 3.0) > 0.1

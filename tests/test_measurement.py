@@ -244,6 +244,16 @@ def test_moment_stats_exponential(rng):
     assert stats.kurtosis == pytest.approx(9.0, abs=0.5)
 
 
+def test_moment_stats_match_scipy(rng):
+    from scipy import stats  # test oracle only
+
+    for values in (rng.standard_normal(10_000), rng.exponential(2.0, 10_000),
+                   3.0 + rng.gamma(0.5, 1.0, 777)):
+        got = moment_stats(values)
+        assert got.skewness == pytest.approx(stats.skew(values), rel=1e-12)
+        assert got.kurtosis == pytest.approx(stats.kurtosis(values, fisher=False), rel=1e-12)
+
+
 def test_moment_stats_degenerate():
     with pytest.raises(ValueError):
         moment_stats(np.ones(10))

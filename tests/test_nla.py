@@ -98,7 +98,7 @@ def test_tmss_eigen_relation_one_sided():
     want = np.zeros((4, 4))
     want[:2, :2] = want[2:, 2:] = n_want * np.eye(2)
     want[:2, 2:] = want[2:, :2] = c_want * np.diag([1.0, -1.0])
-    assert np.max(np.abs(out - want)) < 1e-6
+    assert np.max(np.abs(out - want)) < 1e-12
 
 
 def test_tmss_eigen_relation_two_sided():
@@ -115,16 +115,16 @@ def test_thermal_block_oracle():
     out = nla_single_mode(sigma, 1.2, side="b")
     want = thermal_variance_fock(2.0, 1.2)
     assert want == pytest.approx(37.0 / 13.0, abs=1e-9)
-    assert out[2, 2] == pytest.approx(want, abs=1e-6)
-    assert out[3, 3] == pytest.approx(want, abs=1e-6)
-    assert np.allclose(out[:2, :2], np.eye(2), atol=1e-6)
+    assert out[2, 2] == pytest.approx(want, abs=1e-12)
+    assert out[3, 3] == pytest.approx(want, abs=1e-12)
+    assert np.allclose(out[:2, :2], np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_side_a_amplifies_alice():
     sigma = np.diag([2.0, 2.0, 1.0, 1.0])
     out = nla_single_mode(sigma, 1.2, side="a")
-    assert out[0, 0] == pytest.approx(37.0 / 13.0, abs=1e-6)
-    assert np.allclose(out[2:, 2:], np.eye(2), atol=1e-6)
+    assert out[0, 0] == pytest.approx(37.0 / 13.0, abs=1e-12)
+    assert np.allclose(out[2:, 2:], np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_unit_gain_is_identity(model_state):
@@ -145,6 +145,41 @@ def test_gain_too_large_rejected(model_state):
                                           / (model_state.cov[0, 0] - 1)), rel=1e-12)
     with pytest.raises(GainTooLargeError, match="eigenvalue"):
         nla_cov_two_mode(model_state.cov, GainPair(1 + 1e-6, g_max + 0.01))
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_single_mode_gain_too_large_rejected(side, model_state):
+    sigma = apply_lossy(model_state, 0.3).cov  # Alice and Bob blocks differ
+    g_max = max_single_mode_gain(sigma, side)
+    assert np.isfinite(g_max)
+    nla_single_mode(sigma, g_max * (1 - 1e-6), side=side)
+    with pytest.raises(GainTooLargeError, match="eigenvalue"):
+        nla_single_mode(sigma, g_max * (1 + 1e-6), side=side)
+
+
+def test_side_a_is_side_b_on_swapped_modes(rng):
+    swap = [2, 3, 0, 1]
+    for _ in range(25):
+        sigma = random_physical_state(rng).cov
+        swapped = sigma[np.ix_(swap, swap)]
+        g = 1.0 + 0.5 * (min(max_single_mode_gain(sigma, "a"), 2.5) - 1.0)
+        out_a = nla_single_mode(sigma, g, side="a")
+        out_b = nla_single_mode(swapped, g, side="b")[np.ix_(swap, swap)]
+        assert np.allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_two_mode_map_approaches_one_sided_limit_linearly(side, model_state):
+    sigma = apply_lossy(model_state, 0.3).cov
+    g = 1.2
+    exact = nla_single_mode(sigma, g, side=side)
+    errs = []
+    for eps in (1e-4, 1e-5, 1e-6):
+        pair = GainPair(1 + eps, g) if side == "b" else GainPair(g, 1 + eps)
+        errs.append(np.max(np.abs(nla_cov_two_mode(sigma, pair) - exact)))
+    assert errs[0] < 1e-2
+    for a, b in zip(errs, errs[1:]):
+        assert 8.0 < a / b < 12.0  # error scales like eps
 
 
 def test_nonzero_mean_rejected(model_state):
