@@ -5,6 +5,7 @@ Carlo post-selection pipeline, cutoff selection, and the 1sDI-QKD key rate.
 
 from .gaussian import (
     GaussianState,
+    NumericalError,
     PhysicalityReport,
     UnphysicalStateError,
     check_physical,
@@ -21,16 +22,20 @@ from .gaussian import (
     tmss_standard,
     vacuum_state,
 )
-from .channels import ChannelSpec, apply_lossy, apply_noisy
+from .channels import ChannelSpec, apply_lossy, apply_noisy, channel_stack
 from .steering import (
     NoThresholdError,
     SteeringResult,
     classify,
+    classify_stack,
+    region_labels,
     steerability,
-    steerability_1p1,
+    steerability_stack,
     steerability_with_se,
     steering_loss_threshold,
     steering_signed,
+    steering_signed_general,
+    steering_signed_stack,
 )
 from .nla import (
     GainPair,
@@ -39,6 +44,7 @@ from .nla import (
     max_single_mode_gain,
     nla_cov_two_mode,
     nla_single_mode,
+    nla_single_mode_stack,
 )
 from .measurement import (
     BASIS_P,
@@ -56,7 +62,12 @@ from .measurement import (
     sample_batch,
     write_batch_csv,
 )
-from .filtered_moments import FilteredEnsemble, acceptance_rate_exact, filtered_ensemble
+from .filtered_moments import (
+    FilteredEnsemble,
+    acceptance_rate_exact,
+    filtered_ensemble,
+    filtered_ensemble_stack,
+)
 from .cutoff import (
     CutoffCriteria,
     CutoffSearchError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _mode_quadrature_indices
+from .gaussian import GaussianState, _raise_first, require_cov_stack, require_physical_stack
 
 NOISE_MODELS = ("fixed", "loss_scaled")
 DEFAULT_NOISE_MODEL = "loss_scaled"
@@ -45,46 +45,65 @@ class ChannelSpec:
                            self.target_mode)
 
 
-def _bob_quadrature_indices(state: GaussianState, target_mode: int | None):
+def _bob_mode(state: GaussianState, target_mode: int | None) -> int:
     if target_mode is None:
         if len(state.bob_modes) != 1:
             raise ValueError(
                 f"state must have a single Bob mode, has {len(state.bob_modes)}"
             )
         target_mode = state.bob_modes[0]
-    return _mode_quadrature_indices([target_mode])
+    return target_mode
+
+
+def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
+                  noise_model: str = DEFAULT_NOISE_MODEL, mode: int = 1) -> np.ndarray:
+    """Lossy channel, then symmetric excess noise, on one mode of every matrix.
+
+    ``covs`` is one (d, d) matrix or a (N, d, d) stack; ``losses`` and
+    ``excess_noise`` are scalars or length-N arrays, broadcast against it.
+    Every output is checked for physicality at ``PHYSICALITY_TOL`` after the
+    loss and again after the noise.
+    """
+    if noise_model not in NOISE_MODELS:
+        raise ValueError(
+            f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}"
+        )
+    covs = np.asarray(covs, dtype=float)
+    losses, excess = np.broadcast_arrays(np.asarray(losses, dtype=float),
+                                         np.asarray(excess_noise, dtype=float))
+    n = max(losses.size, len(covs) if covs.ndim == 3 else 1)
+    losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
+    _raise_first(excess < 0.0, lambda i: ValueError(
+        f"excess_noise must be >= 0, got {excess[i]}"))
+    _raise_first(~((losses >= 0.0) & (losses <= 1.0)), lambda i: ValueError(
+        f"loss must be in [0, 1], got {losses[i]}"))
+    cov = np.array(np.broadcast_to(covs, (n, *covs.shape[-2:])))
+    require_cov_stack(cov)
+    b = slice(2 * mode, 2 * mode + 2)
+    t = 1.0 - losses
+    block = t[:, None, None] * cov[:, b, b] + (1.0 - t)[:, None, None] * np.eye(2)
+    root_t = np.sqrt(t)[:, None, None]
+    cov[:, :, b] *= root_t
+    cov[:, b, :] *= root_t
+    cov[:, b, b] = block
+    cov = require_physical_stack(0.5 * (cov + cov.transpose(0, 2, 1)))
+    eps_add = excess if noise_model == "fixed" else excess * losses
+    if np.any(eps_add != 0.0):
+        cov[:, b, b] += eps_add[:, None, None] * np.eye(2)
+        require_physical_stack(cov)
+    return cov
 
 
 def apply_lossy(state: GaussianState, loss: float,
                 target_mode: int | None = None) -> GaussianState:
     """Pure-loss beam-splitter channel on Bob's mode."""
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError(f"loss must be in [0, 1], got {loss}")
-    ib = _bob_quadrature_indices(state, target_mode)
-    t = 1.0 - loss
-    cov = state.cov.copy()
-    cov[np.ix_(ib, ib)] = t * cov[np.ix_(ib, ib)] + (1.0 - t) * np.eye(2)
-    others = [k for k in range(cov.shape[0]) if k not in ib]
-    cov[np.ix_(others, ib)] *= np.sqrt(t)
-    cov[np.ix_(ib, others)] *= np.sqrt(t)
-    return state.with_cov((cov + cov.T) / 2.0).require_physical()
+    return apply_noisy(state, loss, 0.0, "fixed", target_mode)
 
 
 def apply_noisy(state: GaussianState, loss: float, excess_noise: float,
                 noise_model: str = DEFAULT_NOISE_MODEL,
                 target_mode: int | None = None) -> GaussianState:
     """Lossy channel followed by symmetric excess noise on Bob's mode."""
-    if excess_noise < 0.0:
-        raise ValueError(f"excess_noise must be >= 0, got {excess_noise}")
-    if noise_model not in NOISE_MODELS:
-        raise ValueError(
-            f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}"
-        )
-    out = apply_lossy(state, loss, target_mode)
-    eps_add = excess_noise if noise_model == "fixed" else excess_noise * loss
-    if eps_add == 0.0:
-        return out
-    ib = _bob_quadrature_indices(state, target_mode)
-    cov = out.cov.copy()
-    cov[np.ix_(ib, ib)] += eps_add * np.eye(2)
-    return state.with_cov(cov).require_physical()
+    cov = channel_stack(state.cov, loss, excess_noise, noise_model,
+                        _bob_mode(state, target_mode))
+    return state.with_cov(cov[0])

@@ -11,7 +11,13 @@ Subcommands reproduce each figure/table as a batch run::
     steerdist ingest data.csv
     steerdist selfcheck
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
+numerical failure is a :class:`steerdist.gaussian.NumericalError` (unphysical
+or degenerate matrices, gains past the normalisability bound, failed
+reconstructions, no steering threshold), an unreadable quadrature file
+(:class:`BatchSchemaError`) or a ``RuntimeError`` (no cutoff or gain on the
+grid meets the criteria, unsupported Bob block); any other ``ValueError``
+or ``OSError`` is a configuration error.
 """
 
 from __future__ import annotations
@@ -20,11 +26,8 @@ import argparse
 import sys
 
 from .config import FULL_SAMPLES, ConfigError, load_config
-from .cutoff import CutoffSearchError
-from .gaussian import UnphysicalStateError
-from .measurement import BatchSchemaError, ReconstructionError
-from .nla import GainTooLargeError
-from .qkd import NoPositiveKeyError
+from .gaussian import NumericalError
+from .measurement import BatchSchemaError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -104,18 +107,11 @@ def main(argv=None) -> int:
             raise AssertionError(cmd)
         print(f"wrote {path}")
         return EXIT_OK
-    except ValueError as exc:
-        # unknown variants/bad CLI values that slipped past config parsing
-        if isinstance(exc, (UnphysicalStateError, GainTooLargeError,
-                            ReconstructionError, BatchSchemaError)):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (CutoffSearchError, NoPositiveKeyError, RuntimeError) as exc:
+    except (NumericalError, BatchSchemaError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # unknown variants/bad CLI values that slipped past config parsing
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -8,8 +8,10 @@ statistics (:mod:`steerdist.filtered_moments`) rather than on a finite
 sample.  A sampled run cannot certify them in the low-loss/high-gain corner:
 at loss 0, g = 1.25 the acceptance rate at the published optimum is about
 8e-6, so 1e6 raw samples leave ~8 accepted records.  The exact criteria are
-deterministic, take milliseconds per grid point, and reproduce the published
-5x5 cutoff table within one half grid step in every cell.
+deterministic and reproduce the published 5x5 cutoff table within one half
+grid step in every cell.  The whole cutoff grid of a cell is evaluated in
+one pass of the stack kernels; the trace keeps the points up to and
+including the first that passes, as a point-by-point scan would.
 
 When the expected accepted count at the selected point is large enough, a
 Monte Carlo verification at ``criteria.sample_count`` samples is attached to
@@ -25,8 +27,8 @@ from importlib import resources
 import numpy as np
 
 from .channels import ChannelSpec
-from .filtered_moments import filtered_ensemble
-from .gaussian import GaussianState, from_cov
+from .filtered_moments import filtered_ensemble_stack
+from .gaussian import GaussianState
 from .measurement import (
     FilterSpec,
     moment_stats,
@@ -36,7 +38,7 @@ from .measurement import (
     sample_batch,
 )
 from .nla import nla_single_mode
-from .steering import steerability, steerability_with_se
+from .steering import DIRECTIONS, _signed_1p1, steerability_stack, steerability_with_se
 
 # Calibrated defaults: with the exact criteria, (kurt_tol, steering_tol) =
 # (0.05, 0.005) lands every cell of the published table within +-0.5 and
@@ -100,45 +102,31 @@ def select_cutoff(
         raise ValueError(f"cutoff selection needs g > 1, got {g}")
     out = channel.apply(state)
     ideal = nla_single_mode(out.cov, g, side="b")
-    ideal_state = from_cov(ideal)
-    gab_ref = steerability(ideal_state, "a_to_b")
-    gba_ref = steerability(ideal_state, "b_to_a")
+    gab_ref, gba_ref = (float(v[0]) for v in steerability_stack(ideal[None]))
 
     grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
-    trace = []
-    chosen = None
-    for bc in grid:
-        ens = filtered_ensemble(out, FilterSpec(g, float(bc)))
-        fstate = from_cov(ens.cov)
-        row = {
-            "beta_c": float(bc),
-            "acceptance_rate": ens.acceptance_rate,
-            "kurtosis": ens.bob_kurtosis,
-            "skewness": ens.bob_skewness,
-        }
-        try:
-            # a heavily truncated ensemble can fail the bona-fide condition
-            # outright; evaluate steering as a plain moment functional and
-            # count non-evaluable points as failures
-            gab = steerability(fstate, "a_to_b", physicality_tol=np.inf)
-            gba = steerability(fstate, "b_to_a", physicality_tol=np.inf)
-        except ValueError:
-            row.update(steering_err_a_to_b=np.inf, steering_err_b_to_a=np.inf,
-                       passed=False)
-            trace.append(row)
-            continue
-        row["steering_err_a_to_b"] = abs(gab - gab_ref)
-        row["steering_err_b_to_a"] = abs(gba - gba_ref)
-        row["passed"] = (
-            abs(ens.bob_skewness) < criteria.skew_tol
-            and abs(ens.bob_kurtosis - 3.0) < criteria.kurt_tol
-            and row["steering_err_a_to_b"] < criteria.steering_tol
-            and row["steering_err_b_to_a"] < criteria.steering_tol
-        )
-        trace.append(row)
-        if row["passed"]:
-            chosen = row
-            break
+    rates, covs, kurts = filtered_ensemble_stack(
+        np.broadcast_to(out.alice_bob_cov(), (len(grid), 4, 4)), g, grid)
+    # a heavily truncated ensemble can fail the bona-fide condition outright;
+    # evaluate steering as a plain moment functional and count non-evaluable
+    # points as failures
+    (gab, ok_ab), (gba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
+    evaluable = ok_ab & ok_ba
+    err_ab = np.where(evaluable, np.abs(np.maximum(gab, 0.0) - gab_ref), np.inf)
+    err_ba = np.where(evaluable, np.abs(np.maximum(gba, 0.0) - gba_ref), np.inf)
+    skew = 0.0
+    passed = (evaluable & (abs(skew) < criteria.skew_tol)
+              & (np.abs(kurts - 3.0) < criteria.kurt_tol)
+              & (err_ab < criteria.steering_tol) & (err_ba < criteria.steering_tol))
+    last = int(np.argmax(passed)) if passed.any() else len(grid) - 1
+    trace = [
+        {"beta_c": float(grid[i]), "acceptance_rate": float(rates[i]),
+         "kurtosis": float(kurts[i]), "skewness": skew,
+         "steering_err_a_to_b": float(err_ab[i]), "steering_err_b_to_a": float(err_ba[i]),
+         "passed": bool(passed[i])}
+        for i in range(last + 1)
+    ]
+    chosen = trace[-1] if passed.any() else None
     if chosen is None:
         raise CutoffSearchError(
             f"no cutoff in [{criteria.grid_min}, {criteria.grid_max}] meets the "

@@ -22,10 +22,10 @@ import os
 import numpy as np
 
 from . import svgplot
-from .channels import ChannelSpec
+from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import CutoffCriteria, cutoff_from_table, reference_cutoff_table, select_cutoff
-from .filtered_moments import acceptance_rate_exact, filtered_ensemble
+from .filtered_moments import acceptance_rate_exact, filtered_ensemble, filtered_ensemble_stack
 from .gaussian import GaussianState, from_cov, save_cov, tmss_standard
 from .measurement import (
     FilterSpec,
@@ -37,9 +37,9 @@ from .measurement import (
     reconstruction_tolerance,
     sample_batch,
 )
-from .nla import nla_single_mode
+from .nla import nla_single_mode, nla_single_mode_stack
 from .qkd import key_rate, key_rate_filtered, key_rate_with_se
-from .steering import classify, steerability, steerability_with_se
+from .steering import classify_stack, steerability_stack, steerability_with_se
 
 TABLE_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 TABLE_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -73,6 +73,35 @@ def write_csv(path, header, rows) -> None:
 
 def model_state(config: ExperimentConfig) -> GaussianState:
     return tmss_standard(config.squeeze_db, config.antisqueeze_db)
+
+
+def _in_grid_order(chain, n_cells: int):
+    """Run ``chain(n)``, which evaluates the first n cells of a grid with the
+    stack kernels, on all cells.
+
+    A kernel raises at the first cell it rejects, tagged as ``exc.cell``, but
+    a later stage may reject an earlier cell.  Re-running the cells in front
+    of the failing one raises that earlier failure instead, so the error is
+    the one a cell-by-cell loop meets first.
+    """
+    try:
+        return chain(n_cells)
+    except Exception as exc:
+        if getattr(exc, "cell", None):
+            _in_grid_order(chain, exc.cell)
+        raise
+
+
+def _each_cell(fn, n: int) -> list:
+    """``[fn(i) for i in range(n)]``, tagging a failure with its cell."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(fn(i))
+        except Exception as exc:
+            exc.cell = i
+            raise
+    return out
 
 
 def _fig3_cutoff(config, state, loss, excess, table):
@@ -119,6 +148,7 @@ def run_fig3(variant: str, config: ExperimentConfig):
     state = model_state(config)
     table = reference_cutoff_table()
     g = config.gain
+    losses = [float(x) for x in config.loss_grid]
 
     header = ["loss", "g_a2b_raw", "g_b2a_raw", "g_a2b_nla", "g_b2a_nla",
               "acceptance_rate"]
@@ -129,39 +159,34 @@ def run_fig3(variant: str, config: ExperimentConfig):
                    "mc_acceptance_rate",
                    "se_g_a2b_raw", "se_g_b2a_raw", "se_g_a2b_nla", "se_g_b2a_nla"]
 
-    rows = []
-    for i, loss in enumerate(config.loss_grid):
-        loss = float(loss)
-        out = ChannelSpec(loss, excess, config.noise_model).apply(state)
-        beta_c = _fig3_cutoff(config, state, loss, excess, table)
-        filt = FilterSpec(g, beta_c)
-        analytic = None
+    def chain(n):
+        outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
+        beta_c = _each_cell(
+            lambda i: _fig3_cutoff(config, state, losses[i], excess, table), n)
+        cols = []
         if config.mode in ("analytic", "both"):
-            amp = from_cov(nla_single_mode(out.cov, g))
-            analytic = (
-                steerability(out, "a_to_b"), steerability(out, "b_to_a"),
-                steerability(amp, "a_to_b"), steerability(amp, "b_to_a"),
-                acceptance_rate_exact(out, filt),
-            )
-        mc = None
+            amp = nla_single_mode_stack(outs, g)
+            cols = [v.tolist() for v in (*steerability_stack(outs), *steerability_stack(amp),
+                                         filtered_ensemble_stack(outs, g, beta_c)[0])]
+        mc = []
         if config.mode in ("monte_carlo", "both"):
-            mc = _mc_steering_point(out, filt, config.samples,
-                                    derive_seed(config.seed, 3, i), config.threads)
-        if config.mode == "analytic":
-            rows.append([loss, *analytic])
-        elif config.mode == "monte_carlo":
-            (rab, seab, rba, seba, nab, senab, nba, senba, rate) = mc
-            rows.append([loss, rab, rba, nab, nba, rate, seab, seba, senab, senba])
-        else:
-            (rab, seab, rba, seba, nab, senab, nba, senba, rate) = mc
-            rows.append([loss, *analytic, rab, rba, nab, nba, rate,
-                         seab, seba, senab, senba])
+            mc = _each_cell(lambda i: _mc_steering_point(
+                from_cov(outs[i]), FilterSpec(g, beta_c[i]), config.samples,
+                derive_seed(config.seed, 3, i), config.threads), n)
+        rows = []
+        for i in range(n):
+            row = [losses[i], *(col[i] for col in cols)]
+            if mc:
+                (rab, seab, rba, seba, nab, senab, nba, senba, rate) = mc[i]
+                row += [rab, rba, nab, nba, rate, seab, seba, senab, senba]
+            rows.append(row)
+        return rows
 
+    rows = _in_grid_order(chain, len(losses))
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"fig3{variant}.csv")
     write_csv(path, header, rows)
     if config.svg:
-        losses = [r[0] for r in rows]
         series = {
             "A->B raw": [r[1] for r in rows],
             "B->A raw": [r[2] for r in rows],
@@ -182,26 +207,26 @@ def run_regions(variant: str, config: ExperimentConfig):
     if variant == "d" and excess <= 0.0:
         raise ValueError("regions-d requires channel.excess_noise > 0")
     state = model_state(config)
-    rows = []
-    labels = []
-    for g in config.g_grid:
-        g = float(g)
-        row_labels = []
-        for loss in config.loss_grid:
-            loss = float(loss)
-            out = ChannelSpec(loss, excess, config.noise_model).apply(state)
-            cov = out.cov if g == 1.0 else nla_single_mode(out.cov, g)
-            region = classify(from_cov(cov)).region
-            rows.append([g, loss, region])
-            row_labels.append(region)
-        labels.append(row_labels)
+    gains = [float(g) for g in config.g_grid]
+    losses = [float(x) for x in config.loss_grid]
+
+    def chain(n):
+        # cells in (g, loss) row-major order: the first row holds every loss
+        i_g, i_loss = np.divmod(np.arange(n), len(losses))
+        outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
+        amp = nla_single_mode_stack(outs[i_loss], np.take(gains, i_g))
+        return classify_stack(amp)[2].tolist()
+
+    flat = _in_grid_order(chain, len(gains) * len(losses))
+    labels = [flat[k:k + len(losses)] for k in range(0, len(flat), len(losses))]
+    rows = [[g, loss, region]
+            for g, row in zip(gains, labels) for loss, region in zip(losses, row)]
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, f"regions_{variant}.csv")
     write_csv(path, ["g", "loss", "region"], rows)
     if config.svg:
         svgplot.region_map(
-            [float(g) for g in config.g_grid], [float(x) for x in config.loss_grid],
-            labels, path.replace(".csv", ".svg"),
+            gains, losses, labels, path.replace(".csv", ".svg"),
             title=f"steering regions ({'lossy' if variant == 'c' else 'noisy'} channel)",
         )
     return path, rows
@@ -272,10 +297,11 @@ def run_fig4(config: ExperimentConfig):
     return path, rows
 
 
-def _appendix_grid(config):
-    for loss in TABLE_LOSSES:
-        for g in TABLE_GAINS:
-            yield float(loss), float(g)
+def _appendix_grid():
+    """(i_loss, i_g, loss, g) over the published 5x5 grid, loss-major."""
+    for i_loss, loss in enumerate(TABLE_LOSSES):
+        for i_g, g in enumerate(TABLE_GAINS):
+            yield i_loss, i_g, float(loss), float(g)
 
 
 def run_appendix(item: str, config: ExperimentConfig):
@@ -296,17 +322,18 @@ def _run_fig_s1(config):
     """Pure-state distillation curves (analytic), lossy and noisy channels."""
     pure = tmss_standard(config.squeeze_db, -config.squeeze_db)
     g = config.gain
-    rows = []
-    for channel_name, excess in (("lossy", 0.0), ("noisy", config.excess_noise)):
-        for loss in config.loss_grid:
-            loss = float(loss)
-            out = ChannelSpec(loss, excess, config.noise_model).apply(pure)
-            amp = from_cov(nla_single_mode(out.cov, g))
-            rows.append([
-                channel_name, loss,
-                steerability(out, "a_to_b"), steerability(out, "b_to_a"),
-                steerability(amp, "a_to_b"), steerability(amp, "b_to_a"),
-            ])
+    cells = [(name, excess, float(loss))
+             for name, excess in (("lossy", 0.0), ("noisy", config.excess_noise))
+             for loss in config.loss_grid]
+
+    def chain(n):
+        names, excess, losses = zip(*cells[:n])
+        outs = channel_stack(pure.cov, losses, excess, config.noise_model)
+        amp = nla_single_mode_stack(outs, g)
+        cols = [v.tolist() for v in (*steerability_stack(outs), *steerability_stack(amp))]
+        return [[names[i], losses[i], *(col[i] for col in cols)] for i in range(n)]
+
+    rows = _in_grid_order(chain, len(cells))
     path = os.path.join(config.out_dir, "fig_s1.csv")
     write_csv(path, ["channel", "loss", "g_a2b_raw", "g_b2a_raw",
                      "g_a2b_nla", "g_b2a_nla"], rows)
@@ -323,7 +350,7 @@ def _run_fig_s2(config):
     state = model_state(config)
     table = reference_cutoff_table()
     rows = []
-    for loss, g in _appendix_grid(config):
+    for i_loss, i_g, loss, g in _appendix_grid():
         beta_c = cutoff_from_table(loss, g, table)
         out = ChannelSpec(loss, 0.0, config.noise_model).apply(state)
         filt = FilterSpec(g, beta_c)
@@ -331,7 +358,7 @@ def _run_fig_s2(config):
         use_mc = (config.mode != "analytic"
                   and ens.acceptance_rate * config.samples >= 2000)
         if use_mc:
-            seed = derive_seed(config.seed, 5, int(loss * 10), int(g * 100))
+            seed = derive_seed(config.seed, 5, i_loss, i_g)
             batch = sample_batch(out, config.samples, seed, threads=config.threads)
             filtered, _ = post_select(batch, filt, seed)
             sel = filtered.accepted
@@ -352,14 +379,14 @@ def _run_fig_s4(config):
     state = model_state(config)
     table = reference_cutoff_table()
     rows = []
-    for loss, g in _appendix_grid(config):
+    for i_loss, i_g, loss, g in _appendix_grid():
         beta_c = cutoff_from_table(loss, g, table)
         out = ChannelSpec(loss, 0.0, config.noise_model).apply(state)
         filt = FilterSpec(g, beta_c)
         if config.mode == "analytic":
             rate = acceptance_rate_exact(out, filt)
         else:
-            seed = derive_seed(config.seed, 6, int(loss * 10), int(g * 100))
+            seed = derive_seed(config.seed, 6, i_loss, i_g)
             batch = sample_batch(out, config.samples, seed, threads=config.threads)
             _, rate = post_select(batch, filt, seed)
         rows.append([g, loss, rate])
@@ -373,7 +400,7 @@ def _run_table_s1(config):
     state = model_state(config)
     criteria = CutoffCriteria(sample_count=config.samples)
     rows = []
-    for loss, g in _appendix_grid(config):
+    for i_loss, i_g, loss, g in _appendix_grid():
         bc, _ = select_cutoff(state, ChannelSpec(loss, 0.0, config.noise_model),
                               g, criteria, seed=config.seed, verify=False)
         rows.append([loss, g, bc])

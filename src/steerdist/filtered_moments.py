@@ -24,12 +24,12 @@ independent cross-check of the analytic amplifier map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, factorial
+from math import factorial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .gaussian import GaussianState
+from .gaussian import GaussianState, _raise_first, require_cov_stack
 from .measurement import FilterSpec
 
 _NODES, _WEIGHTS = leggauss(400)
@@ -39,20 +39,21 @@ _NODES, _WEIGHTS = leggauss(400)
 _ISOTROPY_RTOL = 1e-9
 
 
-def _upper_gamma_tail(k: int, y: float) -> float:
+def _upper_gamma_tail(k: int, y):
     """Gamma(k+1, y) = e^{-y} sum_{j<=k} y^j k!/j!; all terms positive."""
-    return exp(-y) * sum(factorial(k) // factorial(j) * y**j for j in range(k + 1))
+    return np.exp(-y) * sum(factorial(k) // factorial(j) * y**j for j in range(k + 1))
 
 
-def _weighted_u_moments(s2: float, t: float, bc2: float, kmax: int):
-    """m_k = E[min(1, e^{t(u-bc2)}) u^k] for u ~ Exp(mean s2), k = 0..kmax."""
+def _weighted_u_moments(s2, t, bc2, kmax: int):
+    """m_k = E[min(1, e^{t(u-bc2)}) u^k] for u ~ Exp(mean s2), k = 0..kmax;
+    the arguments are length-N arrays, one row of quadrature nodes each."""
     q = 1.0 / s2
-    x = 0.5 * bc2 * (_NODES + 1.0)
-    w = 0.5 * bc2 * _WEIGHTS
-    e = np.exp(-(q - t) * x)
+    x = 0.5 * bc2[:, None] * (_NODES + 1.0)
+    w = 0.5 * bc2[:, None] * _WEIGHTS
+    e = np.exp(-(q - t)[:, None] * x)
     out = []
     for k in range(kmax + 1):
-        below = q * np.exp(-t * bc2) * float(np.sum(w * x**k * e))
+        below = q * np.exp(-t * bc2) * np.sum(w * x**k * e, axis=1)
         above = _upper_gamma_tail(k, q * bc2) / q**k
         out.append(below + above)
     return out
@@ -68,15 +69,47 @@ class FilteredEnsemble:
     bob_skewness: float      # exactly 0 by symmetry of the radial weight
 
 
-def _bob_isotropy(state: GaussianState) -> float:
-    _, b, _ = state.blocks()
-    scale = max(1.0, abs(b[0, 0]))
-    if abs(b[0, 0] - b[1, 1]) > _ISOTROPY_RTOL * scale or abs(b[0, 1]) > _ISOTROPY_RTOL * scale:
-        raise NotImplementedError(
-            "exact filtered moments require an isotropic Bob block "
-            f"(got diag {b[0, 0]:.6g}/{b[1, 1]:.6g}, cross {b[0, 1]:.6g})"
-        )
-    return float(b[0, 0])
+def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
+    """Exact accepted-ensemble statistics of a (N, 4, 4) stack in (Alice, Bob)
+    order; ``gains`` and ``cutoffs`` are scalars or length-N arrays.
+
+    Returns (acceptance rates, covariance matrices, Bob kurtoses), one entry
+    per matrix; the skewness is 0 for all of them.
+    """
+    covs = require_cov_stack(covs)
+    if covs.shape[1:] != (4, 4):
+        raise ValueError("filtered moments require exactly one mode per side")
+    n = len(covs)
+    g = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
+    cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (n,))
+    a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+    scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * _ISOTROPY_RTOL
+    _raise_first((np.abs(b[:, 0, 0] - b[:, 1, 1]) > scale) | (np.abs(b[:, 0, 1]) > scale),
+                 lambda i: NotImplementedError(
+                     "exact filtered moments require an isotropic Bob block "
+                     f"(got diag {b[i, 0, 0]:.6g}/{b[i, 1, 1]:.6g}, cross {b[i, 0, 1]:.6g})"))
+    s2 = (b[:, 0, 0] + 1.0) / 2.0   # E[u] without filtering
+    t = 1.0 - 1.0 / (g * g)
+    m0, m1, m2 = _weighted_u_moments(s2, t, cutoffs**2, kmax=2)
+    u1 = m1 / m0                    # <u> under acceptance
+    u2 = m2 / m0
+
+    out = np.zeros((n, 4, 4))
+    # Bob block: accepted Var(bob quadrature) = <u>, rescaled by 1/g^2,
+    # then V = 2 Var - 1. Radial weight keeps the block isotropic.
+    out[:, 2:, 2:] = (2.0 * u1 / g**2 - 1.0)[:, None, None] * np.eye(2)
+    # Cross block: Cov(alice_i, bob_j) scales by <u>/s2 before rescaling.
+    out[:, :2, 2:] = c * (u1 / (g * s2))[:, None, None]
+    out[:, 2:, :2] = out[:, :2, 2:].transpose(0, 2, 1)
+    # Alice block: regression of alice on Bob's outcome pair. The residual
+    # is unaffected by the filter; the explained part scales with <u>/s2.
+    for i in range(2):
+        cvec2 = (c[:, i, 0] ** 2 + c[:, i, 1] ** 2) / 2.0
+        out[:, i, i] = a[:, i, i] + (cvec2 / s2) * (u1 / s2 - 1.0)
+
+    # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
+    # scale-invariant so the 1/g rescale drops out.
+    return m0, out, 1.5 * u2 / (u1 * u1)
 
 
 def filtered_ensemble(state: GaussianState, filt: FilterSpec) -> FilteredEnsemble:
@@ -85,41 +118,13 @@ def filtered_ensemble(state: GaussianState, filt: FilterSpec) -> FilteredEnsembl
     The returned covariance matrix is what :func:`reconstruct_covariance`
     converges to as the sample count grows, entry by entry.
     """
-    if len(state.alice_modes) != 1 or len(state.bob_modes) != 1:
+    if not state.is_1p1:
         raise ValueError("filtered moments require exactly one mode per side")
-    a, _, c = state.blocks()
-    v_b = _bob_isotropy(state)
-    s2 = (v_b + 1.0) / 2.0          # E[u] without filtering
-    t = 1.0 - 1.0 / (filt.gain * filt.gain)
-    bc2 = filt.cutoff**2
-    m0, m1, m2 = _weighted_u_moments(s2, t, bc2, kmax=2)
-    u1 = m1 / m0                    # <u> under acceptance
-    u2 = m2 / m0
-    g = filt.gain
-
-    cov = np.zeros((4, 4))
-    # Bob block: accepted Var(bob quadrature) = <u>, rescaled by 1/g^2,
-    # then V = 2 Var - 1. Radial weight keeps the block isotropic.
-    cov[2:, 2:] = (2.0 * u1 / g**2 - 1.0) * np.eye(2)
-    # Cross block: Cov(alice_i, bob_j) scales by <u>/s2 before rescaling.
-    cov[:2, 2:] = c * u1 / (g * s2)
-    cov[2:, :2] = cov[:2, 2:].T
-    # Alice block: regression of alice on Bob's outcome pair. The residual
-    # is unaffected by the filter; the explained part scales with <u>/s2.
-    for i in range(2):
-        cvec2 = (c[i, 0] ** 2 + c[i, 1] ** 2) / 2.0
-        cov[i, i] = a[i, i] + (cvec2 / s2) * (u1 / s2 - 1.0)
-
-    # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
-    # scale-invariant so the 1/g rescale drops out.
-    kurt = 1.5 * u2 / (u1 * u1)
-    return FilteredEnsemble(float(m0), cov, float(kurt), 0.0)
+    rate, cov, kurt = filtered_ensemble_stack(state.alice_bob_cov()[None],
+                                              filt.gain, filt.cutoff)
+    return FilteredEnsemble(float(rate[0]), cov[0], float(kurt[0]), 0.0)
 
 
 def acceptance_rate_exact(state: GaussianState, filt: FilterSpec) -> float:
     """Exact expected acceptance rate of :func:`post_select`."""
-    v_b = _bob_isotropy(state)
-    s2 = (v_b + 1.0) / 2.0
-    t = 1.0 - 1.0 / (filt.gain * filt.gain)
-    (m0,) = _weighted_u_moments(s2, t, filt.cutoff**2, kmax=0)
-    return float(m0)
+    return filtered_ensemble(state, filt).acceptance_rate

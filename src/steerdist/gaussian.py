@@ -7,6 +7,25 @@ Conventions used throughout the package:
 * dB values are variance ratios, V = 10**(dB/10);
 * a covariance matrix is physical iff sigma + i*Omega >= 0, i.e. every
   symplectic eigenvalue is >= 1 (up to a small numerical slack).
+
+Functions named ``*_stack`` take a stack of matrices shaped (N, d, d) and
+check every entry as the single-matrix function does.  A failing entry
+raises the single-matrix exception, at the first failing index, with that
+index in the exception's ``cell`` attribute.  For 1+1 modes (d = 4) the
+physicality test uses the closed form of the symplectic spectrum through
+the 2x2 blocks A, B, C.  With adj(X) the adjugate, -(Omega sigma)^2 is
+[[alpha I, P], [Q, beta I]], alpha = det A + det C, beta = det B + det C,
+P = adj(A) C + adj(C)^T B, Q = adj(C) A + adj(B) C^T, and P Q has the
+double eigenvalue kappa = tr(P Q)/2, so
+
+    nu_+^2 = (alpha + beta)/2 + sqrt(((det A - det B)/2)^2 + kappa),
+    nu_-^2 = det(sigma) / nu_+^2,
+
+after checking that sigma is positive definite (A > 0 and its Schur
+complement B - C^T A^{-1} C > 0).  Unlike the textbook form through
+Delta^2 - 4 det(sigma), the square root has no cancellation at degenerate
+spectra (pure symmetric states), where that form loses half the digits.
+More modes go through the eigenvalues of Omega*sigma.
 """
 
 from __future__ import annotations
@@ -25,8 +44,26 @@ PHYSICALITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-3
 
 
-class UnphysicalStateError(ValueError):
+class NumericalError(ValueError):
+    """A numerical failure: an unphysical or degenerate matrix, a gain past
+    the normalisability bound, a failed reconstruction.  The CLI exits with
+    status 3 on it.  A stack kernel sets ``cell`` to the failing entry."""
+
+    cell: int | None = None
+
+
+class UnphysicalStateError(NumericalError):
     """Raised when a covariance matrix violates sigma + i*Omega >= 0."""
+
+
+def _raise_first(bad, make_error) -> None:
+    """Raise ``make_error(i)`` at the first true entry of ``bad``, tagged with i."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        i = int(hits[0])
+        exc = make_error(i)
+        exc.cell = i
+        raise exc
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -40,14 +77,66 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def _require_cov(sigma: np.ndarray) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    if sigma.ndim != 2:
         raise ValueError(f"covariance matrix must be square, got shape {sigma.shape}")
-    if sigma.shape[0] % 2 != 0:
-        raise ValueError(f"covariance matrix dimension must be even, got {sigma.shape[0]}")
-    scale = max(1.0, float(np.max(np.abs(sigma))))
-    if np.max(np.abs(sigma - sigma.T)) > SYMMETRY_RTOL * scale:
-        raise ValueError("covariance matrix is not symmetric")
-    return sigma
+    return require_cov_stack(sigma[None])[0]
+
+
+def require_cov_stack(covs: np.ndarray) -> np.ndarray:
+    """Check a (N, d, d) stack: square, even d, every matrix symmetric."""
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ValueError(f"covariance matrix must be square, got shape {covs.shape[1:]}")
+    if covs.shape[1] % 2 != 0:
+        raise ValueError(f"covariance matrix dimension must be even, got {covs.shape[1]}")
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+    asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+    _raise_first(asym > SYMMETRY_RTOL * scale,
+                 lambda i: ValueError("covariance matrix is not symmetric"))
+    return covs
+
+
+# --- 2x2 blocks, stacked along the leading axes ----------------------------------
+
+def det2(m: np.ndarray) -> np.ndarray:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def adj2(m: np.ndarray) -> np.ndarray:
+    """Adjugate of each 2x2 matrix: adj(m) m = det(m) I."""
+    adj = np.empty_like(m)
+    adj[..., 0, 0] = m[..., 1, 1]
+    adj[..., 1, 1] = m[..., 0, 0]
+    adj[..., 0, 1] = -m[..., 0, 1]
+    adj[..., 1, 0] = -m[..., 1, 0]
+    return adj
+
+
+def inv2(m: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of each 2x2 matrix; callers check invertibility."""
+    return adj2(m) / det2(m)[..., None, None]
+
+
+def min_eig2(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric 2x2 matrix."""
+    return (0.5 * (m[..., 0, 0] + m[..., 1, 1])
+            - np.hypot(0.5 * (m[..., 0, 0] - m[..., 1, 1]), m[..., 0, 1]))
+
+
+def pd2(m: np.ndarray) -> np.ndarray:
+    """Mask of the positive-definite symmetric 2x2 matrices."""
+    return (min_eig2(m) > 0) & (det2(m) > 0)
+
+
+def schur_2x2(cond: np.ndarray, kept: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """kept - cross^T cond^{-1} cross, symmetrised; ``cross`` has cond's rows."""
+    out = kept - np.swapaxes(cross, -1, -2) @ inv2(cond) @ cross
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _not_pd_error(mat: np.ndarray) -> NumericalError:
+    return NumericalError("matrix is not positive definite (smallest eigenvalue "
+                          f"{np.linalg.eigvalsh(mat)[0]:.3e})")
 
 
 def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -57,15 +146,50 @@ def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
     once, sorted ascending.  For a 2x2 matrix this equals sqrt(det M).
     """
     mat = _require_cov(mat)
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs[0] <= 0:
-        raise ValueError(
-            f"matrix is not positive definite (smallest eigenvalue {eigs[0]:.3e})"
-        )
+    if np.linalg.eigvalsh(mat)[0] <= 0:
+        raise _not_pd_error(mat)
     omega = symplectic_form(mat.shape[0] // 2)
     moduli = np.sort(np.abs(np.linalg.eigvals(omega @ mat)))
     # eigenvalues of i*Omega*M come in +/- pairs; keep one of each
     return moduli[::2].copy()
+
+
+def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
+    """Smallest symplectic eigenvalue of each matrix of a (N, d, d) stack of
+    symmetric matrices (see :func:`require_cov_stack`).
+
+    Raises :class:`NumericalError` at the first matrix that is not positive
+    definite.
+    """
+    if covs.shape[1] != 4:
+        return np.array([symplectic_eigenvalues(c)[0] for c in covs])
+    a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+    det_a, det_b, det_c = det2(a), det2(b), det2(c)
+    pd = pd2(a)
+    sub = slice(None) if pd.all() else pd.copy()
+    s = schur_2x2(a[sub], b[sub], c[sub])
+    s_pd = pd2(s)
+    det_s = np.zeros(len(covs))
+    det_s[sub] = np.where(s_pd, det2(s), 0.0)
+    pd[sub] = s_pd
+    _raise_first(~pd, lambda i: _not_pd_error(covs[i]))
+    p = adj2(a) @ c + adj2(c).transpose(0, 2, 1) @ b
+    q = adj2(c) @ a + adj2(b) @ c.transpose(0, 2, 1)
+    kappa = 0.5 * np.trace(p @ q, axis1=1, axis2=2)
+    half_gap = 0.5 * (det_a - det_b)
+    nu_plus2 = (0.5 * (det_a + det_b) + det_c
+                + np.sqrt(np.maximum(half_gap * half_gap + kappa, 0.0)))
+    return np.sqrt(det_a * det_s / nu_plus2)
+
+
+def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
+    """Raise :class:`UnphysicalStateError` at the first matrix of a stack of
+    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol;
+    returns the stack."""
+    nu = min_symplectic_eigenvalues(covs)
+    _raise_first(nu < 1.0 - tol, lambda i: UnphysicalStateError(
+        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol:g})"))
+    return covs
 
 
 def check_physical(sigma: np.ndarray, tol: float = PHYSICALITY_TOL):
@@ -74,7 +198,7 @@ def check_physical(sigma: np.ndarray, tol: float = PHYSICALITY_TOL):
     Returns a (passed, min_symplectic_eigenvalue) named tuple so callers can
     report how badly a matrix fails.
     """
-    nu_min = float(symplectic_eigenvalues(sigma)[0])
+    nu_min = float(min_symplectic_eigenvalues(_require_cov(sigma)[None])[0])
     return PhysicalityReport(nu_min >= 1.0 - tol, nu_min)
 
 
@@ -156,13 +280,19 @@ class GaussianState:
         return GaussianState(self.mean, cov, self.alice_modes, self.bob_modes)
 
     def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
-        report = check_physical(self.cov, tol)
-        if not report:
-            raise UnphysicalStateError(
-                f"state is unphysical: min symplectic eigenvalue "
-                f"{report.min_symplectic_eigenvalue:.12g} < 1"
-            )
+        require_physical_stack(self.cov[None], tol)
         return self
+
+    def alice_bob_cov(self) -> np.ndarray:
+        """The covariance matrix with Alice's modes first (a copy if permuted)."""
+        order = _mode_quadrature_indices(self.alice_modes + self.bob_modes)
+        if order == list(range(len(order))):
+            return self.cov
+        return self.cov[np.ix_(order, order)]
+
+    @property
+    def is_1p1(self) -> bool:
+        return len(self.alice_modes) == 1 and len(self.bob_modes) == 1
 
 
 def from_cov(cov: np.ndarray, alice_modes=(0,), bob_modes=(1,)) -> GaussianState:
@@ -221,7 +351,7 @@ def schur_complement(
         raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
     eigs = np.linalg.eigvalsh(cond)
     if eigs[0] <= 0:
-        raise ValueError(
+        raise NumericalError(
             f"conditioning block is singular (smallest eigenvalue {eigs[0]:.3e})"
         )
     out = kept - cross.T @ np.linalg.solve(cond, cross)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
+    NumericalError,
     RECONSTRUCTION_TOL,
     check_physical,
 )
@@ -195,7 +196,7 @@ def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
     return out, float(np.count_nonzero(accepted)) / n
 
 
-class ReconstructionError(ValueError):
+class ReconstructionError(NumericalError):
     pass
 
 

@@ -30,10 +30,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import UnphysicalStateError, _require_cov, check_physical
+from .gaussian import (
+    PHYSICALITY_TOL,
+    NumericalError,
+    UnphysicalStateError,
+    _raise_first,
+    _require_cov,
+    inv2,
+    min_eig2,
+    min_symplectic_eigenvalues,
+    pd2,
+    require_cov_stack,
+)
 
 
-class GainTooLargeError(ValueError):
+class GainTooLargeError(NumericalError):
     """2*G1 - sigma is not positive definite: gain too large for this state."""
 
 
@@ -84,39 +95,57 @@ def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b",
     """Exact one-sided amplification: with M = (2B(g) I - L)^{-1}, the kept,
     cross and amplified blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
     """
-    sigma = _require_cov(sigma)
+    sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (4, 4):
         raise ValueError(f"expected a 4x4 covariance matrix, got {sigma.shape}")
     if mean is not None and np.any(np.asarray(mean) != 0.0):
         raise ValueError("only zero-mean states are supported")
+    return nla_single_mode_stack(sigma[None], g, side)[0]
+
+
+def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarray:
+    """:func:`nla_single_mode` on a (N, 4, 4) stack; ``gains`` is a scalar or
+    a length-N array.  Entries with gain 1 are returned unchanged; every
+    amplified entry is checked for physicality at ``PHYSICALITY_TOL``."""
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    if g < 1.0:
-        raise ValueError(f"gain must be >= 1, got {g}")
-    if g == 1.0:
-        return sigma.copy()
-    keep, amp = (slice(0, 2), slice(2, 4)) if side == "b" else (slice(2, 4), slice(0, 2))
+    covs = require_cov_stack(covs)
+    if covs.shape[1:] != (4, 4):
+        raise ValueError(f"expected 4x4 covariance matrices, got {covs.shape[1:]}")
+    gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
+    _raise_first(~(gains >= 1.0), lambda i: ValueError(f"gain must be >= 1, got {gains[i]}"))
+    out = covs.copy()
+    amp = np.flatnonzero(gains != 1.0)
+    if amp.size == 0:
+        return out
+    keep, mod = (slice(0, 2), slice(2, 4)) if side == "b" else (slice(2, 4), slice(0, 2))
+    g = gains[amp][:, None, None]
     b = (g * g + 1.0) / (2.0 * (g * g - 1.0))
     d = g / (1.0 - g * g)
-    k, l, x = sigma[keep, keep], sigma[amp, amp], sigma[keep, amp]
+    sub = covs[amp]
+    k, l, x = sub[:, keep, keep], sub[:, mod, mod], sub[:, keep, mod]
     n = 2.0 * b * np.eye(2) - l
-    eig = np.linalg.eigvalsh(n)[0]
-    if eig <= 0:
-        raise GainTooLargeError(f"gain {g} too large for this state on side {side!r}: "
-                                f"2*B*I - L has eigenvalue {eig:.6g} <= 0")
-    m = np.linalg.inv(n)
-    out = np.empty((4, 4))
-    out[keep, keep] = k + x @ m @ x.T
-    out[keep, amp] = -2.0 * d * (x @ m)
-    out[amp, keep] = out[keep, amp].T
-    out[amp, amp] = (2.0 * b * l - np.eye(2)) @ m
-    out = (out + out.T) / 2.0
-    report = check_physical(out)
-    if not report:
-        raise UnphysicalStateError(
-            f"amplified state is unphysical: min symplectic eigenvalue "
-            f"{report.min_symplectic_eigenvalue:.12g}"
-        )
+    eig, bad = np.ones(len(covs)), np.zeros(len(covs), dtype=bool)
+    eig[amp], bad[amp] = min_eig2(n), ~pd2(n)
+    _raise_first(bad, lambda i: GainTooLargeError(
+        f"gain {gains[i]} too large for this state on side {side!r}: "
+        f"2*B*I - L has eigenvalue {eig[i]:.6g} <= 0"))
+    m = inv2(n)
+    xm = x @ m
+    res = np.empty_like(sub)
+    res[:, keep, keep] = k + xm @ np.swapaxes(x, 1, 2)
+    res[:, keep, mod] = -2.0 * d * xm
+    res[:, mod, keep] = np.swapaxes(res[:, keep, mod], 1, 2)
+    res[:, mod, mod] = (2.0 * b * l - np.eye(2)) @ m
+    out[amp] = 0.5 * (res + np.swapaxes(res, 1, 2))
+    nu = np.ones(len(covs))
+    try:
+        nu[amp] = min_symplectic_eigenvalues(out[amp])
+    except NumericalError as exc:  # not positive definite: report the stack index
+        exc.cell = int(amp[exc.cell])
+        raise
+    _raise_first(nu < 1.0 - PHYSICALITY_TOL, lambda i: UnphysicalStateError(
+        f"amplified state is unphysical: min symplectic eigenvalue {nu[i]:.12g}"))
     return out
 
 

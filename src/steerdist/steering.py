@@ -5,9 +5,20 @@ For an (n_A + m_B)-mode state the A->B monotone is
 
     G = max(0, -sum_{nu_j < 1} ln nu_j)
 
-over the symplectic eigenvalues nu_j of the Schur complement B - C^T A^{-1} C;
-B->A swaps the roles.  For 1+1 modes this reduces to
-max(0, ln(det A / det sigma) / 2), kept as a cross-check fast path.
+over the symplectic eigenvalues nu_j of the Schur complement
+S = B - C^T A^{-1} C; B->A swaps the roles.  For 1+1 modes S is 2x2, its
+one symplectic eigenvalue is sqrt(det S) and det S = det sigma / det sigma_cond,
+so the signed quantity is
+
+    -ln nu = (ln det sigma_cond - ln det sigma) / 2 = -(ln det S) / 2.
+
+The stack kernels :func:`steering_signed_stack`, :func:`steerability_stack`
+and :func:`classify_stack` evaluate it through the closed-form 2x2 Schur
+complement on (N, 4, 4) stacks in (Alice, Bob) order; :func:`steering_signed`,
+:func:`steerability` and :func:`classify` call them with N = 1 for 1+1
+states.  States with more modes take :func:`steering_signed_general`, the
+route through the symplectic spectrum of the Schur complement, which is
+also the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -19,9 +30,15 @@ import numpy as np
 from .channels import ChannelSpec, apply_noisy
 from .gaussian import (
     GaussianState,
-    UnphysicalStateError,
-    check_physical,
+    NumericalError,
+    _not_pd_error,
+    _raise_first,
+    det2,
     from_cov,
+    pd2,
+    require_cov_stack,
+    require_physical_stack,
+    schur_2x2,
     schur_complement,
     symplectic_eigenvalues,
 )
@@ -40,13 +57,98 @@ class SteeringResult:
     region: str  # two_way | one_way_a_to_b | one_way_b_to_a | none
 
 
-def _validate(state: GaussianState, tol: float) -> None:
-    report = check_physical(state.cov, tol)
-    if not report:
-        raise UnphysicalStateError(
-            f"state is unphysical: min symplectic eigenvalue "
-            f"{report.min_symplectic_eigenvalue:.12g} < 1 (tol {tol:g})"
-        )
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+
+
+def _blocks_1p1(covs: np.ndarray, direction: str):
+    """(conditioning, kept, cross) 2x2 blocks; ``cross`` has the conditioning rows."""
+    if direction == "a_to_b":
+        return covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+    return covs[:, 2:, 2:], covs[:, :2, :2], covs[:, 2:, :2]
+
+
+def _signed_1p1(covs: np.ndarray, direction: str):
+    """-(ln det S)/2 for each matrix, and the mask of evaluable ones: those
+    whose conditioning block and Schur complement S are positive definite.
+    Entries outside the mask are 0."""
+    cond, kept, cross = _blocks_1p1(covs, direction)
+    ok = pd2(cond)
+    sub = slice(None) if ok.all() else ok.copy()
+    comp = schur_2x2(cond[sub], kept[sub], cross[sub])
+    det = det2(comp)
+    ok[sub] = pd2(comp)
+    value = np.zeros(len(covs))
+    value[ok] = -0.5 * np.log(det[ok[sub]])
+    return value, ok
+
+
+def _evaluation_error(cov: np.ndarray, direction: str) -> NumericalError:
+    """The error the general route raises on a non-evaluable 1+1 matrix."""
+    cond, kept, cross = (blk[0] for blk in _blocks_1p1(cov[None], direction))
+    eig = np.linalg.eigvalsh(cond)[0]
+    if not pd2(cond):
+        return NumericalError(f"conditioning block is singular (smallest eigenvalue {eig:.3e})")
+    return _not_pd_error(schur_2x2(cond, kept, cross))
+
+
+def _require_1p1_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
+    covs = require_cov_stack(covs)
+    if covs.shape[1:] != (4, 4):
+        raise ValueError(f"expected 4x4 covariance matrices, got {covs.shape[1:]}")
+    if not np.isinf(physicality_tol):
+        require_physical_stack(covs, physicality_tol)
+    return covs
+
+
+def steering_signed_stack(covs: np.ndarray, direction: str,
+                          physicality_tol: float = 1e-3) -> np.ndarray:
+    """:func:`steering_signed` on a (N, 4, 4) stack in (Alice, Bob) order."""
+    _check_direction(direction)
+    covs = _require_1p1_stack(covs, physicality_tol)
+    value, ok = _signed_1p1(covs, direction)
+    _raise_first(~ok, lambda i: _evaluation_error(covs[i], direction))
+    return value
+
+
+def steerability_stack(covs: np.ndarray, physicality_tol: float = 1e-3):
+    """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack in (Alice, Bob)
+    order; each matrix is checked for physicality once, at ``physicality_tol``."""
+    covs = _require_1p1_stack(covs, physicality_tol)
+    (ab, ok_ab), (ba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
+    _raise_first(~(ok_ab & ok_ba), lambda i: _evaluation_error(
+        covs[i], "a_to_b" if not ok_ab[i] else "b_to_a"))
+    _raise_first(~(np.isfinite(ab) & np.isfinite(ba)),
+                 lambda i: NumericalError(f"steering value is not finite: {ab[i]}, {ba[i]}"))
+    return np.maximum(ab, 0.0), np.maximum(ba, 0.0)
+
+
+def region_labels(g_a_to_b, g_b_to_a, tol: float = STEERING_POSITIVITY_TOL) -> np.ndarray:
+    """Region label of each (G_A->B, G_B->A) pair: a direction counts when
+    its monotone exceeds ``tol``."""
+    ab, ba = np.asarray(g_a_to_b) > tol, np.asarray(g_b_to_a) > tol
+    return np.select([ab & ba, ab, ba],
+                     ["two_way", "one_way_a_to_b", "one_way_b_to_a"], "none")
+
+
+def classify_stack(covs: np.ndarray, tol: float = STEERING_POSITIVITY_TOL):
+    """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack in (Alice, Bob) order."""
+    gab, gba = steerability_stack(covs)
+    return gab, gba, region_labels(gab, gba, tol)
+
+
+def steering_signed_general(state: GaussianState, direction: str) -> float:
+    """Signed steering quantity through the symplectic spectrum of the Schur
+    complement, for any number of modes; no physicality check."""
+    _check_direction(direction)
+    keep = "b" if direction == "a_to_b" else "a"
+    comp = schur_complement(state.cov, keep, state.alice_modes, state.bob_modes)
+    nu = symplectic_eigenvalues(comp)
+    below = nu[nu < 1.0]
+    if below.size:
+        return float(-np.sum(np.log(below)))
+    return float(-np.log(nu[0]))
 
 
 def steering_signed(state: GaussianState, direction: str,
@@ -62,17 +164,13 @@ def steering_signed(state: GaussianState, direction: str,
     reconstructions (accepted up to 1e-3 below the vacuum bound) can be
     evaluated.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    _check_direction(direction)
+    if state.is_1p1:
+        cov = state.alice_bob_cov()[None]
+        return float(steering_signed_stack(cov, direction, physicality_tol)[0])
     if not np.isinf(physicality_tol):
-        _validate(state, physicality_tol)
-    keep = "b" if direction == "a_to_b" else "a"
-    comp = schur_complement(state.cov, keep, state.alice_modes, state.bob_modes)
-    nu = symplectic_eigenvalues(comp)
-    below = nu[nu < 1.0]
-    if below.size:
-        return float(-np.sum(np.log(below)))
-    return float(-np.log(nu[0]))
+        require_physical_stack(state.cov[None], physicality_tol)
+    return steering_signed_general(state, direction)
 
 
 def steerability(state: GaussianState, direction: str,
@@ -81,30 +179,13 @@ def steerability(state: GaussianState, direction: str,
     return max(0.0, steering_signed(state, direction, physicality_tol))
 
 
-def steerability_1p1(state: GaussianState, direction: str) -> float:
-    """Determinant fast path for 1+1 modes: max(0, ln(det cond / det sigma)/2)."""
-    if len(state.alice_modes) != 1 or len(state.bob_modes) != 1:
-        raise ValueError("fast path requires exactly one mode per side")
-    a, b, _ = state.blocks()
-    cond = a if direction == "a_to_b" else b
-    val = 0.5 * (np.log(np.linalg.det(cond)) - np.log(np.linalg.det(state.cov)))
-    return max(0.0, float(val))
-
-
 def classify(state: GaussianState, tol: float = STEERING_POSITIVITY_TOL) -> SteeringResult:
     """Both monotone values plus the region label used in the steering maps."""
-    gab = steerability(state, "a_to_b")
-    gba = steerability(state, "b_to_a")
-    ab, ba = gab > tol, gba > tol
-    if ab and ba:
-        region = "two_way"
-    elif ab:
-        region = "one_way_a_to_b"
-    elif ba:
-        region = "one_way_b_to_a"
+    if state.is_1p1:
+        gab, gba = (float(v[0]) for v in steerability_stack(state.alice_bob_cov()[None]))
     else:
-        region = "none"
-    return SteeringResult(gab, gba, region)
+        gab, gba = steerability(state, "a_to_b"), steerability(state, "b_to_a")
+    return SteeringResult(gab, gba, str(region_labels(gab, gba, tol)))
 
 
 def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
@@ -119,7 +200,7 @@ def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
         lambda c: steering_signed(from_cov(c), direction, np.inf), cov, se)
 
 
-class NoThresholdError(ValueError):
+class NoThresholdError(NumericalError):
     """The requested direction is already unsteerable at zero loss."""
 
 

@@ -204,6 +204,27 @@ def test_fig_s4_trend(tmp_path):
         assert all(a > b for a, b in zip(col, col[1:]))
 
 
+def test_appendix_seeds_derive_from_grid_indices(tmp_path, monkeypatch):
+    import steerdist.experiments as exp
+
+    keys = []
+    real = exp.derive_seed
+
+    def recording(master, *key):
+        keys.append(key)
+        return real(master, *key)
+
+    monkeypatch.setattr(exp, "derive_seed", recording)
+    config = _config(tmp_path, mode="monte_carlo", samples=10_000)
+    exp.run_appendix("fig_s4", config)
+    cells = {(6, i_loss, i_g) for i_loss in range(5) for i_g in range(5)}
+    assert len(keys) == 25 and set(keys) == cells  # distinct: 1.15 is not 1.14
+    keys.clear()
+    exp.run_appendix("fig_s2", _config(tmp_path, mode="monte_carlo", samples=40_000))
+    assert keys and len(set(keys)) == len(keys)
+    assert set(keys) <= {(5, i_loss, i_g) for _, i_loss, i_g in cells}
+
+
 def test_fig_s2_gaussianity(tmp_path):
     from steerdist.experiments import run_appendix
 
@@ -294,6 +315,28 @@ def test_cli_exit_codes(tmp_path):
     csv_path = tmp_path / "few.csv"
     write_batch_csv(batch, csv_path)
     assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_numerical_errors_exit_3(tmp_path, monkeypatch):
+    import steerdist.experiments as exp
+    from steerdist import NumericalError, schur_complement
+
+    def singular(variant, config):
+        return schur_complement(np.diag([0.0, 0.0, 2.0, 2.0]), "b")
+
+    monkeypatch.setattr(exp, "run_regions", singular)
+    with pytest.raises(NumericalError, match="singular"):
+        singular("c", None)
+    assert main(["regions-c", "--out", str(tmp_path / "s")]) == 3
+
+
+def test_cli_gain_past_bound_exits_3(tmp_path, capsys):
+    ini = tmp_path / "gain.ini"
+    ini.write_text("[grids]\ng_grid = 1.0,1.5\nloss_grid = 0:0.5:0.25\n")
+    out = tmp_path / "o"
+    assert main(["regions-c", "--config", str(ini), "--out", str(out)]) == 3
+    assert "too large" in capsys.readouterr().err
+    assert not (out / "regions_c.csv").exists()
 
 
 def test_cli_selfcheck(tmp_path, capsys):

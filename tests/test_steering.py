@@ -8,9 +8,7 @@ from steerdist import (
     apply_lossy,
     classify,
     nla_single_mode,
-    random_physical_state,
     steerability,
-    steerability_1p1,
     steering_loss_threshold,
     steering_signed,
     tmss_standard,
@@ -43,15 +41,6 @@ def test_pure_state_value():
     # pure: n^2 - c^2 = 1, so G = ln n
     assert steerability(s, "a_to_b") == pytest.approx(np.log(n), rel=1e-9)
     assert np.log(n) == pytest.approx(0.749589, abs=1e-5)
-
-
-def test_fast_path_matches_general(rng):
-    for _ in range(30):
-        state = random_physical_state(rng)
-        for d in ("a_to_b", "b_to_a"):
-            assert steerability_1p1(state, d) == pytest.approx(
-                steerability(state, d), abs=1e-12
-            )
 
 
 def test_multimode_support(model_state):
