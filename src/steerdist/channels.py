@@ -28,7 +28,6 @@ class ChannelSpec:
     loss: float
     excess_noise: float = 0.0
     noise_model: str = DEFAULT_NOISE_MODEL
-    target_mode: int | None = None  # default: Bob's (single) mode
 
     def __post_init__(self):
         if not 0.0 <= self.loss <= 1.0:
@@ -41,25 +40,14 @@ class ChannelSpec:
             )
 
     def apply(self, state: GaussianState) -> GaussianState:
-        return apply_noisy(state, self.loss, self.excess_noise, self.noise_model,
-                           self.target_mode)
-
-
-def _bob_mode(state: GaussianState, target_mode: int | None) -> int:
-    if target_mode is None:
-        if len(state.bob_modes) != 1:
-            raise ValueError(
-                f"state must have a single Bob mode, has {len(state.bob_modes)}"
-            )
-        target_mode = state.bob_modes[0]
-    return target_mode
+        return apply_noisy(state, self.loss, self.excess_noise, self.noise_model)
 
 
 def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
-                  noise_model: str = DEFAULT_NOISE_MODEL, mode: int = 1) -> np.ndarray:
-    """Lossy channel, then symmetric excess noise, on one mode of every matrix.
+                  noise_model: str = DEFAULT_NOISE_MODEL) -> np.ndarray:
+    """Lossy channel, then symmetric excess noise, on Bob's mode of every matrix.
 
-    ``covs`` is one (d, d) matrix or a (N, d, d) stack; ``losses`` and
+    ``covs`` is one (4, 4) matrix or a (N, 4, 4) stack; ``losses`` and
     ``excess_noise`` are scalars or length-N arrays, broadcast against it.
     Every output is checked for physicality at ``PHYSICALITY_TOL`` after the
     loss and again after the noise.
@@ -79,7 +67,7 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
         f"loss must be in [0, 1], got {losses[i]}"))
     cov = np.array(np.broadcast_to(covs, (n, *covs.shape[-2:])))
     require_cov_stack(cov)
-    b = slice(2 * mode, 2 * mode + 2)
+    b = slice(2, 4)
     t = 1.0 - losses
     block = t[:, None, None] * cov[:, b, b] + (1.0 - t)[:, None, None] * np.eye(2)
     root_t = np.sqrt(t)[:, None, None]
@@ -94,16 +82,12 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
     return cov
 
 
-def apply_lossy(state: GaussianState, loss: float,
-                target_mode: int | None = None) -> GaussianState:
+def apply_lossy(state: GaussianState, loss: float) -> GaussianState:
     """Pure-loss beam-splitter channel on Bob's mode."""
-    return apply_noisy(state, loss, 0.0, "fixed", target_mode)
+    return apply_noisy(state, loss, 0.0, "fixed")
 
 
 def apply_noisy(state: GaussianState, loss: float, excess_noise: float,
-                noise_model: str = DEFAULT_NOISE_MODEL,
-                target_mode: int | None = None) -> GaussianState:
+                noise_model: str = DEFAULT_NOISE_MODEL) -> GaussianState:
     """Lossy channel followed by symmetric excess noise on Bob's mode."""
-    cov = channel_stack(state.cov, loss, excess_noise, noise_model,
-                        _bob_mode(state, target_mode))
-    return state.with_cov(cov[0])
+    return GaussianState(channel_stack(state.cov, loss, excess_noise, noise_model)[0])

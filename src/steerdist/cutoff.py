@@ -106,7 +106,7 @@ def select_cutoff(
 
     grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
     rates, covs, kurts = filtered_ensemble_stack(
-        np.broadcast_to(out.alice_bob_cov(), (len(grid), 4, 4)), g, grid)
+        np.broadcast_to(out.cov, (len(grid), 4, 4)), g, grid)
     # a heavily truncated ensemble can fail the bona-fide condition outright;
     # evaluate steering as a plain moment functional and count non-evaluable
     # points as failures

@@ -70,15 +70,13 @@ class FilteredEnsemble:
 
 
 def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
-    """Exact accepted-ensemble statistics of a (N, 4, 4) stack in (Alice, Bob)
-    order; ``gains`` and ``cutoffs`` are scalars or length-N arrays.
+    """Exact accepted-ensemble statistics of a (N, 4, 4) stack; ``gains`` and
+    ``cutoffs`` are scalars or length-N arrays.
 
     Returns (acceptance rates, covariance matrices, Bob kurtoses), one entry
     per matrix; the skewness is 0 for all of them.
     """
     covs = require_cov_stack(covs)
-    if covs.shape[1:] != (4, 4):
-        raise ValueError("filtered moments require exactly one mode per side")
     n = len(covs)
     g = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
     cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (n,))
@@ -102,10 +100,11 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
     out[:, :2, 2:] = c * (u1 / (g * s2))[:, None, None]
     out[:, 2:, :2] = out[:, :2, 2:].transpose(0, 2, 1)
     # Alice block: regression of alice on Bob's outcome pair. The residual
-    # is unaffected by the filter; the explained part scales with <u>/s2.
-    for i in range(2):
-        cvec2 = (c[:, i, 0] ** 2 + c[:, i, 1] ** 2) / 2.0
-        out[:, i, i] = a[:, i, i] + (cvec2 / s2) * (u1 / s2 - 1.0)
+    # is unaffected by the filter; the explained part (c_i.c_j/2)/s2 scales
+    # with <u>/s2.
+    for i, j in ((0, 0), (1, 1), (0, 1)):
+        cvec2 = (c[:, i, 0] * c[:, j, 0] + c[:, i, 1] * c[:, j, 1]) / 2.0
+        out[:, i, j] = out[:, j, i] = a[:, i, j] + (cvec2 / s2) * (u1 / s2 - 1.0)
 
     # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
     # scale-invariant so the 1/g rescale drops out.
@@ -116,12 +115,10 @@ def filtered_ensemble(state: GaussianState, filt: FilterSpec) -> FilteredEnsembl
     """Exact statistics of the post-selected, rescaled ensemble.
 
     The returned covariance matrix is what :func:`reconstruct_covariance`
-    converges to as the sample count grows, entry by entry.
+    converges to as the sample count grows, entry by entry, except Alice's
+    x-p entry, which her single-quadrature homodyne does not observe.
     """
-    if not state.is_1p1:
-        raise ValueError("filtered moments require exactly one mode per side")
-    rate, cov, kurt = filtered_ensemble_stack(state.alice_bob_cov()[None],
-                                              filt.gain, filt.cutoff)
+    rate, cov, kurt = filtered_ensemble_stack(state.cov[None], filt.gain, filt.cutoff)
     return FilteredEnsemble(float(rate[0]), cov[0], float(kurt[0]), 0.0)
 
 

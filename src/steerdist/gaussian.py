@@ -1,19 +1,20 @@
-"""Covariance-matrix algebra for zero-mean Gaussian states.
+"""Covariance-matrix algebra for zero-mean 1+1 Gaussian states.
 
 Conventions used throughout the package:
 
+* a state is one mode for Alice and one for Bob with zero mean, so it is
+  its 4x4 covariance matrix in (x_A, p_A, x_B, p_B) order;
 * quadratures x = a + a^dag, p = -i(a - a^dag), so the vacuum variance is 1;
-* mode ordering is interleaved, (x1, p1, x2, p2, ...);
 * dB values are variance ratios, V = 10**(dB/10);
 * a covariance matrix is physical iff sigma + i*Omega >= 0, i.e. every
   symplectic eigenvalue is >= 1 (up to a small numerical slack).
 
-Functions named ``*_stack`` take a stack of matrices shaped (N, d, d) and
+Functions named ``*_stack`` take a stack of matrices shaped (N, 4, 4) and
 check every entry as the single-matrix function does.  A failing entry
 raises the single-matrix exception, at the first failing index, with that
-index in the exception's ``cell`` attribute.  For 1+1 modes (d = 4) the
-physicality test uses the closed form of the symplectic spectrum through
-the 2x2 blocks A, B, C.  With adj(X) the adjugate, -(Omega sigma)^2 is
+index in the exception's ``cell`` attribute.  The physicality test uses the
+closed form of the symplectic spectrum through the 2x2 blocks A, B, C.
+With adj(X) the adjugate, -(Omega sigma)^2 is
 [[alpha I, P], [Q, beta I]], alpha = det A + det C, beta = det B + det C,
 P = adj(A) C + adj(C)^T B, Q = adj(C) A + adj(B) C^T, and P Q has the
 double eigenvalue kappa = tr(P Q)/2, so
@@ -25,7 +26,8 @@ after checking that sigma is positive definite (A > 0 and its Schur
 complement B - C^T A^{-1} C > 0).  Unlike the textbook form through
 Delta^2 - 4 det(sigma), the square root has no cancellation at degenerate
 spectra (pure symmetric states), where that form loses half the digits.
-More modes go through the eigenvalues of Omega*sigma.
+:func:`symplectic_eigenvalues` is the eigenvalue route for any 2k x 2k
+matrix, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -76,24 +78,23 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def _require_cov(sigma: np.ndarray) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2:
-        raise ValueError(f"covariance matrix must be square, got shape {sigma.shape}")
-    return require_cov_stack(sigma[None])[0]
+    return require_cov_stack(np.asarray(sigma, dtype=float)[None])[0]
 
 
-def require_cov_stack(covs: np.ndarray) -> np.ndarray:
-    """Check a (N, d, d) stack: square, even d, every matrix symmetric."""
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise ValueError(f"covariance matrix must be square, got shape {covs.shape[1:]}")
-    if covs.shape[1] % 2 != 0:
-        raise ValueError(f"covariance matrix dimension must be even, got {covs.shape[1]}")
+def _require_symmetric(covs: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
     asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
     _raise_first(asym > SYMMETRY_RTOL * scale,
                  lambda i: ValueError("covariance matrix is not symmetric"))
     return covs
+
+
+def require_cov_stack(covs: np.ndarray) -> np.ndarray:
+    """Check a (N, 4, 4) stack of covariance matrices: every matrix symmetric."""
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1:] != (4, 4):
+        raise ValueError(f"expected 4x4 covariance matrices, got shape {covs.shape[1:]}")
+    return _require_symmetric(covs)
 
 
 # --- 2x2 blocks, stacked along the leading axes ----------------------------------
@@ -145,7 +146,10 @@ def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
     Returns the k moduli of the eigenvalues of i*Omega*M, each appearing
     once, sorted ascending.  For a 2x2 matrix this equals sqrt(det M).
     """
-    mat = _require_cov(mat)
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
+        raise ValueError(f"expected a 2k x 2k matrix, got shape {mat.shape}")
+    _require_symmetric(mat[None])
     if np.linalg.eigvalsh(mat)[0] <= 0:
         raise _not_pd_error(mat)
     omega = symplectic_form(mat.shape[0] // 2)
@@ -155,14 +159,12 @@ def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
 
 
 def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
-    """Smallest symplectic eigenvalue of each matrix of a (N, d, d) stack of
+    """Smallest symplectic eigenvalue of each matrix of a (N, 4, 4) stack of
     symmetric matrices (see :func:`require_cov_stack`).
 
     Raises :class:`NumericalError` at the first matrix that is not positive
     definite.
     """
-    if covs.shape[1] != 4:
-        return np.array([symplectic_eigenvalues(c)[0] for c in covs])
     a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
     det_a, det_b, det_c = det2(a), det2(b), det2(c)
     pd = pd2(a)
@@ -220,88 +222,33 @@ def purity(sigma: np.ndarray) -> float:
     return 1.0 / np.sqrt(det)
 
 
-def _mode_quadrature_indices(modes) -> list[int]:
-    idx = []
-    for m in modes:
-        idx.extend((2 * m, 2 * m + 1))
-    return idx
-
-
 @dataclass(frozen=True)
 class GaussianState:
-    """Zero-mean bipartite Gaussian state: covariance matrix plus partition.
+    """Zero-mean 1+1 Gaussian state: its 4x4 covariance matrix in
+    (x_A, p_A, x_B, p_B) order, checked and frozen on construction."""
 
-    ``alice_modes`` and ``bob_modes`` are disjoint mode indices covering all
-    modes. Arrays are frozen after construction; operations return new states.
-    """
-
-    mean: np.ndarray
     cov: np.ndarray
-    alice_modes: tuple = (0,)
-    bob_modes: tuple = (1,)
 
     def __post_init__(self):
-        cov = _require_cov(self.cov)
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (cov.shape[0],):
-            raise ValueError(
-                f"mean length {mean.shape} does not match covariance dimension {cov.shape[0]}"
-            )
-        modes = sorted(self.alice_modes) + sorted(self.bob_modes)
-        if sorted(modes) != list(range(cov.shape[0] // 2)):
-            raise ValueError(
-                f"partition {self.alice_modes}|{self.bob_modes} does not cover "
-                f"all {cov.shape[0] // 2} modes exactly once"
-            )
-        cov = cov.copy()
-        mean = mean.copy()
+        cov = _require_cov(self.cov).copy()
         cov.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "alice_modes", tuple(self.alice_modes))
-        object.__setattr__(self, "bob_modes", tuple(self.bob_modes))
-
-    @property
-    def n_modes(self) -> int:
-        return self.cov.shape[0] // 2
 
     def blocks(self):
         """(A, B, C): Alice block, Bob block, and the Alice-row cross block."""
-        ia = _mode_quadrature_indices(self.alice_modes)
-        ib = _mode_quadrature_indices(self.bob_modes)
-        return (
-            self.cov[np.ix_(ia, ia)],
-            self.cov[np.ix_(ib, ib)],
-            self.cov[np.ix_(ia, ib)],
-        )
-
-    def with_cov(self, cov: np.ndarray) -> "GaussianState":
-        return GaussianState(self.mean, cov, self.alice_modes, self.bob_modes)
+        return self.cov[:2, :2], self.cov[2:, 2:], self.cov[:2, 2:]
 
     def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
         require_physical_stack(self.cov[None], tol)
         return self
 
-    def alice_bob_cov(self) -> np.ndarray:
-        """The covariance matrix with Alice's modes first (a copy if permuted)."""
-        order = _mode_quadrature_indices(self.alice_modes + self.bob_modes)
-        if order == list(range(len(order))):
-            return self.cov
-        return self.cov[np.ix_(order, order)]
 
-    @property
-    def is_1p1(self) -> bool:
-        return len(self.alice_modes) == 1 and len(self.bob_modes) == 1
+def from_cov(cov: np.ndarray) -> GaussianState:
+    return GaussianState(cov)
 
 
-def from_cov(cov: np.ndarray, alice_modes=(0,), bob_modes=(1,)) -> GaussianState:
-    cov = np.asarray(cov, dtype=float)
-    return GaussianState(np.zeros(cov.shape[0]), cov, alice_modes, bob_modes)
-
-
-def vacuum_state(n_modes: int = 2, alice_modes=(0,), bob_modes=(1,)) -> GaussianState:
-    return from_cov(np.eye(2 * n_modes), alice_modes, bob_modes)
+def vacuum_state() -> GaussianState:
+    return from_cov(np.eye(4))
 
 
 def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
@@ -332,17 +279,14 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     return from_cov(cov).require_physical()
 
 
-def schur_complement(
-    sigma: np.ndarray, keep: str, alice_modes=(0,), bob_modes=(1,)
-) -> np.ndarray:
+def schur_complement(sigma: np.ndarray, keep: str) -> np.ndarray:
     """Schur complement of one party's block.
 
     ``keep='b'`` conditions on Alice and returns B - C^T A^{-1} C (the matrix
     whose symplectic spectrum quantifies A->B steering); ``keep='a'`` swaps
     the roles.
     """
-    state = from_cov(sigma, alice_modes, bob_modes)
-    a, b, c = state.blocks()
+    a, b, c = from_cov(sigma).blocks()
     if keep == "b":
         cond, kept, cross = a, b, c  # cross: rows conditioning, cols kept
     elif keep == "a":

@@ -134,10 +134,6 @@ def sample_batch(
         raise ValueError(f"count must be positive, got {count}")
     if basis_schedule not in ("alternating", "random"):
         raise ValueError(f"unknown basis_schedule {basis_schedule!r}")
-    if len(state.alice_modes) != 1 or len(state.bob_modes) != 1:
-        raise ValueError("sampling requires exactly one mode per side")
-    if np.any(state.mean != 0.0):
-        raise ValueError("sampling requires a zero-mean state")
     state.require_physical(RECONSTRUCTION_TOL)
     l_x, l_p = _joint_cholesky(state)
 
@@ -212,21 +208,24 @@ def reconstruction_tolerance(se: np.ndarray) -> float:
 
 
 def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
-    """Standard error of ``func(cov)`` by central differences, step 1e-5*max(1, |cov_ij|),
-    over the entries i <= j, taken as independent (as the reconstruction estimates them).
+    """Standard error of a function of ``cov`` by central differences, step
+    1e-5*max(1, |cov_ij|), over the entries i <= j, taken as independent (as
+    the reconstruction estimates them).
+
+    ``func`` maps a (N, 4, 4) stack to N values; it is called once, on the
+    stack of every entry's up and down steps.
     """
+    entries = [(i, j) for i in range(4) for j in range(i, 4) if se[i, j] != 0.0]
+    steps = [1e-5 * max(1.0, abs(cov[i, j])) for i, j in entries]
+    stack = np.repeat(cov[None], 2 * len(entries), axis=0)
+    for k, ((i, j), h) in enumerate(zip(entries, steps)):
+        stack[2 * k, i, j] = stack[2 * k, j, i] = cov[i, j] + h
+        stack[2 * k + 1, i, j] = stack[2 * k + 1, j, i] = cov[i, j] - h
+    values = func(stack) if entries else []
     var = 0.0
-    for i in range(cov.shape[0]):
-        for j in range(i, cov.shape[0]):
-            if se[i, j] == 0.0:
-                continue
-            h = 1e-5 * max(1.0, abs(cov[i, j]))
-            up = cov.copy()
-            dn = cov.copy()
-            up[i, j] = up[j, i] = cov[i, j] + h
-            dn[i, j] = dn[j, i] = cov[i, j] - h
-            grad = (func(up) - func(dn)) / (2.0 * h)
-            var += (grad * se[i, j]) ** 2
+    for k, ((i, j), h) in enumerate(zip(entries, steps)):
+        grad = (values[2 * k] - values[2 * k + 1]) / (2.0 * h)
+        var += (grad * se[i, j]) ** 2
     return float(np.sqrt(var))
 
 

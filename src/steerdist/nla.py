@@ -20,8 +20,7 @@ cross (kept-row) blocks, B = B(g), D = D(g) and M = (2B I - L)^{-1},
 (the last form, from D^2 - B^2 = -1/4, avoids cancellation as g -> 1).  It
 needs 2B I - L > 0, the bound :func:`max_single_mode_gain` states.
 
-Only zero-mean states appear in the experiments, so means are not
-transformed; nonzero-mean inputs are rejected.
+States have zero mean, so only the covariance matrix is transformed.
 """
 
 from __future__ import annotations
@@ -76,8 +75,6 @@ def build_gain_matrices(gains: GainPair):
 def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
     """Covariance matrix after g1^(n_a) g2^(n_b) amplification of both modes."""
     sigma = _require_cov(sigma)
-    if sigma.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance matrix, got {sigma.shape}")
     g1mat, g2mat = build_gain_matrices(gains)
     m = 2.0 * g1mat - sigma
     eigs = np.linalg.eigvalsh(m)
@@ -90,17 +87,11 @@ def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b",
-                    mean: np.ndarray | None = None) -> np.ndarray:
+def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b") -> np.ndarray:
     """Exact one-sided amplification: with M = (2B(g) I - L)^{-1}, the kept,
     cross and amplified blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance matrix, got {sigma.shape}")
-    if mean is not None and np.any(np.asarray(mean) != 0.0):
-        raise ValueError("only zero-mean states are supported")
-    return nla_single_mode_stack(sigma[None], g, side)[0]
+    return nla_single_mode_stack(np.asarray(sigma, dtype=float)[None], g, side)[0]
 
 
 def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarray:
@@ -110,8 +101,6 @@ def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarra
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     covs = require_cov_stack(covs)
-    if covs.shape[1:] != (4, 4):
-        raise ValueError(f"expected 4x4 covariance matrices, got {covs.shape[1:]}")
     gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
     _raise_first(~(gains >= 1.0), lambda i: ValueError(f"gain must be >= 1, got {gains[i]}"))
     out = covs.copy()

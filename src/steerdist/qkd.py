@@ -30,7 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtered_moments import filtered_ensemble
-from .gaussian import GaussianState, UnphysicalStateError, _require_cov, check_physical
+from .gaussian import (
+    GaussianState,
+    UnphysicalStateError,
+    check_physical,
+    require_cov_stack,
+)
 from .measurement import (
     FilterSpec,
     post_select,
@@ -55,9 +60,6 @@ def conditional_variances(sigma: np.ndarray, physicality_tol: float = 1e-3):
     :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
     when feeding estimated covariances.
     """
-    sigma = _require_cov(sigma)
-    if sigma.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance matrix, got {sigma.shape}")
     if not np.isinf(physicality_tol):
         report = check_physical(sigma, tol=physicality_tol)
         if not report:
@@ -65,16 +67,26 @@ def conditional_variances(sigma: np.ndarray, physicality_tol: float = 1e-3):
                 f"unphysical input: min symplectic eigenvalue "
                 f"{report.min_symplectic_eigenvalue:.6g}"
             )
-    v_x = (sigma[2, 2] + 1.0) / 2.0 - (sigma[0, 2] / np.sqrt(2.0)) ** 2 / sigma[0, 0]
-    v_p = (sigma[3, 3] + 1.0) / 2.0 - (sigma[1, 3] / np.sqrt(2.0)) ** 2 / sigma[1, 1]
-    return float(v_x), float(v_p)
+    v_x, v_p = _conditional_variances_stack(np.asarray(sigma, dtype=float)[None])
+    return float(v_x[0]), float(v_p[0])
+
+
+def _conditional_variances_stack(covs: np.ndarray):
+    """(V_{X_B|X_A}, V_{P_B|P_A}) arrays of a (N, 4, 4) stack; no physicality check."""
+    covs = require_cov_stack(covs)
+    v_x = (covs[:, 2, 2] + 1.0) / 2.0 - (covs[:, 0, 2] / np.sqrt(2.0)) ** 2 / covs[:, 0, 0]
+    v_p = (covs[:, 3, 3] + 1.0) / 2.0 - (covs[:, 1, 3] / np.sqrt(2.0)) ** 2 / covs[:, 1, 1]
+    return v_x, v_p
+
+
+def _rate(v_x, v_p):
+    return np.log2(2.0 / (np.e * np.sqrt(v_x * v_p)))
 
 
 def key_rate(sigma: np.ndarray, physicality_tol: float = 1e-3) -> KeyRateResult:
     """Lower bound on the reverse-reconciliation key rate, in bits."""
     v_x, v_p = conditional_variances(sigma, physicality_tol)
-    rate = float(np.log2(2.0 / (np.e * np.sqrt(v_x * v_p))))
-    return KeyRateResult(rate, v_x, v_p)
+    return KeyRateResult(float(_rate(v_x, v_p)), v_x, v_p)
 
 
 def key_rate_filtered(state: GaussianState, gain: float, beta_c: float) -> KeyRateResult:
@@ -94,7 +106,8 @@ def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
     """Key rate and standard error from an estimated covariance matrix."""
     result = key_rate(cov, physicality_tol)
-    return result, propagate_se(lambda c: key_rate(c, np.inf).key_rate, cov, se)
+    return result, propagate_se(
+        lambda covs: _rate(*_conditional_variances_stack(covs)), cov, se)
 
 
 class NoPositiveKeyError(RuntimeError):

@@ -1,24 +1,23 @@
 """The Gaussian EPR-steering monotone, direction classification, and
 loss-threshold root finding.
 
-For an (n_A + m_B)-mode state the A->B monotone is
+The A->B monotone is
 
     G = max(0, -sum_{nu_j < 1} ln nu_j)
 
 over the symplectic eigenvalues nu_j of the Schur complement
-S = B - C^T A^{-1} C; B->A swaps the roles.  For 1+1 modes S is 2x2, its
-one symplectic eigenvalue is sqrt(det S) and det S = det sigma / det sigma_cond,
-so the signed quantity is
+S = B - C^T A^{-1} C; B->A swaps the roles.  With one mode per side S is
+2x2, its one symplectic eigenvalue is sqrt(det S) and
+det S = det sigma / det sigma_cond, so the signed quantity is
 
     -ln nu = (ln det sigma_cond - ln det sigma) / 2 = -(ln det S) / 2.
 
 The stack kernels :func:`steering_signed_stack`, :func:`steerability_stack`
 and :func:`classify_stack` evaluate it through the closed-form 2x2 Schur
-complement on (N, 4, 4) stacks in (Alice, Bob) order; :func:`steering_signed`,
-:func:`steerability` and :func:`classify` call them with N = 1 for 1+1
-states.  States with more modes take :func:`steering_signed_general`, the
-route through the symplectic spectrum of the Schur complement, which is
-also the reference the kernels are tested against.
+complement on (N, 4, 4) stacks; :func:`steering_signed`,
+:func:`steerability` and :func:`classify` call them with N = 1.
+:func:`steering_signed_general`, the route through the symplectic spectrum
+of the Schur complement, is the reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -93,10 +92,8 @@ def _evaluation_error(cov: np.ndarray, direction: str) -> NumericalError:
     return _not_pd_error(schur_2x2(cond, kept, cross))
 
 
-def _require_1p1_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
+def _require_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
     covs = require_cov_stack(covs)
-    if covs.shape[1:] != (4, 4):
-        raise ValueError(f"expected 4x4 covariance matrices, got {covs.shape[1:]}")
     if not np.isinf(physicality_tol):
         require_physical_stack(covs, physicality_tol)
     return covs
@@ -104,18 +101,18 @@ def _require_1p1_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
 
 def steering_signed_stack(covs: np.ndarray, direction: str,
                           physicality_tol: float = 1e-3) -> np.ndarray:
-    """:func:`steering_signed` on a (N, 4, 4) stack in (Alice, Bob) order."""
+    """:func:`steering_signed` on a (N, 4, 4) stack."""
     _check_direction(direction)
-    covs = _require_1p1_stack(covs, physicality_tol)
+    covs = _require_stack(covs, physicality_tol)
     value, ok = _signed_1p1(covs, direction)
     _raise_first(~ok, lambda i: _evaluation_error(covs[i], direction))
     return value
 
 
 def steerability_stack(covs: np.ndarray, physicality_tol: float = 1e-3):
-    """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack in (Alice, Bob)
-    order; each matrix is checked for physicality once, at ``physicality_tol``."""
-    covs = _require_1p1_stack(covs, physicality_tol)
+    """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack; each matrix is
+    checked for physicality once, at ``physicality_tol``."""
+    covs = _require_stack(covs, physicality_tol)
     (ab, ok_ab), (ba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
     _raise_first(~(ok_ab & ok_ba), lambda i: _evaluation_error(
         covs[i], "a_to_b" if not ok_ab[i] else "b_to_a"))
@@ -133,17 +130,17 @@ def region_labels(g_a_to_b, g_b_to_a, tol: float = STEERING_POSITIVITY_TOL) -> n
 
 
 def classify_stack(covs: np.ndarray, tol: float = STEERING_POSITIVITY_TOL):
-    """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack in (Alice, Bob) order."""
+    """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack."""
     gab, gba = steerability_stack(covs)
     return gab, gba, region_labels(gab, gba, tol)
 
 
 def steering_signed_general(state: GaussianState, direction: str) -> float:
     """Signed steering quantity through the symplectic spectrum of the Schur
-    complement, for any number of modes; no physicality check."""
+    complement; no physicality check.  The tests' reference for the kernels."""
     _check_direction(direction)
     keep = "b" if direction == "a_to_b" else "a"
-    comp = schur_complement(state.cov, keep, state.alice_modes, state.bob_modes)
+    comp = schur_complement(state.cov, keep)
     nu = symplectic_eigenvalues(comp)
     below = nu[nu < 1.0]
     if below.size:
@@ -164,13 +161,7 @@ def steering_signed(state: GaussianState, direction: str,
     reconstructions (accepted up to 1e-3 below the vacuum bound) can be
     evaluated.
     """
-    _check_direction(direction)
-    if state.is_1p1:
-        cov = state.alice_bob_cov()[None]
-        return float(steering_signed_stack(cov, direction, physicality_tol)[0])
-    if not np.isinf(physicality_tol):
-        require_physical_stack(state.cov[None], physicality_tol)
-    return steering_signed_general(state, direction)
+    return float(steering_signed_stack(state.cov[None], direction, physicality_tol)[0])
 
 
 def steerability(state: GaussianState, direction: str,
@@ -181,11 +172,8 @@ def steerability(state: GaussianState, direction: str,
 
 def classify(state: GaussianState, tol: float = STEERING_POSITIVITY_TOL) -> SteeringResult:
     """Both monotone values plus the region label used in the steering maps."""
-    if state.is_1p1:
-        gab, gba = (float(v[0]) for v in steerability_stack(state.alice_bob_cov()[None]))
-    else:
-        gab, gba = steerability(state, "a_to_b"), steerability(state, "b_to_a")
-    return SteeringResult(gab, gba, str(region_labels(gab, gba, tol)))
+    gab, gba, labels = classify_stack(state.cov[None], tol)
+    return SteeringResult(float(gab[0]), float(gba[0]), str(labels[0]))
 
 
 def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
@@ -197,7 +185,7 @@ def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
     """
     value = steerability(from_cov(cov), direction, physicality_tol)
     return value, propagate_se(
-        lambda c: steering_signed(from_cov(c), direction, np.inf), cov, se)
+        lambda covs: steering_signed_stack(covs, direction, np.inf), cov, se)
 
 
 class NoThresholdError(NumericalError):
@@ -221,9 +209,9 @@ def steering_loss_threshold(
 
     def signed(loss: float) -> float:
         out = apply_noisy(state, loss, channel_template.excess_noise,
-                          channel_template.noise_model, channel_template.target_mode)
+                          channel_template.noise_model)
         if nla_gain is not None and nla_gain > 1.0:
-            out = out.with_cov(nla_single_mode(out.cov, nla_gain, side="b"))
+            out = GaussianState(nla_single_mode(out.cov, nla_gain, side="b"))
         return steering_signed(out, direction)
 
     lo, hi = 0.0, 1.0

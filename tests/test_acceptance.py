@@ -12,7 +12,6 @@ from steerdist import (
     ChannelSpec,
     CutoffCriteria,
     FilterSpec,
-    GaussianState,
     acceptance_rate_exact,
     apply_lossy,
     apply_noisy,
@@ -242,7 +241,7 @@ def test_criterion_9_property_suite():
                             [-np.sin(theta), np.cos(theta)]])
             sp[side:side + 2, side:side + 2] = rot @ np.diag([np.exp(r), np.exp(-r)])
         cov = sp @ MODEL.cov @ sp.T
-        val = steerability(GaussianState(np.zeros(4), (cov + cov.T) / 2), "a_to_b")
+        val = steerability(from_cov((cov + cov.T) / 2), "a_to_b")
         assert abs(val - base_ab) < 1e-9
 
     # pure-state zero-loss symmetry

@@ -10,7 +10,6 @@ from steerdist import (
     check_physical,
     random_physical_state,
     steerability,
-    tmss_standard,
 )
 
 
@@ -141,13 +140,3 @@ def test_fixed_model_thresholds_differ(model_state):
     assert 1.0 - t_ba == pytest.approx(0.2246, abs=1e-4)
     t_ab = eps / (1 - (n * n - c * c) / n)
     assert 1.0 - t_ab == pytest.approx(0.5861, abs=1e-4)
-
-
-def test_channel_requires_single_bob_mode():
-    state = tmss_standard(-4.2, 7.3)
-    multi = type(state)(np.zeros(6), np.block([
-        [state.cov, np.zeros((4, 2))],
-        [np.zeros((2, 4)), np.eye(2)],
-    ]), alice_modes=(0,), bob_modes=(1, 2))
-    with pytest.raises(ValueError, match="single Bob mode"):
-        apply_lossy(multi, 0.1)

@@ -33,6 +33,22 @@ def test_large_cutoff_limit_is_ideal_amplifier(model_state):
         assert np.max(np.abs(ens.cov - ideal)) < 1e-8
 
 
+def test_alice_cross_term_follows_the_filter(model_state):
+    # a local rotation and squeeze on Alice keeps Bob's block isotropic but
+    # gives Alice's block an x-p covariance, which the filter must carry too
+    theta, r = 0.4, 0.3
+    rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    local = np.eye(4)
+    local[:2, :2] = rot @ np.diag([np.exp(r), np.exp(-r)])
+    cov = local @ apply_lossy(model_state, 0.2).cov @ local.T
+    state = from_cov((cov + cov.T) / 2)
+    assert abs(state.cov[0, 1]) > 1.0
+    unit = filtered_ensemble(state, FilterSpec(1.0, 4.5))
+    assert np.max(np.abs(unit.cov[:2, :2] - state.cov[:2, :2])) < 1e-12
+    ens = filtered_ensemble(state, FilterSpec(1.2, 40.0))
+    assert np.max(np.abs(ens.cov - nla_single_mode(state.cov, 1.2))) < 1e-8
+
+
 def test_acceptance_rate_matches_monte_carlo(model_state):
     out = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.15, 4.0)

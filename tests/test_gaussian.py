@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerdist import (
-    GaussianState,
     UnphysicalStateError,
     apply_lossy,
     check_physical,
@@ -115,7 +114,7 @@ def test_purity_invariant_under_symplectic(rng):
 
 def test_check_physical():
     assert check_physical(np.eye(4)).passed
-    report = check_physical(np.diag([0.5, 0.5]))
+    report = check_physical(0.5 * np.eye(4))
     assert not report.passed
     assert report.min_symplectic_eigenvalue == pytest.approx(0.5)
 
@@ -157,10 +156,8 @@ def test_schur_determinant_factorization(rng):
 
 
 def test_state_partition_validation():
-    with pytest.raises(ValueError, match="partition"):
-        GaussianState(np.zeros(4), np.eye(4), alice_modes=(0,), bob_modes=(0,))
-    with pytest.raises(ValueError, match="mean length"):
-        GaussianState(np.zeros(3), np.eye(4))
+    with pytest.raises(ValueError, match="4x4"):
+        from_cov(np.eye(6))
     with pytest.raises(ValueError, match="symmetric"):
         cov = np.eye(4)
         cov[0, 1] = 0.5

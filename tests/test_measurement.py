@@ -201,6 +201,39 @@ def test_filtered_roundtrip_matches_ideal_amplifier(model_state):
         assert abs(val - steerability(from_cov(ideal), d)) < 3 * err
 
 
+def _se_per_matrix(func, cov, se):
+    """The finite-difference SE evaluated one perturbed matrix at a time."""
+    var = 0.0
+    for i in range(4):
+        for j in range(i, 4):
+            if se[i, j] == 0.0:
+                continue
+            h = 1e-5 * max(1.0, abs(cov[i, j]))
+            up, dn = cov.copy(), cov.copy()
+            up[i, j] = up[j, i] = cov[i, j] + h
+            dn[i, j] = dn[j, i] = cov[i, j] - h
+            var += ((func(up) - func(dn)) / (2.0 * h) * se[i, j]) ** 2
+    return float(np.sqrt(var))
+
+
+def test_stacked_se_equals_per_matrix_loop(model_state):
+    from steerdist import from_cov, key_rate, key_rate_with_se, steering_signed
+
+    batch = sample_batch(apply_lossy(model_state, 0.3), 200_000, seed=31)
+    filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=32)
+    cov, se = reconstruct_covariance(filtered, min_accepted=1_000)
+    assert se[0, 1] == 0.0  # Alice's x-p entry is skipped
+    tol = reconstruction_tolerance(se)
+    for d in ("a_to_b", "b_to_a"):
+        _, err = steerability_with_se(cov, se, d, tol)
+        assert err > 0.0
+        assert err == _se_per_matrix(
+            lambda c: steering_signed(from_cov(c), d, np.inf), cov, se)
+    _, err = key_rate_with_se(cov, se, tol)
+    assert err > 0.0
+    assert err == _se_per_matrix(lambda c: key_rate(c, np.inf).key_rate, cov, se)
+
+
 def test_error_scaling_with_sample_count(model_state):
     errs = []
     for count, seed in ((250_000, 30), (1_000_000, 31)):

@@ -182,11 +182,6 @@ def test_two_mode_map_approaches_one_sided_limit_linearly(side, model_state):
         assert 8.0 < a / b < 12.0  # error scales like eps
 
 
-def test_nonzero_mean_rejected(model_state):
-    with pytest.raises(ValueError, match="zero-mean"):
-        nla_single_mode(model_state.cov, 1.2, mean=np.array([0.1, 0, 0, 0]))
-
-
 def test_output_physical_for_random_states(rng):
     for _ in range(25):
         state = random_physical_state(rng)

@@ -15,11 +15,9 @@ from steerdist import (
     CutoffSearchError,
     FilterSpec,
     GainTooLargeError,
-    GaussianState,
     NumericalError,
     UnphysicalStateError,
     channel_stack,
-    classify,
     classify_stack,
     filtered_ensemble,
     filtered_ensemble_stack,
@@ -84,13 +82,6 @@ def test_symplectic_closed_form_matches_eigenvalues():
     assert np.max(np.abs(min_symplectic_eigenvalues(covs) - want)) < 1e-12
     # degenerate spectra (pure symmetric states) keep full precision
     assert np.max(np.abs(min_symplectic_eigenvalues(np.array(pure)) - 1.0)) < 1e-12
-
-
-def test_swapped_partition_uses_alice_bob_order(model_state):
-    out = ChannelSpec(0.35).apply(model_state)
-    swapped = GaussianState(np.zeros(4), out.cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])],
-                            alice_modes=(1,), bob_modes=(0,))
-    assert classify(swapped) == classify(out)
 
 
 def _ref_channel(cov, loss, excess):
