@@ -10,7 +10,7 @@ from steerdist import ChannelSpec, CutoffCriteria, select_cutoff, tmss_standard
 
 state = tmss_standard(-4.2, 7.3)
 beta_c, diag = select_cutoff(state, ChannelSpec(loss=0.4), g=1.10,
-                             criteria=CutoffCriteria(), seed=7)
+                             criteria=CutoffCriteria())
 
 print("scan trace (loss 0.4, gain 1.10):")
 print(f"{'beta_c':>7} {'accept':>10} {'kurt':>8} {'dG(A->B)':>10} {'dG(B->A)':>10}")
@@ -21,8 +21,3 @@ for row in diag.trace:
           f"{'<- selected' if row['passed'] else ''}")
 
 print(f"\nselected cutoff: {beta_c}   (published table: 4.00)")
-if diag.mc_check:
-    mc = diag.mc_check
-    print(f"sampled re-check: kurt_x {mc['kurt_x']:.4f}, "
-          f"steering errors {mc['steering_err_a_to_b']:.4f}/"
-          f"{mc['steering_err_b_to_a']:.4f}")

@@ -24,10 +24,11 @@ import numpy as np
 from . import svgplot
 from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
-from .cutoff import CutoffCriteria, cutoff_from_table, reference_cutoff_table, select_cutoff
+from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff
 from .filtered_moments import acceptance_rate_exact, filtered_ensemble, filtered_ensemble_stack
 from .gaussian import GaussianState, from_cov, save_cov, tmss_standard
 from .measurement import (
+    BatchSchemaError,
     FilterSpec,
     ReconstructionError,
     moment_stats,
@@ -109,10 +110,7 @@ def _fig3_cutoff(config, state, loss, excess, table):
         return config.cutoff
     if config.cutoff_source == "table":
         return cutoff_from_table(loss, config.gain, table)
-    bc, _ = select_cutoff(
-        state, ChannelSpec(loss, excess, config.noise_model), config.gain,
-        CutoffCriteria(sample_count=config.samples), seed=config.seed, verify=False,
-    )
+    bc, _ = select_cutoff(state, ChannelSpec(loss, excess, config.noise_model), config.gain)
     return bc
 
 
@@ -398,11 +396,9 @@ def _run_fig_s4(config):
 def _run_table_s1(config):
     """Reproduce the optimal-cutoff table by a fresh search per cell."""
     state = model_state(config)
-    criteria = CutoffCriteria(sample_count=config.samples)
     rows = []
     for i_loss, i_g, loss, g in _appendix_grid():
-        bc, _ = select_cutoff(state, ChannelSpec(loss, 0.0, config.noise_model),
-                              g, criteria, seed=config.seed, verify=False)
+        bc, _ = select_cutoff(state, ChannelSpec(loss, 0.0, config.noise_model), g)
         rows.append([loss, g, bc])
     path = os.path.join(config.out_dir, "table_s1.csv")
     write_csv(path, ["loss", "g", "beta_c"], rows)
@@ -468,8 +464,17 @@ def run_selfcheck(config: ExperimentConfig):
 
 
 def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
-    """Externally recorded quadrature CSV -> filter -> reconstruction report."""
+    """Externally recorded quadrature CSV -> filter -> reconstruction report.
+
+    The records must be raw: a file with any ``accepted = 0`` row has been
+    post-selected already and is refused.
+    """
     batch = read_batch_csv(path)
+    if batch.accepted is not None and not batch.accepted.all():
+        raise BatchSchemaError(
+            f"{path}: {len(batch) - int(np.count_nonzero(batch.accepted))} of "
+            f"{len(batch)} records have accepted = 0; ingest takes raw records "
+            "and applies the configured filter itself")
     filt = FilterSpec(config.gain, config.cutoff)
     filtered, rate = post_select(batch, filt, config.seed)
     cov, se = reconstruct_covariance(filtered, min_accepted)

@@ -30,13 +30,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .gaussian import GaussianState, _raise_first, require_cov_stack
-from .measurement import FilterSpec
+from .measurement import MODEL_RTOL, FilterSpec
 
 _NODES, _WEIGHTS = leggauss(400)
-
-# Bob-block isotropy tolerance: these formulas only hold when the reduced
-# block is proportional to the identity.
-_ISOTROPY_RTOL = 1e-9
 
 
 def _upper_gamma_tail(k: int, y):
@@ -81,7 +77,7 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
     g = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
     cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (n,))
     a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
-    scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * _ISOTROPY_RTOL
+    scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * MODEL_RTOL
     _raise_first((np.abs(b[:, 0, 0] - b[:, 1, 1]) > scale) | (np.abs(b[:, 0, 1]) > scale),
                  lambda i: NotImplementedError(
                      "exact filtered moments require an isotropic Bob block "

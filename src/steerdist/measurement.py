@@ -43,8 +43,11 @@ CHUNK = 1 << 17  # even, so alternating bases stay aligned across chunks
 
 # seed namespaces (spawn_key prefixes)
 _NS_GAUSS = 0
-_NS_BASIS = 1
 _NS_ACCEPT = 2
+
+# Relative tolerance on the entries the 1+1 closed forms take as zero:
+# Alice's x-p covariance here, Bob's anisotropy in filtered_moments.
+MODEL_RTOL = 1e-9
 
 BASIS_X = 0
 BASIS_P = 1
@@ -64,11 +67,15 @@ class FilterSpec:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
 
+def _acceptance(mag2, filt: FilterSpec):
+    """Acceptance probability for squared outcome magnitude |gamma|^2."""
+    t = 1.0 - 1.0 / (filt.gain * filt.gain)
+    return np.exp(np.minimum(t * (mag2 - filt.cutoff**2), 0.0))
+
+
 def acceptance_probability(beta_magnitude, filt: FilterSpec):
     """Acceptance probability for outcome magnitude |beta| (scalar or array)."""
-    b2 = np.square(np.asarray(beta_magnitude, dtype=float))
-    t = 1.0 - 1.0 / (filt.gain * filt.gain)
-    p = np.exp(np.minimum(t * (b2 - filt.cutoff**2), 0.0))
+    p = _acceptance(np.square(np.asarray(beta_magnitude, dtype=float)), filt)
     if p.ndim == 0:
         return float(p)
     return p
@@ -126,14 +133,21 @@ def sample_batch(
     state: GaussianState,
     count: int,
     seed: int,
-    basis_schedule: str = "alternating",
     threads: int = 1,
 ) -> QuadratureBatch:
-    """Draw ``count`` joint records from a physical zero-mean 1+1 state."""
+    """Draw ``count`` joint records from a physical zero-mean 1+1 state.
+
+    Alice's basis alternates x, p, x, ... by record index.  Her x-p
+    covariance must be 0: single-quadrature homodyne cannot observe it, so
+    :func:`reconstruct_covariance` could not recover the state.
+    """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    if basis_schedule not in ("alternating", "random"):
-        raise ValueError(f"unknown basis_schedule {basis_schedule!r}")
+    a = state.cov[:2, :2]
+    if abs(a[0, 1]) > max(1.0, abs(a[0, 0])) * MODEL_RTOL:
+        raise NotImplementedError(
+            "sampling requires a zero Alice x-p covariance, which homodyne "
+            f"reconstruction cannot observe (got sigma[0, 1] = {a[0, 1]:.6g})")
     state.require_physical(RECONSTRUCTION_TOL)
     l_x, l_p = _joint_cholesky(state)
 
@@ -143,10 +157,7 @@ def sample_batch(
         start = k * CHUNK
         m = min(CHUNK, count - start)
         z = _chunk_rng(seed, _NS_GAUSS, k).standard_normal((m, 3))
-        if basis_schedule == "alternating":
-            basis = ((start + np.arange(m)) % 2).astype(np.uint8)
-        else:
-            basis = _chunk_rng(seed, _NS_BASIS, k).integers(0, 2, size=m).astype(np.uint8)
+        basis = ((start + np.arange(m)) % 2).astype(np.uint8)
         vals = np.empty((m, 3))
         mask = basis == BASIS_X
         vals[mask] = z[mask] @ l_x.T
@@ -172,9 +183,7 @@ def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
     keep their raw values and are flagged accepted = False.
     """
     n = len(batch)
-    mag2 = 0.5 * (batch.bob_x**2 + batch.bob_p**2)
-    t = 1.0 - 1.0 / (filt.gain * filt.gain)
-    p = np.exp(np.minimum(t * (mag2 - filt.cutoff**2), 0.0))
+    p = _acceptance(0.5 * (batch.bob_x**2 + batch.bob_p**2), filt)
 
     u = np.empty(n)
     n_chunks = (n + CHUNK - 1) // CHUNK
@@ -255,8 +264,8 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     2 Cov), cross blocks from sqrt(2) * Cov per basis sub-ensemble, Alice's
     diagonal from her homodyne sub-ensembles.  Her x-p cross moment is not
     observable with single-quadrature homodyne and is set to 0 (exact for
-    every state in this study).  Standard errors come from fourth moments via
-    the delta method.
+    every state in this study; :func:`sample_batch` refuses a state where it
+    is not).  Standard errors come from fourth moments via the delta method.
 
     ``min_accepted`` guards statistical quality; lower it explicitly for
     strongly filtered runs where the standard errors still carry the
@@ -371,7 +380,12 @@ class BatchSchemaError(ValueError):
 
 
 def read_batch_csv(path) -> QuadratureBatch:
-    """Read records; the ``accepted`` column is optional (raw external data)."""
+    """Read records; the ``accepted`` column is optional (raw external data).
+
+    Every value must be finite; a failing record is named by its 0-based
+    position among the records, as in the ``idx`` column
+    :func:`write_batch_csv` writes.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         cols = header.split(",")
@@ -408,10 +422,15 @@ def read_batch_csv(path) -> QuadratureBatch:
                 raise BatchSchemaError(f"line {lineno}: {exc}") from exc
     if not basis:
         raise BatchSchemaError("file contains no records")
+    values = {"alice_value": np.array(aval), "bob_x": np.array(bxv), "bob_p": np.array(bpv)}
+    for name, col in values.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise BatchSchemaError(
+                f"record {bad[0]}: non-finite {name} {float(col[bad[0]])!r} "
+                f"({bad.size} non-finite {name} values)")
     return QuadratureBatch(
         np.array(basis, dtype=np.uint8),
-        np.array(aval),
-        np.array(bxv),
-        np.array(bpv),
-        np.array(acc, dtype=bool) if has_accepted else None,
+        **values,
+        accepted=np.array(acc, dtype=bool) if has_accepted else None,
     )

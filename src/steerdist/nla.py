@@ -11,9 +11,10 @@ with diagonal G1 = diag(A, A, B, B), G2 = diag(2C, 2C, 2D, 2D) and
     B = (g2^2+1)/(2(g2^2-1)),  D = g2/(1-g2^2).
 
 The transform requires 2 G1 - sigma > 0, otherwise the amplified state is
-unnormalizable.  One-sided amplification is the exact g_other -> 1 limit of
-this map (Fiurasek & Cerf, PRA 2012): with K, L, X the kept, amplified and
-cross (kept-row) blocks, B = B(g), D = D(g) and M = (2B I - L)^{-1},
+unnormalizable.  The paper amplifies Bob's mode only, the exact g1 -> 1
+limit of this map (Fiurasek & Cerf, PRA 2012): with K, L, X Alice's (kept),
+Bob's (amplified) and the cross block, B = B(g), D = D(g) and
+M = (2B I - L)^{-1},
 
     K -> K + X M X^T,   X -> -2D X M,   L -> 4D^2 M - 2B I = (2B L - I) M
 
@@ -87,19 +88,17 @@ def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def nla_single_mode(sigma: np.ndarray, g: float, side: str = "b") -> np.ndarray:
-    """Exact one-sided amplification: with M = (2B(g) I - L)^{-1}, the kept,
-    cross and amplified blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
+def nla_single_mode(sigma: np.ndarray, g: float) -> np.ndarray:
+    """Exact amplification of Bob's mode: with M = (2B(g) I - L)^{-1}, Alice's,
+    the cross and Bob's blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
     """
-    return nla_single_mode_stack(np.asarray(sigma, dtype=float)[None], g, side)[0]
+    return nla_single_mode_stack(np.asarray(sigma, dtype=float)[None], g)[0]
 
 
-def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarray:
+def nla_single_mode_stack(covs: np.ndarray, gains) -> np.ndarray:
     """:func:`nla_single_mode` on a (N, 4, 4) stack; ``gains`` is a scalar or
     a length-N array.  Entries with gain 1 are returned unchanged; every
     amplified entry is checked for physicality at ``PHYSICALITY_TOL``."""
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     covs = require_cov_stack(covs)
     gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
     _raise_first(~(gains >= 1.0), lambda i: ValueError(f"gain must be >= 1, got {gains[i]}"))
@@ -107,25 +106,24 @@ def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarra
     amp = np.flatnonzero(gains != 1.0)
     if amp.size == 0:
         return out
-    keep, mod = (slice(0, 2), slice(2, 4)) if side == "b" else (slice(2, 4), slice(0, 2))
     g = gains[amp][:, None, None]
     b = (g * g + 1.0) / (2.0 * (g * g - 1.0))
     d = g / (1.0 - g * g)
     sub = covs[amp]
-    k, l, x = sub[:, keep, keep], sub[:, mod, mod], sub[:, keep, mod]
+    k, l, x = sub[:, :2, :2], sub[:, 2:, 2:], sub[:, :2, 2:]
     n = 2.0 * b * np.eye(2) - l
     eig, bad = np.ones(len(covs)), np.zeros(len(covs), dtype=bool)
     eig[amp], bad[amp] = min_eig2(n), ~pd2(n)
     _raise_first(bad, lambda i: GainTooLargeError(
-        f"gain {gains[i]} too large for this state on side {side!r}: "
+        f"gain {gains[i]} too large for this state: "
         f"2*B*I - L has eigenvalue {eig[i]:.6g} <= 0"))
     m = inv2(n)
     xm = x @ m
     res = np.empty_like(sub)
-    res[:, keep, keep] = k + xm @ np.swapaxes(x, 1, 2)
-    res[:, keep, mod] = -2.0 * d * xm
-    res[:, mod, keep] = np.swapaxes(res[:, keep, mod], 1, 2)
-    res[:, mod, mod] = (2.0 * b * l - np.eye(2)) @ m
+    res[:, :2, :2] = k + xm @ np.swapaxes(x, 1, 2)
+    res[:, :2, 2:] = -2.0 * d * xm
+    res[:, 2:, :2] = np.swapaxes(res[:, :2, 2:], 1, 2)
+    res[:, 2:, 2:] = (2.0 * b * l - np.eye(2)) @ m
     out[amp] = 0.5 * (res + np.swapaxes(res, 1, 2))
     nu = np.ones(len(covs))
     try:
@@ -138,16 +136,15 @@ def nla_single_mode_stack(covs: np.ndarray, gains, side: str = "b") -> np.ndarra
     return out
 
 
-def max_single_mode_gain(sigma: np.ndarray, side: str = "b") -> float:
-    """Largest gain before the one-sided amplified state is unnormalizable.
+def max_single_mode_gain(sigma: np.ndarray) -> float:
+    """Largest gain before Bob's amplified state is unnormalizable.
 
-    The bound is 2*B(g) > max eigenvalue of the amplified mode's block, i.e.
+    The bound is 2*B(g) > max eigenvalue of Bob's block, i.e.
     g^2 < (v_max + 1)/(v_max - 1) where v_max is the largest eigenvalue of
     that 2x2 block (v_max <= 1 means any gain is allowed).
     """
     sigma = _require_cov(sigma)
-    blk = sigma[2:, 2:] if side == "b" else sigma[:2, :2]
-    v_max = float(np.linalg.eigvalsh(blk)[-1])
+    v_max = float(np.linalg.eigvalsh(sigma[2:, 2:])[-1])
     if v_max <= 1.0:
         return np.inf
     return float(np.sqrt((v_max + 1.0) / (v_max - 1.0)))

@@ -12,15 +12,15 @@ Alice's homodyne outcome, computed directly from the covariance matrix:
 and analogously for p.  Negative values are reported as-is (no secure key
 from this bound).
 
-``min_gain_for_key`` sweeps the distillation gain at fixed cutoff.  The
-"analytic" mode evaluates the exact post-selected ensemble at the given
-cutoff (deterministic; :mod:`steerdist.filtered_moments`) rather than the
-ideal infinite-cutoff amplifier: for the impure model state the ideal
-amplifier's key rate saturates at about -0.0094 bits just below its
-normalizability bound g ~ 1.4375 and never turns positive, while the
-finite-cutoff ensemble -- which is what the protocol actually measures --
-crosses zero near g ~ 1.3 for beta_c = 4.5.  Monte Carlo mode runs the full
-sampling pipeline and converges to the same ensemble.
+``min_gain_for_key`` sweeps the distillation gain at fixed cutoff.  It
+evaluates the exact post-selected ensemble at the given cutoff
+(deterministic; :mod:`steerdist.filtered_moments`) rather than the ideal
+infinite-cutoff amplifier: for the impure model state the ideal amplifier's
+key rate saturates at about -0.0094 bits just below its normalizability
+bound g ~ 1.4375 and never turns positive, while the finite-cutoff ensemble
+-- which is what the protocol actually measures -- crosses zero near
+g ~ 1.3 for beta_c = 4.5.  The sweep samples nothing; the sampled pipeline
+converges to the same ensemble, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -36,14 +36,7 @@ from .gaussian import (
     check_physical,
     require_cov_stack,
 )
-from .measurement import (
-    FilterSpec,
-    post_select,
-    propagate_se,
-    reconstruct_covariance,
-    reconstruction_tolerance,
-    sample_batch,
-)
+from .measurement import FilterSpec, propagate_se
 
 
 @dataclass(frozen=True)
@@ -114,35 +107,13 @@ class NoPositiveKeyError(RuntimeError):
     pass
 
 
-def min_gain_for_key(
-    state: GaussianState,
-    beta_c: float,
-    g_grid,
-    mode: str = "analytic",
-    seed: int = 0,
-    sample_count: int = 10_000_000,
-    min_accepted: int = 1_000,
-) -> float:
+def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
     """Smallest grid gain with positive key rate at the given cutoff."""
-    if mode not in ("analytic", "monte_carlo"):
-        raise ValueError(f"mode must be 'analytic' or 'monte_carlo', got {mode!r}")
     g_grid = np.asarray(list(g_grid), dtype=float)
     if g_grid.size == 0:
         raise ValueError("gain grid is empty")
-    batch = None
     for g in g_grid:
-        if mode == "analytic":
-            result = key_rate_filtered(state, float(g), beta_c)
-        else:
-            if batch is None:  # one Gaussian stream; the filter draws its own
-                batch = sample_batch(state, sample_count, seed)
-            if g == 1.0:
-                cov, se = reconstruct_covariance(batch, min_accepted)
-            else:
-                filtered, _ = post_select(batch, FilterSpec(float(g), beta_c), seed)
-                cov, se = reconstruct_covariance(filtered, min_accepted)
-            result = key_rate(cov, reconstruction_tolerance(se))
-        if result.key_rate > 0.0:
+        if key_rate_filtered(state, float(g), beta_c).key_rate > 0.0:
             return float(g)
     raise NoPositiveKeyError(
         f"no positive key on the gain grid [{g_grid[0]}, {g_grid[-1]}] "

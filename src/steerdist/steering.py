@@ -211,7 +211,7 @@ def steering_loss_threshold(
         out = apply_noisy(state, loss, channel_template.excess_noise,
                           channel_template.noise_model)
         if nla_gain is not None and nla_gain > 1.0:
-            out = GaussianState(nla_single_mode(out.cov, nla_gain, side="b"))
+            out = GaussianState(nla_single_mode(out.cov, nla_gain))
         return steering_signed(out, direction)
 
     lo, hi = 0.0, 1.0

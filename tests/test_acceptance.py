@@ -157,7 +157,7 @@ def test_criterion_7_cutoff_table():
     for loss in (0.0, 0.2, 0.4, 0.6, 0.8):
         for g in (1.05, 1.10, 1.15, 1.20, 1.25):
             bc, _ = select_cutoff(MODEL, ChannelSpec(loss), g,
-                                  CutoffCriteria(), verify=False)
+                                  CutoffCriteria())
             table[(loss, g)] = bc
     worst = max(abs(table[k] - ref[k]) for k in ref)
     monotone = all(

@@ -8,6 +8,7 @@ import pytest
 
 from steerdist import (
     FilterSpec,
+    apply_lossy,
     classify,
     key_rate_with_se,
     post_select,
@@ -315,6 +316,20 @@ def test_cli_exit_codes(tmp_path):
     csv_path = tmp_path / "few.csv"
     write_batch_csv(batch, csv_path)
     assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cli_ingest_refuses_post_selected_file(tmp_path, model_state, capsys):
+    # an export after post-selection carries accepted = 0 rows; ingesting it
+    # would filter already-filtered data, so the command refuses it
+    out = apply_lossy(model_state, 0.3)
+    filtered, _ = post_select(sample_batch(out, 20_000, seed=38), FilterSpec(1.1, 4.0), seed=39)
+    rejected = len(filtered) - int(np.count_nonzero(filtered.accepted))
+    assert rejected > 0
+    csv_path = tmp_path / "filtered.csv"
+    write_batch_csv(filtered, csv_path)
+    assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+    assert f"{rejected} of 20000 records have accepted = 0" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "ingest_report.csv").exists()
 
 
 def test_cli_numerical_errors_exit_3(tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from steerdist import (
     acceptance_rate_exact,
     apply_lossy,
     cutoff_from_table,
+    from_cov,
     moment_stats,
     nla_single_mode,
     post_select,
@@ -91,14 +92,6 @@ def test_alternating_schedule_is_half_half():
     assert np.array_equal(batch.alice_basis[:4], [BASIS_X, BASIS_P, BASIS_X, BASIS_P])
 
 
-def test_random_schedule_deterministic():
-    a = sample_batch(vacuum_state(), 50_000, seed=5, basis_schedule="random")
-    b = sample_batch(vacuum_state(), 50_000, seed=5, basis_schedule="random")
-    assert np.array_equal(a.alice_basis, b.alice_basis)
-    frac = np.mean(a.alice_basis == BASIS_X)
-    assert abs(frac - 0.5) < 0.01
-
-
 def test_sampling_determinism_under_threads(model_state):
     one = sample_batch(model_state, 300_000, seed=7, threads=1)
     four = sample_batch(model_state, 300_000, seed=7, threads=4)
@@ -109,8 +102,20 @@ def test_sampling_determinism_under_threads(model_state):
 def test_sampling_rejects_bad_inputs(model_state):
     with pytest.raises(ValueError):
         sample_batch(model_state, 0, seed=1)
-    with pytest.raises(ValueError, match="schedule"):
-        sample_batch(model_state, 10, seed=1, basis_schedule="spiral")
+
+
+def test_sampling_rejects_alice_xp_correlation(model_state):
+    # a local rotation and squeeze on Alice gives her block an x-p covariance
+    # that homodyne reconstruction cannot observe; sampling refuses the state
+    # before drawing anything
+    theta, r = 0.4, 0.3
+    rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+    local = np.eye(4)
+    local[:2, :2] = rot @ np.diag([np.exp(r), np.exp(-r)])
+    cov = local @ apply_lossy(model_state, 0.2).cov @ local.T
+    state = from_cov((cov + cov.T) / 2)
+    with pytest.raises(NotImplementedError, match=r"Alice x-p .* sigma\[0, 1\] = -1.313"):
+        sample_batch(state, 1_000_000, seed=1)
 
 
 # --- post-selection -------------------------------------------------------------
@@ -329,4 +334,16 @@ def test_batch_csv_schema_errors_carry_line_numbers(tmp_path):
         read_batch_csv(path)
     path.write_text("wrong,header\n")
     with pytest.raises(BatchSchemaError, match="line 1"):
+        read_batch_csv(path)
+
+
+@pytest.mark.parametrize("column, value", [("bob_x", "nan"), ("alice_value", "inf"),
+                                           ("bob_p", "-inf")])
+def test_batch_csv_rejects_non_finite_values(tmp_path, column, value):
+    rows = [["0", "X", "0.5", "1.0", "-1.0"], ["1", "P", "-0.25", "0.125", "2.0"]]
+    rows[1][("alice_value", "bob_x", "bob_p").index(column) + 2] = value
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("idx,alice_basis,alice_value,bob_x,bob_p\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(BatchSchemaError, match=f"record 1: non-finite {column} {value}"):
         read_batch_csv(path)

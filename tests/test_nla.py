@@ -91,7 +91,7 @@ def test_tmss_eigen_relation_one_sided():
     state = tmss_standard(*lam_to_db(lam))
     n_in, c_in = tmss_cov_fock(lam)
     assert state.cov[0, 0] == pytest.approx(n_in, abs=1e-12)
-    out = nla_single_mode(state.cov, g, side="b")
+    out = nla_single_mode(state.cov, g)
     n_want, c_want = tmss_cov_fock(g * lam)
     assert n_want == pytest.approx(5.0 / 3.0, abs=1e-12)
     assert c_want == pytest.approx(4.0 / 3.0, abs=1e-12)
@@ -112,19 +112,12 @@ def test_tmss_eigen_relation_two_sided():
 
 def test_thermal_block_oracle():
     sigma = np.diag([1.0, 1.0, 2.0, 2.0])
-    out = nla_single_mode(sigma, 1.2, side="b")
+    out = nla_single_mode(sigma, 1.2)
     want = thermal_variance_fock(2.0, 1.2)
     assert want == pytest.approx(37.0 / 13.0, abs=1e-9)
     assert out[2, 2] == pytest.approx(want, abs=1e-12)
     assert out[3, 3] == pytest.approx(want, abs=1e-12)
     assert np.allclose(out[:2, :2], np.eye(2), rtol=0.0, atol=1e-12)
-
-
-def test_side_a_amplifies_alice():
-    sigma = np.diag([2.0, 2.0, 1.0, 1.0])
-    out = nla_single_mode(sigma, 1.2, side="a")
-    assert out[0, 0] == pytest.approx(37.0 / 13.0, abs=1e-12)
-    assert np.allclose(out[2:, 2:], np.eye(2), rtol=0.0, atol=1e-12)
 
 
 def test_unit_gain_is_identity(model_state):
@@ -147,35 +140,22 @@ def test_gain_too_large_rejected(model_state):
         nla_cov_two_mode(model_state.cov, GainPair(1 + 1e-6, g_max + 0.01))
 
 
-@pytest.mark.parametrize("side", ["a", "b"])
-def test_single_mode_gain_too_large_rejected(side, model_state):
+def test_single_mode_gain_too_large_rejected(model_state):
     sigma = apply_lossy(model_state, 0.3).cov  # Alice and Bob blocks differ
-    g_max = max_single_mode_gain(sigma, side)
+    g_max = max_single_mode_gain(sigma)
     assert np.isfinite(g_max)
-    nla_single_mode(sigma, g_max * (1 - 1e-6), side=side)
+    nla_single_mode(sigma, g_max * (1 - 1e-6))
     with pytest.raises(GainTooLargeError, match="eigenvalue"):
-        nla_single_mode(sigma, g_max * (1 + 1e-6), side=side)
+        nla_single_mode(sigma, g_max * (1 + 1e-6))
 
 
-def test_side_a_is_side_b_on_swapped_modes(rng):
-    swap = [2, 3, 0, 1]
-    for _ in range(25):
-        sigma = random_physical_state(rng).cov
-        swapped = sigma[np.ix_(swap, swap)]
-        g = 1.0 + 0.5 * (min(max_single_mode_gain(sigma, "a"), 2.5) - 1.0)
-        out_a = nla_single_mode(sigma, g, side="a")
-        out_b = nla_single_mode(swapped, g, side="b")[np.ix_(swap, swap)]
-        assert np.allclose(out_a, out_b, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("side", ["a", "b"])
-def test_two_mode_map_approaches_one_sided_limit_linearly(side, model_state):
+def test_two_mode_map_approaches_one_sided_limit_linearly(model_state):
     sigma = apply_lossy(model_state, 0.3).cov
     g = 1.2
-    exact = nla_single_mode(sigma, g, side=side)
+    exact = nla_single_mode(sigma, g)
     errs = []
     for eps in (1e-4, 1e-5, 1e-6):
-        pair = GainPair(1 + eps, g) if side == "b" else GainPair(g, 1 + eps)
+        pair = GainPair(1 + eps, g)
         errs.append(np.max(np.abs(nla_cov_two_mode(sigma, pair) - exact)))
     assert errs[0] < 1e-2
     for a, b in zip(errs, errs[1:]):
@@ -187,7 +167,7 @@ def test_output_physical_for_random_states(rng):
         state = random_physical_state(rng)
         g_max = max_single_mode_gain(state.cov)
         g = 1.0 + 0.5 * (min(g_max, 2.5) - 1.0)
-        out = nla_single_mode(state.cov, g, side="b")
+        out = nla_single_mode(state.cov, g)
         assert check_physical(out).passed
 
 

@@ -122,14 +122,6 @@ def test_min_gain_threshold_state_at_boundary():
     assert g_star <= 1.04
 
 
-def test_min_gain_monte_carlo_agrees_within_one_step(model_state):
-    grid = np.arange(1.0, 1.56, 0.05)
-    analytic = min_gain_for_key(model_state, 4.5, grid, mode="analytic")
-    mc = min_gain_for_key(model_state, 4.5, grid, mode="monte_carlo",
-                          seed=77, sample_count=4_000_000)
-    assert abs(mc - analytic) <= 0.05 + 1e-9
-
-
 def test_min_gain_failure(model_state):
     with pytest.raises(NoPositiveKeyError):
         min_gain_for_key(model_state, 4.5, [1.0, 1.05, 1.1])

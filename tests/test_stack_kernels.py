@@ -155,8 +155,7 @@ def test_cutoff_scan_matches_point_by_point(model_state):
     criteria = CutoffCriteria()
     for loss in PAPER_LOSSES:
         for g in PAPER_GAINS:
-            bc, diag = select_cutoff(model_state, ChannelSpec(loss), g, criteria,
-                                     verify=False)
+            bc, diag = select_cutoff(model_state, ChannelSpec(loss), g, criteria)
             want = _point_by_point_scan(model_state, loss, g, criteria)
             assert bc == want[-1]["beta_c"]
             _assert_same_trace(diag.trace, want)
@@ -182,7 +181,7 @@ def test_cutoff_scan_counts_non_evaluable_points(model_state):
     # instead of raising, and no cutoff on the grid passes
     criteria = CutoffCriteria()
     with pytest.raises(CutoffSearchError) as err:
-        select_cutoff(model_state, ChannelSpec(0.0), 1.4, criteria, verify=False)
+        select_cutoff(model_state, ChannelSpec(0.0), 1.4, criteria)
     trace = err.value.trace
     assert len(trace) == 37  # the full grid 1.0 .. 10.0
     assert [row["beta_c"] for row in trace[:3]] == [1.0, 1.25, 1.5]
