@@ -18,6 +18,7 @@ byte-identical CSVs.
 from __future__ import annotations
 
 import os
+import sys
 
 import numpy as np
 
@@ -31,12 +32,12 @@ from .measurement import (
     BatchSchemaError,
     FilterSpec,
     ReconstructionError,
-    moment_stats,
     post_select,
     read_batch_csv,
     reconstruct_covariance,
     reconstruction_tolerance,
     sample_batch,
+    sample_moments,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
 from .qkd import key_rate, key_rate_filtered, key_rate_with_se
@@ -114,20 +115,26 @@ def _fig3_cutoff(config, state, loss, excess, table):
     return bc
 
 
-def _mc_steering_point(out, filt, samples, seed, threads):
-    """(raw +- se, nla +- se, rate) for one channel-output state, or Nones."""
-    batch = sample_batch(out, samples, seed, threads=threads)
-    cov, se = reconstruct_covariance(batch, MC_MIN_ACCEPTED)
+def _left_empty(where: str, exc: ReconstructionError) -> None:
+    print(f"{where} Monte Carlo value left empty: {exc}", file=sys.stderr)
+
+
+def _mc_steering_point(out, filt, samples, seed, threads, where):
+    """(raw +- se, nla +- se, rate) for one channel-output state; the
+    amplified values are None when their reconstruction fails."""
+    raw, amp = sample_moments(out, samples, seed, (None, filt), threads)
+    cov, se = raw.covariance(MC_MIN_ACCEPTED)
     tol = reconstruction_tolerance(se)
     raw_ab, se_ab = steerability_with_se(cov, se, "a_to_b", tol)
     raw_ba, se_ba = steerability_with_se(cov, se, "b_to_a", tol)
-    filtered, rate = post_select(batch, filt, seed)
+    rate = amp.accepted / samples
     try:
-        cov_f, se_f = reconstruct_covariance(filtered, MC_MIN_ACCEPTED)
+        cov_f, se_f = amp.covariance(MC_MIN_ACCEPTED)
         tol_f = reconstruction_tolerance(se_f)
         nla_ab, se_nab = steerability_with_se(cov_f, se_f, "a_to_b", tol_f)
         nla_ba, se_nba = steerability_with_se(cov_f, se_f, "b_to_a", tol_f)
-    except ReconstructionError:
+    except ReconstructionError as exc:
+        _left_empty(where, exc)
         nla_ab = nla_ba = se_nab = se_nba = None
     return (raw_ab, se_ab, raw_ba, se_ba, nla_ab, se_nab, nla_ba, se_nba, rate)
 
@@ -170,7 +177,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
         if config.mode in ("monte_carlo", "both"):
             mc = _each_cell(lambda i: _mc_steering_point(
                 from_cov(outs[i]), FilterSpec(g, beta_c[i]), config.samples,
-                derive_seed(config.seed, 3, i), config.threads), n)
+                derive_seed(config.seed, 3, i), config.threads,
+                f"fig3{variant}: loss={losses[i]:g}"), n)
         rows = []
         for i in range(n):
             row = [losses[i], *(col[i] for col in cols)]
@@ -244,29 +252,26 @@ def run_fig4(config: ExperimentConfig):
     if config.mode == "both":
         header += ["mc_key_rate", "mc_acceptance_rate"]
 
-    batch = None
+    gains = [float(g) for g in config.fig4_g_grid]
+    mc = None
     if config.mode in ("monte_carlo", "both"):
-        batch = sample_batch(out, config.samples, derive_seed(config.seed, 4),
-                             threads=config.threads)
+        mc = sample_moments(out, config.samples, derive_seed(config.seed, 4),
+                            [FilterSpec(g, beta_c) for g in gains], config.threads)
 
     rows = []
-    for g in config.fig4_g_grid:
-        g = float(g)
+    for i, g in enumerate(gains):
         ana = key_rate_filtered(out, g, beta_c)
         acc = 1.0 if g == 1.0 else acceptance_rate_exact(out, FilterSpec(g, beta_c))
         ref = key_rate_filtered(pure_ref, g, beta_c).key_rate
         mc_vals = (None, None, None, None, None)
-        if batch is not None:
-            if g == 1.0:
-                filtered, rate = batch, 1.0
-            else:
-                filtered, rate = post_select(batch, FilterSpec(g, beta_c),
-                                             derive_seed(config.seed, 4))
+        if mc is not None:
+            rate = mc[i].accepted / config.samples
             try:
-                cov, se = reconstruct_covariance(filtered, MC_MIN_ACCEPTED)
+                cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
                 res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
                 mc_vals = (res.key_rate, res.v_x_cond, res.v_p_cond, rate, se_k)
-            except ReconstructionError:
+            except ReconstructionError as exc:
+                _left_empty(f"fig4: g={g:g}", exc)
                 mc_vals = (None, None, None, rate, None)
         if config.mode == "analytic":
             rows.append([g, ana.key_rate, ana.v_x_cond, ana.v_p_cond, acc, None, ref])
@@ -357,11 +362,8 @@ def _run_fig_s2(config):
                   and ens.acceptance_rate * config.samples >= 2000)
         if use_mc:
             seed = derive_seed(config.seed, 5, i_loss, i_g)
-            batch = sample_batch(out, config.samples, seed, threads=config.threads)
-            filtered, _ = post_select(batch, filt, seed)
-            sel = filtered.accepted
-            sx = moment_stats(filtered.bob_x[sel])
-            sp = moment_stats(filtered.bob_p[sel])
+            bob = sample_moments(out, config.samples, seed, [filt], config.threads)[0].bob()
+            sx, sp = bob.stats(0), bob.stats(1)
             skew = 0.5 * (sx.skewness + sp.skewness)
             kurt = 0.5 * (sx.kurtosis + sp.kurtosis)
         else:
@@ -385,8 +387,8 @@ def _run_fig_s4(config):
             rate = acceptance_rate_exact(out, filt)
         else:
             seed = derive_seed(config.seed, 6, i_loss, i_g)
-            batch = sample_batch(out, config.samples, seed, threads=config.threads)
-            _, rate = post_select(batch, filt, seed)
+            ens = sample_moments(out, config.samples, seed, [filt], config.threads)[0]
+            rate = ens.accepted / config.samples
         rows.append([g, loss, rate])
     path = os.path.join(config.out_dir, "fig_s4.csv")
     write_csv(path, ["g", "loss", "acceptance_rate"], rows)

@@ -22,13 +22,30 @@ Determinism: sampling and acceptance are partitioned into fixed-size chunks;
 chunk k draws from a generator seeded by (seed, namespace, k), so results are
 bit-identical for any worker count.  Acceptance uniforms use a separate
 namespace from the Gaussian draws, so changing the filter never perturbs the
-underlying samples.
+underlying samples, and every filter sees the same uniform for a record.
+
+Streaming reduction: :func:`sample_moments` never holds more than one chunk
+per worker.  Each worker draws chunk k, splits it into the two Alice-basis
+sub-ensembles (records alternate x, p, x, ..., and CHUNK is even, so these
+are the strided rows ``[0::2]`` and ``[1::2]``), applies every requested
+filter to the same uniforms, and reduces each accepted, rescaled
+sub-ensemble to a :class:`Moments`: its count, centre and co-moment sums up
+to order 4 about that centre.  The chunks' moments are merged in chunk
+order by the exact pairwise update (Chan, Golub & LeVeque 1979; Pebay,
+SAND2008-6212), which shifts both sides' sums to the combined mean before
+adding them; raw power sums, whose m4 - m2^2 cancels at large counts, are
+never formed.  So the result does not depend on the thread count, and
+memory is O(threads x CHUNK) at any sample count.  The batch API
+(:func:`sample_batch`, :func:`post_select`, :func:`reconstruct_covariance`)
+feeds a batch's chunks to the same reduction, so it sees the same records,
+makes the same acceptance decisions and gives the same estimates.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +131,19 @@ def _chunk_rng(seed: int, namespace: int, chunk_index: int) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _n_chunks(count: int) -> int:
+    return (count + CHUNK - 1) // CHUNK
+
+
+def _map_chunks(fn, n_chunks: int, threads: int):
+    """Yield ``fn(k)`` for every chunk k in chunk order, on ``threads`` threads."""
+    if threads <= 1:
+        yield from map(fn, range(n_chunks))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, range(n_chunks))
+
+
 def _joint_cholesky(state: GaussianState):
     """Cholesky factors of the (alice, X_het, P_het) joint for both bases."""
     a, b, c = state.blocks()
@@ -129,6 +159,29 @@ def _joint_cholesky(state: GaussianState):
     return mats  # [L_X, L_P]
 
 
+def _sampler(state: GaussianState, count: int):
+    """The Cholesky factors for drawing ``count`` records from ``state``,
+    after the checks :func:`sample_batch` documents."""
+    if count <= 0:
+        raise ValueError(f"count must be positive, got {count}")
+    a = state.cov[:2, :2]
+    if abs(a[0, 1]) > max(1.0, abs(a[0, 0])) * MODEL_RTOL:
+        raise NotImplementedError(
+            "sampling requires a zero Alice x-p covariance, which homodyne "
+            f"reconstruction cannot observe (got sigma[0, 1] = {a[0, 1]:.6g})")
+    state.require_physical(RECONSTRUCTION_TOL)
+    return _joint_cholesky(state)
+
+
+def _basis_records(chol, seed: int, k: int, m: int):
+    """Yield chunk k's ``m`` records as x-basis, then p-basis (3, .) arrays of
+    (alice, X_het, P_het).  Records alternate x, p, x, ... and CHUNK is even,
+    so the x-basis rows of the chunk's normals are ``z[0::2]``."""
+    z = _chunk_rng(seed, _NS_GAUSS, k).standard_normal((m, 3))
+    for b in (BASIS_X, BASIS_P):
+        yield chol[b] @ z[b::2].T
+
+
 def sample_batch(
     state: GaussianState,
     count: int,
@@ -141,38 +194,19 @@ def sample_batch(
     covariance must be 0: single-quadrature homodyne cannot observe it, so
     :func:`reconstruct_covariance` could not recover the state.
     """
-    if count <= 0:
-        raise ValueError(f"count must be positive, got {count}")
-    a = state.cov[:2, :2]
-    if abs(a[0, 1]) > max(1.0, abs(a[0, 0])) * MODEL_RTOL:
-        raise NotImplementedError(
-            "sampling requires a zero Alice x-p covariance, which homodyne "
-            f"reconstruction cannot observe (got sigma[0, 1] = {a[0, 1]:.6g})")
-    state.require_physical(RECONSTRUCTION_TOL)
-    l_x, l_p = _joint_cholesky(state)
+    chol = _sampler(state, count)
+    basis = np.empty(count, dtype=np.uint8)
+    basis[0::2], basis[1::2] = BASIS_X, BASIS_P
+    cols = np.empty((3, count))
 
-    n_chunks = (count + CHUNK - 1) // CHUNK
+    def fill(k: int):
+        block = cols[:, k * CHUNK:(k + 1) * CHUNK]
+        for b, rec in enumerate(_basis_records(chol, seed, k, block.shape[1])):
+            block[:, b::2] = rec
 
-    def make_chunk(k: int):
-        start = k * CHUNK
-        m = min(CHUNK, count - start)
-        z = _chunk_rng(seed, _NS_GAUSS, k).standard_normal((m, 3))
-        basis = ((start + np.arange(m)) % 2).astype(np.uint8)
-        vals = np.empty((m, 3))
-        mask = basis == BASIS_X
-        vals[mask] = z[mask] @ l_x.T
-        vals[~mask] = z[~mask] @ l_p.T
-        return basis, vals
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(make_chunk, range(n_chunks)))
-    else:
-        chunks = [make_chunk(k) for k in range(n_chunks)]
-
-    basis = np.concatenate([c[0] for c in chunks])
-    vals = np.concatenate([c[1] for c in chunks])
-    return QuadratureBatch(basis, vals[:, 0].copy(), vals[:, 1].copy(), vals[:, 2].copy())
+    for _ in _map_chunks(fill, _n_chunks(count), threads):
+        pass
+    return QuadratureBatch(basis, cols[0], cols[1], cols[2])
 
 
 def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
@@ -186,8 +220,7 @@ def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
     p = _acceptance(0.5 * (batch.bob_x**2 + batch.bob_p**2), filt)
 
     u = np.empty(n)
-    n_chunks = (n + CHUNK - 1) // CHUNK
-    for k in range(n_chunks):
+    for k in range(_n_chunks(n)):
         start = k * CHUNK
         m = min(CHUNK, n - start)
         u[start:start + m] = _chunk_rng(seed, _NS_ACCEPT, k).random(m)
@@ -238,95 +271,35 @@ def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
     return float(np.sqrt(var))
 
 
-def _var_se(x: np.ndarray):
-    n = len(x)
-    d = x - x.mean()
-    d2 = d * d
-    m2 = np.mean(d2)
-    m4 = np.mean(d2 * d2)
-    var = m2 * n / (n - 1)
-    return var, np.sqrt(max(m4 - m2 * m2, 0.0) / n)
+# --- streaming moments ----------------------------------------------------------
+
+_BLOCK = 8192  # records per block of products, which then stay in cache
 
 
-def _cov_se(x: np.ndarray, y: np.ndarray):
-    n = len(x)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    cov = np.sum(dx * dy) / (n - 1)
-    m22 = np.mean(dx * dx * dy * dy)
-    return cov, np.sqrt(max(m22 - cov * cov, 0.0) / n)
+def _shift(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re-express sums of y^(x4), y = (1, r - c), for y = (1, r - c + h).
 
-
-def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
-    """Invert the sampling conventions: (covariance estimate, standard errors).
-
-    Bob's block comes from the heterodyne records (V = 2 Var - 1, off-diagonal
-    2 Cov), cross blocks from sqrt(2) * Cov per basis sub-ensemble, Alice's
-    diagonal from her homodyne sub-ensembles.  Her x-p cross moment is not
-    observable with single-quadrature homodyne and is set to 0 (exact for
-    every state in this study; :func:`sample_batch` refuses a state where it
-    is not).  Standard errors come from fourth moments via the delta method.
-
-    ``min_accepted`` guards statistical quality; lower it explicitly for
-    strongly filtered runs where the standard errors still carry the
-    uncertainty.
+    The new y is A y with A = [[1, 0], [h, I]], so the tensor takes one
+    factor of A per axis: transform the leading axis, rotate it to the back,
+    four times.
     """
-    if batch.accepted is None:
-        sel = np.ones(len(batch), dtype=bool)
-    else:
-        sel = batch.accepted
-    n_acc = int(np.count_nonzero(sel))
-    if n_acc < min_accepted:
-        raise ReconstructionError(
-            f"too few accepted records: {n_acc} < {min_accepted}"
-        )
-    mask_x = sel & (batch.alice_basis == BASIS_X)
-    mask_p = sel & (batch.alice_basis == BASIS_P)
-    if not mask_x.any() or not mask_p.any():
-        raise ReconstructionError("both Alice bases must be present among accepted records")
+    d = len(sums)
+    a = np.eye(d)
+    a[1:, 0] = h
+    flat = sums.reshape(d, -1)
+    for _ in range(4):
+        flat = (a @ flat).T.reshape(d, -1)
+    return flat.reshape(sums.shape)
 
-    ax, bx_x, bp_x = batch.alice_value[mask_x], batch.bob_x[mask_x], batch.bob_p[mask_x]
-    ap, bx_p, bp_p = batch.alice_value[mask_p], batch.bob_x[mask_p], batch.bob_p[mask_p]
-    bx, bp = batch.bob_x[sel], batch.bob_p[sel]
 
-    cov = np.zeros((4, 4))
-    se = np.zeros((4, 4))
-
-    v, e = _var_se(ax)
-    cov[0, 0], se[0, 0] = v, e
-    v, e = _var_se(ap)
-    cov[1, 1], se[1, 1] = v, e
-
-    v, e = _var_se(bx)
-    cov[2, 2], se[2, 2] = 2 * v - 1, 2 * e
-    v, e = _var_se(bp)
-    cov[3, 3], se[3, 3] = 2 * v - 1, 2 * e
-    v, e = _cov_se(bx, bp)
-    cov[2, 3] = cov[3, 2] = 2 * v
-    se[2, 3] = se[3, 2] = 2 * e
-
-    root2 = np.sqrt(2.0)
-    for (i, j), (u, w) in {
-        (0, 2): (ax, bx_x),
-        (0, 3): (ax, bp_x),
-        (1, 2): (ap, bx_p),
-        (1, 3): (ap, bp_p),
-    }.items():
-        v, e = _cov_se(u, w)
-        cov[i, j] = cov[j, i] = root2 * v
-        se[i, j] = se[j, i] = root2 * e
-
-    tol = reconstruction_tolerance(se)
-    try:
-        report = check_physical(cov, tol)
-    except ValueError as exc:  # not even positive definite
-        raise ReconstructionError(f"reconstructed matrix is degenerate: {exc}") from exc
-    if not report:
-        raise ReconstructionError(
-            f"reconstructed matrix is unphysical beyond tolerance {tol:.3g}: "
-            f"min symplectic eigenvalue {report.min_symplectic_eigenvalue:.6g}"
-        )
-    return cov, se
+@lru_cache(maxsize=None)
+def _pairs(dim: int):
+    """The row pairs (i, j), i <= j, of a (dim, .) array, and the (dim, dim)
+    map from (i, j) or (j, i) to the pair's position."""
+    i, j = np.triu_indices(dim)
+    position = np.empty((dim, dim), dtype=int)
+    position[i, j] = position[j, i] = np.arange(len(i))
+    return list(zip(i.tolist(), j.tolist())), position
 
 
 @dataclass(frozen=True)
@@ -337,20 +310,252 @@ class MomentStats:
     kurtosis: float  # non-excess; Gaussian reference is 3
 
 
+@dataclass(frozen=True)
+class Moments:
+    """Count and co-moment sums up to order 4 of d-variate records.
+
+    ``sums`` is the (d+1)^4 tensor of the sum of y (x) y (x) y (x) y over the
+    records, with y = (1, record - center).  ``sums[0, 0, 0, 0]`` is the
+    count; ``sums[0, 0, 0, i]`` are first-order sums, zero up to the rounding
+    of ``center``, which they carry; the entries with two, three and four
+    nonzero indices are the second-, third- and fourth-order sums.
+    """
+
+    center: np.ndarray
+    sums: np.ndarray
+
+    @classmethod
+    def of(cls, records: np.ndarray) -> Moments:
+        """Moments of the columns of ``records``, a (d, n) array; two passes:
+        the mean, then the products of the centred values, block by block.
+        The sums depend only on the values, not on the array's layout."""
+        records = np.ascontiguousarray(records, dtype=float)
+        d, n = records.shape
+        if n == 0:
+            return cls(np.zeros(d), np.zeros((d + 1,) * 4))
+        center = records.mean(axis=1)
+        pairs, position = _pairs(d + 1)
+        y = np.empty((d + 1, min(n, _BLOCK)))
+        y[0] = 1.0
+        prod = np.empty((len(pairs), y.shape[1]))
+        q = np.zeros((len(pairs), len(pairs)))
+        for start in range(0, n, _BLOCK):
+            w = min(_BLOCK, n - start)
+            np.subtract(records[:, start:start + w], center[:, None], out=y[1:, :w])
+            for k, (i, j) in enumerate(pairs):
+                np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
+            q += prod[:, :w] @ prod[:, :w].T
+        return cls(center, q[position[:, :, None, None], position])
+
+    @property
+    def count(self) -> int:
+        return int(self.sums[0, 0, 0, 0])
+
+    def merge(self, other: Moments) -> Moments:
+        """Moments of both record sets: each side's sums shifted to the
+        combined mean, then added (the exact pairwise update)."""
+        if other.count == 0:
+            return self
+        if self.count == 0:
+            return other
+        n_self, n_other = self.sums[0, 0, 0, 0], other.sums[0, 0, 0, 0]
+        mean = self.center + ((other.center - self.center) * n_other
+                              + self.sums[0, 0, 0, 1:] + other.sums[0, 0, 0, 1:]) / (
+                                  n_self + n_other)
+        return Moments(mean, _shift(self.sums, self.center - mean)
+                       + _shift(other.sums, other.center - mean))
+
+    def marginal(self, variables) -> Moments:
+        idx = [0, *(v + 1 for v in variables)]
+        return Moments(self.center[list(variables)], self.sums[np.ix_(idx, idx, idx, idx)])
+
+    def central(self):
+        """(mean, sums about the mean); the first-order sums move into the mean."""
+        h = -self.sums[0, 0, 0, 1:] / self.sums[0, 0, 0, 0]
+        return self.center - h, _shift(self.sums, h)
+
+    def stats(self, variable: int = 0) -> MomentStats:
+        """Mean, variance m2, skewness m3/m2^1.5, kurtosis m4/m2^2 (non-excess)."""
+        n = self.sums[0, 0, 0, 0]
+        if n < 2:
+            raise ValueError("need at least two values")
+        mean, s = self.central()
+        k = variable + 1
+        var = s[0, 0, k, k] / n
+        if var == 0.0:
+            raise ValueError("degenerate input: zero variance")
+        return MomentStats(mean=float(mean[variable]), variance=float(var),
+                           skewness=float(s[0, k, k, k] / n / var**1.5),
+                           kurtosis=float(s[k, k, k, k] / n / (var * var)))
+
+
 def moment_stats(values: np.ndarray) -> MomentStats:
     """Sample mean, variance m2, skewness m3/m2^1.5, kurtosis m4/m2^2 (non-excess)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("need at least two values")
-    mean = float(np.mean(values))
-    d = values - mean
-    d2 = d * d
-    var = float(np.mean(d2))
-    if var == 0.0:
-        raise ValueError("degenerate input: zero variance")
-    return MomentStats(mean=mean, variance=var,
-                       skewness=float(np.mean(d2 * d) / var**1.5),
-                       kurtosis=float(np.mean(d2 * d2) / (var * var)))
+    return Moments.of(np.asarray(values, dtype=float).reshape(1, -1)).stats()
+
+
+def _entry(sums: np.ndarray, u: int, v: int):
+    """Estimate and SE of Cov(u, v) from central sums; the variance SE uses
+    the biased m2, the covariance SE the unbiased covariance."""
+    n = sums[0, 0, 0, 0]
+    u, v = u + 1, v + 1
+    if u == v:
+        m2 = sums[0, 0, u, u] / n
+        return m2 * n / (n - 1), np.sqrt(max(sums[u, u, u, u] / n - m2 * m2, 0.0) / n)
+    cov = sums[0, 0, u, v] / (n - 1)
+    return cov, np.sqrt(max(sums[u, u, v, v] / n - cov * cov, 0.0) / n)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Moments of one accepted ensemble's (alice, X_het, P_het) records, per
+    Alice basis."""
+
+    x: Moments
+    p: Moments
+
+    def merge(self, other: Ensemble) -> Ensemble:
+        return Ensemble(self.x.merge(other.x), self.p.merge(other.p))
+
+    @property
+    def accepted(self) -> int:
+        return self.x.count + self.p.count
+
+    def bob(self) -> Moments:
+        """Moments of Bob's (X_het, P_het) over both bases."""
+        return self.x.marginal((1, 2)).merge(self.p.marginal((1, 2)))
+
+    def covariance(self, min_accepted: int = 10_000):
+        """Invert the sampling conventions: (covariance estimate, standard errors).
+
+        Bob's block comes from the heterodyne records (V = 2 Var - 1,
+        off-diagonal 2 Cov), cross blocks from sqrt(2) * Cov per basis
+        sub-ensemble, Alice's diagonal from her homodyne sub-ensembles.  Her
+        x-p cross moment is not observable with single-quadrature homodyne and
+        is set to 0 (exact for every state in this study; :func:`sample_batch`
+        refuses a state where it is not).  Standard errors come from fourth
+        moments via the delta method.
+
+        ``min_accepted`` guards statistical quality; lower it explicitly for
+        strongly filtered runs where the standard errors still carry the
+        uncertainty.
+        """
+        n_acc = self.accepted
+        if n_acc < min_accepted:
+            raise ReconstructionError(
+                f"too few accepted records: {n_acc} < {min_accepted}"
+            )
+        if self.x.count == 0 or self.p.count == 0:
+            raise ReconstructionError("both Alice bases must be present among accepted records")
+        x, p, bob = (m.central()[1] for m in (self.x, self.p, self.bob()))
+        root2 = np.sqrt(2.0)
+        cov = np.zeros((4, 4))
+        se = np.zeros((4, 4))
+        for (i, j), sums, (u, v), scale in (
+            ((0, 0), x, (0, 0), 1.0), ((1, 1), p, (0, 0), 1.0),
+            ((2, 2), bob, (0, 0), 2.0), ((3, 3), bob, (1, 1), 2.0), ((2, 3), bob, (0, 1), 2.0),
+            ((0, 2), x, (0, 1), root2), ((0, 3), x, (0, 2), root2),
+            ((1, 2), p, (0, 1), root2), ((1, 3), p, (0, 2), root2),
+        ):
+            v_ij, e_ij = _entry(sums, u, v)
+            cov[i, j] = cov[j, i] = scale * v_ij
+            se[i, j] = se[j, i] = scale * e_ij
+        cov[2, 2] -= 1.0
+        cov[3, 3] -= 1.0
+
+        tol = reconstruction_tolerance(se)
+        try:
+            report = check_physical(cov, tol)
+        except ValueError as exc:  # not even positive definite
+            raise ReconstructionError(f"reconstructed matrix is degenerate: {exc}") from exc
+        if not report:
+            raise ReconstructionError(
+                f"reconstructed matrix is unphysical beyond tolerance {tol:.3g}: "
+                f"min symplectic eigenvalue {report.min_symplectic_eigenvalue:.6g}"
+            )
+        return cov, se
+
+
+def _chunk_ensembles(parts, filters) -> list[Ensemble]:
+    """Moments of every requested ensemble of one chunk.
+
+    ``parts`` yields, for the x- and then the p-basis, the raw (alice, X_het,
+    P_het) records as a (3, .) array and their acceptance uniforms, one basis
+    at a time.  A filter of None keeps every record; a :class:`FilterSpec`
+    accepts u < P_acc(|gamma|^2) and divides Bob's accepted quadratures by g,
+    as :func:`post_select` does.
+    """
+    def basis_moments(part):
+        rec, u = part
+        mag2 = None
+        if u is not None:  # |gamma|^2 = 0.5 * (X^2 + P^2), without temporaries
+            mag2 = np.square(rec[1])
+            mag2 += np.square(rec[2])
+            mag2 *= 0.5
+        moments = []
+        for filt in filters:
+            kept = rec
+            if filt is not None:
+                kept = rec.compress(u < _acceptance(mag2, filt), axis=1)
+                kept[1:] /= filt.gain
+            moments.append(Moments.of(kept))
+        return moments
+
+    # map holds no basis's records once its moments are taken
+    return [Ensemble(x, p) for x, p in zip(*map(basis_moments, parts))]
+
+
+def _merge_chunks(chunk_fn, n_chunks: int, threads: int) -> list[Ensemble]:
+    parts = _map_chunks(chunk_fn, n_chunks, threads)
+    total = next(parts)
+    for part in parts:
+        total = [a.merge(b) for a, b in zip(total, part)]
+    return total
+
+
+def sample_moments(state: GaussianState, count: int, seed: int, filters,
+                   threads: int = 1) -> list[Ensemble]:
+    """One streaming pass over the records ``sample_batch(state, count, seed)``
+    draws: for each entry of ``filters`` (None for the raw ensemble), the
+    moments of the records ``post_select(batch, filt, seed)`` accepts.
+
+    Every filter sees the same acceptance uniforms.  Memory is
+    O(threads x CHUNK) at any ``count``, and the result is bit-identical for
+    any ``threads``.
+    """
+    chol = _sampler(state, count)
+    filtered = any(f is not None for f in filters)
+
+    def chunk(k: int):
+        m = min(CHUNK, count - k * CHUNK)
+        u = _chunk_rng(seed, _NS_ACCEPT, k).random(m) if filtered else None
+        us = (None, None) if u is None else (u[0::2], u[1::2])
+        return _chunk_ensembles(zip(_basis_records(chol, seed, k, m), us), filters)
+
+    return _merge_chunks(chunk, _n_chunks(count), threads)
+
+
+def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
+    """(covariance estimate, standard errors) from a batch's accepted records
+    (every record if it has no accepted column), reduced chunk by chunk as
+    :func:`sample_moments` reduces them; see :meth:`Ensemble.covariance`.
+    """
+
+    def parts(k: int):
+        rows = slice(k * CHUNK, (k + 1) * CHUNK)
+        basis = batch.alice_basis[rows]
+        keep = True if batch.accepted is None else batch.accepted[rows]
+        for b in (BASIS_X, BASIS_P):
+            mask = (basis == b) & keep
+            rec = np.empty((3, np.count_nonzero(mask)))
+            for out, col in zip(rec, (batch.alice_value, batch.bob_x, batch.bob_p)):
+                np.compress(mask, col[rows], out=out)
+            yield rec, None
+
+    def chunk(k: int):
+        return _chunk_ensembles(parts(k), [None])
+
+    return _merge_chunks(chunk, _n_chunks(len(batch)), 1)[0].covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------

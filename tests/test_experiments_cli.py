@@ -181,6 +181,36 @@ def test_fig4_monte_carlo_matches_analytic(tmp_path):
             assert diff < 3.5 * float(row["se_key_rate"])
 
 
+def test_monte_carlo_empty_cells_are_reported(tmp_path, capsys):
+    config = _config(tmp_path, mode="monte_carlo", samples=20_000,
+                     fig4_g_grid=np.array([1.0, 1.5]), loss_grid=np.array([0.0]))
+    path, _ = run_fig4(config)
+    fig4 = _read_rows(path)
+    path, _ = run_fig3("a", config)
+    fig3 = _read_rows(path)
+    err = capsys.readouterr().err
+    assert fig4[0]["key_rate"] and not fig4[1]["key_rate"]
+    assert "fig4: g=1.5 Monte Carlo value left empty: too few accepted records: " in err
+    assert fig3[0]["g_a2b_raw"] and not fig3[0]["g_a2b_nla"]
+    assert "fig3a: loss=0 Monte Carlo value left empty: too few accepted records: " in err
+    assert len(err.splitlines()) == 2
+
+
+def test_fig4_monte_carlo_memory_is_bounded(tmp_path):
+    import tracemalloc
+
+    def traced_peak(samples):
+        tracemalloc.start()
+        try:
+            run_fig4(_config(tmp_path, mode="monte_carlo", samples=samples))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(1 << 20), traced_peak(1 << 22)
+    assert large < 1.25 * small, f"peak {small / 1e6:.1f} MB -> {large / 1e6:.1f} MB"
+
+
 # --- appendix --------------------------------------------------------------------
 
 def test_fig_s1_pure_state_ordering(tmp_path):

@@ -22,7 +22,16 @@ from steerdist import (
     vacuum_state,
     write_batch_csv,
 )
-from steerdist.measurement import BatchSchemaError, reconstruction_tolerance
+from steerdist.measurement import (
+    CHUNK,
+    BatchSchemaError,
+    Moments,
+    _chunk_rng,
+    _joint_cholesky,
+    _NS_GAUSS,
+    reconstruction_tolerance,
+    sample_moments,
+)
 
 
 def _se_units(got, want, se):
@@ -97,6 +106,31 @@ def test_sampling_determinism_under_threads(model_state):
     four = sample_batch(model_state, 300_000, seed=7, threads=4)
     for name in ("alice_basis", "alice_value", "bob_x", "bob_p"):
         assert np.array_equal(getattr(one, name), getattr(four, name))
+
+
+def _masked_sample_reference(state, count, seed):
+    """Each chunk's records through boolean basis masks, one chunk at a time."""
+    l_x, l_p = _joint_cholesky(state)
+    vals = []
+    for start in range(0, count, CHUNK):
+        m = min(CHUNK, count - start)
+        z = _chunk_rng(seed, _NS_GAUSS, start // CHUNK).standard_normal((m, 3))
+        mask = (start + np.arange(m)) % 2 == BASIS_X
+        chunk = np.empty((m, 3))
+        chunk[mask] = z[mask] @ l_x.T
+        chunk[~mask] = z[~mask] @ l_p.T
+        vals.append(chunk)
+    return np.concatenate(vals)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_sampling_matches_masked_reference(model_state, threads):
+    state = apply_lossy(model_state, 0.3)
+    batch = sample_batch(state, 300_001, seed=8, threads=threads)
+    want = _masked_sample_reference(state, 300_001, seed=8)
+    assert np.array_equal(batch.alice_basis, np.arange(300_001) % 2)
+    for k, name in enumerate(("alice_value", "bob_x", "bob_p")):
+        assert np.array_equal(getattr(batch, name), want[:, k])
 
 
 def test_sampling_rejects_bad_inputs(model_state):
@@ -266,6 +300,104 @@ def test_reconstruction_requires_enough_records(model_state):
     with pytest.raises(ReconstructionError, match="too few"):
         reconstruct_covariance(batch)
     reconstruct_covariance(batch, min_accepted=1_000)  # explicit opt-down works
+
+
+# --- streaming moments -----------------------------------------------------------
+
+def _two_pass_reference(records):
+    """(mean, sums of y^(x4) with y = (1, record - mean)) in extended precision."""
+    r = records.astype(np.longdouble)
+    mean = r.mean(axis=1)
+    y = np.vstack([np.ones((1, r.shape[1]), dtype=np.longdouble), r - mean[:, None]])
+    return mean, np.einsum("in,jn,kn,ln->ijkl", y, y, y, y)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+@pytest.mark.parametrize("splits", [[1], [7_777], [3, 4_096, 15_001]],
+                         ids=["one+rest", "odd-index", "four-parts"])
+def test_merged_moments_match_two_pass_reference(shift, splits):
+    if shift and np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("the reference at a large mean needs an extended-precision long double")
+    rng = np.random.default_rng(44)
+    chol = np.linalg.cholesky([[2.0, 1.2, 0.3], [1.2, 1.5, -0.4], [0.3, -0.4, 1.0]])
+    records = shift + chol @ rng.standard_normal((3, 20_001))
+    parts = np.split(records, splits, axis=1)
+    merged = Moments.of(parts[0])
+    for part in parts[1:]:
+        merged = merged.merge(Moments.of(part))
+    mean, sums = merged.central()
+    want_mean, want = _two_pass_reference(records)
+    assert merged.count == 20_001
+    # relative to each entry's natural scale: |mean| or sd, and n * sd_i sd_j sd_k sd_l
+    sd = np.sqrt(np.diag(want[0, 0, 1:, 1:]).astype(float) / 20_001)
+    assert np.max(np.abs(mean - want_mean.astype(float)) / (np.abs(want_mean) + sd)) < 1e-12
+    unit = np.concatenate([[1.0], sd])
+    scale = 20_001 * np.einsum("i,j,k,l->ijkl", unit, unit, unit, unit)
+    assert np.max(np.abs(sums - want.astype(float)) / scale) < 1e-12
+
+
+def _two_pass_covariance(batch):
+    """Covariance and SEs entry by entry from masked columns, two passes each."""
+    def var_se(x):
+        d = x - x.mean()
+        m2, m4 = np.mean(d * d), np.mean(d**4)
+        return m2 * len(x) / (len(x) - 1), np.sqrt(max(m4 - m2 * m2, 0.0) / len(x))
+
+    def cov_se(x, y):
+        dx, dy = x - x.mean(), y - y.mean()
+        cov = np.sum(dx * dy) / (len(x) - 1)
+        return cov, np.sqrt(max(np.mean(dx * dx * dy * dy) - cov * cov, 0.0) / len(x))
+
+    sel = batch.accepted
+    cols = (batch.alice_value, batch.bob_x, batch.bob_p)
+    x, p = ([c[sel & (batch.alice_basis == b)] for c in cols] for b in (BASIS_X, BASIS_P))
+    bx, bp = batch.bob_x[sel], batch.bob_p[sel]
+    entries = {(0, 0): var_se(x[0]), (1, 1): var_se(p[0]), (2, 2): var_se(bx),
+               (3, 3): var_se(bp), (2, 3): cov_se(bx, bp), (0, 2): cov_se(x[0], x[1]),
+               (0, 3): cov_se(x[0], x[2]), (1, 2): cov_se(p[0], p[1]),
+               (1, 3): cov_se(p[0], p[2])}
+    cov, se = np.zeros((4, 4)), np.zeros((4, 4))
+    for (i, j), (v, e) in entries.items():
+        k = 1.0 if i < 2 and j < 2 else 2.0 if i >= 2 else np.sqrt(2.0)
+        cov[i, j] = cov[j, i] = k * v - (1.0 if i == j >= 2 else 0.0)
+        se[i, j] = se[j, i] = k * e
+    return cov, se
+
+
+def test_reconstruction_matches_two_pass_definitions(model_state):
+    batch = sample_batch(apply_lossy(model_state, 0.3), 300_001, seed=19)
+    filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=20)
+    cov, se = reconstruct_covariance(filtered, 1_000)
+    want_cov, want_se = _two_pass_covariance(filtered)
+    np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0)
+
+
+def _moment_arrays(ensembles):
+    return [a for e in ensembles for m in (e.x, e.p) for a in (m.center, m.sums)]
+
+
+def test_sample_moments_bit_identical_across_threads(model_state):
+    filters = (None, FilterSpec(1.2, 3.0), FilterSpec(1.0, 3.0))
+    one = _moment_arrays(sample_moments(model_state, 300_001, 17, filters, threads=1))
+    for threads in (2, 4):
+        other = _moment_arrays(sample_moments(model_state, 300_001, 17, filters, threads))
+        assert all(np.array_equal(a, b) for a, b in zip(one, other))
+
+
+def test_sample_moments_match_batch_pipeline(model_state):
+    state = apply_lossy(model_state, 0.2)
+    filt = FilterSpec(1.2, 3.0)
+    raw, amp = sample_moments(state, 300_001, 18, (None, filt), threads=2)
+    batch = sample_batch(state, 300_001, 18)
+    filtered, rate = post_select(batch, filt, 18)
+    assert amp.accepted == np.count_nonzero(filtered.accepted) == round(rate * 300_001)
+    assert raw.accepted == 300_001
+    for ens, source, n_min in ((raw, batch, 10_000), (amp, filtered, 1_000)):
+        cov, se = ens.covariance(n_min)
+        want_cov, want_se = reconstruct_covariance(source, n_min)
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0)
 
 
 # --- moments ---------------------------------------------------------------------
