@@ -9,14 +9,10 @@ from .gaussian import (
     PhysicalityReport,
     UnphysicalStateError,
     check_physical,
-    cov_from_text,
-    cov_to_text,
     from_cov,
     purity,
-    random_physical_state,
     read_cov,
     save_cov,
-    schur_complement,
     symplectic_eigenvalues,
     symplectic_form,
     tmss_standard,
@@ -34,15 +30,11 @@ from .steering import (
     steerability_with_se,
     steering_loss_threshold,
     steering_signed,
-    steering_signed_general,
     steering_signed_stack,
 )
 from .nla import (
-    GainPair,
     GainTooLargeError,
-    build_gain_matrices,
     max_single_mode_gain,
-    nla_cov_two_mode,
     nla_single_mode,
     nla_single_mode_stack,
 )

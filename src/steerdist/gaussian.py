@@ -32,7 +32,6 @@ matrix, which the tests use as the reference.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,58 +278,6 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     return from_cov(cov).require_physical()
 
 
-def schur_complement(sigma: np.ndarray, keep: str) -> np.ndarray:
-    """Schur complement of one party's block.
-
-    ``keep='b'`` conditions on Alice and returns B - C^T A^{-1} C (the matrix
-    whose symplectic spectrum quantifies A->B steering); ``keep='a'`` swaps
-    the roles.
-    """
-    a, b, c = from_cov(sigma).blocks()
-    if keep == "b":
-        cond, kept, cross = a, b, c  # cross: rows conditioning, cols kept
-    elif keep == "a":
-        cond, kept, cross = b, a, c.T
-    else:
-        raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-    eigs = np.linalg.eigvalsh(cond)
-    if eigs[0] <= 0:
-        raise NumericalError(
-            f"conditioning block is singular (smallest eigenvalue {eigs[0]:.3e})"
-        )
-    out = kept - cross.T @ np.linalg.solve(cond, cross)
-    return (out + out.T) / 2.0
-
-
-def random_physical_state(rng: np.random.Generator, nu_max: float = 3.0,
-                          r_max: float = 0.8) -> GaussianState:
-    """Random physical 1+1 state: S diag(nu1,nu1,nu2,nu2) S^T with nu >= 1.
-
-    S is a product of random local rotations/squeezers and a two-mode
-    squeezer, so the output covers mixed, correlated, non-standard-form
-    states. Used by the property-test suite.
-    """
-    nu = 1.0 + rng.uniform(0.0, nu_max - 1.0, size=2)
-    d = np.diag([nu[0], nu[0], nu[1], nu[1]])
-
-    def local(theta, r):
-        rot = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
-        sq = np.diag([np.exp(r), np.exp(-r)])
-        return rot @ sq
-
-    s = np.zeros((4, 4))
-    s[:2, :2] = local(rng.uniform(0, 2 * np.pi), rng.uniform(-r_max, r_max))
-    s[2:, 2:] = local(rng.uniform(0, 2 * np.pi), rng.uniform(-r_max, r_max))
-    r2 = rng.uniform(0, r_max)
-    z = np.diag([1.0, -1.0])
-    tms = np.block(
-        [[np.cosh(r2) * np.eye(2), np.sinh(r2) * z], [np.sinh(r2) * z, np.cosh(r2) * np.eye(2)]]
-    )
-    s = tms @ s
-    cov = s @ d @ s.T
-    return from_cov((cov + cov.T) / 2.0)
-
-
 # --- plain-text serialization ------------------------------------------------
 
 def dump_cov(sigma: np.ndarray, fh) -> None:
@@ -364,13 +311,3 @@ def save_cov(sigma: np.ndarray, path) -> None:
 def read_cov(path) -> np.ndarray:
     with open(path) as fh:
         return load_cov(fh)
-
-
-def cov_to_text(sigma: np.ndarray) -> str:
-    buf = io.StringIO()
-    dump_cov(sigma, buf)
-    return buf.getvalue()
-
-
-def cov_from_text(text: str) -> np.ndarray:
-    return load_cov(io.StringIO(text))

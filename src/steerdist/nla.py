@@ -1,32 +1,25 @@
-"""Analytic noiseless linear amplification of a two-mode Gaussian state.
+"""Analytic noiseless linear amplification of Bob's mode.
 
-The ideal amplifier acts as g^(n_hat) on a mode.  For gains (g1, g2) on the
-two modes the covariance matrix transforms as
+The ideal amplifier acts as g^(n_hat) on a mode.  Amplifying both modes,
+with gains (g1, g2), maps the covariance matrix to
+sigma' = G2 (2 G1 - sigma)^{-1} G2 - 2 G1 for diagonal gain matrices G1, G2
+(Fiurasek & Cerf, PRA 2012; the tests keep this two-sided map in
+``tests/reference.py``).  The paper amplifies Bob's mode only, the exact
+g1 -> 1 limit of that map: with K, L, X Alice's (kept), Bob's (amplified)
+and the cross block,
 
-    sigma' = G2 (2 G1 - sigma)^{-1} G2 - 2 G1
-
-with diagonal G1 = diag(A, A, B, B), G2 = diag(2C, 2C, 2D, 2D) and
-
-    A = (g1^2+1)/(2(g1^2-1)),  C = g1/(1-g1^2),
-    B = (g2^2+1)/(2(g2^2-1)),  D = g2/(1-g2^2).
-
-The transform requires 2 G1 - sigma > 0, otherwise the amplified state is
-unnormalizable.  The paper amplifies Bob's mode only, the exact g1 -> 1
-limit of this map (Fiurasek & Cerf, PRA 2012): with K, L, X Alice's (kept),
-Bob's (amplified) and the cross block, B = B(g), D = D(g) and
-M = (2B I - L)^{-1},
+    B = (g^2+1)/(2(g^2-1)),  D = g/(1-g^2),  M = (2B I - L)^{-1},
 
     K -> K + X M X^T,   X -> -2D X M,   L -> 4D^2 M - 2B I = (2B L - I) M
 
 (the last form, from D^2 - B^2 = -1/4, avoids cancellation as g -> 1).  It
-needs 2B I - L > 0, the bound :func:`max_single_mode_gain` states.
+needs 2B I - L > 0, otherwise the amplified state is unnormalizable; that
+is the bound :func:`max_single_mode_gain` states.
 
 States have zero mean, so only the covariance matrix is transformed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,47 +38,7 @@ from .gaussian import (
 
 
 class GainTooLargeError(NumericalError):
-    """2*G1 - sigma is not positive definite: gain too large for this state."""
-
-
-@dataclass(frozen=True)
-class GainPair:
-    g1: float = 1.0
-    g2: float = 1.0
-
-    def __post_init__(self):
-        if self.g1 < 1.0 or self.g2 < 1.0:
-            raise ValueError(f"gains must be >= 1, got ({self.g1}, {self.g2})")
-
-
-def build_gain_matrices(gains: GainPair):
-    """(G1, G2) diagonal 4x4 gain matrices; requires both gains strictly > 1."""
-    g1, g2 = gains.g1, gains.g2
-    if g1 <= 1.0 or g2 <= 1.0:
-        raise ValueError(
-            f"gain matrices need g > 1 strictly (got {g1}, {g2}); "
-            "use nla_single_mode for the one-sided limit"
-        )
-    a = (g1 * g1 + 1.0) / (2.0 * (g1 * g1 - 1.0))
-    c = g1 / (1.0 - g1 * g1)
-    b = (g2 * g2 + 1.0) / (2.0 * (g2 * g2 - 1.0))
-    d = g2 / (1.0 - g2 * g2)
-    return np.diag([a, a, b, b]), np.diag([2 * c, 2 * c, 2 * d, 2 * d])
-
-
-def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
-    """Covariance matrix after g1^(n_a) g2^(n_b) amplification of both modes."""
-    sigma = _require_cov(sigma)
-    g1mat, g2mat = build_gain_matrices(gains)
-    m = 2.0 * g1mat - sigma
-    eigs = np.linalg.eigvalsh(m)
-    if eigs[0] <= 0:
-        raise GainTooLargeError(
-            f"gain ({gains.g1}, {gains.g2}) too large for this state: "
-            f"2*G1 - sigma has eigenvalue {eigs[0]:.6g} <= 0"
-        )
-    out = g2mat @ np.linalg.solve(m, g2mat) - 2.0 * g1mat
-    return (out + out.T) / 2.0
+    """2B(g) I - L is not positive definite: gain too large for this state."""
 
 
 def nla_single_mode(sigma: np.ndarray, g: float) -> np.ndarray:

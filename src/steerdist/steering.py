@@ -15,9 +15,9 @@ det S = det sigma / det sigma_cond, so the signed quantity is
 The stack kernels :func:`steering_signed_stack`, :func:`steerability_stack`
 and :func:`classify_stack` evaluate it through the closed-form 2x2 Schur
 complement on (N, 4, 4) stacks; :func:`steering_signed`,
-:func:`steerability` and :func:`classify` call them with N = 1.
-:func:`steering_signed_general`, the route through the symplectic spectrum
-of the Schur complement, is the reference the kernels are tested against.
+:func:`steerability` and :func:`classify` call them with N = 1.  The tests
+check the kernels against the general route through the symplectic
+spectrum of the Schur complement, kept in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from .gaussian import (
     require_cov_stack,
     require_physical_stack,
     schur_2x2,
-    schur_complement,
-    symplectic_eigenvalues,
 )
 from .measurement import propagate_se
 
@@ -133,19 +131,6 @@ def classify_stack(covs: np.ndarray, tol: float = STEERING_POSITIVITY_TOL):
     """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack."""
     gab, gba = steerability_stack(covs)
     return gab, gba, region_labels(gab, gba, tol)
-
-
-def steering_signed_general(state: GaussianState, direction: str) -> float:
-    """Signed steering quantity through the symplectic spectrum of the Schur
-    complement; no physicality check.  The tests' reference for the kernels."""
-    _check_direction(direction)
-    keep = "b" if direction == "a_to_b" else "a"
-    comp = schur_complement(state.cov, keep)
-    nu = symplectic_eigenvalues(comp)
-    below = nu[nu < 1.0]
-    if below.size:
-        return float(-np.sum(np.log(below)))
-    return float(-np.log(nu[0]))
 
 
 def steering_signed(state: GaussianState, direction: str,

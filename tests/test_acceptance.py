@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from reference import random_physical_state
 from steerdist import (
     ChannelSpec,
     CutoffCriteria,
@@ -24,7 +25,6 @@ from steerdist import (
     moment_stats,
     nla_single_mode,
     post_select,
-    random_physical_state,
     reconstruct_covariance,
     reference_cutoff_table,
     sample_batch,

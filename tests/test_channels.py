@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import random_physical_state
 from steerdist import (
     ChannelSpec,
     apply_lossy,
     apply_noisy,
     check_physical,
-    random_physical_state,
     steerability,
 )
 

@@ -267,6 +267,26 @@ def test_fig_s2_gaussianity(tmp_path):
         assert abs(kurt - 3.0) < 0.1
 
 
+def test_fig_s2_reports_exact_moment_cells(tmp_path, capsys):
+    import re
+
+    from steerdist.experiments import run_appendix
+
+    path, rows = run_appendix("fig_s2", _config(tmp_path, mode="monte_carlo",
+                                                samples=400_000))
+    pattern = re.compile(r"fig-s2: g=(\S+) loss=(\S+) Monte Carlo value replaced by the "
+                         r"exact moments: expected accepted count (\d+) < 2000$")
+    matches = [pattern.match(line) for line in capsys.readouterr().err.splitlines()]
+    assert all(matches)
+    reported = {(float(m[1]), float(m[2])) for m in matches}
+    assert len(reported) == len(matches) == 8
+    assert reported == {(1.15, 0.0), (1.2, 0.0), (1.25, 0.0), (1.2, 0.2), (1.25, 0.2),
+                        (1.2, 0.4), (1.25, 0.4), (1.25, 0.6)}
+    # the exact skewness is 0; a sampled one is not
+    assert reported == {(g, loss) for g, loss, skew, _ in rows if skew == 0.0}
+    assert all(int(m[3]) < 2000 for m in matches)
+
+
 # --- ingest ----------------------------------------------------------------------
 
 def test_ingest_reproduces_in_memory_pipeline(tmp_path, model_state):
@@ -364,7 +384,8 @@ def test_cli_ingest_refuses_post_selected_file(tmp_path, model_state, capsys):
 
 def test_cli_numerical_errors_exit_3(tmp_path, monkeypatch):
     import steerdist.experiments as exp
-    from steerdist import NumericalError, schur_complement
+    from reference import schur_complement
+    from steerdist import NumericalError
 
     def singular(variant, config):
         return schur_complement(np.diag([0.0, 0.0, 2.0, 2.0]), "b")

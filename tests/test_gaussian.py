@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import cov_from_text, cov_to_text, random_physical_state, schur_complement
 from steerdist import (
     UnphysicalStateError,
     apply_lossy,
     check_physical,
-    cov_from_text,
-    cov_to_text,
     from_cov,
     purity,
-    random_physical_state,
-    schur_complement,
     symplectic_eigenvalues,
     symplectic_form,
     tmss_standard,

@@ -1,10 +1,12 @@
-"""Golden digests of the full-size analytic outputs.
+"""Golden digests of the command outputs.
 
-Every analytic command runs in process with the default configuration, and
-the sha256 of each CSV (and of ``selfcheck``'s standard output) must equal
-the one recorded in ``tests/golden/analytic.sha256``.  The bytes depend on
-numpy's floating-point kernels, so on a numpy version other than the
-recorded one the test is skipped, never compared loosely.
+Every analytic command runs in process with the default configuration,
+and so do pinned small Monte Carlo runs and an ``ingest`` of a seeded raw
+export.  The sha256 of each file they write (and of ``selfcheck``'s
+standard output) must equal the one recorded in ``tests/golden/outputs.sha256``.
+The bytes depend on numpy's floating-point kernels and, for the Monte Carlo
+runs, on its random streams, so on a numpy version other than the recorded
+one the tests are skipped, never compared loosely.
 
 To record the digests again after a deliberate change of an output::
 
@@ -25,37 +27,74 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from steerdist.channels import ChannelSpec
 from steerdist.cli import main
+from steerdist.config import ExperimentConfig
+from steerdist.experiments import model_state
+from steerdist.measurement import sample_batch, write_batch_csv
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "analytic.sha256"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.sha256"
 
-# output name -> (CLI argv, file the command writes, extra INI text)
-COMMANDS = {
-    "fig3a_table.csv": (["fig3a"], "fig3a.csv", ""),
-    "fig3a_search.csv": (["fig3a"], "fig3a.csv", "[filter]\ncutoff_source = search\n"),
-    "fig3b.csv": (["fig3b"], "fig3b.csv", ""),
-    "regions_c.csv": (["regions-c"], "regions_c.csv", ""),
-    "regions_d.csv": (["regions-d"], "regions_d.csv", ""),
-    "fig4.csv": (["fig4"], "fig4.csv", ""),
-    "fig_s1.csv": (["fig-s1"], "fig_s1.csv", ""),
-    "fig_s2.csv": (["fig-s2"], "fig_s2.csv", ""),
-    "fig_s4.csv": (["fig-s4"], "fig_s4.csv", ""),
-    "table_s1.csv": (["table-s1"], "table_s1.csv", ""),
-}
+# Each run is (CLI argv, extra INI text, {golden name: file the command
+# writes}); the INI always sets the analytic mode, which ``--mode`` overrides.
+ANALYTIC = [
+    (["fig3a"], "", {"fig3a_table.csv": "fig3a.csv"}),
+    (["fig3a"], "[filter]\ncutoff_source = search\n", {"fig3a_search.csv": "fig3a.csv"}),
+    (["fig3b"], "", {"fig3b.csv": "fig3b.csv"}),
+    (["regions-c"], "", {"regions_c.csv": "regions_c.csv"}),
+    (["regions-d"], "", {"regions_d.csv": "regions_d.csv"}),
+    (["fig4"], "", {"fig4.csv": "fig4.csv"}),
+    (["fig-s1"], "", {"fig_s1.csv": "fig_s1.csv"}),
+    (["fig-s2"], "", {"fig_s2.csv": "fig_s2.csv"}),
+    (["fig-s4"], "", {"fig_s4.csv": "fig_s4.csv"}),
+    (["table-s1"], "", {"table_s1.csv": "table_s1.csv"}),
+]
+
+# ``{input}`` is the seeded raw export written by :func:`write_ingest_input`.
+MONTE_CARLO = [
+    (["fig3a", "--mode", "both", "--samples", "250000"],
+     "[grids]\nloss_grid = 0.51:0.97:0.23\n", {"fig3a_both.csv": "fig3a.csv"}),
+    (["fig4", "--mode", "both", "--samples", "400000"], "",
+     {"fig4_both.csv": "fig4.csv"}),
+    (["fig-s2", "--mode", "monte_carlo", "--samples", "400000"], "",
+     {"fig_s2_monte_carlo.csv": "fig_s2.csv"}),
+    (["fig-s4", "--mode", "monte_carlo", "--samples", "400000"], "",
+     {"fig_s4_monte_carlo.csv": "fig_s4.csv"}),
+    (["ingest", "{input}"], "[filter]\ngain = 1.2\ncutoff = 3.0\n",
+     {"ingest_report.csv": "ingest_report.csv", "ingest_cov.txt": "ingest_cov.txt"}),
+]
+
+INGEST_LOSS = 0.3
+INGEST_RECORDS = 100_000
+INGEST_SEED = 20230817
 
 
-def compute_digests(work: Path) -> dict[str, str]:
-    """Run every analytic command under ``work``; name -> sha256 of its output."""
+def write_ingest_input(path: Path) -> Path:
+    """Raw records of the model state after a pure loss of ``INGEST_LOSS``."""
+    state = ChannelSpec(INGEST_LOSS).apply(model_state(ExperimentConfig()))
+    write_batch_csv(sample_batch(state, INGEST_RECORDS, INGEST_SEED), path)
+    return path
+
+
+def run_commands(work: Path, runs, input_path: Path | None = None) -> dict[str, str]:
+    """Run each command under ``work``; golden name -> sha256 of its output."""
     digests = {}
-    for name, (argv, written, ini) in COMMANDS.items():
-        out = work / name
-        config = work / f"{name}.ini"
+    for argv, ini, outputs in runs:
+        out = work / next(iter(outputs))
+        config = work / f"{out.name}.ini"
         config.write_text("[run]\nmode = analytic\n" + ini)
+        argv = [arg.format(input=input_path) for arg in argv]
         with contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, "--config", str(config), "--out", str(out)])
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited with {code}")
-        digests[name] = hashlib.sha256((out / written).read_bytes()).hexdigest()
+        for name, written in outputs.items():
+            digests[name] = hashlib.sha256((out / written).read_bytes()).hexdigest()
+    return digests
+
+
+def analytic_digests(work: Path) -> dict[str, str]:
+    digests = run_commands(work, ANALYTIC)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(["selfcheck", "--out", str(work / "selfcheck")])
@@ -63,6 +102,10 @@ def compute_digests(work: Path) -> dict[str, str]:
         raise RuntimeError(f"selfcheck exited with {code}")
     digests["selfcheck.stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     return digests
+
+
+def monte_carlo_digests(work: Path) -> dict[str, str]:
+    return run_commands(work, MONTE_CARLO, write_ingest_input(work / "ingest_input.csv"))
 
 
 def read_golden() -> tuple[str, dict[str, str]]:
@@ -77,17 +120,31 @@ def read_golden() -> tuple[str, dict[str, str]]:
     return version, digests
 
 
-def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
+def _compare(compute, tmp_path, monkeypatch):
     version, want = read_golden()
     if np.__version__ != version:
         pytest.skip(f"golden digests were recorded with numpy {version}; "
                     f"this is numpy {np.__version__}")
     for var in [v for v in os.environ if v.startswith("STEERDIST_")]:
         monkeypatch.delenv(var)
-    got = compute_digests(tmp_path)
-    assert sorted(got) == sorted(want)
-    moved = [name for name in want if got[name] != want[name]]
+    got = compute(tmp_path)
+    assert set(got) <= set(want), f"no golden digest for {sorted(set(got) - set(want))}"
+    moved = [name for name in got if got[name] != want[name]]
     assert not moved, f"outputs differ from the golden digests: {moved}"
+
+
+def test_golden_file_lists_every_output():
+    _, want = read_golden()
+    names = [n for runs in (ANALYTIC, MONTE_CARLO) for _, _, out in runs for n in out]
+    assert sorted(want) == sorted([*names, "selfcheck.stdout"])
+
+
+def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
+    _compare(analytic_digests, tmp_path, monkeypatch)
+
+
+def test_monte_carlo_outputs_match_golden_digests(tmp_path, monkeypatch):
+    _compare(monte_carlo_digests, tmp_path, monkeypatch)
 
 
 if __name__ == "__main__":
@@ -96,7 +153,7 @@ if __name__ == "__main__":
     if any(v.startswith("STEERDIST_") for v in os.environ):
         sys.exit("unset the STEERDIST_* environment variables first")
     with tempfile.TemporaryDirectory() as tmp:
-        digests = compute_digests(Path(tmp))
+        digests = {**analytic_digests(Path(tmp)), **monte_carlo_digests(Path(tmp))}
     text = f"# numpy {np.__version__}\n" + "".join(
         f"{digest}  {name}\n" for name, digest in digests.items())
     if "--overwrite" in sys.argv[1:]:

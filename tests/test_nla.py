@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
+from reference import GainPair, build_gain_matrices, nla_cov_two_mode, random_physical_state
 from steerdist import (
-    GainPair,
     GainTooLargeError,
     apply_lossy,
-    build_gain_matrices,
     check_physical,
     from_cov,
     max_single_mode_gain,
-    nla_cov_two_mode,
     nla_single_mode,
-    random_physical_state,
     steerability,
     symplectic_form,
     tmss_standard,

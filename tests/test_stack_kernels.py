@@ -9,6 +9,7 @@ formulas for the channel and the amplifier.
 import numpy as np
 import pytest
 
+from reference import random_physical_state, steering_signed_general
 from steerdist import (
     ChannelSpec,
     CutoffCriteria,
@@ -25,12 +26,10 @@ from steerdist import (
     max_single_mode_gain,
     nla_single_mode,
     nla_single_mode_stack,
-    random_physical_state,
     region_labels,
     select_cutoff,
     steerability,
     steering_signed,
-    steering_signed_general,
     steering_signed_stack,
     symplectic_eigenvalues,
     tmss_standard,
