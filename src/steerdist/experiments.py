@@ -36,6 +36,7 @@ from .measurement import (
     read_batch_csv,
     reconstruct_covariance,
     reconstruction_tolerance,
+    sample_accepted,
     sample_batch,
     sample_moments,
 )
@@ -397,8 +398,7 @@ def _run_fig_s4(config):
             rate = acceptance_rate_exact(out, filt)
         else:
             seed = derive_seed(config.seed, 6, i_loss, i_g)
-            ens = sample_moments(out, config.samples, seed, [filt], config.threads)[0]
-            rate = ens.accepted / config.samples
+            rate = sample_accepted(out, config.samples, seed, filt, config.threads) / config.samples
         rows.append([g, loss, rate])
     path = os.path.join(config.out_dir, "fig_s4.csv")
     write_csv(path, ["g", "loss", "acceptance_rate"], rows)

@@ -43,6 +43,8 @@ makes the same acceptance decisions and gives the same estimates.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -476,6 +478,15 @@ class Ensemble:
         return cov, se
 
 
+def _mag2(rec: np.ndarray) -> np.ndarray:
+    """|gamma|^2 = 0.5 * (X^2 + P^2) of (alice, X_het, P_het) records, without
+    temporaries."""
+    mag2 = np.square(rec[1])
+    mag2 += np.square(rec[2])
+    mag2 *= 0.5
+    return mag2
+
+
 def _chunk_ensembles(parts, filters) -> list[Ensemble]:
     """Moments of every requested ensemble of one chunk.
 
@@ -487,11 +498,7 @@ def _chunk_ensembles(parts, filters) -> list[Ensemble]:
     """
     def basis_moments(part):
         rec, u = part
-        mag2 = None
-        if u is not None:  # |gamma|^2 = 0.5 * (X^2 + P^2), without temporaries
-            mag2 = np.square(rec[1])
-            mag2 += np.square(rec[2])
-            mag2 *= 0.5
+        mag2 = None if u is None else _mag2(rec)
         moments = []
         for filt in filters:
             kept = rec
@@ -533,6 +540,22 @@ def sample_moments(state: GaussianState, count: int, seed: int, filters,
         return _chunk_ensembles(zip(_basis_records(chol, seed, k, m), us), filters)
 
     return _merge_chunks(chunk, _n_chunks(count), threads)
+
+
+def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpec,
+                    threads: int = 1) -> int:
+    """The number of records ``post_select(sample_batch(state, count, seed),
+    filt, seed)`` accepts: the acceptance decisions of :func:`sample_moments`,
+    without the moments."""
+    chol = _sampler(state, count)
+
+    def chunk(k: int) -> int:
+        m = min(CHUNK, count - k * CHUNK)
+        u = _chunk_rng(seed, _NS_ACCEPT, k).random(m)
+        return sum(int(np.count_nonzero(u[b::2] < _acceptance(_mag2(rec), filt)))
+                   for b, rec in enumerate(_basis_records(chol, seed, k, m)))
+
+    return sum(_map_chunks(chunk, _n_chunks(count), threads))
 
 
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
@@ -584,50 +607,86 @@ class BatchSchemaError(ValueError):
     pass
 
 
+# ``idx`` is not checked.  The text columns are two bytes wide, so no
+# truncation lets a longer value such as "XX" compare equal to "X".
+_RECORD_DTYPE = [("idx", "U1"), ("alice_basis", "S2"), ("alice_value", "f8"),
+                 ("bob_x", "f8"), ("bob_p", "f8"), ("accepted", "S2")]
+
+
+def _records(source, dtype, skiprows: int = 0) -> np.ndarray:
+    """Parse a path or a list of lines with numpy's C reader and check the
+    text columns; raises ValueError."""
+    with warnings.catch_warnings():  # the caller reports an empty file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rec = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                         skiprows=skiprows, encoding="utf-8", ndmin=1)
+    for name, a, b in (("alice_basis", b"X", b"P"), ("accepted", b"0", b"1")):
+        if name in rec.dtype.names and not np.all((rec[name] == a) | (rec[name] == b)):
+            raise ValueError(f"{name} must be {a.decode()} or {b.decode()}")
+    return rec
+
+
+def _line_error(path, dtype) -> BatchSchemaError | None:
+    """Rescan ``path`` for the first record line that is not UTF-8 or that
+    :func:`_records` refuses on its own, and name its 1-based file line.
+    Blocks of lines are halved down to that line.  Only the error path runs
+    this."""
+
+    def first_bad(block):
+        lines = [line for _, line in block]
+        try:
+            "".join(lines).encode("utf-8")  # bytes that are not UTF-8 were escaped
+            _records(lines, dtype)
+            return None
+        except ValueError as err:
+            if len(block) == 1:
+                return block[0], err
+        half = len(block) // 2
+        return first_bad(block[:half]) or first_bad(block[half:])
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = ((n, line) for n, line in enumerate(fh, start=1) if n > 1 and line != "\n")
+        while block := list(itertools.islice(lines, 4096)):
+            if found := first_bad(block):
+                (lineno, line), err = found
+                line = line.rstrip("\n")
+                n_fields = line.count(",") + 1
+                if isinstance(err, UnicodeError):
+                    reason = "not valid UTF-8"
+                elif n_fields != len(dtype):
+                    reason = f"expected {len(dtype)} fields, got {n_fields}"
+                else:  # numpy's message, less its row within the one-line block
+                    reason = str(err).split(" at row ")[0]
+                return BatchSchemaError(f"line {lineno}: {reason}: {line[:80]!r}")
+    return None
+
+
 def read_batch_csv(path) -> QuadratureBatch:
     """Read records; the ``accepted`` column is optional (raw external data).
 
-    Every value must be finite; a failing record is named by its 0-based
-    position among the records, as in the ``idx`` column
-    :func:`write_batch_csv` writes.
+    Checks: the file is UTF-8 text (any line ends); line 1 is the header
+    ``idx,alice_basis,alice_value,bob_x,bob_p[,accepted]``; every other line
+    is empty (skipped) or a record of exactly the header's fields, with basis
+    ``X`` or ``P``, values in numpy's float syntax (Python's, without
+    underscores or non-ASCII digits; spaces around a value are allowed) and
+    flag ``0`` or ``1``; there is no comment character.  A refused line
+    is named by its 1-based file line.  The file must hold a record, and
+    every value must be finite; a non-finite value is named by its record's
+    0-based position, as in the ``idx`` column :func:`write_batch_csv` writes.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
-        cols = header.split(",")
-        if cols[:5] != BATCH_HEADER.split(",")[:5]:
-            raise BatchSchemaError(f"line 1: bad header {header!r}")
-        has_accepted = len(cols) == 6 and cols[5] == "accepted"
-        if not has_accepted and len(cols) != 5:
-            raise BatchSchemaError(f"line 1: bad header {header!r}")
-        basis, aval, bxv, bpv, acc = [], [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(cols):
-                raise BatchSchemaError(
-                    f"line {lineno}: expected {len(cols)} fields, got {len(parts)}"
-                )
-            try:
-                if parts[1] == "X":
-                    basis.append(BASIS_X)
-                elif parts[1] == "P":
-                    basis.append(BASIS_P)
-                else:
-                    raise ValueError(f"bad basis {parts[1]!r}")
-                aval.append(float(parts[2]))
-                bxv.append(float(parts[3]))
-                bpv.append(float(parts[4]))
-                if has_accepted:
-                    if parts[5] not in ("0", "1"):
-                        raise ValueError(f"bad accepted flag {parts[5]!r}")
-                    acc.append(parts[5] == "1")
-            except ValueError as exc:
-                raise BatchSchemaError(f"line {lineno}: {exc}") from exc
-    if not basis:
+    cols = header.split(",")
+    if cols not in (BATCH_HEADER.split(",")[:5], BATCH_HEADER.split(",")):
+        raise BatchSchemaError(f"line 1: bad header {header!r}")
+    dtype = _RECORD_DTYPE[:len(cols)]
+    try:
+        rec = _records(path, dtype, skiprows=1)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise _line_error(path, dtype) or BatchSchemaError(str(exc)) from exc
+    if not len(rec):
         raise BatchSchemaError("file contains no records")
-    values = {"alice_value": np.array(aval), "bob_x": np.array(bxv), "bob_p": np.array(bpv)}
+    values = {name: np.ascontiguousarray(rec[name]) for name in ("alice_value", "bob_x", "bob_p")}
     for name, col in values.items():
         bad = np.flatnonzero(~np.isfinite(col))
         if bad.size:
@@ -635,7 +694,7 @@ def read_batch_csv(path) -> QuadratureBatch:
                 f"record {bad[0]}: non-finite {name} {float(col[bad[0]])!r} "
                 f"({bad.size} non-finite {name} values)")
     return QuadratureBatch(
-        np.array(basis, dtype=np.uint8),
+        (rec["alice_basis"] == b"P").astype(np.uint8),  # BASIS_X 0, BASIS_P 1
         **values,
-        accepted=np.array(acc, dtype=bool) if has_accepted else None,
+        accepted=(rec["accepted"] == b"1") if len(cols) == 6 else None,
     )

@@ -382,6 +382,16 @@ def test_cli_ingest_refuses_post_selected_file(tmp_path, model_state, capsys):
     assert not (tmp_path / "o" / "ingest_report.csv").exists()
 
 
+@pytest.mark.parametrize("bad_row", [b"7,X,0.5,\xff,-1.0", b"7,X,0.5,1.0"])
+def test_cli_ingest_unreadable_row_exits_3(tmp_path, capsys, bad_row):
+    # an undecodable byte or a malformed row is a schema error naming its line
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(b"idx,alice_basis,alice_value,bob_x,bob_p\n"
+                         b"0,X,0.5,1.0,-1.0\n\n" + bad_row + b"\n")
+    assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+    assert "line 4: " in capsys.readouterr().err
+
+
 def test_cli_numerical_errors_exit_3(tmp_path, monkeypatch):
     import steerdist.experiments as exp
     from reference import schur_complement

@@ -30,6 +30,7 @@ from steerdist.measurement import (
     _joint_cholesky,
     _NS_GAUSS,
     reconstruction_tolerance,
+    sample_accepted,
     sample_moments,
 )
 
@@ -385,6 +386,15 @@ def test_sample_moments_bit_identical_across_threads(model_state):
         assert all(np.array_equal(a, b) for a, b in zip(one, other))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_accepted_counts_the_moment_pass(model_state, threads):
+    state = apply_lossy(model_state, 0.2)
+    filt = FilterSpec(1.2, 3.0)
+    want = sample_moments(state, 300_001, 19, [filt])[0].accepted
+    assert 0 < want < 300_001
+    assert sample_accepted(state, 300_001, 19, filt, threads) == want
+
+
 def test_sample_moments_match_batch_pipeline(model_state):
     state = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.2, 3.0)
@@ -479,3 +489,55 @@ def test_batch_csv_rejects_non_finite_values(tmp_path, column, value):
                     + "".join(",".join(row) + "\n" for row in rows))
     with pytest.raises(BatchSchemaError, match=f"record 1: non-finite {column} {value}"):
         read_batch_csv(path)
+
+
+_HEADER = "idx,alice_basis,alice_value,bob_x,bob_p,accepted\n"
+_ROWS = "0,X,0.5,1.0,-1.0,1\n1,P,-0.25,0.125,2.0,1\n"
+
+
+@pytest.mark.parametrize("body, error", [
+    # skipped empty lines still count as file lines
+    ("0,X,0.5,1.0,-1.0,1\n\n\n1,P,0.5,1.0,-1.0,1,7\n", "line 5: expected 6 fields, got 7"),
+    ("0,X,0.5,1.0,-1.0,1\n1,P,0.5,1.0,-1.0,2\n", "line 3: accepted must be 0 or 1"),
+    ("0,X,0.5,1.0,-1.0,1\n1,P,0.5,1.0,-1.0,11\n", "line 3: accepted must be 0 or 1"),
+    ("0,XX,0.5,1.0,-1.0,1\n", "line 2: alice_basis must be X or P"),
+    ("0,XXX,0.5,1.0,-1.0,1\n", "line 2: alice_basis must be X or P"),
+    ("# exported by the scope\n0,X,0.5,1.0,-1.0,1\n", "line 2: expected 6 fields, got 1"),
+    # Python's float() and str.strip() take these; the reader does not
+    ("0,X,0.5,1.0,-1.0,1\n1,P,1_0,1.0,-1.0,1\n", "line 3: .*'1_0'"),
+    ("0,X,0.5,1.0,-1.0,1\n1,P,\u0661,1.0,-1.0,1\n", "line 3: .*'\u0661'"),
+    ("0,X,0.5,1.0,-1.0,1\n \n1,P,0.5,1.0,-1.0,1\n", "line 3: expected 6 fields, got 1"),
+    ("0,X,0.5,1.0,-1.0,1 \n", "line 2: accepted must be 0 or 1"),
+])
+def test_batch_csv_refused_lines_name_their_file_line(tmp_path, body, error):
+    path = tmp_path / "bad.csv"
+    path.write_text(_HEADER + body)
+    with pytest.raises(BatchSchemaError, match=error):
+        read_batch_csv(path)
+
+
+@pytest.mark.parametrize("data, error", [
+    (_HEADER.encode() + _ROWS.encode() + b"2,X,0.5,\xff,-1.0,1\n", "line 4: not valid UTF-8"),
+    (b"idx,alice_basis,\xe9\n" + _ROWS.encode(), "line 1: bad header"),
+    (_HEADER.encode(), "file contains no records"),
+    (_HEADER.encode() + b"\n\n", "file contains no records"),
+])
+def test_batch_csv_refuses_unreadable_files(tmp_path, data, error):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(BatchSchemaError, match=error):
+        read_batch_csv(path)
+
+
+@pytest.mark.parametrize("data", [
+    (_HEADER + _ROWS).replace("\n", "\r\n").encode(),
+    (_HEADER + _ROWS).replace("\n", "\r").encode(),
+    (_HEADER + _ROWS).rstrip("\n").encode(),  # no final newline
+])
+def test_batch_csv_line_ends(tmp_path, data):
+    (tmp_path / "lf.csv").write_text(_HEADER + _ROWS)
+    (tmp_path / "other.csv").write_bytes(data)
+    want, got = (read_batch_csv(tmp_path / name) for name in ("lf.csv", "other.csv"))
+    assert len(got) == 2
+    for name in ("alice_basis", "alice_value", "bob_x", "bob_p", "accepted"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
