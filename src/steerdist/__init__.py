@@ -66,6 +66,7 @@ from .cutoff import (
     cutoff_from_table,
     reference_cutoff_table,
     select_cutoff,
+    select_cutoff_stack,
 )
 from .qkd import (
     KeyRateResult,

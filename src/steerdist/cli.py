@@ -42,28 +42,31 @@ def build_parser() -> argparse.ArgumentParser:
         prog="steerdist",
         description="EPR-steering distillation sweeps (CSV out, optional SVG)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", metavar="PATH", default=None,
-                       help="INI config file (see package docs for keys)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--svg", action="store_true", default=None)
-        p.add_argument("--mode", choices=("analytic", "monte_carlo", "both"),
-                       default=None)
-        p.add_argument("--full", action="store_true",
-                       help=f"raise sample count to {FULL_SAMPLES:.0e}")
-        if name == "ingest":
-            p.add_argument("path", help="quadrature CSV (idx,alice_basis,"
-                                            "alice_value,bob_x,bob_p[,accepted])")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("path", nargs="?", help="ingest only: quadrature CSV "
+                        "(idx,alice_basis,alice_value,bob_x,bob_p[,accepted])")
+    parser.add_argument("--config", metavar="PATH", default=None,
+                        help="INI config file (see package docs for keys)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--out", default=None, metavar="DIR")
+    parser.add_argument("--svg", action="store_true", default=None)
+    parser.add_argument("--mode", choices=("analytic", "monte_carlo", "both"),
+                        default=None)
+    parser.add_argument("--full", action="store_true",
+                        help=f"raise sample count to {FULL_SAMPLES:.0e}")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # only ingest takes a path, and it needs one; parser.error exits 2
+    if args.command == "ingest" and args.path is None:
+        parser.error("ingest: the following arguments are required: path")
+    if args.command != "ingest" and args.path is not None:
+        parser.error(f"unrecognized arguments: {args.path}")
     overrides = {
         "seed": args.seed,
         "samples": FULL_SAMPLES if args.full else args.samples,

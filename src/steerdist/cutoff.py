@@ -29,8 +29,8 @@ import numpy as np
 
 from .channels import ChannelSpec
 from .filtered_moments import filtered_ensemble_stack
-from .gaussian import GaussianState
-from .nla import nla_single_mode
+from .gaussian import GaussianState, _raise_first, require_cov_stack
+from .nla import nla_single_mode_stack
 from .steering import DIRECTIONS, _signed_1p1, steerability_stack
 
 # Calibrated defaults: with the exact criteria, (kurt_tol, steering_tol) =
@@ -70,6 +70,91 @@ class CutoffDiagnostics:
     trace: list = field(default_factory=list)  # one dict per scanned grid point
 
 
+@dataclass(frozen=True)
+class CutoffScan:
+    """The cutoff grid of every cell of a stack, evaluated in one pass.
+
+    ``beta_c`` has one entry per cell (NaN where no cutoff passes); the other
+    arrays are (cells, grid points).  A steering error is inf where the
+    accepted ensemble is not evaluable.
+    """
+
+    criteria: CutoffCriteria
+    gains: np.ndarray
+    grid: np.ndarray
+    beta_c: np.ndarray
+    rates: np.ndarray
+    kurtosis: np.ndarray
+    err_a_to_b: np.ndarray
+    err_b_to_a: np.ndarray
+    passed: np.ndarray
+
+    def trace(self, i: int) -> list:
+        """Cell i's scan up to and including its first passing point (the
+        whole grid when none passes), one dict per point."""
+        last = int(np.argmax(self.passed[i])) if self.passed[i].any() else len(self.grid) - 1
+        return [
+            {"beta_c": float(self.grid[j]), "acceptance_rate": float(self.rates[i, j]),
+             "kurtosis": float(self.kurtosis[i, j]), "skewness": 0.0,
+             "steering_err_a_to_b": float(self.err_a_to_b[i, j]),
+             "steering_err_b_to_a": float(self.err_b_to_a[i, j]),
+             "passed": bool(self.passed[i, j])}
+            for j in range(last + 1)
+        ]
+
+    def require(self, losses) -> None:
+        """Raise :class:`CutoffSearchError` for the first cell with no passing
+        cutoff, tagged as ``exc.cell``; ``losses[i]`` names cell i."""
+        _raise_first(np.isnan(self.beta_c), lambda i: CutoffSearchError(
+            f"no cutoff in [{self.criteria.grid_min}, {self.criteria.grid_max}] meets the "
+            f"criteria for loss={losses[i]}, g={self.gains[i]}",
+            self.trace(i),
+        ))
+
+
+def select_cutoff_stack(outs: np.ndarray, gains,
+                        criteria: CutoffCriteria = CutoffCriteria()) -> CutoffScan:
+    """Cutoff scan of a (N, 4, 4) stack of channel outputs; ``gains`` is a
+    scalar or a length-N array.
+
+    Every (cell, cutoff) pair is one row of a single
+    :func:`filtered_ensemble_stack` call.  A cell whose checks fail raises,
+    tagged with its index; a cell with no passing cutoff does not (see
+    :meth:`CutoffScan.require`).
+    """
+    outs = require_cov_stack(outs)
+    n = len(outs)
+    gains = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
+    _raise_first(~(gains > 1.0), lambda i: ValueError(
+        f"cutoff selection needs g > 1, got {gains[i]}"))
+    gab_ref, gba_ref = steerability_stack(nla_single_mode_stack(outs, gains))
+
+    grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
+    size = len(grid)
+    try:
+        rates, covs, kurts = filtered_ensemble_stack(
+            np.repeat(outs, size, axis=0), np.repeat(gains, size), np.tile(grid, n))
+    except Exception as exc:  # name the cell, not its row
+        if hasattr(exc, "cell"):
+            exc.cell //= size
+        raise
+    # a heavily truncated ensemble can fail the bona-fide condition outright;
+    # evaluate steering as a plain moment functional and count non-evaluable
+    # points as failures
+    (gab, ok_ab), (gba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
+    evaluable = (ok_ab & ok_ba).reshape(n, size)
+    err_ab = np.where(evaluable, np.abs(np.maximum(gab, 0.0).reshape(n, size)
+                                        - gab_ref[:, None]), np.inf)
+    err_ba = np.where(evaluable, np.abs(np.maximum(gba, 0.0).reshape(n, size)
+                                        - gba_ref[:, None]), np.inf)
+    kurts = kurts.reshape(n, size)
+    passed = (evaluable & (np.abs(kurts - 3.0) < criteria.kurt_tol)
+              & (err_ab < criteria.steering_tol) & (err_ba < criteria.steering_tol))
+    beta_c = np.where(passed.any(axis=1), grid[np.argmax(passed, axis=1)], np.nan)
+    return CutoffScan(criteria, gains, grid, beta_c, rates.reshape(n, size), kurts,
+                      err_ab, err_ba, passed)
+
+
 def select_cutoff(
     state: GaussianState,
     channel: ChannelSpec,
@@ -81,38 +166,9 @@ def select_cutoff(
     Returns (beta_c, diagnostics).  Raises :class:`CutoffSearchError` with
     the full scan trace when no grid point passes.
     """
-    if g <= 1.0:
-        raise ValueError(f"cutoff selection needs g > 1, got {g}")
-    out = channel.apply(state)
-    ideal = nla_single_mode(out.cov, g)
-    gab_ref, gba_ref = (float(v[0]) for v in steerability_stack(ideal[None]))
-
-    grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
-    rates, covs, kurts = filtered_ensemble_stack(
-        np.broadcast_to(out.cov, (len(grid), 4, 4)), g, grid)
-    # a heavily truncated ensemble can fail the bona-fide condition outright;
-    # evaluate steering as a plain moment functional and count non-evaluable
-    # points as failures
-    (gab, ok_ab), (gba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
-    evaluable = ok_ab & ok_ba
-    err_ab = np.where(evaluable, np.abs(np.maximum(gab, 0.0) - gab_ref), np.inf)
-    err_ba = np.where(evaluable, np.abs(np.maximum(gba, 0.0) - gba_ref), np.inf)
-    passed = (evaluable & (np.abs(kurts - 3.0) < criteria.kurt_tol)
-              & (err_ab < criteria.steering_tol) & (err_ba < criteria.steering_tol))
-    last = int(np.argmax(passed)) if passed.any() else len(grid) - 1
-    trace = [
-        {"beta_c": float(grid[i]), "acceptance_rate": float(rates[i]),
-         "kurtosis": float(kurts[i]), "skewness": 0.0,
-         "steering_err_a_to_b": float(err_ab[i]), "steering_err_b_to_a": float(err_ba[i]),
-         "passed": bool(passed[i])}
-        for i in range(last + 1)
-    ]
-    if not passed.any():
-        raise CutoffSearchError(
-            f"no cutoff in [{criteria.grid_min}, {criteria.grid_max}] meets the "
-            f"criteria for loss={channel.loss}, g={g}",
-            trace,
-        )
+    scan = select_cutoff_stack(channel.apply(state).cov[None], g, criteria)
+    scan.require([channel.loss])
+    trace = scan.trace(0)
     chosen = trace[-1]
     return chosen["beta_c"], CutoffDiagnostics(
         beta_c=chosen["beta_c"],

@@ -25,7 +25,7 @@ import numpy as np
 from . import svgplot
 from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
-from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff
+from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import acceptance_rate_exact, filtered_ensemble, filtered_ensemble_stack
 from .gaussian import GaussianState, from_cov, save_cov, tmss_standard
 from .measurement import (
@@ -111,13 +111,14 @@ def _each_cell(fn, n: int) -> list:
     return out
 
 
-def _fig3_cutoff(config, state, loss, excess, table):
+def _fig3_cutoffs(config, outs, losses, table) -> list:
     if config.cutoff_source == "config":
-        return config.cutoff
+        return [config.cutoff] * len(losses)
     if config.cutoff_source == "table":
-        return cutoff_from_table(loss, config.gain, table)
-    bc, _ = select_cutoff(state, ChannelSpec(loss, excess, config.noise_model), config.gain)
-    return bc
+        return [cutoff_from_table(loss, config.gain, table) for loss in losses]
+    scan = select_cutoff_stack(outs, config.gain)
+    scan.require(losses)
+    return scan.beta_c.tolist()
 
 
 def _left_empty(where: str, exc: ReconstructionError) -> None:
@@ -171,8 +172,7 @@ def run_fig3(variant: str, config: ExperimentConfig):
 
     def chain(n):
         outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
-        beta_c = _each_cell(
-            lambda i: _fig3_cutoff(config, state, losses[i], excess, table), n)
+        beta_c = _fig3_cutoffs(config, outs, losses[:n], table)
         cols = []
         if config.mode in ("analytic", "both"):
             amp = nla_single_mode_stack(outs, g)
@@ -406,12 +406,18 @@ def _run_fig_s4(config):
 
 
 def _run_table_s1(config):
-    """Reproduce the optimal-cutoff table by a fresh search per cell."""
+    """Reproduce the optimal-cutoff table by a fresh search of every cell."""
     state = model_state(config)
-    rows = []
-    for i_loss, i_g, loss, g in _appendix_grid():
-        bc, _ = select_cutoff(state, ChannelSpec(loss, 0.0, config.noise_model), g)
-        rows.append([loss, g, bc])
+    cells = [(loss, g) for _, _, loss, g in _appendix_grid()]
+
+    def chain(n):
+        losses, gains = zip(*cells[:n])
+        scan = select_cutoff_stack(
+            channel_stack(state.cov, losses, 0.0, config.noise_model), gains)
+        scan.require(losses)
+        return [[loss, g, bc] for loss, g, bc in zip(losses, gains, scan.beta_c.tolist())]
+
+    rows = _in_grid_order(chain, len(cells))
     path = os.path.join(config.out_dir, "table_s1.csv")
     write_csv(path, ["loss", "g", "beta_c"], rows)
     return path, rows

@@ -33,6 +33,9 @@ from .gaussian import GaussianState, _raise_first, require_cov_stack
 from .measurement import MODEL_RTOL, FilterSpec
 
 _NODES, _WEIGHTS = leggauss(400)
+# rows per quadrature block: each (rows, nodes) temporary is 100 kB, small
+# enough for the allocator to reuse heap memory instead of mapping fresh pages
+_ROW_BLOCK = 32
 
 
 def _upper_gamma_tail(k: int, y):
@@ -42,16 +45,20 @@ def _upper_gamma_tail(k: int, y):
 
 def _weighted_u_moments(s2, t, bc2, kmax: int):
     """m_k = E[min(1, e^{t(u-bc2)}) u^k] for u ~ Exp(mean s2), k = 0..kmax;
-    the arguments are length-N arrays, one row of quadrature nodes each."""
-    q = 1.0 / s2
-    x = 0.5 * bc2[:, None] * (_NODES + 1.0)
-    w = 0.5 * bc2[:, None] * _WEIGHTS
-    e = np.exp(-(q - t)[:, None] * x)
-    out = []
-    for k in range(kmax + 1):
-        below = q * np.exp(-t * bc2) * np.sum(w * x**k * e, axis=1)
-        above = _upper_gamma_tail(k, q * bc2) / q**k
-        out.append(below + above)
+    the arguments are length-N arrays, one row of quadrature nodes each.
+    Rows are evaluated in blocks of ``_ROW_BLOCK``, which bounds the
+    (rows, nodes) temporaries; each row's result does not depend on the
+    blocking."""
+    out = np.empty((kmax + 1, len(s2)))
+    for lo in range(0, len(s2), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        q, tb, bb = 1.0 / s2[rows], t[rows], bc2[rows]
+        x = 0.5 * bb[:, None] * (_NODES + 1.0)
+        w = 0.5 * bb[:, None] * _WEIGHTS
+        e = np.exp(-(q - tb)[:, None] * x)
+        for k in range(kmax + 1):
+            below = q * np.exp(-tb * bb) * np.sum(w * x**k * e, axis=1)
+            out[k, rows] = below + _upper_gamma_tail(k, q * bb) / q**k
     return out
 
 

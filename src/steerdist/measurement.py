@@ -627,15 +627,18 @@ def _records(source, dtype, skiprows: int = 0) -> np.ndarray:
 
 
 def _line_error(path, dtype) -> BatchSchemaError | None:
-    """Rescan ``path`` for the first record line that is not UTF-8 or that
-    :func:`_records` refuses on its own, and name its 1-based file line.
-    Blocks of lines are halved down to that line.  Only the error path runs
-    this."""
+    """Rescan ``path`` for the first record line that is not UTF-8, holds a
+    NUL byte or that :func:`_records` refuses on its own, and name its
+    1-based file line.  Blocks of lines are halved down to that line.  Only
+    the error path runs this."""
 
     def first_bad(block):
         lines = [line for _, line in block]
         try:
-            "".join(lines).encode("utf-8")  # bytes that are not UTF-8 were escaped
+            text = "".join(lines)
+            text.encode("utf-8")  # bytes that are not UTF-8 were escaped
+            if "\0" in text:
+                raise ValueError("NUL byte")
             _records(lines, dtype)
             return None
         except ValueError as err:
@@ -653,6 +656,8 @@ def _line_error(path, dtype) -> BatchSchemaError | None:
                 n_fields = line.count(",") + 1
                 if isinstance(err, UnicodeError):
                     reason = "not valid UTF-8"
+                elif "\0" in line:
+                    reason = "contains a NUL byte"
                 elif n_fields != len(dtype):
                     reason = f"expected {len(dtype)} fields, got {n_fields}"
                 else:  # numpy's message, less its row within the one-line block
@@ -661,18 +666,26 @@ def _line_error(path, dtype) -> BatchSchemaError | None:
     return None
 
 
+def _has_nul(path) -> bool:
+    """Whether the file holds a NUL byte, which numpy's fixed-width strings
+    would drop from the end of a basis letter or flag."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
+
+
 def read_batch_csv(path) -> QuadratureBatch:
     """Read records; the ``accepted`` column is optional (raw external data).
 
-    Checks: the file is UTF-8 text (any line ends); line 1 is the header
-    ``idx,alice_basis,alice_value,bob_x,bob_p[,accepted]``; every other line
-    is empty (skipped) or a record of exactly the header's fields, with basis
-    ``X`` or ``P``, values in numpy's float syntax (Python's, without
-    underscores or non-ASCII digits; spaces around a value are allowed) and
-    flag ``0`` or ``1``; there is no comment character.  A refused line
-    is named by its 1-based file line.  The file must hold a record, and
-    every value must be finite; a non-finite value is named by its record's
-    0-based position, as in the ``idx`` column :func:`write_batch_csv` writes.
+    Checks: the file is UTF-8 text (any line ends) without NUL bytes; line 1
+    is the header ``idx,alice_basis,alice_value,bob_x,bob_p[,accepted]``;
+    every other line is empty (skipped) or a record of exactly the header's
+    fields, with basis ``X`` or ``P``, values in numpy's float syntax
+    (Python's, without underscores or non-ASCII digits; spaces around a value
+    are allowed) and flag ``0`` or ``1``; there is no comment character.  A
+    refused line is named by its 1-based file line.  The file must hold a
+    record, and every value must be finite; a non-finite value is named by
+    its record's 0-based position, as in the ``idx`` column
+    :func:`write_batch_csv` writes.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
@@ -681,6 +694,8 @@ def read_batch_csv(path) -> QuadratureBatch:
         raise BatchSchemaError(f"line 1: bad header {header!r}")
     dtype = _RECORD_DTYPE[:len(cols)]
     try:
+        if _has_nul(path):
+            raise ValueError("NUL byte")
         rec = _records(path, dtype, skiprows=1)
     except ValueError as exc:  # UnicodeDecodeError is one
         raise _line_error(path, dtype) or BatchSchemaError(str(exc)) from exc

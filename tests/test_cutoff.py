@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import steerdist.cutoff
@@ -6,10 +7,15 @@ from steerdist import (
     ChannelSpec,
     CutoffCriteria,
     CutoffSearchError,
+    channel_stack,
     cutoff_from_table,
     reference_cutoff_table,
     select_cutoff,
+    select_cutoff_stack,
 )
+from steerdist.cli import main
+from steerdist.config import load_config, parse_grid
+from steerdist.experiments import run_fig3
 
 PAPER_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 PAPER_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -96,3 +102,57 @@ def test_search_modules_bind_no_sampler(model_state):
         assert sampler.isdisjoint(vars(module)), module.__name__
     bc, _ = select_cutoff(model_state, ChannelSpec(0.4), 1.1)
     assert bc == 3.75
+
+
+# --- the batched search ------------------------------------------------------------
+
+def test_stack_search_is_bit_equal_to_scalar_search(model_state):
+    # the published 5x5 grid, then fig3a's 491-point loss grid at g = 1.2,
+    # in one stack with a gain per cell
+    cells = [(loss, g) for loss in PAPER_LOSSES for g in PAPER_GAINS]
+    cells += [(float(loss), 1.2) for loss in parse_grid("0:0.98:0.002")]
+    losses, gains = zip(*cells)
+    scan = select_cutoff_stack(channel_stack(model_state.cov, losses), gains)
+    assert scan.passed.shape == (len(cells), 37)
+    for i, (loss, g) in enumerate(cells):
+        bc, diag = select_cutoff(model_state, ChannelSpec(loss), g)
+        j = int(np.argmax(scan.passed[i]))
+        assert scan.beta_c[i] == bc == scan.grid[j]
+        assert (scan.rates[i, j], scan.kurtosis[i, j],
+                scan.err_a_to_b[i, j], scan.err_b_to_a[i, j]) == (
+            diag.acceptance_rate, diag.kurtosis,
+            diag.steering_err_a_to_b, diag.steering_err_b_to_a)
+        if i < 25:
+            assert scan.trace(i) == diag.trace
+
+
+def test_stack_search_marks_cells_without_cutoff(model_state):
+    # at g = 1.4 no grid cutoff passes below loss 0.2 (see test_stack_kernels)
+    losses = (0.6, 0.1, 0.0)
+    scan = select_cutoff_stack(channel_stack(model_state.cov, losses), 1.4)
+    assert scan.beta_c[0] > 0 and np.isnan(scan.beta_c[1:]).all()
+    with pytest.raises(CutoffSearchError) as err:
+        scan.require(losses)
+    with pytest.raises(CutoffSearchError) as want:
+        select_cutoff(model_state, ChannelSpec(0.1), 1.4)
+    assert err.value.cell == 1
+    assert str(err.value) == str(want.value) and err.value.trace == want.value.trace
+
+
+def test_fig3a_search_reports_first_cell_without_cutoff(tmp_path, model_state, capsys):
+    # the middle cell (loss 0.1) is the first with no passing cutoff; loss 0
+    # after it fails too
+    ini = tmp_path / "search.ini"
+    ini.write_text("[filter]\ngain = 1.4\ncutoff_source = search\n"
+                   "[grids]\nloss_grid = 0.8,0.4,0.1,0.0,0.6\n")
+    config = load_config(str(ini), env={}, overrides={"out_dir": str(tmp_path / "run")})
+    with pytest.raises(CutoffSearchError) as err:
+        run_fig3("a", config)
+    with pytest.raises(CutoffSearchError) as want:
+        select_cutoff(model_state, ChannelSpec(0.1), 1.4)
+    assert err.value.cell == 2
+    assert str(err.value) == str(want.value) and err.value.trace == want.value.trace
+    assert main(["fig3a", "--config", str(ini), "--out", str(tmp_path / "cli")]) == 3
+    assert str(want.value) in capsys.readouterr().err
+    assert not (tmp_path / "run" / "fig3a.csv").exists()
+    assert not (tmp_path / "cli" / "fig3a.csv").exists()

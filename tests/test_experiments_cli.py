@@ -382,7 +382,7 @@ def test_cli_ingest_refuses_post_selected_file(tmp_path, model_state, capsys):
     assert not (tmp_path / "o" / "ingest_report.csv").exists()
 
 
-@pytest.mark.parametrize("bad_row", [b"7,X,0.5,\xff,-1.0", b"7,X,0.5,1.0"])
+@pytest.mark.parametrize("bad_row", [b"7,X,0.5,\xff,-1.0", b"7,X,0.5,1.0", b"7,X\0,0.5,1.0,-1.0"])
 def test_cli_ingest_unreadable_row_exits_3(tmp_path, capsys, bad_row):
     # an undecodable byte or a malformed row is a schema error naming its line
     csv_path = tmp_path / "bad.csv"
@@ -413,6 +413,21 @@ def test_cli_gain_past_bound_exits_3(tmp_path, capsys):
     assert main(["regions-c", "--config", str(ini), "--out", str(out)]) == 3
     assert "too large" in capsys.readouterr().err
     assert not (out / "regions_c.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3z"],                            # unknown command
+    ["ingest"],                           # ingest without a path
+    ["fig3a", "stray"],                   # a positional after another command
+    ["selfcheck", "--seed", "1", "stray"],
+    ["ingest", "a.csv", "b.csv"],
+])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_selfcheck(tmp_path, capsys):

@@ -453,6 +453,21 @@ def test_batch_csv_roundtrip_bit_exact(model_state, tmp_path):
         assert np.array_equal(getattr(filtered, name), getattr(back, name))
 
 
+@pytest.mark.parametrize("filtered", [False, True])
+def test_batch_csv_writes_one_line_per_record(model_state, tmp_path, filtered):
+    batch = sample_batch(model_state, 5_000, seed=42)
+    if filtered:
+        batch, _ = post_select(batch, FilterSpec(1.2, 4.0), seed=43)
+    path = tmp_path / "batch.csv"
+    write_batch_csv(batch, path)
+    flags = np.ones(len(batch), bool) if batch.accepted is None else batch.accepted
+    want = "idx,alice_basis,alice_value,bob_x,bob_p,accepted\n" + "".join(
+        f"{i},{'XP'[int(batch.alice_basis[i])]},{float(batch.alice_value[i])!r},"
+        f"{float(batch.bob_x[i])!r},{float(batch.bob_p[i])!r},{int(flags[i])}\n"
+        for i in range(len(batch)))
+    assert path.read_bytes() == want.encode()
+
+
 def test_batch_csv_accepts_missing_accepted_column(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text(
@@ -521,6 +536,9 @@ def test_batch_csv_refused_lines_name_their_file_line(tmp_path, body, error):
     (b"idx,alice_basis,\xe9\n" + _ROWS.encode(), "line 1: bad header"),
     (_HEADER.encode(), "file contains no records"),
     (_HEADER.encode() + b"\n\n", "file contains no records"),
+    # numpy's fixed-width strings would drop a NUL after a basis letter or flag
+    (_HEADER.encode() + _ROWS.encode() + b"2,X\0,0.5,1.0,-1.0,1\n", "line 4: contains a NUL byte"),
+    (_HEADER.encode() + b"0,X,0.5,1.0,-1.0,1\0\n" + _ROWS.encode(), "line 2: contains a NUL byte"),
 ])
 def test_batch_csv_refuses_unreadable_files(tmp_path, data, error):
     path = tmp_path / "bad.csv"
