@@ -81,7 +81,6 @@ class ExperimentConfig:
     antisqueeze_db: float = 7.3
     excess_noise: float = 0.12
     noise_model: str = "loss_scaled"
-    loss: float = 0.0
     gain: float = 1.2
     cutoff: float = 4.5
     cutoff_source: str = "table"
@@ -112,8 +111,6 @@ class ExperimentConfig:
             raise ConfigError(f"filter.gain must be >= 1, got {self.gain}")
         if self.cutoff <= 0:
             raise ConfigError(f"filter.cutoff must be > 0, got {self.cutoff}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ConfigError(f"channel.loss must be in [0, 1], got {self.loss}")
         if self.excess_noise < 0:
             raise ConfigError(f"channel.excess_noise must be >= 0, got {self.excess_noise}")
         if self.threads < 1:
@@ -127,7 +124,6 @@ class ExperimentConfig:
 _SCHEMA = {
     ("state", "squeeze_db"): ("squeeze_db", float),
     ("state", "antisqueeze_db"): ("antisqueeze_db", float),
-    ("channel", "loss"): ("loss", float),
     ("channel", "excess_noise"): ("excess_noise", float),
     ("channel", "noise_model"): ("noise_model", str),
     ("filter", "gain"): ("gain", float),

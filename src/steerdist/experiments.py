@@ -26,7 +26,7 @@ from . import svgplot
 from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
-from .filtered_moments import acceptance_rate_exact, filtered_ensemble, filtered_ensemble_stack
+from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
 from .gaussian import GaussianState, from_cov, save_cov, tmss_standard
 from .measurement import (
     BatchSchemaError,
@@ -41,7 +41,7 @@ from .measurement import (
     sample_moments,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
-from .qkd import key_rate, key_rate_filtered, key_rate_with_se
+from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se
 from .steering import classify_stack, steerability_stack, steerability_with_se
 
 TABLE_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
@@ -76,6 +76,14 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_output(config: ExperimentConfig, name: str, header, rows) -> str:
+    """Write the CSV ``name`` into the output directory; returns its path."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    path = os.path.join(config.out_dir, name)
+    write_csv(path, header, rows)
+    return path
 
 
 def model_state(config: ExperimentConfig) -> GaussianState:
@@ -125,24 +133,25 @@ def _left_empty(where: str, exc: ReconstructionError) -> None:
     print(f"{where} Monte Carlo value left empty: {exc}", file=sys.stderr)
 
 
+def _steering_with_se(cov, se):
+    """(G_A->B, its SE, G_B->A, its SE) of an estimated covariance, checked
+    for physicality at its reconstruction tolerance."""
+    tol = reconstruction_tolerance(se)
+    return (*steerability_with_se(cov, se, "a_to_b", tol),
+            *steerability_with_se(cov, se, "b_to_a", tol))
+
+
 def _mc_steering_point(out, filt, samples, seed, threads, where):
     """(raw +- se, nla +- se, rate) for one channel-output state; the
     amplified values are None when their reconstruction fails."""
     raw, amp = sample_moments(out, samples, seed, (None, filt), threads)
-    cov, se = raw.covariance(MC_MIN_ACCEPTED)
-    tol = reconstruction_tolerance(se)
-    raw_ab, se_ab = steerability_with_se(cov, se, "a_to_b", tol)
-    raw_ba, se_ba = steerability_with_se(cov, se, "b_to_a", tol)
-    rate = amp.accepted / samples
+    raw_vals = _steering_with_se(*raw.covariance(MC_MIN_ACCEPTED))
     try:
-        cov_f, se_f = amp.covariance(MC_MIN_ACCEPTED)
-        tol_f = reconstruction_tolerance(se_f)
-        nla_ab, se_nab = steerability_with_se(cov_f, se_f, "a_to_b", tol_f)
-        nla_ba, se_nba = steerability_with_se(cov_f, se_f, "b_to_a", tol_f)
+        amp_vals = _steering_with_se(*amp.covariance(MC_MIN_ACCEPTED))
     except ReconstructionError as exc:
         _left_empty(where, exc)
-        nla_ab = nla_ba = se_nab = se_nba = None
-    return (raw_ab, se_ab, raw_ba, se_ba, nla_ab, se_nab, nla_ba, se_nba, rate)
+        amp_vals = (None,) * 4
+    return (*raw_vals, *amp_vals, amp.accepted / samples)
 
 
 def run_fig3(variant: str, config: ExperimentConfig):
@@ -194,9 +203,7 @@ def run_fig3(variant: str, config: ExperimentConfig):
         return rows
 
     rows = _in_grid_order(chain, len(losses))
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, f"fig3{variant}.csv")
-    write_csv(path, header, rows)
+    path = _write_output(config, f"fig3{variant}.csv", header, rows)
     if config.svg:
         series = {
             "A->B raw": [r[1] for r in rows],
@@ -232,9 +239,7 @@ def run_regions(variant: str, config: ExperimentConfig):
     labels = [flat[k:k + len(losses)] for k in range(0, len(flat), len(losses))]
     rows = [[g, loss, region]
             for g, row in zip(gains, labels) for loss, region in zip(losses, row)]
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, f"regions_{variant}.csv")
-    write_csv(path, ["g", "loss", "region"], rows)
+    path = _write_output(config, f"regions_{variant}.csv", ["g", "loss", "region"], rows)
     if config.svg:
         svgplot.region_map(
             gains, losses, labels, path.replace(".csv", ".svg"),
@@ -244,57 +249,51 @@ def run_regions(variant: str, config: ExperimentConfig):
 
 
 def run_fig4(config: ExperimentConfig):
-    """Key-rate sweep over gain at fixed cutoff, with pure -6 dB reference."""
+    """Key-rate sweep over gain at fixed cutoff, with pure -6 dB reference;
+    one stack call gives the analytic columns of both states."""
     state = model_state(config)
-    out = state
-    if config.loss > 0:  # the published sweep has no channel; allow one anyway
-        out = ChannelSpec(config.loss, config.excess_noise, config.noise_model).apply(state)
     pure_ref = tmss_standard(-6.0, 6.0)
     beta_c = config.cutoff
+    gains = [float(g) for g in config.fig4_g_grid]
+    filters = [FilterSpec(g, beta_c) for g in gains]  # refuses a gain below 1
 
     header = ["g", "key_rate", "v_x_cond", "v_p_cond", "acceptance_rate",
               "se_key_rate", "key_rate_pure_6db"]
     if config.mode == "both":
         header += ["mc_key_rate", "mc_acceptance_rate"]
 
-    gains = [float(g) for g in config.fig4_g_grid]
+    # rows 0..n-1 hold the model state, rows n..2n-1 the reference
+    n = len(gains)
+    covs = np.repeat(np.stack([state.cov, pure_ref.cov]), n, axis=0)
+    key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
     mc = None
     if config.mode in ("monte_carlo", "both"):
-        mc = sample_moments(out, config.samples, derive_seed(config.seed, 4),
-                            [FilterSpec(g, beta_c) for g in gains], config.threads)
+        mc = sample_moments(state, config.samples, derive_seed(config.seed, 4), filters,
+                            config.threads)
 
     rows = []
     for i, g in enumerate(gains):
-        ana = key_rate_filtered(out, g, beta_c)
-        acc = 1.0 if g == 1.0 else acceptance_rate_exact(out, FilterSpec(g, beta_c))
-        ref = key_rate_filtered(pure_ref, g, beta_c).key_rate
-        mc_vals = (None, None, None, None, None)
-        if mc is not None:
-            rate = mc[i].accepted / config.samples
-            try:
-                cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
-                res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
-                mc_vals = (res.key_rate, res.v_x_cond, res.v_p_cond, rate, se_k)
-            except ReconstructionError as exc:
-                _left_empty(f"fig4: g={g:g}", exc)
-                mc_vals = (None, None, None, rate, None)
-        if config.mode == "analytic":
-            rows.append([g, ana.key_rate, ana.v_x_cond, ana.v_p_cond, acc, None, ref])
-        elif config.mode == "monte_carlo":
-            k, vx, vp, rate, se_k = mc_vals
+        ana, ref = [key[i], v_x[i], v_p[i], acc[i]], key[n + i]
+        if mc is None:
+            rows.append([g, *ana, None, ref])
+            continue
+        k = vx = vp = se_k = None
+        rate = mc[i].accepted / config.samples
+        try:
+            cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
+            res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
+            k, vx, vp = res.key_rate, res.v_x_cond, res.v_p_cond
+        except ReconstructionError as exc:
+            _left_empty(f"fig4: g={g:g}", exc)
+        if config.mode == "monte_carlo":
             rows.append([g, k, vx, vp, rate, se_k, ref])
         else:
-            k, vx, vp, rate, se_k = mc_vals
-            rows.append([g, ana.key_rate, ana.v_x_cond, ana.v_p_cond, acc,
-                         se_k, ref, k, rate])
+            rows.append([g, *ana, se_k, ref, k, rate])
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "fig4.csv")
-    write_csv(path, header, rows)
+    path = _write_output(config, "fig4.csv", header, rows)
     if config.svg:
-        gs = [r[0] for r in rows]
         svgplot.line_chart(
-            gs,
+            gains,
             {"model state": [r[1] for r in rows],
              "pure -6 dB": [r[6] for r in rows],
              "zero": [0.0 for _ in rows]},
@@ -305,25 +304,24 @@ def run_fig4(config: ExperimentConfig):
     return path, rows
 
 
-def _appendix_grid():
-    """(i_loss, i_g, loss, g) over the published 5x5 grid, loss-major."""
-    for i_loss, loss in enumerate(TABLE_LOSSES):
-        for i_g, g in enumerate(TABLE_GAINS):
-            yield i_loss, i_g, float(loss), float(g)
+def _appendix_grid(config):
+    """The published 5x5 grid, loss-major: (losses, gains, table cutoffs,
+    channel outputs of the model state), one entry per cell."""
+    losses = [float(loss) for loss in TABLE_LOSSES for _ in TABLE_GAINS]
+    gains = [float(g) for _ in TABLE_LOSSES for g in TABLE_GAINS]
+    table = reference_cutoff_table()
+    cutoffs = [cutoff_from_table(loss, g, table) for loss, g in zip(losses, gains)]
+    outs = channel_stack(model_state(config).cov, losses, 0.0, config.noise_model)
+    return losses, gains, cutoffs, outs
 
 
 def run_appendix(item: str, config: ExperimentConfig):
     """Supplementary items: fig_s1, fig_s2, fig_s4, table_s1."""
-    os.makedirs(config.out_dir, exist_ok=True)
-    if item == "fig_s1":
-        return _run_fig_s1(config)
-    if item == "fig_s2":
-        return _run_fig_s2(config)
-    if item == "fig_s4":
-        return _run_fig_s4(config)
-    if item == "table_s1":
-        return _run_table_s1(config)
-    raise ValueError(f"unknown appendix item {item!r}")
+    runner = {"fig_s1": _run_fig_s1, "fig_s2": _run_fig_s2,
+              "fig_s4": _run_fig_s4, "table_s1": _run_table_s1}.get(item)
+    if runner is None:
+        raise ValueError(f"unknown appendix item {item!r}")
+    return runner(config)
 
 
 def _run_fig_s1(config):
@@ -342,9 +340,8 @@ def _run_fig_s1(config):
         return [[names[i], losses[i], *(col[i] for col in cols)] for i in range(n)]
 
     rows = _in_grid_order(chain, len(cells))
-    path = os.path.join(config.out_dir, "fig_s1.csv")
-    write_csv(path, ["channel", "loss", "g_a2b_raw", "g_b2a_raw",
-                     "g_a2b_nla", "g_b2a_nla"], rows)
+    path = _write_output(config, "fig_s1.csv", ["channel", "loss", "g_a2b_raw", "g_b2a_raw",
+                                                "g_a2b_nla", "g_b2a_nla"], rows)
     return path, rows
 
 
@@ -356,15 +353,11 @@ def _run_fig_s2(config):
     exact ensemble moments (skewness exactly 0), with one line on standard
     error per such cell.
     """
-    state = model_state(config)
-    table = reference_cutoff_table()
+    losses, gains, cutoffs, outs = _appendix_grid(config)
+    rates, _, kurts = (v.tolist() for v in filtered_ensemble_stack(outs, gains, cutoffs))
     rows = []
-    for i_loss, i_g, loss, g in _appendix_grid():
-        beta_c = cutoff_from_table(loss, g, table)
-        out = ChannelSpec(loss, 0.0, config.noise_model).apply(state)
-        filt = FilterSpec(g, beta_c)
-        ens = filtered_ensemble(out, filt)
-        expected = ens.acceptance_rate * config.samples
+    for i, (loss, g) in enumerate(zip(losses, gains)):
+        expected = rates[i] * config.samples
         use_mc = config.mode != "analytic"
         if use_mc and expected < FIG_S2_MIN_EXPECTED:
             print(f"fig-s2: g={g:g} loss={loss:g} Monte Carlo value replaced by the "
@@ -372,54 +365,45 @@ def _run_fig_s2(config):
                   f"{FIG_S2_MIN_EXPECTED}", file=sys.stderr)
             use_mc = False
         if use_mc:
-            seed = derive_seed(config.seed, 5, i_loss, i_g)
-            bob = sample_moments(out, config.samples, seed, [filt], config.threads)[0].bob()
+            seed = derive_seed(config.seed, 5, *divmod(i, len(TABLE_GAINS)))
+            bob = sample_moments(from_cov(outs[i]), config.samples, seed,
+                                 [FilterSpec(g, cutoffs[i])], config.threads)[0].bob()
             sx, sp = bob.stats(0), bob.stats(1)
             skew = 0.5 * (sx.skewness + sp.skewness)
             kurt = 0.5 * (sx.kurtosis + sp.kurtosis)
         else:
-            skew, kurt = ens.bob_skewness, ens.bob_kurtosis
+            skew, kurt = 0.0, kurts[i]
         rows.append([g, loss, skew, kurt])
-    path = os.path.join(config.out_dir, "fig_s2.csv")
-    write_csv(path, ["g", "loss", "skewness", "kurtosis"], rows)
+    path = _write_output(config, "fig_s2.csv", ["g", "loss", "skewness", "kurtosis"], rows)
     return path, rows
 
 
 def _run_fig_s4(config):
     """Success probability of the filter over the (g, loss) grid."""
-    state = model_state(config)
-    table = reference_cutoff_table()
-    rows = []
-    for i_loss, i_g, loss, g in _appendix_grid():
-        beta_c = cutoff_from_table(loss, g, table)
-        out = ChannelSpec(loss, 0.0, config.noise_model).apply(state)
-        filt = FilterSpec(g, beta_c)
-        if config.mode == "analytic":
-            rate = acceptance_rate_exact(out, filt)
-        else:
-            seed = derive_seed(config.seed, 6, i_loss, i_g)
-            rate = sample_accepted(out, config.samples, seed, filt, config.threads) / config.samples
-        rows.append([g, loss, rate])
-    path = os.path.join(config.out_dir, "fig_s4.csv")
-    write_csv(path, ["g", "loss", "acceptance_rate"], rows)
+    losses, gains, cutoffs, outs = _appendix_grid(config)
+    if config.mode == "analytic":
+        rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
+    else:
+        rates = [sample_accepted(from_cov(outs[i]), config.samples,
+                                 derive_seed(config.seed, 6, *divmod(i, len(TABLE_GAINS))),
+                                 FilterSpec(g, cutoffs[i]), config.threads) / config.samples
+                 for i, g in enumerate(gains)]
+    rows = [[g, loss, rate] for loss, g, rate in zip(losses, gains, rates)]
+    path = _write_output(config, "fig_s4.csv", ["g", "loss", "acceptance_rate"], rows)
     return path, rows
 
 
 def _run_table_s1(config):
     """Reproduce the optimal-cutoff table by a fresh search of every cell."""
-    state = model_state(config)
-    cells = [(loss, g) for _, _, loss, g in _appendix_grid()]
+    losses, gains, _, outs = _appendix_grid(config)
 
     def chain(n):
-        losses, gains = zip(*cells[:n])
-        scan = select_cutoff_stack(
-            channel_stack(state.cov, losses, 0.0, config.noise_model), gains)
-        scan.require(losses)
+        scan = select_cutoff_stack(outs[:n], gains[:n])
+        scan.require(losses[:n])
         return [[loss, g, bc] for loss, g, bc in zip(losses, gains, scan.beta_c.tolist())]
 
-    rows = _in_grid_order(chain, len(cells))
-    path = os.path.join(config.out_dir, "table_s1.csv")
-    write_csv(path, ["loss", "g", "beta_c"], rows)
+    rows = _in_grid_order(chain, len(losses))
+    path = _write_output(config, "table_s1.csv", ["loss", "g", "beta_c"], rows)
     return path, rows
 
 
@@ -494,10 +478,8 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
     filt = FilterSpec(config.gain, config.cutoff)
     filtered, rate = post_select(batch, filt, config.seed)
     cov, se = reconstruct_covariance(filtered, min_accepted)
-    tol = reconstruction_tolerance(se)
-    gab, se_ab = steerability_with_se(cov, se, "a_to_b", tol)
-    gba, se_ba = steerability_with_se(cov, se, "b_to_a", tol)
-    kr, se_k = key_rate_with_se(cov, se, tol)
+    gab, se_ab, gba, se_ba = _steering_with_se(cov, se)
+    kr, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
     rows = [
         ["n_records", len(batch), None],
         ["n_accepted", int(np.count_nonzero(filtered.accepted)), None],
@@ -508,8 +490,6 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
         ["v_x_cond", kr.v_x_cond, None],
         ["v_p_cond", kr.v_p_cond, None],
     ]
-    os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, "ingest_report.csv")
-    write_csv(out_path, ["quantity", "value", "se"], rows)
+    out_path = _write_output(config, "ingest_report.csv", ["quantity", "value", "se"], rows)
     save_cov(cov, os.path.join(config.out_dir, "ingest_cov.txt"))
     return out_path, rows

@@ -447,8 +447,9 @@ class Ensemble:
             raise ReconstructionError(
                 f"too few accepted records: {n_acc} < {min_accepted}"
             )
-        if self.x.count == 0 or self.p.count == 0:
-            raise ReconstructionError("both Alice bases must be present among accepted records")
+        if min(self.x.count, self.p.count) < 2:  # a variance needs n - 1 > 0
+            raise ReconstructionError(f"both Alice bases need at least 2 accepted records, "
+                                      f"got {self.x.count} X and {self.p.count} P")
         x, p, bob = (m.central()[1] for m in (self.x, self.p, self.bob()))
         root2 = np.sqrt(2.0)
         cov = np.zeros((4, 4))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtered_moments import filtered_ensemble
+from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
 from .gaussian import (
     GaussianState,
     UnphysicalStateError,
@@ -95,6 +95,19 @@ def key_rate_filtered(state: GaussianState, gain: float, beta_c: float) -> KeyRa
     return key_rate(ens.cov, physicality_tol=np.inf)
 
 
+def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
+    """(key rates, V_x, V_p, acceptance rates) of :func:`key_rate_filtered`
+    on a (N, 4, 4) stack, one gain per matrix, with no check of the gains or
+    of the unit-gain rows, which keep their matrix and rate 1."""
+    covs = require_cov_stack(covs)
+    gains = np.asarray(gains, dtype=float)
+    acc, ens, _ = filtered_ensemble_stack(covs, gains, beta_c)
+    unit = gains == 1.0
+    ens[unit], acc[unit] = covs[unit], 1.0
+    v_x, v_p = _conditional_variances_stack(ens)
+    return _rate(v_x, v_p), v_x, v_p, acc
+
+
 def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
     """Key rate and standard error from an estimated covariance matrix."""
@@ -108,13 +121,22 @@ class NoPositiveKeyError(RuntimeError):
 
 
 def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
-    """Smallest grid gain with positive key rate at the given cutoff."""
+    """Smallest grid gain with positive key rate at the given cutoff.  One
+    stack call evaluates the grid; the scan in grid order stops at the first
+    positive key or raises at the first gain :class:`FilterSpec` refuses."""
     g_grid = np.asarray(list(g_grid), dtype=float)
     if g_grid.size == 0:
         raise ValueError("gain grid is empty")
-    for g in g_grid:
-        if key_rate_filtered(state, float(g), beta_c).key_rate > 0.0:
-            return float(g)
+    # a gain below 1 is evaluated at 1 here and refused by the scan below
+    rates = _filtered_key_rate_stack(np.broadcast_to(state.cov, (g_grid.size, 4, 4)),
+                                     np.maximum(g_grid, 1.0), beta_c)[0]
+    for g, rate in zip(g_grid.tolist(), rates.tolist()):
+        if g == 1.0:  # the unfiltered state, checked for physicality
+            rate = key_rate(state.cov).key_rate
+        else:
+            FilterSpec(g, beta_c)  # raises on a gain or cutoff the filter refuses
+        if rate > 0.0:
+            return g
     raise NoPositiveKeyError(
         f"no positive key on the gain grid [{g_grid[0]}, {g_grid[-1]}] "
         f"at cutoff {beta_c}"

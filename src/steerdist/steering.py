@@ -188,14 +188,15 @@ def steering_loss_threshold(
 
     The channel template supplies excess noise and noise model; its own loss
     value is ignored.  When ``nla_gain`` is given, the channel output is
-    amplified analytically on Bob's side before evaluating.
+    amplified analytically on Bob's side before evaluating; a gain below 1
+    is refused.
     """
     from .nla import nla_single_mode  # local import; nla depends on gaussian only
 
     def signed(loss: float) -> float:
         out = apply_noisy(state, loss, channel_template.excess_noise,
                           channel_template.noise_model)
-        if nla_gain is not None and nla_gain > 1.0:
+        if nla_gain is not None:
             out = GaussianState(nla_single_mode(out.cov, nla_gain))
         return steering_signed(out, direction)
 

@@ -42,9 +42,10 @@ def test_file_parsing(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[run]\nwarp_speed = 9\n")
-    with pytest.raises(ConfigError, match="unknown config key"):
-        load_config(str(path), env={})
+    for text in ("[run]\nwarp_speed = 9\n", "[channel]\nloss = 0.1\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(str(path), env={})
 
 
 def test_missing_file_rejected():

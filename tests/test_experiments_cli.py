@@ -171,6 +171,28 @@ def test_fig4_analytic_curve(tmp_path):
     assert all(a >= b for a, b in zip(rates, rates[1:]))
 
 
+def test_fig4_unit_gain_row_is_the_unfiltered_state(tmp_path, model_state):
+    from steerdist import key_rate
+
+    _, rows = run_fig4(_config(tmp_path, fig4_g_grid=np.array([1.0, 1.2])))
+    want = key_rate(model_state.cov)
+    pure = key_rate(tmss_standard(-6.0, 6.0).cov)
+    assert rows[0] == [1.0, want.key_rate, want.v_x_cond, want.v_p_cond, 1.0, None,
+                       pure.key_rate]
+    assert rows[1][4] < 1.0
+
+
+@pytest.mark.parametrize("mode", ["analytic", "both"])
+def test_fig4_refuses_gain_below_one(tmp_path, capsys, mode):
+    ini = tmp_path / "gains.ini"
+    ini.write_text("[grids]\nfig4_g_grid = 0.9,1.0,1.1\n")
+    out = tmp_path / "o"
+    assert main(["fig4", "--config", str(ini), "--out", str(out), "--mode", mode,
+                 "--samples", "20000"]) == 2
+    assert "gain must be >= 1, got 0.9" in capsys.readouterr().err
+    assert not (out / "fig4.csv").exists()
+
+
 def test_fig4_monte_carlo_matches_analytic(tmp_path):
     config = _config(tmp_path, mode="both", samples=2_000_000,
                      fig4_g_grid=np.array([1.0, 1.2, 1.3]), seed=9)

@@ -1,7 +1,8 @@
 """Golden digests of the command outputs.
 
-Every analytic command runs in process with the default configuration,
-and so do pinned small Monte Carlo runs and an ``ingest`` of a seeded raw
+Every analytic command runs in process with the default configuration
+(the plotting ones once more with ``--svg``), and so do pinned small Monte
+Carlo runs and an ``ingest`` of a seeded raw
 export.  The sha256 of each file they write (and of ``selfcheck``'s
 standard output) must equal the one recorded in ``tests/golden/outputs.sha256``.
 The bytes depend on numpy's floating-point kernels and, for the Monte Carlo
@@ -48,6 +49,12 @@ ANALYTIC = [
     (["fig-s2"], "", {"fig_s2.csv": "fig_s2.csv"}),
     (["fig-s4"], "", {"fig_s4.csv": "fig_s4.csv"}),
     (["table-s1"], "", {"table_s1.csv": "table_s1.csv"}),
+    # the SVG each ``--svg`` command writes next to its CSV
+    (["fig3a", "--svg"], "", {"fig3a.svg": "fig3a.svg"}),
+    (["fig3b", "--svg"], "", {"fig3b.svg": "fig3b.svg"}),
+    (["regions-c", "--svg"], "", {"regions_c.svg": "regions_c.svg"}),
+    (["regions-d", "--svg"], "", {"regions_d.svg": "regions_d.svg"}),
+    (["fig4", "--svg"], "", {"fig4.svg": "fig4.svg"}),
 ]
 
 # ``{input}`` is the seeded raw export written by :func:`write_ingest_input`.

@@ -296,6 +296,26 @@ def test_reconstruction_requires_both_bases(model_state):
         reconstruct_covariance(crippled)
 
 
+def test_reconstruction_refuses_a_basis_with_one_record(model_state):
+    import warnings
+
+    batch = sample_batch(model_state, 20_000, seed=24)
+    basis = np.full(len(batch), BASIS_X, dtype=np.uint8)
+    basis[-1] = BASIS_P
+    crippled = type(batch)(
+        alice_basis=basis,
+        alice_value=batch.alice_value,
+        bob_x=batch.bob_x,
+        bob_p=batch.bob_p,
+    )
+    # one record gives no variance: refused before any division by n - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReconstructionError, match="bases") as exc:
+            reconstruct_covariance(crippled)
+    assert "19999" in str(exc.value) and " 1 " in str(exc.value)
+
+
 def test_reconstruction_requires_enough_records(model_state):
     batch = sample_batch(model_state, 5_000, seed=25)
     with pytest.raises(ReconstructionError, match="too few"):

@@ -108,6 +108,21 @@ def test_filtered_key_rate_crosses_zero(model_state):
     assert key_rate_filtered(model_state, 1.35, 4.5).key_rate > 0
 
 
+def test_filtered_key_rate_stack_equals_scalar_calls(model_state, pure_state):
+    from steerdist import FilterSpec, acceptance_rate_exact
+    from steerdist.qkd import _filtered_key_rate_stack
+
+    states = [model_state, pure_state, tmss_standard(-6.0, 6.0)]
+    gains = [1.0, 1.1, 1.3, 1.5]
+    cells = [(s, g) for s in states for g in gains]
+    key, v_x, v_p, acc = _filtered_key_rate_stack(
+        np.stack([s.cov for s, _ in cells]), [g for _, g in cells], 4.5)
+    for i, (s, g) in enumerate(cells):
+        want = key_rate_filtered(s, g, 4.5)
+        assert (key[i], v_x[i], v_p[i]) == (want.key_rate, want.v_x_cond, want.v_p_cond)
+        assert acc[i] == (1.0 if g == 1.0 else acceptance_rate_exact(s, FilterSpec(g, 4.5)))
+
+
 def test_min_gain_analytic(model_state):
     g_star = min_gain_for_key(model_state, 4.5, np.arange(1.0, 1.56, 0.02))
     assert g_star == pytest.approx(1.32, abs=1e-9)  # frozen from the exact sweep
@@ -125,6 +140,13 @@ def test_min_gain_threshold_state_at_boundary():
 def test_min_gain_failure(model_state):
     with pytest.raises(NoPositiveKeyError):
         min_gain_for_key(model_state, 4.5, [1.0, 1.05, 1.1])
+
+
+def test_min_gain_refuses_gain_below_one(model_state):
+    with pytest.raises(ValueError, match=r"gain must be >= 1, got 0\.9"):
+        min_gain_for_key(model_state, 4.5, [0.9, 1.0])
+    # the grid is scanned in order: a positive key before the bad gain wins
+    assert min_gain_for_key(model_state, 4.5, [1.0, 1.4, 0.9]) == 1.4
 
 
 def test_key_rate_with_se(model_state):

@@ -98,6 +98,11 @@ def test_threshold_with_amplification(model_state):
     assert abs(got - 0.43) < 0.05  # reported: extended from 0.32 to 0.43
 
 
+def test_threshold_refuses_gain_below_one(model_state):
+    with pytest.raises(ValueError, match=r"gain must be >= 1, got 0\.5"):
+        steering_loss_threshold(model_state, ChannelSpec(0.0), "b_to_a", nla_gain=0.5)
+
+
 def test_threshold_unsteerable_direction_raises(model_state):
     dead = apply_lossy(model_state, 0.35)  # B->A already gone
     with pytest.raises(NoThresholdError):
