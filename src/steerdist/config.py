@@ -65,12 +65,17 @@ def parse_grid(text: str) -> np.ndarray:
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = parts
+            if not np.isfinite(parts).all():
+                raise ValueError("start, stop and step must be finite")
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
             n = int(round((stop - start) / step))
             grid = start + step * np.arange(n + 1)
             return grid[grid <= stop + step * 1e-9]
-        return np.array([float(p) for p in text.split(",") if p.strip()])
+        grid = np.array([float(p) for p in text.split(",") if p.strip()])
+        if not np.isfinite(grid).all():
+            raise ValueError("values must be finite")
+        return grid
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
@@ -107,17 +112,25 @@ class ExperimentConfig:
                 f"run.samples must be >= {MIN_MC_SAMPLES} in Monte Carlo modes, "
                 f"got {self.samples}"
             )
-        if self.gain < 1.0:
-            raise ConfigError(f"filter.gain must be >= 1, got {self.gain}")
-        if self.cutoff <= 0:
-            raise ConfigError(f"filter.cutoff must be > 0, got {self.cutoff}")
-        if self.excess_noise < 0:
-            raise ConfigError(f"channel.excess_noise must be >= 0, got {self.excess_noise}")
+        # every comparison is false for NaN, so each check is written to fail on it
+        for name in ("squeeze_db", "antisqueeze_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"state.{name} must be finite, got {getattr(self, name)}")
+        if not 1.0 <= self.gain < np.inf:
+            raise ConfigError(f"filter.gain must be finite and >= 1, got {self.gain}")
+        if not 0 < self.cutoff < np.inf:
+            raise ConfigError(f"filter.cutoff must be finite and > 0, got {self.cutoff}")
+        if not 0 <= self.excess_noise < np.inf:
+            raise ConfigError(
+                f"channel.excess_noise must be finite and >= 0, got {self.excess_noise}")
         if self.threads < 1:
             raise ConfigError(f"run.threads must be >= 1, got {self.threads}")
         for name in ("loss_grid", "g_grid", "fig4_g_grid"):
-            if len(getattr(self, name)) == 0:
+            grid = getattr(self, name)
+            if len(grid) == 0:
                 raise ConfigError(f"grids.{name} is empty")
+            if not np.isfinite(grid).all():
+                raise ConfigError(f"grids.{name} must be finite")
         return self
 
 

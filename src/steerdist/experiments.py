@@ -36,8 +36,9 @@ from .measurement import (
     read_batch_csv,
     reconstruct_covariance,
     reconstruction_tolerance,
-    sample_accepted,
     sample_batch,
+    sample_grid_accepted,
+    sample_grid_moments,
     sample_moments,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
@@ -141,10 +142,10 @@ def _steering_with_se(cov, se):
             *steerability_with_se(cov, se, "b_to_a", tol))
 
 
-def _mc_steering_point(out, filt, samples, seed, threads, where):
-    """(raw +- se, nla +- se, rate) for one channel-output state; the
-    amplified values are None when their reconstruction fails."""
-    raw, amp = sample_moments(out, samples, seed, (None, filt), threads)
+def _mc_steering_point(raw, amp, samples, where):
+    """(raw +- se, nla +- se, rate) from one point's raw and amplified
+    ensembles; the amplified values are None when their reconstruction
+    fails."""
     raw_vals = _steering_with_se(*raw.covariance(MC_MIN_ACCEPTED))
     try:
         amp_vals = _steering_with_se(*amp.covariance(MC_MIN_ACCEPTED))
@@ -189,10 +190,12 @@ def run_fig3(variant: str, config: ExperimentConfig):
                                          filtered_ensemble_stack(outs, g, beta_c)[0])]
         mc = []
         if config.mode in ("monte_carlo", "both"):
+            states, filters = zip(*_each_cell(
+                lambda i: (from_cov(outs[i]), (None, FilterSpec(g, beta_c[i]))), n))
+            ens = sample_grid_moments(states, config.samples, derive_seed(config.seed, 3),
+                                      filters, config.threads)
             mc = _each_cell(lambda i: _mc_steering_point(
-                from_cov(outs[i]), FilterSpec(g, beta_c[i]), config.samples,
-                derive_seed(config.seed, 3, i), config.threads,
-                f"fig3{variant}: loss={losses[i]:g}"), n)
+                *ens[i], config.samples, f"fig3{variant}: loss={losses[i]:g}"), n)
         rows = []
         for i in range(n):
             row = [losses[i], *(col[i] for col in cols)]
@@ -355,25 +358,25 @@ def _run_fig_s2(config):
     """
     losses, gains, cutoffs, outs = _appendix_grid(config)
     rates, _, kurts = (v.tolist() for v in filtered_ensemble_stack(outs, gains, cutoffs))
-    rows = []
-    for i, (loss, g) in enumerate(zip(losses, gains)):
+    rows = [[g, loss, 0.0, kurt] for loss, g, kurt in zip(losses, gains, kurts)]
+    sampled = []
+    for i, (loss, g) in enumerate(zip(losses, gains) if config.mode != "analytic" else ()):
         expected = rates[i] * config.samples
-        use_mc = config.mode != "analytic"
-        if use_mc and expected < FIG_S2_MIN_EXPECTED:
+        if expected >= FIG_S2_MIN_EXPECTED:
+            sampled.append(i)
+        else:
             print(f"fig-s2: g={g:g} loss={loss:g} Monte Carlo value replaced by the "
                   f"exact moments: expected accepted count {expected:.0f} < "
                   f"{FIG_S2_MIN_EXPECTED}", file=sys.stderr)
-            use_mc = False
-        if use_mc:
-            seed = derive_seed(config.seed, 5, *divmod(i, len(TABLE_GAINS)))
-            bob = sample_moments(from_cov(outs[i]), config.samples, seed,
-                                 [FilterSpec(g, cutoffs[i])], config.threads)[0].bob()
+    if sampled:
+        ens = sample_grid_moments([from_cov(outs[i]) for i in sampled], config.samples,
+                                  derive_seed(config.seed, 5),
+                                  [[FilterSpec(gains[i], cutoffs[i])] for i in sampled],
+                                  config.threads)
+        for i, (amp,) in zip(sampled, ens):
+            bob = amp.bob()
             sx, sp = bob.stats(0), bob.stats(1)
-            skew = 0.5 * (sx.skewness + sp.skewness)
-            kurt = 0.5 * (sx.kurtosis + sp.kurtosis)
-        else:
-            skew, kurt = 0.0, kurts[i]
-        rows.append([g, loss, skew, kurt])
+            rows[i][2:] = [0.5 * (sx.skewness + sp.skewness), 0.5 * (sx.kurtosis + sp.kurtosis)]
     path = _write_output(config, "fig_s2.csv", ["g", "loss", "skewness", "kurtosis"], rows)
     return path, rows
 
@@ -384,10 +387,11 @@ def _run_fig_s4(config):
     if config.mode == "analytic":
         rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
     else:
-        rates = [sample_accepted(from_cov(outs[i]), config.samples,
-                                 derive_seed(config.seed, 6, *divmod(i, len(TABLE_GAINS))),
-                                 FilterSpec(g, cutoffs[i]), config.threads) / config.samples
-                 for i, g in enumerate(gains)]
+        counts = sample_grid_accepted([from_cov(out) for out in outs], config.samples,
+                                      derive_seed(config.seed, 6),
+                                      [FilterSpec(g, bc) for g, bc in zip(gains, cutoffs)],
+                                      config.threads)
+        rates = [n / config.samples for n in counts]
     rows = [[g, loss, rate] for loss, g, rate in zip(losses, gains, rates)]
     path = _write_output(config, "fig_s4.csv", ["g", "loss", "acceptance_rate"], rows)
     return path, rows

@@ -24,18 +24,24 @@ bit-identical for any worker count.  Acceptance uniforms use a separate
 namespace from the Gaussian draws, so changing the filter never perturbs the
 underlying samples, and every filter sees the same uniform for a record.
 
-Streaming reduction: :func:`sample_moments` never holds more than one chunk
-per worker.  Each worker draws chunk k, splits it into the two Alice-basis
-sub-ensembles (records alternate x, p, x, ..., and CHUNK is even, so these
-are the strided rows ``[0::2]`` and ``[1::2]``), applies every requested
-filter to the same uniforms, and reduces each accepted, rescaled
-sub-ensemble to a :class:`Moments`: its count, centre and co-moment sums up
-to order 4 about that centre.  The chunks' moments are merged in chunk
-order by the exact pairwise update (Chan, Golub & LeVeque 1979; Pebay,
-SAND2008-6212), which shifts both sides' sums to the combined mean before
-adding them; raw power sums, whose m4 - m2^2 cancels at large counts, are
-never formed.  So the result does not depend on the thread count, and
-memory is O(threads x CHUNK) at any sample count.  The batch API
+Streaming reduction: :func:`sample_grid_moments` never holds more than one
+chunk of records per worker.  Each worker draws chunk k's normals z and
+uniforms once, splits them into the two Alice-basis sub-ensembles (records
+alternate x, p, x, ..., and CHUNK is even, so these are the strided rows
+``[0::2]`` and ``[1::2]``), and reduces each requested ensemble to a
+:class:`Moments`: its count, centre and co-moment sums up to order 4 about
+that centre.  Every state of a grid reads the same z and uniforms (common
+random numbers; Glasserman 2004, ch. 4): state i's records are L_i z, with
+L_i its Cholesky factor, so its raw ensemble is a linear image of the z
+ensemble, whose moments are reduced once per chunk, merged, and mapped by
+one factor of L_i per tensor axis; only the filter step (acceptance,
+rescaling, reduction of the accepted records) runs per state.  The chunks'
+moments are merged in chunk order by the exact pairwise update (Chan, Golub
+& LeVeque 1979; Pebay, SAND2008-6212), which shifts both sides' sums to the
+combined mean before adding them; raw power sums, whose m4 - m2^2 cancels at
+large counts, are never formed.  So the result does not depend on the thread
+count, nor a state's result on the other states of its grid, and memory is
+O(threads x (CHUNK + states)) at any sample count.  The batch API
 (:func:`sample_batch`, :func:`post_select`, :func:`reconstruct_covariance`)
 feeds a batch's chunks to the same reduction, so it sees the same records,
 makes the same acceptance decisions and gives the same estimates.
@@ -44,7 +50,9 @@ makes the same acceptance decisions and gives the same estimates.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -80,10 +88,11 @@ class FilterSpec:
     cutoff: float
 
     def __post_init__(self):
-        if self.gain < 1.0:
+        # written to refuse NaN, for which every comparison is false
+        if not self.gain >= 1.0:
             raise ValueError(f"gain must be >= 1, got {self.gain}")
-        if self.cutoff <= 0.0:
-            raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
+        if not 0.0 < self.cutoff < np.inf:
+            raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff}")
 
 
 def _acceptance(mag2, filt: FilterSpec):
@@ -138,12 +147,19 @@ def _n_chunks(count: int) -> int:
 
 
 def _map_chunks(fn, n_chunks: int, threads: int):
-    """Yield ``fn(k)`` for every chunk k in chunk order, on ``threads`` threads."""
+    """Yield ``fn(k)`` for every chunk k in chunk order, on ``threads`` threads,
+    with at most 2 x threads chunks submitted and not yet yielded."""
     if threads <= 1:
         yield from map(fn, range(n_chunks))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, range(n_chunks))
+        pending = deque()
+        for k in range(n_chunks):
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, k))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _joint_cholesky(state: GaussianState):
@@ -175,13 +191,24 @@ def _sampler(state: GaussianState, count: int):
     return _joint_cholesky(state)
 
 
-def _basis_records(chol, seed: int, k: int, m: int):
-    """Yield chunk k's ``m`` records as x-basis, then p-basis (3, .) arrays of
-    (alice, X_het, P_het).  Records alternate x, p, x, ... and CHUNK is even,
-    so the x-basis rows of the chunk's normals are ``z[0::2]``."""
-    z = _chunk_rng(seed, _NS_GAUSS, k).standard_normal((m, 3))
-    for b in (BASIS_X, BASIS_P):
-        yield chol[b] @ z[b::2].T
+def _grid_samplers(states, count: int):
+    """:func:`_sampler` of every state; a refused state's error carries its
+    grid index as ``exc.cell``."""
+    chols = []
+    for i, state in enumerate(states):
+        try:
+            chols.append(_sampler(state, count))
+        except Exception as exc:
+            exc.cell = i
+            raise
+    return chols
+
+
+def _normals(seed: int, k: int, m: int) -> np.ndarray:
+    """Chunk k's (m, 3) standard normals.  Records alternate x, p, x, ... and
+    CHUNK is even, so the x-basis rows are ``z[0::2]``; a basis's (alice,
+    X_het, P_het) records are ``chol[b] @ z[b::2].T``."""
+    return _chunk_rng(seed, _NS_GAUSS, k).standard_normal((m, 3))
 
 
 def sample_batch(
@@ -203,8 +230,9 @@ def sample_batch(
 
     def fill(k: int):
         block = cols[:, k * CHUNK:(k + 1) * CHUNK]
-        for b, rec in enumerate(_basis_records(chol, seed, k, block.shape[1])):
-            block[:, b::2] = rec
+        z = _normals(seed, k, block.shape[1])
+        for b in (BASIS_X, BASIS_P):
+            block[:, b::2] = chol[b] @ z[b::2].T
 
     for _ in _map_chunks(fill, _n_chunks(count), threads):
         pass
@@ -278,20 +306,22 @@ def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
 _BLOCK = 8192  # records per block of products, which then stay in cache
 
 
-def _shift(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re-express sums of y^(x4), y = (1, r - c), for y = (1, r - c + h).
-
-    The new y is A y with A = [[1, 0], [h, I]], so the tensor takes one
-    factor of A per axis: transform the leading axis, rotate it to the back,
-    four times.
-    """
+def _transform(sums: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Sums of (a y)^(x4) from the sums of y^(x4): one factor of ``a`` per
+    axis; transform the leading axis, rotate it to the back, four times."""
     d = len(sums)
-    a = np.eye(d)
-    a[1:, 0] = h
     flat = sums.reshape(d, -1)
     for _ in range(4):
         flat = (a @ flat).T.reshape(d, -1)
     return flat.reshape(sums.shape)
+
+
+def _shift(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Re-express sums of y^(x4), y = (1, r - c), for y = (1, r - c + h),
+    which is A y with A = [[1, 0], [h, I]]."""
+    a = np.eye(len(sums))
+    a[1:, 0] = h
+    return _transform(sums, a)
 
 
 @lru_cache(maxsize=None)
@@ -366,6 +396,13 @@ class Moments:
                                   n_self + n_other)
         return Moments(mean, _shift(self.sums, self.center - mean)
                        + _shift(other.sums, other.center - mean))
+
+    def linear(self, l: np.ndarray) -> Moments:
+        """Moments of the records ``l @ r``: y = (1, r - c) becomes B y with
+        B = blockdiag(1, l)."""
+        b = np.eye(len(self.sums))
+        b[1:, 1:] = l
+        return Moments(l @ self.center, _transform(self.sums, b))
 
     def marginal(self, variables) -> Moments:
         idx = [0, *(v + 1 for v in variables)]
@@ -488,59 +525,102 @@ def _mag2(rec: np.ndarray) -> np.ndarray:
     return mag2
 
 
-def _chunk_ensembles(parts, filters) -> list[Ensemble]:
-    """Moments of every requested ensemble of one chunk.
-
-    ``parts`` yields, for the x- and then the p-basis, the raw (alice, X_het,
-    P_het) records as a (3, .) array and their acceptance uniforms, one basis
-    at a time.  A filter of None keeps every record; a :class:`FilterSpec`
-    accepts u < P_acc(|gamma|^2) and divides Bob's accepted quadratures by g,
-    as :func:`post_select` does.
-    """
-    def basis_moments(part):
-        rec, u = part
-        mag2 = None if u is None else _mag2(rec)
-        moments = []
-        for filt in filters:
-            kept = rec
-            if filt is not None:
-                kept = rec.compress(u < _acceptance(mag2, filt), axis=1)
-                kept[1:] /= filt.gain
-            moments.append(Moments.of(kept))
-        return moments
-
-    # map holds no basis's records once its moments are taken
-    return [Ensemble(x, p) for x, p in zip(*map(basis_moments, parts))]
-
-
-def _merge_chunks(chunk_fn, n_chunks: int, threads: int) -> list[Ensemble]:
-    parts = _map_chunks(chunk_fn, n_chunks, threads)
-    total = next(parts)
+def _merge(parts, add) -> list:
+    """Element-wise ``add`` of the chunks' equal-length lists, in chunk order."""
+    total = next(parts, [])
     for part in parts:
-        total = [a.merge(b) for a, b in zip(total, part)]
+        total = [add(a, b) for a, b in zip(total, part)]
     return total
+
+
+def _accepted_moments(rec, keep, filt: FilterSpec) -> Moments:
+    kept = rec.compress(keep, axis=1)
+    kept[1:] /= filt.gain
+    return Moments.of(kept)
+
+
+def _filter_step(rec, u, filters, reduce) -> list:
+    """``reduce(rec, keep, filt)`` for each filter; ``keep`` marks the records
+    whose uniform is below P_acc(|gamma|^2), as :func:`post_select` decides."""
+    mag2 = _mag2(rec)
+    return [reduce(rec, u < _acceptance(mag2, filt), filt) for filt in filters]
+
+
+def _grid_pass(chols, count: int, seed: int, filters, threads: int, reduce, add):
+    """One chunked pass over a common draw for a grid of states.
+
+    Per chunk and basis: when any entry of ``filters`` is None, the z-moments
+    (``Moments.of`` of the basis's normals), then, for each state i,
+    :func:`_filter_step` of its raw (alice, X_het, P_het) records with the
+    :class:`FilterSpec` entries of ``filters[i]``.  The values are merged over
+    the chunks with ``add``; returns the x-basis and the p-basis totals.
+    """
+    filtered = any(f is not None for fs in filters for f in fs)
+    raw = any(f is None for fs in filters for f in fs)
+
+    def chunk(k: int) -> list:
+        m = min(CHUNK, count - k * CHUNK)
+        z = _normals(seed, k, m)
+        u = _chunk_rng(seed, _NS_ACCEPT, k).random(m) if filtered else None
+        out = []
+        for b in (BASIS_X, BASIS_P):
+            zb = z[b::2].T
+            if raw:
+                out.append(Moments.of(zb))
+            for chol, fs in zip(chols, filters):
+                fs = [f for f in fs if f is not None]
+                if fs:  # a state's records die with the call, before the next state's
+                    out += _filter_step(chol[b] @ zb, u[b::2], fs, reduce)
+        return out
+
+    total = _merge(_map_chunks(chunk, _n_chunks(count), threads), add)
+    half = len(total) // 2
+    return total[:half], total[half:]
+
+
+def sample_grid_moments(states, count: int, seed: int, filters,
+                        threads: int = 1) -> list[list[Ensemble]]:
+    """One streaming pass over a common draw for a grid of states: for each
+    state i and each entry of ``filters[i]`` (None for the raw ensemble), the
+    moments of the records ``post_select(sample_batch(states[i], count,
+    seed), filt, seed)`` accepts.
+
+    Every state reads the same normals and uniforms, so a state's result does
+    not depend on the rest of the grid.  Memory is O(threads x (CHUNK +
+    states)) at any ``count``, and the result is bit-identical for any
+    ``threads``.  A state :func:`sample_batch` refuses raises with its index
+    as ``exc.cell``.
+    """
+    if len(filters) != len(states):
+        raise ValueError(f"{len(states)} states but {len(filters)} filter lists")
+    chols = _grid_samplers(states, count)
+    x, p = map(iter, _grid_pass(chols, count, seed, filters, threads,
+                                _accepted_moments, Moments.merge))
+    if any(f is None for fs in filters for f in fs):
+        zx, zp = next(x), next(p)
+    return [[Ensemble(zx.linear(chol[0]), zp.linear(chol[1])) if f is None
+             else Ensemble(next(x), next(p)) for f in fs]
+            for chol, fs in zip(chols, filters)]
+
+
+def sample_grid_accepted(states, count: int, seed: int, filters,
+                         threads: int = 1) -> list[int]:
+    """For each state i, the number of records :func:`sample_grid_moments`
+    accepts with the filter ``filters[i]``, without the moments."""
+    if len(filters) != len(states):
+        raise ValueError(f"{len(states)} states but {len(filters)} filters")
+    x, p = _grid_pass(_grid_samplers(states, count), count, seed,
+                      [[f] for f in filters], threads,
+                      lambda rec, keep, filt: int(np.count_nonzero(keep)), operator.add)
+    return [a + b for a, b in zip(x, p)]
 
 
 def sample_moments(state: GaussianState, count: int, seed: int, filters,
                    threads: int = 1) -> list[Ensemble]:
-    """One streaming pass over the records ``sample_batch(state, count, seed)``
-    draws: for each entry of ``filters`` (None for the raw ensemble), the
-    moments of the records ``post_select(batch, filt, seed)`` accepts.
-
-    Every filter sees the same acceptance uniforms.  Memory is
-    O(threads x CHUNK) at any ``count``, and the result is bit-identical for
-    any ``threads``.
-    """
-    chol = _sampler(state, count)
-    filtered = any(f is not None for f in filters)
-
-    def chunk(k: int):
-        m = min(CHUNK, count - k * CHUNK)
-        u = _chunk_rng(seed, _NS_ACCEPT, k).random(m) if filtered else None
-        us = (None, None) if u is None else (u[0::2], u[1::2])
-        return _chunk_ensembles(zip(_basis_records(chol, seed, k, m), us), filters)
-
-    return _merge_chunks(chunk, _n_chunks(count), threads)
+    """:func:`sample_grid_moments` of the one state: for each entry of
+    ``filters`` (None for the raw ensemble), the moments of the records
+    ``post_select(sample_batch(state, count, seed), filt, seed)`` accepts."""
+    return sample_grid_moments([state], count, seed, [filters], threads)[0]
 
 
 def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpec,
@@ -548,15 +628,7 @@ def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpe
     """The number of records ``post_select(sample_batch(state, count, seed),
     filt, seed)`` accepts: the acceptance decisions of :func:`sample_moments`,
     without the moments."""
-    chol = _sampler(state, count)
-
-    def chunk(k: int) -> int:
-        m = min(CHUNK, count - k * CHUNK)
-        u = _chunk_rng(seed, _NS_ACCEPT, k).random(m)
-        return sum(int(np.count_nonzero(u[b::2] < _acceptance(_mag2(rec), filt)))
-                   for b, rec in enumerate(_basis_records(chol, seed, k, m)))
-
-    return sum(_map_chunks(chunk, _n_chunks(count), threads))
+    return sample_grid_accepted([state], count, seed, [filt], threads)[0]
 
 
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
@@ -565,21 +637,21 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     :func:`sample_moments` reduces them; see :meth:`Ensemble.covariance`.
     """
 
-    def parts(k: int):
+    def chunk(k: int) -> list[Moments]:
         rows = slice(k * CHUNK, (k + 1) * CHUNK)
         basis = batch.alice_basis[rows]
         keep = True if batch.accepted is None else batch.accepted[rows]
+        out = []
         for b in (BASIS_X, BASIS_P):
             mask = (basis == b) & keep
             rec = np.empty((3, np.count_nonzero(mask)))
-            for out, col in zip(rec, (batch.alice_value, batch.bob_x, batch.bob_p)):
-                np.compress(mask, col[rows], out=out)
-            yield rec, None
+            for row, col in zip(rec, (batch.alice_value, batch.bob_x, batch.bob_p)):
+                np.compress(mask, col[rows], out=row)
+            out.append(Moments.of(rec))
+        return out
 
-    def chunk(k: int):
-        return _chunk_ensembles(parts(k), [None])
-
-    return _merge_chunks(chunk, _n_chunks(len(batch)), 1)[0].covariance(min_accepted)
+    x, p = _merge(map(chunk, range(_n_chunks(len(batch)))), Moments.merge)
+    return Ensemble(x, p).covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------

@@ -21,6 +21,22 @@ def test_parse_grid_forms():
         parse_grid("a:b:c")
 
 
+@pytest.mark.parametrize("text", ["nan,1.1", "1.0, inf", "0:nan:0.1", "0:inf:0.1", "-inf:0:1"])
+def test_parse_grid_refuses_non_finite_values(text):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_grid(text)
+
+
+@pytest.mark.parametrize("name", ["gain", "cutoff", "excess_noise", "squeeze_db",
+                                  "antisqueeze_db"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_validate_refuses_non_finite_values(name, value):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(None, env={}, overrides={name: value})
+    with pytest.raises(ConfigError, match="loss_grid must be finite"):
+        load_config(None, env={}, overrides={"loss_grid": np.array([0.1, value])})
+
+
 def test_file_parsing(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(

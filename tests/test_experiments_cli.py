@@ -111,6 +111,18 @@ def test_fig3_deterministic_output(tmp_path):
     assert open(path).read() == first
 
 
+def test_fig3_point_does_not_depend_on_its_grid(tmp_path):
+    # every loss shares the grid's draw, so one loss run alone writes its row
+    # of the full grid byte for byte
+    lines = []
+    for grid in ([0.3, 0.55, 0.8], [0.55]):
+        config = _config(tmp_path, mode="both", samples=200_000, loss_grid=np.array(grid))
+        path, _ = run_fig3("a", config)
+        lines.append(open(path).read().splitlines())
+    full, single = lines
+    assert single[0] == full[0] and single[1:] == [full[2]]
+
+
 # --- regions ---------------------------------------------------------------------
 
 def test_regions_c_two_way_grows_with_gain(tmp_path):
@@ -180,6 +192,17 @@ def test_fig4_unit_gain_row_is_the_unfiltered_state(tmp_path, model_state):
     assert rows[0] == [1.0, want.key_rate, want.v_x_cond, want.v_p_cond, 1.0, None,
                        pure.key_rate]
     assert rows[1][4] < 1.0
+
+
+@pytest.mark.parametrize("ini", ["[grids]\nfig4_g_grid = nan,1.1\n",
+                                 "[filter]\ncutoff = nan\n"])
+def test_fig4_refuses_nan_input(tmp_path, capsys, ini):
+    path = tmp_path / "nan.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main(["fig4", "--config", str(path), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "fig4.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["analytic", "both"])
@@ -270,12 +293,23 @@ def test_appendix_seeds_derive_from_grid_indices(tmp_path, monkeypatch):
     monkeypatch.setattr(exp, "derive_seed", recording)
     config = _config(tmp_path, mode="monte_carlo", samples=10_000)
     exp.run_appendix("fig_s4", config)
-    cells = {(6, i_loss, i_g) for i_loss in range(5) for i_g in range(5)}
-    assert len(keys) == 25 and set(keys) == cells  # distinct: 1.15 is not 1.14
+    assert keys == [(6,)]  # one seed per grid: its cells share the draw
     keys.clear()
     exp.run_appendix("fig_s2", _config(tmp_path, mode="monte_carlo", samples=40_000))
-    assert keys and len(set(keys)) == len(keys)
-    assert set(keys) <= {(5, i_loss, i_g) for _, i_loss, i_g in cells}
+    assert keys == [(5,)]
+
+
+def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
+    import steerdist.experiments as exp
+    from steerdist.measurement import sample_accepted
+
+    config = _config(tmp_path, mode="monte_carlo", samples=40_000)
+    _, rows = exp.run_appendix("fig_s4", config)
+    _, gains, cutoffs, outs = exp._appendix_grid(config)
+    seed = exp.derive_seed(config.seed, 6)
+    for row, g, bc, out in zip(rows, gains, cutoffs, outs):
+        count = sample_accepted(exp.from_cov(out), 40_000, seed, FilterSpec(g, bc))
+        assert row[2] == count / 40_000
 
 
 def test_fig_s2_gaussianity(tmp_path):

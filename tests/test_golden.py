@@ -1,15 +1,18 @@
-"""Golden digests of the command outputs.
+"""Golden outputs of the commands.
 
 Every analytic command runs in process with the default configuration
 (the plotting ones once more with ``--svg``), and so do pinned small Monte
 Carlo runs and an ``ingest`` of a seeded raw
-export.  The sha256 of each file they write (and of ``selfcheck``'s
-standard output) must equal the one recorded in ``tests/golden/outputs.sha256``.
+export.  The small analytic CSVs must equal, byte for byte, the files of
+the same name in ``tests/golden/`` (a failure shows a unified diff); the
+sha256 of every other file they write (and of ``selfcheck``'s standard
+output) must equal the one recorded in ``tests/golden/outputs.sha256``.
 The bytes depend on numpy's floating-point kernels and, for the Monte Carlo
 runs, on its random streams, so on a numpy version other than the recorded
 one the tests are skipped, never compared loosely.
 
-To record the digests again after a deliberate change of an output::
+To record the golden files and digests again after a deliberate change of
+an output::
 
     PYTHONPATH=src python tests/test_golden.py --overwrite
 
@@ -19,6 +22,7 @@ Without ``--overwrite`` the script prints the digests and writes nothing.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import io
 import os
@@ -34,7 +38,8 @@ from steerdist.config import ExperimentConfig
 from steerdist.experiments import model_state
 from steerdist.measurement import sample_batch, write_batch_csv
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "outputs.sha256"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "outputs.sha256"
 
 # Each run is (CLI argv, extra INI text, {golden name: file the command
 # writes}); the INI always sets the analytic mode, which ``--mode`` overrides.
@@ -44,17 +49,21 @@ ANALYTIC = [
     (["fig3b"], "", {"fig3b.csv": "fig3b.csv"}),
     (["regions-c"], "", {"regions_c.csv": "regions_c.csv"}),
     (["regions-d"], "", {"regions_d.csv": "regions_d.csv"}),
-    (["fig4"], "", {"fig4.csv": "fig4.csv"}),
-    (["fig-s1"], "", {"fig_s1.csv": "fig_s1.csv"}),
-    (["fig-s2"], "", {"fig_s2.csv": "fig_s2.csv"}),
-    (["fig-s4"], "", {"fig_s4.csv": "fig_s4.csv"}),
-    (["table-s1"], "", {"table_s1.csv": "table_s1.csv"}),
     # the SVG each ``--svg`` command writes next to its CSV
     (["fig3a", "--svg"], "", {"fig3a.svg": "fig3a.svg"}),
     (["fig3b", "--svg"], "", {"fig3b.svg": "fig3b.svg"}),
     (["regions-c", "--svg"], "", {"regions_c.svg": "regions_c.svg"}),
     (["regions-d", "--svg"], "", {"regions_d.svg": "regions_d.svg"}),
     (["fig4", "--svg"], "", {"fig4.svg": "fig4.svg"}),
+]
+
+# The small analytic CSVs, kept as plain files in ``tests/golden/``.
+PLAIN = [
+    (["fig4"], "", {"fig4.csv": "fig4.csv"}),
+    (["fig-s1"], "", {"fig_s1.csv": "fig_s1.csv"}),
+    (["fig-s2"], "", {"fig_s2.csv": "fig_s2.csv"}),
+    (["fig-s4"], "", {"fig_s4.csv": "fig_s4.csv"}),
+    (["table-s1"], "", {"table_s1.csv": "table_s1.csv"}),
 ]
 
 # ``{input}`` is the seeded raw export written by :func:`write_ingest_input`.
@@ -85,7 +94,13 @@ def write_ingest_input(path: Path) -> Path:
 
 def run_commands(work: Path, runs, input_path: Path | None = None) -> dict[str, str]:
     """Run each command under ``work``; golden name -> sha256 of its output."""
-    digests = {}
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in run_outputs(work, runs, input_path).items()}
+
+
+def run_outputs(work: Path, runs, input_path: Path | None = None) -> dict[str, bytes]:
+    """Run each command under ``work``; golden name -> bytes of its output."""
+    outputs_by_name = {}
     for argv, ini, outputs in runs:
         out = work / next(iter(outputs))
         config = work / f"{out.name}.ini"
@@ -96,8 +111,8 @@ def run_commands(work: Path, runs, input_path: Path | None = None) -> dict[str, 
         if code != 0:
             raise RuntimeError(f"{' '.join(argv)} exited with {code}")
         for name, written in outputs.items():
-            digests[name] = hashlib.sha256((out / written).read_bytes()).hexdigest()
-    return digests
+            outputs_by_name[name] = (out / written).read_bytes()
+    return outputs_by_name
 
 
 def analytic_digests(work: Path) -> dict[str, str]:
@@ -127,13 +142,20 @@ def read_golden() -> tuple[str, dict[str, str]]:
     return version, digests
 
 
-def _compare(compute, tmp_path, monkeypatch):
+def _same_numpy_clean_env(monkeypatch) -> dict[str, str]:
+    """Skip on a numpy version other than the recorded one and unset the
+    ``STEERDIST_*`` variables; returns the recorded digests."""
     version, want = read_golden()
     if np.__version__ != version:
-        pytest.skip(f"golden digests were recorded with numpy {version}; "
+        pytest.skip(f"golden outputs were recorded with numpy {version}; "
                     f"this is numpy {np.__version__}")
     for var in [v for v in os.environ if v.startswith("STEERDIST_")]:
         monkeypatch.delenv(var)
+    return want
+
+
+def _compare(compute, tmp_path, monkeypatch):
+    want = _same_numpy_clean_env(monkeypatch)
     got = compute(tmp_path)
     assert set(got) <= set(want), f"no golden digest for {sorted(set(got) - set(want))}"
     moved = [name for name in got if got[name] != want[name]]
@@ -144,6 +166,23 @@ def test_golden_file_lists_every_output():
     _, want = read_golden()
     names = [n for runs in (ANALYTIC, MONTE_CARLO) for _, _, out in runs for n in out]
     assert sorted(want) == sorted([*names, "selfcheck.stdout"])
+
+
+def test_golden_directory_holds_every_plain_output():
+    names = sorted(n for _, _, out in PLAIN for n in out)
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted([*names, GOLDEN.name])
+
+
+def test_small_analytic_outputs_match_golden_files(tmp_path, monkeypatch):
+    _same_numpy_clean_env(monkeypatch)
+    moved = []
+    for name, got in run_outputs(tmp_path, PLAIN).items():
+        want = (GOLDEN_DIR / name).read_bytes()
+        if got != want:
+            moved.append("".join(difflib.unified_diff(
+                want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
+                f"tests/golden/{name}", f"{name} (this run)")))
+    assert not moved, "outputs differ from the golden files:\n" + "\n".join(moved)
 
 
 def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
@@ -160,12 +199,15 @@ if __name__ == "__main__":
     if any(v.startswith("STEERDIST_") for v in os.environ):
         sys.exit("unset the STEERDIST_* environment variables first")
     with tempfile.TemporaryDirectory() as tmp:
+        plain = run_outputs(Path(tmp), PLAIN)
         digests = {**analytic_digests(Path(tmp)), **monte_carlo_digests(Path(tmp))}
     text = f"# numpy {np.__version__}\n" + "".join(
         f"{digest}  {name}\n" for name, digest in digests.items())
     if "--overwrite" in sys.argv[1:]:
-        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN_DIR.mkdir(exist_ok=True)
         GOLDEN.write_text(text)
-        print(f"wrote {GOLDEN}")
+        for name, data in plain.items():
+            (GOLDEN_DIR / name).write_bytes(data)
+        print(f"wrote {GOLDEN} and {len(plain)} files beside it")
     else:
         print(text, end="")

@@ -28,9 +28,12 @@ from steerdist.measurement import (
     Moments,
     _chunk_rng,
     _joint_cholesky,
+    _map_chunks,
     _NS_GAUSS,
     reconstruction_tolerance,
     sample_accepted,
+    sample_grid_accepted,
+    sample_grid_moments,
     sample_moments,
 )
 
@@ -71,6 +74,12 @@ def test_filter_spec_validation():
         FilterSpec(0.99, 4.5)
     with pytest.raises(ValueError):
         FilterSpec(1.2, 0.0)
+
+
+@pytest.mark.parametrize("gain, cutoff", [(np.nan, 3.0), (1.2, np.nan), (1.2, np.inf)])
+def test_filter_spec_refuses_nan_and_inf(gain, cutoff):
+    with pytest.raises(ValueError):
+        FilterSpec(gain, cutoff)
 
 
 # --- sampling -------------------------------------------------------------------
@@ -413,6 +422,70 @@ def test_sample_accepted_counts_the_moment_pass(model_state, threads):
     want = sample_moments(state, 300_001, 19, [filt])[0].accepted
     assert 0 < want < 300_001
     assert sample_accepted(state, 300_001, 19, filt, threads) == want
+
+
+def _grid(model_state):
+    states = [apply_lossy(model_state, loss) for loss in (0.0, 0.3, 0.6)]
+    filters = [(None, FilterSpec(1.2, 3.0)), (FilterSpec(1.1, 4.0), None, FilterSpec(1.0, 3.0)),
+               (FilterSpec(1.25, 2.5),)]
+    return states, filters
+
+
+def test_sample_grid_moments_bit_identical_across_threads(model_state):
+    states, filters = _grid(model_state)
+    one = [_moment_arrays(e) for e in sample_grid_moments(states, 300_001, 21, filters, 1)]
+    for threads in (2, 4):
+        other = [_moment_arrays(e)
+                 for e in sample_grid_moments(states, 300_001, 21, filters, threads)]
+        assert all(np.array_equal(a, b) for x, y in zip(one, other) for a, b in zip(x, y))
+
+
+def test_grid_points_are_the_single_state_passes(model_state):
+    # common random numbers: a state's ensembles do not depend on its grid
+    states, filters = _grid(model_state)
+    grid = sample_grid_moments(states, 300_001, 22, filters, threads=2)
+    for state, fs, got in zip(states, filters, grid):
+        want = sample_moments(state, 300_001, 22, fs)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_moment_arrays(got), _moment_arrays(want)))
+    counts = sample_grid_accepted(states, 300_001, 22, [fs[-1] for fs in filters])
+    assert counts == [e[-1].accepted for e in grid]
+    assert counts == [sample_accepted(s, 300_001, 22, fs[-1]) for s, fs in zip(states, filters)]
+
+
+def test_grid_sampler_tags_the_refused_state(model_state):
+    bad = from_cov(np.diag([1.0, 1.0, 0.5, 0.5]))  # unphysical
+    states = [model_state, apply_lossy(model_state, 0.5), bad]
+    with pytest.raises(ValueError) as info:
+        sample_grid_moments(states, 20_000, 1, [[None]] * 3)
+    assert info.value.cell == 2
+    with pytest.raises(ValueError) as info:
+        sample_grid_accepted(states, 20_000, 1, [FilterSpec(1.2, 3.0)] * 3)
+    assert info.value.cell == 2
+
+
+def test_map_chunks_bounds_the_chunks_in_flight():
+    import threading
+    import time
+
+    lock = threading.Lock()
+    started = yielded = most = 0
+
+    def fn(k):
+        nonlocal started, most
+        with lock:
+            started += 1
+            most = max(most, started - yielded)
+        return k
+
+    out = []
+    for k in _map_chunks(fn, 50, 2):
+        time.sleep(0.002)  # a consumer slower than the workers
+        with lock:
+            yielded += 1
+            out.append(k)
+    assert out == list(range(50))
+    assert most <= 4
 
 
 def test_sample_moments_match_batch_pipeline(model_state):
