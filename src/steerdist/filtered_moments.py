@@ -9,8 +9,14 @@ weighted u-moments
 
     m_k = E[w(u) u^k],
 
-computed here with Gauss-Legendre quadrature below the cutoff plus the
-closed-form tail above it, int_y^inf v^k e^{-v} dv = e^{-y} sum_{j<=k} k!/j! y^j.
+computed here in closed form.  Below the cutoff w is an exponential in u,
+so with q = 1/s2, c = beta_c^2 and y = (q - t) c that part is
+q c^{k+1} e^{-tc} int_0^1 s^k e^{-ys} ds (a power series in y for |y| <= 1,
+a recurrence in k otherwise; see :func:`_weighted_u_moments`); above it the
+tail is int_y^inf v^k e^{-v} dv = e^{-y} sum_{j<=k} k!/j! y^j.  This closed
+form replaces a 400-node Gauss-Legendre quadrature: it is exact to 5e-15
+relative against 40-digit arithmetic (the quadrature: 3e-13), and start-up
+no longer solves the quadrature's 400 x 400 eigenproblem.
 This gives the exact acceptance rate, the exact covariance matrix the
 reconstruction converges to, and the exact kurtosis of the accepted
 marginals — all deterministic and valid even where the acceptance rate
@@ -27,15 +33,13 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .gaussian import GaussianState, _raise_first, require_cov_stack
 from .measurement import MODEL_RTOL, FilterSpec
 
-_NODES, _WEIGHTS = leggauss(400)
-# rows per quadrature block: each (rows, nodes) temporary is 100 kB, small
-# enough for the allocator to reuse heap memory instead of mapping fresh pages
-_ROW_BLOCK = 32
+# terms of the power series of J_k(y) for |y| <= 1: the first omitted one,
+# at most 1/20! < 4e-19, is below 2e-18 of J_k(y) >= J_k(1) > e^-1/(k+1)
+_TERMS = 20
 
 
 def _upper_gamma_tail(k: int, y):
@@ -45,20 +49,36 @@ def _upper_gamma_tail(k: int, y):
 
 def _weighted_u_moments(s2, t, bc2, kmax: int):
     """m_k = E[min(1, e^{t(u-bc2)}) u^k] for u ~ Exp(mean s2), k = 0..kmax;
-    the arguments are length-N arrays, one row of quadrature nodes each.
-    Rows are evaluated in blocks of ``_ROW_BLOCK``, which bounds the
-    (rows, nodes) temporaries; each row's result does not depend on the
-    blocking."""
+    the arguments are length-N arrays.
+
+    With q = 1/s2, B = bc2 and y = (q - t) B, the part below the cutoff is
+    q B^{k+1} e^{-tB} J_k(y), J_k(y) = int_0^1 s^k e^{-ys} ds.  For |y| <= 1
+    J_k is the power series sum_m (-y)^m / (m! (k+1+m)).  Otherwise
+    e^{-tB} J_0 = (e^{-tB} - e^{-qB}) / y and
+    e^{-tB} J_k = (k e^{-tB} J_{k-1} - e^{-qB}) / y, evaluated relative to
+    the larger of e^{-tB} and e^{-qB}: nothing overflows when t > q, and
+    the two exponentials are not rounded apart before the recurrence
+    subtracts them."""
+    q = 1.0 / s2
+    y = (q - t) * bc2
+    big = np.exp(-np.minimum(q, t) * bc2)   # max(e^{-tB}, e^{-qB})
+    ratio = np.exp(-np.abs(y))              # min(e^{-tB}, e^{-qB}) / big
+    et, eq = np.where(y > 0, 1.0, ratio), np.where(y > 0, ratio, 1.0)  # e^{-tB}, e^{-qB} / big
+    small = np.abs(y) <= 1.0
+    # each branch sees a harmless value in the other branch's rows
+    minus_y = np.where(small, -y, 0.0)
+    y_rec = np.where(small, 1.0, y)
+    rec = -np.expm1(-np.abs(y_rec)) / np.abs(y_rec)   # (et - eq) / y
     out = np.empty((kmax + 1, len(s2)))
-    for lo in range(0, len(s2), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        q, tb, bb = 1.0 / s2[rows], t[rows], bc2[rows]
-        x = 0.5 * bb[:, None] * (_NODES + 1.0)
-        w = 0.5 * bb[:, None] * _WEIGHTS
-        e = np.exp(-(q - tb)[:, None] * x)
-        for k in range(kmax + 1):
-            below = q * np.exp(-tb * bb) * np.sum(w * x**k * e, axis=1)
-            out[k, rows] = below + _upper_gamma_tail(k, q * bb) / q**k
+    for k in range(kmax + 1):
+        if k:
+            rec = (k * rec - eq) / y_rec
+        series = np.zeros(len(s2))
+        for m in range(_TERMS - 1, -1, -1):  # Horner's rule
+            series *= minus_y
+            series += 1.0 / (factorial(m) * (k + 1 + m))
+        below = q * bc2 ** (k + 1) * big * np.where(small, et * series, rec)
+        out[k] = below + _upper_gamma_tail(k, q * bc2) / q**k
     return out
 
 

@@ -499,10 +499,22 @@ def test_cli_env_override(tmp_path, monkeypatch):
     assert len(rows) == 3
 
 
-def test_cli_import_does_not_load_scipy():
+def _loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` that importing the CLI loads in a fresh
+    interpreter, as a printed sorted list."""
     code = ("import sys, steerdist.cli, steerdist.experiments; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    # the filter integrals are closed forms: no Gauss-Legendre node table,
+    # whose eigenproblem cost every start-up ~25 ms
+    assert _loaded_by_cli_import("numpy.polynomial") == "[]"

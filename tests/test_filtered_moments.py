@@ -113,3 +113,49 @@ def test_acceptance_rate_bounds(model_state):
     for g, bc in ((1.05, 3.0), (1.2, 5.0), (1.4, 4.5)):
         rate = acceptance_rate_exact(model_state, FilterSpec(g, bc))
         assert 0.0 < rate <= 1.0
+
+
+def test_weighted_u_moments_match_high_precision_integrals():
+    mp = pytest.importorskip("mpmath")
+    from steerdist.filtered_moments import _weighted_u_moments
+
+    # rows (s2, t, B) with y = (1/s2 - t) B: the special values first, both
+    # sides of |y| = 1 where the series hands over to the recurrence
+    rng = np.random.default_rng(20230817)
+    ys = [0.0, 1e-9, -1e-9, 1.0, -1.0, 1 - 1e-6, 1 + 1e-6, -1 + 1e-6, -1 - 1e-6,
+          *rng.uniform(-30.0, 25.0, 200)]
+    rows = []
+    for y in ys:
+        while True:
+            s2, bc2 = rng.uniform(1.0, 15.0), rng.uniform(0.5, 100.0)
+            t = 1.0 / s2 - y / bc2
+            if 0.0 <= t < 0.99:
+                break
+        rows.append((s2, t, bc2))
+    s2, t, bc2 = map(np.array, zip(*rows))
+    assert (1.0 / s2[0] - t[0]) * bc2[0] == 0.0
+
+    def exact(s2, t, bc2, k):
+        # q e^{-tB} int_0^B u^k e^{-(q-t)u} du + int_B^inf q e^{-qu} u^k du
+        s2, t, bc2 = mp.mpf(s2), mp.mpf(t), mp.mpf(bc2)
+        q = 1 / s2
+        below = (q * mp.exp(-t * bc2) * bc2 ** (k + 1)
+                 * mp.hyp1f1(k + 1, k + 2, -(q - t) * bc2) / (k + 1))
+        return below + mp.gammainc(k + 1, q * bc2) / q**k
+
+    with mp.workdps(40):
+        want = np.array([[float(exact(*row, k)) for row in rows] for k in range(3)])
+    got = _weighted_u_moments(s2, t, bc2, kmax=2)
+    assert np.max(np.abs(got - want) / want) <= 2e-14
+
+
+def test_weighted_u_moments_at_unit_gain_are_exponential_moments():
+    from math import factorial
+
+    from steerdist.filtered_moments import _weighted_u_moments
+
+    s2 = np.array([1.0, 1.7, 4.2, 12.5, 30.0])
+    for bc2 in (0.01, 1.0, 9.0, 60.0):
+        got = _weighted_u_moments(s2, np.zeros_like(s2), np.full_like(s2, bc2), kmax=2)
+        for k in range(3):
+            assert got[k] == pytest.approx(factorial(k) * s2**k, rel=2e-14, abs=0)

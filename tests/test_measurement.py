@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -652,3 +656,30 @@ def test_batch_csv_line_ends(tmp_path, data):
     assert len(got) == 2
     for name in ("alice_basis", "alice_value", "bob_x", "bob_p", "accepted"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux's getrusage reports them")
+def test_monte_carlo_page_faults_do_not_grow_with_chunks():
+    # Each chunk's temporaries live in its worker's reused workspace.  Made
+    # fresh per chunk, they were mapped afresh too: ~1,700 faults a chunk.
+    code = """
+import resource
+from steerdist import FilterSpec, apply_lossy, tmss_standard
+from steerdist.measurement import CHUNK, sample_moments
+
+state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
+filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
+
+def faults(chunks):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sample_moments(state, chunks * CHUNK, 1, filters, threads=1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(faults(8), faults(40))
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    short, long = map(int, out.stdout.split())
+    assert (long - short) / 32 < 200, (short, long)
