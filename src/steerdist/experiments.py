@@ -37,9 +37,9 @@ from .measurement import (
     reconstruct_covariance,
     reconstruction_tolerance,
     sample_batch,
+    sample_grid,
     sample_grid_accepted,
     sample_grid_moments,
-    sample_moments,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
 from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se
@@ -130,8 +130,8 @@ def _fig3_cutoffs(config, outs, losses, table) -> list:
     return scan.beta_c.tolist()
 
 
-def _left_empty(where: str, exc: ReconstructionError) -> None:
-    print(f"{where} Monte Carlo value left empty: {exc}", file=sys.stderr)
+def _left_empty(where: str, reason) -> None:
+    print(f"{where} Monte Carlo value left empty: {reason}", file=sys.stderr)
 
 
 def _steering_with_se(cov, se):
@@ -269,10 +269,9 @@ def run_fig4(config: ExperimentConfig):
     n = len(gains)
     covs = np.repeat(np.stack([state.cov, pure_ref.cov]), n, axis=0)
     key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
-    mc = None
+    mc = accepted = None
     if config.mode in ("monte_carlo", "both"):
-        mc = sample_moments(state, config.samples, derive_seed(config.seed, 4), filters,
-                            config.threads)
+        mc, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
 
     rows = []
     for i, g in enumerate(gains):
@@ -281,13 +280,14 @@ def run_fig4(config: ExperimentConfig):
             rows.append([g, *ana, None, ref])
             continue
         k = vx = vp = se_k = None
-        rate = mc[i].accepted / config.samples
-        try:
-            cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
-            res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
-            k, vx, vp = res.key_rate, res.v_x_cond, res.v_p_cond
-        except ReconstructionError as exc:
-            _left_empty(f"fig4: g={g:g}", exc)
+        rate = accepted[i] / config.samples
+        if i in mc:
+            try:
+                cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
+                res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
+                k, vx, vp = res.key_rate, res.v_x_cond, res.v_p_cond
+            except ReconstructionError as exc:
+                _left_empty(f"fig4: g={g:g}", exc)
         if config.mode == "monte_carlo":
             rows.append([g, k, vx, vp, rate, se_k, ref])
         else:
@@ -305,6 +305,28 @@ def run_fig4(config: ExperimentConfig):
             xlabel="gain", ylabel="key rate (bits)",
         )
     return path, rows
+
+
+def _fig4_sample(config, state, gains, filters, rates):
+    """One pass over the model state's records: ({gain index: ensemble},
+    {gain index: accepted count}).  A gain whose exact expected accepted
+    count is more than 6 sd (its square root) below ``MC_MIN_ACCEPTED`` is
+    only counted, with one line on standard error."""
+    sampled, counted = [], []
+    for i, (g, rate) in enumerate(zip(gains, rates)):
+        expected = rate * config.samples
+        if expected + 6.0 * np.sqrt(expected) >= MC_MIN_ACCEPTED:
+            sampled.append(i)
+        else:
+            counted.append(i)
+            _left_empty(f"fig4: g={g:g}", f"too few accepted records: expected {expected:.0f}, "
+                                          f"more than 6 sd below {MC_MIN_ACCEPTED}")
+    (ens,), (counts,) = sample_grid([state], config.samples, derive_seed(config.seed, 4),
+                                    [[filters[i] for i in sampled]],
+                                    [[filters[i] for i in counted]], config.threads)
+    accepted = dict(zip(counted, counts))
+    accepted.update((i, e.accepted) for i, e in zip(sampled, ens))
+    return dict(zip(sampled, ens)), accepted
 
 
 def _appendix_grid(config):

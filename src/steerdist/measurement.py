@@ -24,47 +24,54 @@ bit-identical for any worker count.  Acceptance uniforms use a separate
 namespace from the Gaussian draws, so changing the filter never perturbs the
 underlying samples, and every filter sees the same uniform for a record.
 
-Streaming reduction: :func:`sample_grid_moments` never holds more than one
-chunk of records per worker.  Each worker draws chunk k's normals z and
-uniforms once, splits them into the two Alice-basis sub-ensembles (records
-alternate x, p, x, ..., and CHUNK is even, so these are the strided rows
-``[0::2]`` and ``[1::2]``), and reduces each requested ensemble to a
-:class:`Moments`: its count, centre and co-moment sums up to order 4 about
-that centre.  Every state of a grid reads the same z and uniforms (common
-random numbers; Glasserman 2004, ch. 4): state i's records are L_i z, with
-L_i its Cholesky factor, so its raw ensemble is a linear image of the z
-ensemble, whose moments are reduced once per chunk, merged, and mapped by
-one factor of L_i per tensor axis; only the filter step (acceptance,
-rescaling, reduction of the accepted records) runs per state.  The chunks'
-moments are merged in chunk order by the exact pairwise update (Chan, Golub
-& LeVeque 1979; Pebay, SAND2008-6212), which shifts both sides' sums to the
-combined mean before adding them; raw power sums, whose m4 - m2^2 cancels at
-large counts, are never formed.  So the result does not depend on the thread
-count, nor a state's result on the other states of its grid, and memory is
-O(threads x (CHUNK + states)) at any sample count.  The batch API
-(:func:`sample_batch`, :func:`post_select`, :func:`reconstruct_covariance`)
-feeds a batch's chunks to the same reduction, so it sees the same records,
-makes the same acceptance decisions and gives the same estimates.
+Streaming reduction: :func:`sample_grid` holds at most SUB records per
+worker.  A worker draws chunk k's normals z and uniforms in pieces of SUB
+records from the chunk's two generators (which give the values of one
+whole-chunk draw, so CHUNK alone fixes the seed partition), splits each
+piece into the two Alice-basis sub-ensembles (records alternate x, p, x,
+..., and CHUNK and SUB are even, so these are the strided rows ``[0::2]``
+and ``[1::2]``), and adds each requested ensemble's records to its Gram
+matrix of the pair products y_i y_j, y = (1, record): every co-moment sum
+up to order 4 about 0.  Every state of a grid reads the same z and uniforms
+(common random numbers; Glasserman 2004, ch. 4): state i's records are L_i
+z, with L_i its Cholesky factor, so its raw ensemble's sums are the z sums
+mapped by one factor of L_i per tensor axis; only the filter step
+(acceptance, rescaling, reduction of the accepted records) runs per state.
 
-Each worker thread writes a chunk's temporaries into one :class:`_Workspace`,
-reused for every chunk, state and filter of the pass.  Fresh arrays of these
-sizes per chunk leave the allocator free to map new pages for each chunk,
-and then every chunk pays about 1,800 minor page faults; with the workspace
-a pass's faults do not grow with its chunk count, and no value changes.
-Only the accepted records are still allocated per chunk: ``ndarray.compress``
-into a fresh array is twice as fast as ``np.compress`` into a given one.
+The centre 0 is exact: :func:`_sampler` draws L z, so every state is
+zero-mean, and the filter depends on |gamma|^2 alone, so each accepted
+ensemble is symmetric under a sign flip and zero-mean too.  A sample mean
+is then O(sigma / sqrt(n)), and the final shift to it in
+:meth:`Moments.central` loses nothing to cancellation.  Sums about a common
+centre add with no correction term (the zero-shift case of the pairwise
+update; Pebay, SAND2008-6212), so pieces, then chunks, are added in order:
+the result does not depend on the thread count, nor a state's on the rest
+of its grid, and memory is O(threads x (SUB + states)) at any sample count.
+Where the mean is not known to be 0 -- the batch API (:func:`sample_batch`,
+:func:`post_select`, :func:`reconstruct_covariance`), which ingested records
+with any offset go through, and :func:`moment_stats` -- the two-pass
+:meth:`Moments.of` sums about the data's mean, and chunks merge by the exact
+pairwise update (Chan, Golub & LeVeque 1979).  The batch API sees the same
+records and makes the same acceptance decisions as the pass.
+
+Each worker thread writes a piece's temporaries into one 2.6 MB
+:class:`_Workspace`, reused for every piece, chunk, state and filter.
+Fresh arrays per chunk leave the allocator free to map new pages for each
+chunk, about 1,800 minor page faults a chunk; with the workspace a pass's
+faults do not grow with its chunk count.  Only the accepted records are
+allocated per piece: ``ndarray.compress`` into a fresh array is twice as
+fast as ``np.compress`` into a given one.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -76,6 +83,7 @@ from .gaussian import (
 )
 
 CHUNK = 1 << 17  # even, so alternating bases stay aligned across chunks
+SUB = 1 << 15  # records a pass draws and reduces at a time; even, divides CHUNK
 
 # seed namespaces (spawn_key prefixes)
 _NS_GAUSS = 0
@@ -217,11 +225,22 @@ def _grid_samplers(states, count: int):
     return chols
 
 
-def _normals(seed: int, k: int, m: int, work: _Workspace) -> np.ndarray:
-    """Chunk k's (m, 3) standard normals, in ``work``.  Records alternate x,
-    p, x, ... and CHUNK is even, so the x-basis rows are ``z[0::2]``; a
-    basis's (alice, X_het, P_het) records are ``chol[b] @ z[b::2].T``."""
-    return _chunk_rng(seed, _NS_GAUSS, k).standard_normal(out=work.z[:m])
+def _draws(seed: int, k: int, count: int, work: _Workspace, uniforms: bool):
+    """Chunk k's standard normals and, with ``uniforms``, its acceptance
+    uniforms, drawn into ``work`` in pieces of at most SUB records from the
+    chunk's two generators, which give the values of one whole-chunk draw.
+    Yields (start, z, u) per piece: its offset in the chunk, its (m, 3)
+    normals and its m uniforms (None without ``uniforms``).  Records
+    alternate x, p, x, ... and CHUNK and SUB are even, so a piece's x-basis
+    rows are ``z[0::2]``; a basis's (alice, X_het, P_het) records are
+    ``chol[b] @ z[b::2].T``."""
+    m = min(CHUNK, count - k * CHUNK)
+    normal = _chunk_rng(seed, _NS_GAUSS, k)
+    uniform = _chunk_rng(seed, _NS_ACCEPT, k) if uniforms else None
+    for start in range(0, m, SUB):
+        w = min(SUB, m - start)
+        yield (start, normal.standard_normal(out=work.z[:w]),
+               uniform.random(out=work.u[:w]) if uniforms else None)
 
 
 def sample_batch(
@@ -242,10 +261,11 @@ def sample_batch(
     cols = np.empty((3, count))
 
     def fill(k: int, work: _Workspace):
-        block = cols[:, k * CHUNK:(k + 1) * CHUNK]
-        z = _normals(seed, k, block.shape[1], work)
-        for b in (BASIS_X, BASIS_P):
-            block[:, b::2] = chol[b] @ z[b::2].T
+        for start, z, _ in _draws(seed, k, count, work, uniforms=False):
+            start += k * CHUNK
+            block = cols[:, start:start + len(z)]
+            for b in (BASIS_X, BASIS_P):
+                block[:, b::2] = chol[b] @ z[b::2].T
 
     for _ in _map_chunks(_per_worker(fill), _n_chunks(count), threads):
         pass
@@ -347,6 +367,29 @@ def _pairs(dim: int):
     return list(zip(i.tolist(), j.tolist())), position
 
 
+def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
+    """Add to ``q`` the Gram matrix, over the columns of the (d, n)
+    ``records``, of the pair products y_i y_j, i <= j, of y = (1, record -
+    center): every co-moment sum about ``center`` up to order 4 (Pebay,
+    SAND2008-6212).  Sums about a common centre add with no correction term,
+    so records can be added in any pieces.  The products are formed
+    ``_BLOCK`` records at a time, in ``blocks`` when it is given: a float
+    array of at least (d+1)(d+4)/2 rows of ``_BLOCK`` values.  The sums
+    depend only on the values, not on the array's layout."""
+    d, n = records.shape
+    pairs = _pairs(d + 1)[0]
+    if blocks is None:
+        blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
+    y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
+    y[0] = 1.0
+    for start in range(0, n, _BLOCK):
+        w = min(_BLOCK, n - start)
+        np.subtract(records[:, start:start + w], center, out=y[1:, :w])
+        for k, (i, j) in enumerate(pairs):
+            np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
+        q += prod[:, :w] @ prod[:, :w].T
+
+
 @dataclass(frozen=True)
 class MomentStats:
     mean: float
@@ -361,38 +404,31 @@ class Moments:
 
     ``sums`` is the (d+1)^4 tensor of the sum of y (x) y (x) y (x) y over the
     records, with y = (1, record - center).  ``sums[0, 0, 0, 0]`` is the
-    count; ``sums[0, 0, 0, i]`` are first-order sums, zero up to the rounding
-    of ``center``, which they carry; the entries with two, three and four
-    nonzero indices are the second-, third- and fourth-order sums.
+    count; ``sums[0, 0, 0, i]`` are first-order sums, which carry the
+    records' mean less ``center`` (zero up to rounding when ``center`` is the
+    mean); the entries with two, three and four nonzero indices are the
+    second-, third- and fourth-order sums.
     """
 
     center: np.ndarray
     sums: np.ndarray
 
     @classmethod
-    def of(cls, records: np.ndarray, blocks: np.ndarray | None = None) -> Moments:
+    def of(cls, records: np.ndarray) -> Moments:
         """Moments of the columns of ``records``, a (d, n) array; two passes:
-        the mean, then the products of the centred values, block by block.
-        The sums depend only on the values, not on the array's layout.
-        ``blocks``, when given, is a float array of at least (d+1)(d+4)/2 rows
-        of ``_BLOCK`` values, which holds the block products."""
+        the mean, then :func:`_add_gram` of the centred values."""
         records = np.ascontiguousarray(records, dtype=float)
         d, n = records.shape
-        if n == 0:
-            return cls(np.zeros(d), np.zeros((d + 1,) * 4))
-        center = records.mean(axis=1)
-        pairs, position = _pairs(d + 1)
-        if blocks is None:
-            blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
-        y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
-        y[0] = 1.0
-        q = np.zeros((len(pairs), len(pairs)))
-        for start in range(0, n, _BLOCK):
-            w = min(_BLOCK, n - start)
-            np.subtract(records[:, start:start + w], center[:, None], out=y[1:, :w])
-            for k, (i, j) in enumerate(pairs):
-                np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
-            q += prod[:, :w] @ prod[:, :w].T
+        center = records.mean(axis=1) if n else np.zeros(d)
+        n_pairs = len(_pairs(d + 1)[0])
+        q = np.zeros((n_pairs, n_pairs))
+        _add_gram(q, records, center[:, None])
+        return cls.of_gram(center, q)
+
+    @classmethod
+    def of_gram(cls, center: np.ndarray, q: np.ndarray) -> Moments:
+        """Moments from the Gram matrix :func:`_add_gram` sums about ``center``."""
+        position = _pairs(len(center) + 1)[1]
         return cls(center, q[position[:, :, None, None], position])
 
     @property
@@ -469,9 +505,6 @@ class Ensemble:
     x: Moments
     p: Moments
 
-    def merge(self, other: Ensemble) -> Ensemble:
-        return Ensemble(self.x.merge(other.x), self.p.merge(other.p))
-
     @property
     def accepted(self) -> int:
         return self.x.count + self.p.count
@@ -533,17 +566,18 @@ class Ensemble:
 
 
 class _Workspace:
-    """One worker's chunk temporaries (see the module docstring): normals,
-    uniforms, one basis's records (or a contiguous copy of its normals),
-    |gamma|^2, acceptance probabilities, keep mask, block products."""
+    """One worker's sub-chunk temporaries (see the module docstring): normals,
+    uniforms, one basis's records, |gamma|^2, acceptance probabilities, keep
+    mask and block products, 2,637,824 bytes in all: 6.5 x SUB + 14 x
+    _BLOCK float64 values and SUB / 2 bools."""
 
     def __init__(self):
-        half = CHUNK // 2
-        self.z, self.u = np.empty((CHUNK, 3)), np.empty(CHUNK)
+        half = SUB // 2
+        self.z, self.u = np.empty((SUB, 3)), np.empty(SUB)
         self.rec = np.empty(3 * half)  # flat, so that its (3, n) head is contiguous
         self.mag2, self.acc = np.empty(half), np.empty(half)
         self.keep = np.empty(half, dtype=bool)
-        self.blocks = np.empty((4 + 10, _BLOCK))  # Moments.of of 3-variate records
+        self.blocks = np.empty((4 + 10, _BLOCK))  # _add_gram of 3-variate records
 
 
 def _per_worker(fn):
@@ -570,103 +604,106 @@ def _mag2(rec: np.ndarray, work: _Workspace) -> np.ndarray:
     return mag2
 
 
-def _merge(parts, add) -> list:
-    """Element-wise ``add`` of the chunks' equal-length lists, in chunk order."""
-    total = next(parts, [])
+def _accepts(u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
+    """Mask, in ``work``, of the records whose uniform is below
+    P_acc(|gamma|^2), as :func:`post_select` decides."""
+    n = len(mag2)
+    return np.less(u, _acceptance(mag2, filt, work.acc[:n]), out=work.keep[:n])
+
+
+def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> np.ndarray:
+    """One chunked pass over a common draw for a grid of states.
+
+    Per piece of :func:`_draws` and Alice basis b, it adds to the chunk's
+    Gram matrices about 0 (:func:`_add_gram`): when any entry of ``filters``
+    is None, that of the basis's normals z; then, for each state i, with
+    records chol_i[b] z, that of the records each :class:`FilterSpec` of
+    ``filters[i]`` accepts, rescaled, and the count alone, in entry [0, 0],
+    of the records each filter of ``counted[i]`` accepts (:func:`_accepts`).
+    The chunks' sums are added in chunk order; returns the (2, outputs, 10,
+    10) totals, x basis first.
+    """
+    raw = any(f is None for fs in filters for f in fs)
+    steps = [(chol, [f for f in fs if f is not None], list(cs))
+             for chol, fs, cs in zip(chols, filters, counted)]
+    steps = [step for step in steps if step[1] or step[2]]
+    n_out = raw + sum(len(fs) + len(cs) for _, fs, cs in steps)
+
+    def chunk(k: int, work: _Workspace) -> np.ndarray:
+        sums = np.zeros((2, n_out, 10, 10))  # Gram matrices of 3-variate records
+        for _, z, u in _draws(seed, k, count, work, uniforms=n_out > raw):
+            for b in (BASIS_X, BASIS_P):
+                zb, out = z[b::2].T, iter(sums[b])
+                if raw:
+                    _add_gram(next(out), zb, 0.0, work.blocks)
+                for chol, fs, cs in steps:
+                    rec = np.matmul(chol[b], zb, out=work.rec[:zb.size].reshape(zb.shape))
+                    mag2 = _mag2(rec, work)
+                    for filt in fs:
+                        kept = rec.compress(_accepts(u[b::2], mag2, filt, work), axis=1)
+                        kept[1:] /= filt.gain
+                        _add_gram(next(out), kept, 0.0, work.blocks)
+                    for filt in cs:
+                        next(out)[0, 0] += np.count_nonzero(_accepts(u[b::2], mag2, filt, work))
+        return sums
+
+    parts = _map_chunks(_per_worker(chunk), _n_chunks(count), threads)
+    total = next(parts)
     for part in parts:
-        total = [add(a, b) for a, b in zip(total, part)]
+        total += part
     return total
 
 
-def _accepted_moments(rec, keep, filt: FilterSpec, work: _Workspace) -> Moments:
-    kept = rec.compress(keep, axis=1)
-    kept[1:] /= filt.gain
-    return Moments.of(kept, work.blocks)
-
-
-def _filter_step(rec, u, filters, reduce, work: _Workspace) -> list:
-    """``reduce(rec, keep, filt, work)`` for each filter; ``keep`` marks the
-    records whose uniform is below P_acc(|gamma|^2), as :func:`post_select`
-    decides."""
-    n = rec.shape[1]
-    mag2 = _mag2(rec, work)
-    out = []
-    for filt in filters:
-        keep = np.less(u, _acceptance(mag2, filt, work.acc[:n]), out=work.keep[:n])
-        out.append(reduce(rec, keep, filt, work))
-    return out
-
-
-def _grid_pass(chols, count: int, seed: int, filters, threads: int, reduce, add):
-    """One chunked pass over a common draw for a grid of states.
-
-    Per chunk and basis: when any entry of ``filters`` is None, the z-moments
-    (``Moments.of`` of the basis's normals), then, for each state i,
-    :func:`_filter_step` of its raw (alice, X_het, P_het) records with the
-    :class:`FilterSpec` entries of ``filters[i]``.  The values are merged over
-    the chunks with ``add``; returns the x-basis and the p-basis totals.
-    """
-    filtered = any(f is not None for fs in filters for f in fs)
-    raw = any(f is None for fs in filters for f in fs)
-
-    def chunk(k: int, work: _Workspace) -> list:
-        m = min(CHUNK, count - k * CHUNK)
-        z = _normals(seed, k, m, work)
-        u = _chunk_rng(seed, _NS_ACCEPT, k).random(out=work.u[:m]) if filtered else None
-        out = []
-        for b in (BASIS_X, BASIS_P):
-            zb = z[b::2].T
-            rec = work.rec[:zb.size].reshape(zb.shape)
-            if raw:
-                np.copyto(rec, zb)
-                out.append(Moments.of(rec, work.blocks))
-            for chol, fs in zip(chols, filters):
-                fs = [f for f in fs if f is not None]
-                if fs:
-                    out += _filter_step(np.matmul(chol[b], zb, out=rec), u[b::2], fs,
-                                        reduce, work)
-        return out
-
-    total = _merge(_map_chunks(_per_worker(chunk), _n_chunks(count), threads), add)
-    half = len(total) // 2
-    return total[:half], total[half:]
-
-
-def sample_grid_moments(states, count: int, seed: int, filters,
-                        threads: int = 1) -> list[list[Ensemble]]:
-    """One streaming pass over a common draw for a grid of states: for each
-    state i and each entry of ``filters[i]`` (None for the raw ensemble), the
-    moments of the records ``post_select(sample_batch(states[i], count,
-    seed), filt, seed)`` accepts.
+def sample_grid(states, count: int, seed: int, filters, counted,
+                threads: int = 1) -> tuple[list[list[Ensemble]], list[list[int]]]:
+    """One streaming pass over a common draw for a grid of states.  For each
+    state i: the moments of the records ``post_select(sample_batch(states[i],
+    count, seed), filt, seed)`` accepts, for each entry filt of
+    ``filters[i]`` (None for the raw ensemble), and the number of records
+    each filter of ``counted[i]`` accepts, without their moments.  Returns
+    (ensembles, counts), one list per state in each.
 
     Every state reads the same normals and uniforms, so a state's result does
-    not depend on the rest of the grid.  Memory is O(threads x (CHUNK +
+    not depend on the rest of the grid.  Memory is O(threads x (SUB +
     states)) at any ``count``, and the result is bit-identical for any
     ``threads``.  A state :func:`sample_batch` refuses raises with its index
     as ``exc.cell``.
     """
-    if len(filters) != len(states):
-        raise ValueError(f"{len(states)} states but {len(filters)} filter lists")
+    if not len(states) == len(filters) == len(counted):
+        raise ValueError(f"{len(states)} states, {len(filters)} filter lists and "
+                         f"{len(counted)} lists of counted filters")
     chols = _grid_samplers(states, count)
-    x, p = map(iter, _grid_pass(chols, count, seed, filters, threads,
-                                _accepted_moments, Moments.merge))
+    outs = iter(zip(*_grid_pass(chols, count, seed, filters, counted, threads)))
+
+    def ensemble() -> Ensemble:
+        return Ensemble(*(Moments.of_gram(np.zeros(3), q) for q in next(outs)))
+
     if any(f is None for fs in filters for f in fs):
-        zx, zp = next(x), next(p)
-    return [[Ensemble(zx.linear(chol[0]), zp.linear(chol[1])) if f is None
-             else Ensemble(next(x), next(p)) for f in fs]
-            for chol, fs in zip(chols, filters)]
+        z = ensemble()
+    ensembles, counts = [], []
+    for chol, fs, cs in zip(chols, filters, counted):
+        ensembles.append([Ensemble(z.x.linear(chol[0]), z.p.linear(chol[1])) if f is None
+                          else ensemble() for f in fs])
+        counts.append([int(sum(q[0, 0] for q in next(outs))) for _ in cs])
+    return ensembles, counts
+
+
+def sample_grid_moments(states, count: int, seed: int, filters,
+                        threads: int = 1) -> list[list[Ensemble]]:
+    """The moments of :func:`sample_grid`: for each state i and each entry of
+    ``filters[i]`` (None for the raw ensemble), the moments of the records
+    ``post_select(sample_batch(states[i], count, seed), filt, seed)``
+    accepts."""
+    return sample_grid(states, count, seed, filters, [()] * len(states), threads)[0]
 
 
 def sample_grid_accepted(states, count: int, seed: int, filters,
                          threads: int = 1) -> list[int]:
     """For each state i, the number of records :func:`sample_grid_moments`
     accepts with the filter ``filters[i]``, without the moments."""
-    if len(filters) != len(states):
-        raise ValueError(f"{len(states)} states but {len(filters)} filters")
-    x, p = _grid_pass(_grid_samplers(states, count), count, seed,
-                      [[f] for f in filters], threads,
-                      lambda rec, keep, filt, work: int(np.count_nonzero(keep)), operator.add)
-    return [a + b for a, b in zip(x, p)]
+    counts = sample_grid(states, count, seed, [()] * len(states), [[f] for f in filters],
+                         threads)[1]
+    return [n for (n,) in counts]
 
 
 def sample_moments(state: GaussianState, count: int, seed: int, filters,
@@ -687,8 +724,9 @@ def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpe
 
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     """(covariance estimate, standard errors) from a batch's accepted records
-    (every record if it has no accepted column), reduced chunk by chunk as
-    :func:`sample_moments` reduces them; see :meth:`Ensemble.covariance`.
+    (every record if it has no accepted column): each chunk's records are
+    reduced about their own mean (:meth:`Moments.of`) and merged in chunk
+    order; see :meth:`Ensemble.covariance`.
     """
 
     def chunk(k: int) -> list[Moments]:
@@ -704,7 +742,8 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
             out.append(Moments.of(rec))
         return out
 
-    x, p = _merge(map(chunk, range(_n_chunks(len(batch)))), Moments.merge)
+    x, p = (reduce(Moments.merge, parts)
+            for parts in zip(*map(chunk, range(_n_chunks(len(batch))))))
     return Ensemble(x, p).covariance(min_accepted)
 
 

@@ -28,7 +28,7 @@ from steerdist.experiments import (
     run_regions,
     run_selfcheck,
 )
-from steerdist.measurement import reconstruction_tolerance
+from steerdist.measurement import reconstruction_tolerance, sample_accepted
 
 
 def _config(tmp_path, **kw):
@@ -239,6 +239,36 @@ def test_monte_carlo_empty_cells_are_reported(tmp_path, capsys):
     assert fig3[0]["g_a2b_raw"] and not fig3[0]["g_a2b_nla"]
     assert "fig3a: loss=0 Monte Carlo value left empty: too few accepted records: " in err
     assert len(err.splitlines()) == 2
+
+
+def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkeypatch):
+    # A gain whose exact expected accepted count lies more than 6 sd below
+    # MC_MIN_ACCEPTED is only counted in the pass: its cell ends empty anyway.
+    import steerdist.experiments as experiments
+
+    calls = []
+    sample_grid = experiments.sample_grid
+
+    def spy(states, count, seed, filters, counted, threads=1):
+        calls.append(([f.gain for f in filters[0]], [f.gain for f in counted[0]]))
+        return sample_grid(states, count, seed, filters, counted, threads)
+
+    monkeypatch.setattr(experiments, "sample_grid", spy)
+    config = _config(tmp_path, mode="both", samples=400_000,
+                     fig4_g_grid=np.array([1.2, 1.42, 1.44, 1.5]))
+    _, rows = run_fig4(config)
+    assert calls == [([1.2, 1.42], [1.44, 1.5])]
+    err = capsys.readouterr().err.splitlines()
+    assert err[:2] == [
+        "fig4: g=1.44 Monte Carlo value left empty: too few accepted records: "
+        "expected 130, more than 6 sd below 200",
+        "fig4: g=1.5 Monte Carlo value left empty: too few accepted records: "
+        "expected 95, more than 6 sd below 200"]
+    # a counted gain keeps its sampled acceptance rate; its key rate is empty
+    state, seed = experiments.model_state(config), experiments.derive_seed(config.seed, 4)
+    for row in rows[2:]:
+        assert row[-2] is None
+        assert row[-1] == sample_accepted(state, 400_000, seed, FilterSpec(row[0], 4.5)) / 400_000
 
 
 def test_fig4_monte_carlo_memory_is_bounded(tmp_path):

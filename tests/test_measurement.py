@@ -28,12 +28,16 @@ from steerdist import (
 )
 from steerdist.measurement import (
     CHUNK,
+    SUB,
     BatchSchemaError,
     Moments,
     _chunk_rng,
+    _draws,
     _joint_cholesky,
     _map_chunks,
+    _NS_ACCEPT,
     _NS_GAUSS,
+    _Workspace,
     reconstruction_tolerance,
     sample_accepted,
     sample_grid_accepted,
@@ -135,6 +139,20 @@ def _masked_sample_reference(state, count, seed):
         chunk[~mask] = z[~mask] @ l_p.T
         vals.append(chunk)
     return np.concatenate(vals)
+
+
+@pytest.mark.parametrize("length", [CHUNK, 118_929, 7], ids=["full", "short-final", "odd"])
+def test_sub_chunk_draws_are_the_whole_chunk_stream(length):
+    # The Monte Carlo pass draws a chunk in pieces of SUB records from the
+    # chunk's two generators; numpy must give the values of one whole draw.
+    k = 3
+    pieces = [(start, z.copy(), u.copy())
+              for start, z, u in _draws(5, k, k * CHUNK + length, _Workspace(), uniforms=True)]
+    assert [start for start, _, _ in pieces] == list(range(0, length, SUB))
+    z = np.concatenate([z for _, z, _ in pieces])
+    u = np.concatenate([u for _, _, u in pieces])
+    assert np.array_equal(z, _chunk_rng(5, _NS_GAUSS, k).standard_normal((length, 3)))
+    assert np.array_equal(u, _chunk_rng(5, _NS_ACCEPT, k).random(length))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -683,3 +701,28 @@ print(faults(8), faults(40))
                          env=env, check=True, timeout=300)
     short, long = map(int, out.stdout.split())
     assert (long - short) / 32 < 200, (short, long)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_monte_carlo_pass_peak_memory_is_small():
+    # Each worker draws and reduces SUB records at a time in a 2.6 MB
+    # workspace.  With whole chunks in a 7.6 MB workspace this call grew the
+    # peak RSS by 22.5-23.0 MB (2-vCPU VM, numpy 2.4.6), with pieces by
+    # 12.2-12.4 MB, most of it BLAS's own buffers at its first call.
+    code = """
+import resource
+from steerdist import FilterSpec, apply_lossy, tmss_standard
+from steerdist.measurement import CHUNK, sample_moments
+
+state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
+filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sample_moments(state, 16 * CHUNK, 1, filters, threads=2)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    growth_kib = int(out.stdout)
+    assert growth_kib < 17_500, growth_kib
