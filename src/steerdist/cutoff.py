@@ -74,15 +74,19 @@ class CutoffDiagnostics:
 class CutoffScan:
     """The cutoff grid of every cell of a stack, evaluated in one pass.
 
-    ``beta_c`` has one entry per cell (NaN where no cutoff passes); the other
-    arrays are (cells, grid points).  A steering error is inf where the
-    accepted ensemble is not evaluable.
+    ``beta_c`` has one entry per cell (NaN where no cutoff passes), as do
+    ``ref_a_to_b`` and ``ref_b_to_a``, the steering of the ideally amplified
+    cell that the steering errors are measured against; the other arrays
+    are (cells, grid points).  A steering error is inf where the accepted
+    ensemble is not evaluable.
     """
 
     criteria: CutoffCriteria
     gains: np.ndarray
     grid: np.ndarray
     beta_c: np.ndarray
+    ref_a_to_b: np.ndarray
+    ref_b_to_a: np.ndarray
     rates: np.ndarray
     kurtosis: np.ndarray
     err_a_to_b: np.ndarray
@@ -151,8 +155,8 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     passed = (evaluable & (np.abs(kurts - 3.0) < criteria.kurt_tol)
               & (err_ab < criteria.steering_tol) & (err_ba < criteria.steering_tol))
     beta_c = np.where(passed.any(axis=1), grid[np.argmax(passed, axis=1)], np.nan)
-    return CutoffScan(criteria, gains, grid, beta_c, rates.reshape(n, size), kurts,
-                      err_ab, err_ba, passed)
+    return CutoffScan(criteria, gains, grid, beta_c, gab_ref, gba_ref, rates.reshape(n, size),
+                      kurts, err_ab, err_ba, passed)
 
 
 def select_cutoff(

@@ -120,14 +120,25 @@ def _each_cell(fn, n: int) -> list:
     return out
 
 
-def _fig3_cutoffs(config, outs, losses, table) -> list:
+def _table_cutoffs(losses, gains) -> list:
+    """The published cutoff of each (loss, gain) cell."""
+    table = reference_cutoff_table()
+    return [cutoff_from_table(loss, g, table) for loss, g in zip(losses, gains)]
+
+
+def _fig3_cutoffs(config, outs, losses):
+    """(cutoffs, (G_A->B, G_B->A) of the ideally amplified outputs,
+    acceptance rates at the cutoffs) of fig3's cells.  The last two are None
+    unless the cutoff search computed them on its way."""
     if config.cutoff_source == "config":
-        return [config.cutoff] * len(losses)
+        return [config.cutoff] * len(losses), None, None
     if config.cutoff_source == "table":
-        return [cutoff_from_table(loss, config.gain, table) for loss in losses]
+        return _table_cutoffs(losses, [config.gain] * len(losses)), None, None
     scan = select_cutoff_stack(outs, config.gain)
     scan.require(losses)
-    return scan.beta_c.tolist()
+    chosen = np.argmax(scan.passed, axis=1)
+    return (scan.beta_c.tolist(), (scan.ref_a_to_b, scan.ref_b_to_a),
+            scan.rates[np.arange(len(losses)), chosen])
 
 
 def _left_empty(where: str, reason) -> None:
@@ -167,7 +178,6 @@ def run_fig3(variant: str, config: ExperimentConfig):
     if variant == "b" and excess <= 0.0:
         raise ValueError("fig3b requires channel.excess_noise > 0")
     state = model_state(config)
-    table = reference_cutoff_table()
     g = config.gain
     losses = [float(x) for x in config.loss_grid]
 
@@ -182,12 +192,13 @@ def run_fig3(variant: str, config: ExperimentConfig):
 
     def chain(n):
         outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
-        beta_c = _fig3_cutoffs(config, outs, losses[:n], table)
+        beta_c, ideal, rates = _fig3_cutoffs(config, outs, losses[:n])
         cols = []
         if config.mode in ("analytic", "both"):
-            amp = nla_single_mode_stack(outs, g)
-            cols = [v.tolist() for v in (*steerability_stack(outs), *steerability_stack(amp),
-                                         filtered_ensemble_stack(outs, g, beta_c)[0])]
+            if ideal is None:
+                ideal = steerability_stack(nla_single_mode_stack(outs, g))
+                rates = filtered_ensemble_stack(outs, g, beta_c)[0]
+            cols = [v.tolist() for v in (*steerability_stack(outs), *ideal, rates)]
         mc = []
         if config.mode in ("monte_carlo", "both"):
             states, filters = zip(*_each_cell(
@@ -330,14 +341,12 @@ def _fig4_sample(config, state, gains, filters, rates):
 
 
 def _appendix_grid(config):
-    """The published 5x5 grid, loss-major: (losses, gains, table cutoffs,
-    channel outputs of the model state), one entry per cell."""
+    """The published 5x5 grid, loss-major: (losses, gains, channel outputs of
+    the model state), one entry per cell."""
     losses = [float(loss) for loss in TABLE_LOSSES for _ in TABLE_GAINS]
     gains = [float(g) for _ in TABLE_LOSSES for g in TABLE_GAINS]
-    table = reference_cutoff_table()
-    cutoffs = [cutoff_from_table(loss, g, table) for loss, g in zip(losses, gains)]
     outs = channel_stack(model_state(config).cov, losses, 0.0, config.noise_model)
-    return losses, gains, cutoffs, outs
+    return losses, gains, outs
 
 
 def run_appendix(item: str, config: ExperimentConfig):
@@ -378,7 +387,8 @@ def _run_fig_s2(config):
     exact ensemble moments (skewness exactly 0), with one line on standard
     error per such cell.
     """
-    losses, gains, cutoffs, outs = _appendix_grid(config)
+    losses, gains, outs = _appendix_grid(config)
+    cutoffs = _table_cutoffs(losses, gains)
     rates, _, kurts = (v.tolist() for v in filtered_ensemble_stack(outs, gains, cutoffs))
     rows = [[g, loss, 0.0, kurt] for loss, g, kurt in zip(losses, gains, kurts)]
     sampled = []
@@ -405,7 +415,8 @@ def _run_fig_s2(config):
 
 def _run_fig_s4(config):
     """Success probability of the filter over the (g, loss) grid."""
-    losses, gains, cutoffs, outs = _appendix_grid(config)
+    losses, gains, outs = _appendix_grid(config)
+    cutoffs = _table_cutoffs(losses, gains)
     if config.mode == "analytic":
         rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
     else:
@@ -421,7 +432,7 @@ def _run_fig_s4(config):
 
 def _run_table_s1(config):
     """Reproduce the optimal-cutoff table by a fresh search of every cell."""
-    losses, gains, _, outs = _appendix_grid(config)
+    losses, gains, outs = _appendix_grid(config)
 
     def chain(n):
         scan = select_cutoff_stack(outs[:n], gains[:n])

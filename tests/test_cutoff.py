@@ -16,6 +16,9 @@ from steerdist import (
 from steerdist.cli import main
 from steerdist.config import load_config, parse_grid
 from steerdist.experiments import run_fig3
+from steerdist.filtered_moments import filtered_ensemble_stack
+from steerdist.nla import nla_single_mode_stack
+from steerdist.steering import steerability_stack
 
 PAPER_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 PAPER_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -124,6 +127,30 @@ def test_stack_search_is_bit_equal_to_scalar_search(model_state):
             diag.steering_err_a_to_b, diag.steering_err_b_to_a)
         if i < 25:
             assert scan.trace(i) == diag.trace
+
+
+@pytest.mark.parametrize("g", [1.2, 1.4])
+def test_fig3a_search_columns_are_the_scan_references(tmp_path, model_state, g):
+    # the search-mode runner takes its amplified steering and acceptance
+    # rates from the cutoff scan: bit for bit the direct kernel calls.  At
+    # g = 1.4 no cutoff passes below loss 0.2, so the runner gets the cells
+    # of the default grid that have one.
+    losses = parse_grid("0:0.98:0.002")
+    outs = channel_stack(model_state.cov, losses)
+    beta_c = select_cutoff_stack(outs, g).beta_c
+    keep = ~np.isnan(beta_c)
+    losses, outs, beta_c = losses[keep], outs[keep], beta_c[keep]
+    config = load_config(None, env={}, overrides={
+        "out_dir": str(tmp_path), "gain": g, "cutoff_source": "search", "loss_grid": losses})
+    _, rows = run_fig3("a", config)
+    cols = np.array(rows)[:, 3:6].T
+    assert (cols[:2] == steerability_stack(nla_single_mode_stack(outs, g))).all()
+    assert (cols[2] == filtered_ensemble_stack(outs, g, beta_c)[0]).all()
+    # one cell's rows of an 8-cell scan (8 x 37 rows) against an 8-row call
+    scan = select_cutoff_stack(outs[:8], g)
+    chosen = scan.rates[np.arange(8), np.argmax(scan.passed, axis=1)]
+    assert (chosen == filtered_ensemble_stack(outs[:8], g, scan.beta_c)[0]).all()
+    assert (chosen == cols[2, :8]).all()
 
 
 def test_stack_search_marks_cells_without_cutoff(model_state):

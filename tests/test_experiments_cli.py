@@ -335,7 +335,8 @@ def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
 
     config = _config(tmp_path, mode="monte_carlo", samples=40_000)
     _, rows = exp.run_appendix("fig_s4", config)
-    _, gains, cutoffs, outs = exp._appendix_grid(config)
+    losses, gains, outs = exp._appendix_grid(config)
+    cutoffs = exp._table_cutoffs(losses, gains)
     seed = exp.derive_seed(config.seed, 6)
     for row, g, bc, out in zip(rows, gains, cutoffs, outs):
         count = sample_accepted(exp.from_cov(out), 40_000, seed, FilterSpec(g, bc))
@@ -529,22 +530,72 @@ def test_cli_env_override(tmp_path, monkeypatch):
     assert len(rows) == 3
 
 
-def _loaded_by_cli_import(package: str) -> str:
-    """The modules of ``package`` that importing the CLI loads in a fresh
-    interpreter, as a printed sorted list."""
-    code = ("import sys, steerdist.cli, steerdist.experiments; "
+def _loaded_by_cli(package: str, argvs=()) -> str:
+    """The modules of ``package`` loaded in a fresh interpreter that imports
+    the CLI and runs ``main(argv)`` for each of ``argvs`` (each must exit 0),
+    as a printed sorted list."""
+    code = ("import sys, steerdist.cli, steerdist.experiments\n"
+            f"for argv in {list(argvs)!r}:\n"
+            "    assert steerdist.cli.main(argv) == 0, argv\n"
             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    return out.stdout.strip()
+    return out.stdout.splitlines()[-1]
 
 
 def test_cli_import_does_not_load_scipy():
-    assert _loaded_by_cli_import("scipy") == "[]"
+    assert _loaded_by_cli("scipy") == "[]"
 
 
 def test_cli_import_does_not_load_numpy_polynomial():
     # the filter integrals are closed forms: no Gauss-Legendre node table,
     # whose eigenproblem cost every start-up ~25 ms
-    assert _loaded_by_cli_import("numpy.polynomial") == "[]"
+    assert _loaded_by_cli("numpy.polynomial") == "[]"
+
+
+def test_analytic_commands_do_not_load_numpy_random(tmp_path):
+    # numpy.random is imported lazily, when a sampling command or ingest
+    # first seeds a generator; its import costs a fresh worker about 25 ms
+    # and 9 MB
+    out = str(tmp_path / "out")
+    argvs = [[cmd, "--out", out] for cmd in ("regions-c", "fig-s1", "table-s1")]
+    for source in ("table", "search", "config"):
+        ini = tmp_path / f"{source}.ini"
+        ini.write_text(f"[filter]\ncutoff_source = {source}\n")
+        argvs.append(["fig3a", "--config", str(ini), "--out", out])
+    assert _loaded_by_cli("numpy.random", argvs) == "[]"
+
+
+def test_published_table_is_read_only_where_a_cutoff_comes_from_it(tmp_path, monkeypatch):
+    import steerdist.experiments as exp
+
+    def ini(source):
+        path = tmp_path / f"{source}.ini"
+        path.write_text(f"[filter]\ncutoff_source = {source}\n")
+        return ["--config", str(path)]
+
+    def refuse():
+        raise AssertionError("the published cutoff table was read")
+
+    calls = []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    real = exp.reference_cutoff_table
+    for name, argv in (("fig3a.csv", ["fig3a", *ini("search")]),
+                       ("fig3a.csv", ["fig3a", *ini("config")]),
+                       ("table_s1.csv", ["table-s1"])):
+        monkeypatch.setattr(exp, "reference_cutoff_table", real)
+        assert main([*argv, "--out", str(tmp_path / "with")]) == 0
+        monkeypatch.setattr(exp, "reference_cutoff_table", refuse)
+        assert main([*argv, "--out", str(tmp_path / "without")]) == 0
+        assert ((tmp_path / "without" / name).read_bytes()
+                == (tmp_path / "with" / name).read_bytes()), argv
+    monkeypatch.setattr(exp, "reference_cutoff_table", counting)
+    for argv in (["fig3a", *ini("table")], ["fig-s2"], ["fig-s4"]):
+        calls.clear()
+        assert main([*argv, "--out", str(tmp_path / "table")]) == 0
+        assert len(calls) == 1, argv
