@@ -45,7 +45,6 @@ from .measurement import (
     MomentStats,
     QuadratureBatch,
     ReconstructionError,
-    acceptance_probability,
     moment_stats,
     post_select,
     read_batch_csv,

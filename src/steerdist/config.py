@@ -123,6 +123,8 @@ class ExperimentConfig:
         if not 0 <= self.excess_noise < np.inf:
             raise ConfigError(
                 f"channel.excess_noise must be finite and >= 0, got {self.excess_noise}")
+        if self.seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise ConfigError(f"run.threads must be >= 1, got {self.threads}")
         for name in ("loss_grid", "g_grid", "fig4_g_grid"):

@@ -27,7 +27,7 @@ from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import GaussianState, from_cov, save_cov, tmss_standard
+from .gaussian import GaussianState, _each_cell, from_cov, save_cov, tmss_standard
 from .measurement import (
     BatchSchemaError,
     FilterSpec,
@@ -38,8 +38,6 @@ from .measurement import (
     reconstruction_tolerance,
     sample_batch,
     sample_grid,
-    sample_grid_accepted,
-    sample_grid_moments,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
 from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se
@@ -106,18 +104,6 @@ def _in_grid_order(chain, n_cells: int):
         if getattr(exc, "cell", None):
             _in_grid_order(chain, exc.cell)
         raise
-
-
-def _each_cell(fn, n: int) -> list:
-    """``[fn(i) for i in range(n)]``, tagging a failure with its cell."""
-    out = []
-    for i in range(n):
-        try:
-            out.append(fn(i))
-        except Exception as exc:
-            exc.cell = i
-            raise
-    return out
 
 
 def _table_cutoffs(losses, gains) -> list:
@@ -203,8 +189,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
         if config.mode in ("monte_carlo", "both"):
             states, filters = zip(*_each_cell(
                 lambda i: (from_cov(outs[i]), (None, FilterSpec(g, beta_c[i]))), n))
-            ens = sample_grid_moments(states, config.samples, derive_seed(config.seed, 3),
-                                      filters, config.threads)
+            ens = sample_grid(states, config.samples, derive_seed(config.seed, 3),
+                              filters, [()] * n, config.threads)[0]
             mc = _each_cell(lambda i: _mc_steering_point(
                 *ens[i], config.samples, f"fig3{variant}: loss={losses[i]:g}"), n)
         rows = []
@@ -401,10 +387,10 @@ def _run_fig_s2(config):
                   f"exact moments: expected accepted count {expected:.0f} < "
                   f"{FIG_S2_MIN_EXPECTED}", file=sys.stderr)
     if sampled:
-        ens = sample_grid_moments([from_cov(outs[i]) for i in sampled], config.samples,
-                                  derive_seed(config.seed, 5),
-                                  [[FilterSpec(gains[i], cutoffs[i])] for i in sampled],
-                                  config.threads)
+        ens = sample_grid([from_cov(outs[i]) for i in sampled], config.samples,
+                          derive_seed(config.seed, 5),
+                          [[FilterSpec(gains[i], cutoffs[i])] for i in sampled],
+                          [()] * len(sampled), config.threads)[0]
         for i, (amp,) in zip(sampled, ens):
             bob = amp.bob()
             sx, sp = bob.stats(0), bob.stats(1)
@@ -420,11 +406,11 @@ def _run_fig_s4(config):
     if config.mode == "analytic":
         rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
     else:
-        counts = sample_grid_accepted([from_cov(out) for out in outs], config.samples,
-                                      derive_seed(config.seed, 6),
-                                      [FilterSpec(g, bc) for g, bc in zip(gains, cutoffs)],
-                                      config.threads)
-        rates = [n / config.samples for n in counts]
+        counts = sample_grid([from_cov(out) for out in outs], config.samples,
+                             derive_seed(config.seed, 6), [()] * len(outs),
+                             [[FilterSpec(g, bc)] for g, bc in zip(gains, cutoffs)],
+                             config.threads)[1]
+        rates = [n / config.samples for (n,) in counts]
     rows = [[g, loss, rate] for loss, g, rate in zip(losses, gains, rates)]
     path = _write_output(config, "fig_s4.csv", ["g", "loss", "acceptance_rate"], rows)
     return path, rows

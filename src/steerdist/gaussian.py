@@ -67,6 +67,18 @@ def _raise_first(bad, make_error) -> None:
         raise exc
 
 
+def _each_cell(fn, n: int) -> list:
+    """``[fn(i) for i in range(n)]``, tagging a failure with its cell."""
+    out = []
+    for i in range(n):
+        try:
+            out.append(fn(i))
+        except Exception as exc:
+            exc.cell = i
+            raise
+    return out
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n symplectic form, block diagonal in [[0, 1], [-1, 0]]."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))

@@ -43,16 +43,15 @@ zero-mean, and the filter depends on |gamma|^2 alone, so each accepted
 ensemble is symmetric under a sign flip and zero-mean too.  A sample mean
 is then O(sigma / sqrt(n)), and the final shift to it in
 :meth:`Moments.central` loses nothing to cancellation.  Sums about a common
-centre add with no correction term (the zero-shift case of the pairwise
-update; Pebay, SAND2008-6212), so pieces, then chunks, are added in order:
-the result does not depend on the thread count, nor a state's on the rest
-of its grid, and memory is O(threads x (SUB + states)) at any sample count.
-Where the mean is not known to be 0 -- the batch API (:func:`sample_batch`,
-:func:`post_select`, :func:`reconstruct_covariance`), which ingested records
-with any offset go through, and :func:`moment_stats` -- the two-pass
-:meth:`Moments.of` sums about the data's mean, and chunks merge by the exact
-pairwise update (Chan, Golub & LeVeque 1979).  The batch API sees the same
-records and makes the same acceptance decisions as the pass.
+centre add with no correction term (Pebay, SAND2008-6212), so pieces, then
+chunks, are added in order: the result does not depend on the thread count,
+nor a state's on the rest of its grid, and memory is O(threads x (SUB +
+states)) at any sample count.  Every :class:`Moments` is summed about a
+centre fixed before its records are read, so no sums are ever shifted and
+merged: 0 in the pass, the data's means in :func:`reconstruct_covariance`
+and :func:`moment_stats`, which see records of any offset.  The batch API
+(:func:`sample_batch`, :func:`post_select`) sees the same records and makes
+the same acceptance decisions as the pass.
 
 Each worker thread writes a piece's temporaries into one 2.6 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
@@ -71,7 +70,7 @@ import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +78,7 @@ from .gaussian import (
     GaussianState,
     NumericalError,
     RECONSTRUCTION_TOL,
+    _each_cell,
     check_physical,
 )
 
@@ -120,14 +120,6 @@ def _acceptance(mag2, filt: FilterSpec, out=None):
     p *= t
     np.minimum(p, 0.0, out=p)
     return np.exp(p, out=p)
-
-
-def acceptance_probability(beta_magnitude, filt: FilterSpec):
-    """Acceptance probability for outcome magnitude |beta| (scalar or array)."""
-    p = _acceptance(np.square(np.asarray(beta_magnitude, dtype=float)), filt)
-    if p.ndim == 0:
-        return float(p)
-    return p
 
 
 @dataclass(frozen=True)
@@ -210,19 +202,6 @@ def _sampler(state: GaussianState, count: int):
             f"reconstruction cannot observe (got sigma[0, 1] = {a[0, 1]:.6g})")
     state.require_physical(RECONSTRUCTION_TOL)
     return _joint_cholesky(state)
-
-
-def _grid_samplers(states, count: int):
-    """:func:`_sampler` of every state; a refused state's error carries its
-    grid index as ``exc.cell``."""
-    chols = []
-    for i, state in enumerate(states):
-        try:
-            chols.append(_sampler(state, count))
-        except Exception as exc:
-            exc.cell = i
-            raise
-    return chols
 
 
 def _draws(seed: int, k: int, count: int, work: _Workspace, uniforms: bool):
@@ -435,20 +414,6 @@ class Moments:
     def count(self) -> int:
         return int(self.sums[0, 0, 0, 0])
 
-    def merge(self, other: Moments) -> Moments:
-        """Moments of both record sets: each side's sums shifted to the
-        combined mean, then added (the exact pairwise update)."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        n_self, n_other = self.sums[0, 0, 0, 0], other.sums[0, 0, 0, 0]
-        mean = self.center + ((other.center - self.center) * n_other
-                              + self.sums[0, 0, 0, 1:] + other.sums[0, 0, 0, 1:]) / (
-                                  n_self + n_other)
-        return Moments(mean, _shift(self.sums, self.center - mean)
-                       + _shift(other.sums, other.center - mean))
-
     def linear(self, l: np.ndarray) -> Moments:
         """Moments of the records ``l @ r``: y = (1, r - c) becomes B y with
         B = blockdiag(1, l)."""
@@ -500,7 +465,9 @@ def _entry(sums: np.ndarray, u: int, v: int):
 @dataclass(frozen=True)
 class Ensemble:
     """Moments of one accepted ensemble's (alice, X_het, P_het) records, per
-    Alice basis."""
+    Alice basis.  Both bases' sums share Bob's centre (0 in the pass, the
+    mean over both bases in :func:`reconstruct_covariance`), so Bob's sums
+    over both bases add with no shift."""
 
     x: Moments
     p: Moments
@@ -511,7 +478,8 @@ class Ensemble:
 
     def bob(self) -> Moments:
         """Moments of Bob's (X_het, P_het) over both bases."""
-        return self.x.marginal((1, 2)).merge(self.p.marginal((1, 2)))
+        x, p = self.x.marginal((1, 2)), self.p.marginal((1, 2))
+        return Moments(x.center, x.sums + p.sums)
 
     def covariance(self, min_accepted: int = 10_000):
         """Invert the sampling conventions: (covariance estimate, standard errors).
@@ -672,7 +640,7 @@ def sample_grid(states, count: int, seed: int, filters, counted,
     if not len(states) == len(filters) == len(counted):
         raise ValueError(f"{len(states)} states, {len(filters)} filter lists and "
                          f"{len(counted)} lists of counted filters")
-    chols = _grid_samplers(states, count)
+    chols = _each_cell(lambda i: _sampler(states[i], count), len(states))
     outs = iter(zip(*_grid_pass(chols, count, seed, filters, counted, threads)))
 
     def ensemble() -> Ensemble:
@@ -688,30 +656,12 @@ def sample_grid(states, count: int, seed: int, filters, counted,
     return ensembles, counts
 
 
-def sample_grid_moments(states, count: int, seed: int, filters,
-                        threads: int = 1) -> list[list[Ensemble]]:
-    """The moments of :func:`sample_grid`: for each state i and each entry of
-    ``filters[i]`` (None for the raw ensemble), the moments of the records
-    ``post_select(sample_batch(states[i], count, seed), filt, seed)``
-    accepts."""
-    return sample_grid(states, count, seed, filters, [()] * len(states), threads)[0]
-
-
-def sample_grid_accepted(states, count: int, seed: int, filters,
-                         threads: int = 1) -> list[int]:
-    """For each state i, the number of records :func:`sample_grid_moments`
-    accepts with the filter ``filters[i]``, without the moments."""
-    counts = sample_grid(states, count, seed, [()] * len(states), [[f] for f in filters],
-                         threads)[1]
-    return [n for (n,) in counts]
-
-
 def sample_moments(state: GaussianState, count: int, seed: int, filters,
                    threads: int = 1) -> list[Ensemble]:
-    """:func:`sample_grid_moments` of the one state: for each entry of
-    ``filters`` (None for the raw ensemble), the moments of the records
+    """:func:`sample_grid` of the one state: for each entry of ``filters``
+    (None for the raw ensemble), the moments of the records
     ``post_select(sample_batch(state, count, seed), filt, seed)`` accepts."""
-    return sample_grid_moments([state], count, seed, [filters], threads)[0]
+    return sample_grid([state], count, seed, [filters], [()], threads)[0][0]
 
 
 def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpec,
@@ -719,32 +669,39 @@ def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpe
     """The number of records ``post_select(sample_batch(state, count, seed),
     filt, seed)`` accepts: the acceptance decisions of :func:`sample_moments`,
     without the moments."""
-    return sample_grid_accepted([state], count, seed, [filt], threads)[0]
+    return sample_grid([state], count, seed, [()], [[filt]], threads)[1][0][0]
 
 
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     """(covariance estimate, standard errors) from a batch's accepted records
-    (every record if it has no accepted column): each chunk's records are
-    reduced about their own mean (:meth:`Moments.of`) and merged in chunk
-    order; see :meth:`Ensemble.covariance`.
+    (every record if it has no accepted column), in any basis order; see
+    :meth:`Ensemble.covariance`.  A first pass over the chunks fixes each
+    basis's centre: Alice's mean in that basis and Bob's mean over both
+    bases.  A second adds each chunk's records of a basis to that basis's
+    Gram matrix about its centre (:func:`_add_gram`).
     """
+    cols = (batch.alice_value, batch.bob_x, batch.bob_p)
 
-    def chunk(k: int) -> list[Moments]:
+    def masks(k: int):
         rows = slice(k * CHUNK, (k + 1) * CHUNK)
-        basis = batch.alice_basis[rows]
         keep = True if batch.accepted is None else batch.accepted[rows]
-        out = []
-        for b in (BASIS_X, BASIS_P):
-            mask = (basis == b) & keep
-            rec = np.empty((3, np.count_nonzero(mask)))
-            for row, col in zip(rec, (batch.alice_value, batch.bob_x, batch.bob_p)):
-                np.compress(mask, col[rows], out=row)
-            out.append(Moments.of(rec))
-        return out
+        return rows, [(batch.alice_basis[rows] == b) & keep for b in (BASIS_X, BASIS_P)]
 
-    x, p = (reduce(Moments.merge, parts)
-            for parts in zip(*map(chunk, range(_n_chunks(len(batch))))))
-    return Ensemble(x, p).covariance(min_accepted)
+    chunks = range(_n_chunks(len(batch)))
+    sums = np.zeros((2, 4))  # per basis: the count, then each column's sum
+    for rows, kept in map(masks, chunks):
+        for total, mask in zip(sums, kept):
+            total += [np.count_nonzero(mask), *(np.dot(c[rows], mask) for c in cols)]
+    centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
+    centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
+    grams = np.zeros((2, 10, 10))  # Gram matrices of 3-variate records
+    for rows, kept in map(masks, chunks):
+        for q, centre, mask in zip(grams, centres, kept):
+            rec = np.empty((3, np.count_nonzero(mask)))
+            for row, col in zip(rec, cols):
+                np.compress(mask, col[rows], out=row)
+            _add_gram(q, rec, centre[:, None])
+    return Ensemble(*map(Moments.of_gram, centres, grams)).covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------

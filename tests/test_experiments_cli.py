@@ -455,6 +455,24 @@ def test_cli_exit_codes(tmp_path):
     assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "ini"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, source):
+    # analytic fig3a never seeds a generator, so only validation can refuse it
+    out = tmp_path / "o"
+    argv = ["fig3a", "--out", str(out)]
+    if source == "flag":
+        argv += ["--seed", "-3"]
+    elif source == "env":
+        monkeypatch.setenv("STEERDIST_RUN_SEED", "-3")
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text("[run]\nseed = -3\n")
+        argv += ["--config", str(ini)]
+    assert main(argv) == 2
+    assert "run.seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_ingest_refuses_post_selected_file(tmp_path, model_state, capsys):
     # an export after post-selection carries accepted = 0 rows; ingesting it
     # would filter already-filtered data, so the command refuses it

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,8 +10,8 @@ from steerdist import (
     BASIS_P,
     BASIS_X,
     FilterSpec,
+    QuadratureBatch,
     ReconstructionError,
-    acceptance_probability,
     acceptance_rate_exact,
     apply_lossy,
     cutoff_from_table,
@@ -30,7 +31,6 @@ from steerdist.measurement import (
     CHUNK,
     SUB,
     BatchSchemaError,
-    Moments,
     _chunk_rng,
     _draws,
     _joint_cholesky,
@@ -38,10 +38,10 @@ from steerdist.measurement import (
     _NS_ACCEPT,
     _NS_GAUSS,
     _Workspace,
+    _acceptance,
     reconstruction_tolerance,
     sample_accepted,
-    sample_grid_accepted,
-    sample_grid_moments,
+    sample_grid,
     sample_moments,
 )
 
@@ -52,29 +52,34 @@ def _se_units(got, want, se):
 
 # --- acceptance probability ---------------------------------------------------
 
+def _acceptance_at(beta, f):
+    """The acceptance probability at outcome magnitude |beta|."""
+    return float(_acceptance(np.array(beta * beta), f))
+
+
 def test_acceptance_probability_at_cutoff_is_one():
     f = FilterSpec(1.2, 4.5)
-    assert acceptance_probability(4.5, f) == 1.0
-    assert acceptance_probability(6.0, f) == 1.0
+    assert _acceptance_at(4.5, f) == 1.0
+    assert _acceptance_at(6.0, f) == 1.0
 
 
 def test_acceptance_probability_unit_gain():
     f = FilterSpec(1.0, 4.5)
     for b in (0.0, 1.0, 4.49, 10.0):
-        assert acceptance_probability(b, f) == 1.0
+        assert _acceptance_at(b, f) == 1.0
 
 
 def test_acceptance_probability_origin_value():
     # direct evaluation of exp(-(1-g^-2) |beta_c|^2)
     f = FilterSpec(1.2, 4.5)
     want = np.exp(-(1 - 1 / 1.44) * 20.25)
-    assert acceptance_probability(0.0, f) == pytest.approx(want, rel=1e-12)
+    assert _acceptance_at(0.0, f) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(2.055e-3, abs=2e-6)
 
 
 def test_acceptance_probability_continuous_at_cutoff():
     f = FilterSpec(1.3, 3.0)
-    assert acceptance_probability(3.0 - 1e-9, f) == pytest.approx(1.0, abs=1e-8)
+    assert _acceptance_at(3.0 - 1e-9, f) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_filter_spec_validation():
@@ -356,38 +361,6 @@ def test_reconstruction_requires_enough_records(model_state):
 
 # --- streaming moments -----------------------------------------------------------
 
-def _two_pass_reference(records):
-    """(mean, sums of y^(x4) with y = (1, record - mean)) in extended precision."""
-    r = records.astype(np.longdouble)
-    mean = r.mean(axis=1)
-    y = np.vstack([np.ones((1, r.shape[1]), dtype=np.longdouble), r - mean[:, None]])
-    return mean, np.einsum("in,jn,kn,ln->ijkl", y, y, y, y)
-
-
-@pytest.mark.parametrize("shift", [0.0, 1e4])
-@pytest.mark.parametrize("splits", [[1], [7_777], [3, 4_096, 15_001]],
-                         ids=["one+rest", "odd-index", "four-parts"])
-def test_merged_moments_match_two_pass_reference(shift, splits):
-    if shift and np.finfo(np.longdouble).eps >= np.finfo(float).eps:
-        pytest.skip("the reference at a large mean needs an extended-precision long double")
-    rng = np.random.default_rng(44)
-    chol = np.linalg.cholesky([[2.0, 1.2, 0.3], [1.2, 1.5, -0.4], [0.3, -0.4, 1.0]])
-    records = shift + chol @ rng.standard_normal((3, 20_001))
-    parts = np.split(records, splits, axis=1)
-    merged = Moments.of(parts[0])
-    for part in parts[1:]:
-        merged = merged.merge(Moments.of(part))
-    mean, sums = merged.central()
-    want_mean, want = _two_pass_reference(records)
-    assert merged.count == 20_001
-    # relative to each entry's natural scale: |mean| or sd, and n * sd_i sd_j sd_k sd_l
-    sd = np.sqrt(np.diag(want[0, 0, 1:, 1:]).astype(float) / 20_001)
-    assert np.max(np.abs(mean - want_mean.astype(float)) / (np.abs(want_mean) + sd)) < 1e-12
-    unit = np.concatenate([[1.0], sd])
-    scale = 20_001 * np.einsum("i,j,k,l->ijkl", unit, unit, unit, unit)
-    assert np.max(np.abs(sums - want.astype(float)) / scale) < 1e-12
-
-
 def _two_pass_covariance(batch):
     """Covariance and SEs entry by entry from masked columns, two passes each."""
     def var_se(x):
@@ -417,12 +390,20 @@ def _two_pass_covariance(batch):
 
 
 def test_reconstruction_matches_two_pass_definitions(model_state):
+    # ingest takes records of any offset and in any basis order: each case
+    # moves the centres off 0 or gives the 3 chunks unequal basis counts
     batch = sample_batch(apply_lossy(model_state, 0.3), 300_001, seed=19)
     filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=20)
-    cov, se = reconstruct_covariance(filtered, 1_000)
-    want_cov, want_se = _two_pass_covariance(filtered)
-    np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0)
+    order = np.random.default_rng(23).permutation(len(filtered))
+    for offset, rows in itertools.product((0.0, 1e4), (slice(None), order)):
+        case = QuadratureBatch(filtered.alice_basis[rows], filtered.alice_value[rows] + offset,
+                               filtered.bob_x[rows] + offset, filtered.bob_p[rows] + offset,
+                               filtered.accepted[rows])
+        cov, se = reconstruct_covariance(case, 1_000)
+        want_cov, want_se = _two_pass_covariance(case)
+        label = f"offset {offset}, {'shuffled' if rows is order else 'alternating'}"
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0, err_msg=label)
+        np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0, err_msg=label)
 
 
 def _moment_arrays(ensembles):
@@ -455,22 +436,24 @@ def _grid(model_state):
 
 def test_sample_grid_moments_bit_identical_across_threads(model_state):
     states, filters = _grid(model_state)
-    one = [_moment_arrays(e) for e in sample_grid_moments(states, 300_001, 21, filters, 1)]
+    counted = [()] * len(states)
+    one = [_moment_arrays(e) for e in sample_grid(states, 300_001, 21, filters, counted, 1)[0]]
     for threads in (2, 4):
         other = [_moment_arrays(e)
-                 for e in sample_grid_moments(states, 300_001, 21, filters, threads)]
+                 for e in sample_grid(states, 300_001, 21, filters, counted, threads)[0]]
         assert all(np.array_equal(a, b) for x, y in zip(one, other) for a, b in zip(x, y))
 
 
 def test_grid_points_are_the_single_state_passes(model_state):
     # common random numbers: a state's ensembles do not depend on its grid
     states, filters = _grid(model_state)
-    grid = sample_grid_moments(states, 300_001, 22, filters, threads=2)
+    grid = sample_grid(states, 300_001, 22, filters, [()] * len(states), threads=2)[0]
     for state, fs, got in zip(states, filters, grid):
         want = sample_moments(state, 300_001, 22, fs)
         assert all(np.array_equal(a, b)
                    for a, b in zip(_moment_arrays(got), _moment_arrays(want)))
-    counts = sample_grid_accepted(states, 300_001, 22, [fs[-1] for fs in filters])
+    counts = [n for (n,) in sample_grid(states, 300_001, 22, [()] * len(states),
+                                        [[fs[-1]] for fs in filters])[1]]
     assert counts == [e[-1].accepted for e in grid]
     assert counts == [sample_accepted(s, 300_001, 22, fs[-1]) for s, fs in zip(states, filters)]
 
@@ -479,10 +462,10 @@ def test_grid_sampler_tags_the_refused_state(model_state):
     bad = from_cov(np.diag([1.0, 1.0, 0.5, 0.5]))  # unphysical
     states = [model_state, apply_lossy(model_state, 0.5), bad]
     with pytest.raises(ValueError) as info:
-        sample_grid_moments(states, 20_000, 1, [[None]] * 3)
+        sample_grid(states, 20_000, 1, [[None]] * 3, [()] * 3)
     assert info.value.cell == 2
     with pytest.raises(ValueError) as info:
-        sample_grid_accepted(states, 20_000, 1, [FilterSpec(1.2, 3.0)] * 3)
+        sample_grid(states, 20_000, 1, [()] * 3, [[FilterSpec(1.2, 3.0)]] * 3)
     assert info.value.cell == 2
 
 
