@@ -34,24 +34,25 @@ and ``[1::2]``), and adds each requested ensemble's records to its Gram
 matrix of the pair products y_i y_j, y = (1, record): every co-moment sum
 up to order 4 about 0.  Every state of a grid reads the same z and uniforms
 (common random numbers; Glasserman 2004, ch. 4): state i's records are L_i
-z, with L_i its Cholesky factor, so its raw ensemble's sums are the z sums
-mapped by one factor of L_i per tensor axis; only the filter step
-(acceptance, rescaling, reduction of the accepted records) runs per state.
+z, with L_i its Cholesky factor, so its raw ensemble's Gram matrix is K Q
+K^T, with Q that of z and K the pair map of blockdiag(1, L_i)
+(:func:`_pair_map`); only the filter step (acceptance, rescaling,
+reduction of the accepted records) runs per state.
 
 The centre 0 is exact: :func:`_sampler` draws L z, so every state is
 zero-mean, and the filter depends on |gamma|^2 alone, so each accepted
 ensemble is symmetric under a sign flip and zero-mean too.  A sample mean
-is then O(sigma / sqrt(n)), and the final shift to it in
-:meth:`Moments.central` loses nothing to cancellation.  Sums about a common
-centre add with no correction term (Pebay, SAND2008-6212), so pieces, then
-chunks, are added in order: the result does not depend on the thread count,
-nor a state's on the rest of its grid, and memory is O(threads x (SUB +
-states)) at any sample count.  Every :class:`Moments` is summed about a
-centre fixed before its records are read, so no sums are ever shifted and
-merged: 0 in the pass, the data's means in :func:`reconstruct_covariance`
-and :func:`moment_stats`, which see records of any offset.  The batch API
-(:func:`sample_batch`, :func:`post_select`) sees the same records and makes
-the same acceptance decisions as the pass.
+is then O(sigma / sqrt(n)), and :meth:`Moments.central`, K Q K^T with K the
+pair map of [[1, 0], [-mean, I]], loses nothing to cancellation.  Sums
+about a common centre add with no correction term (Pebay, SAND2008-6212),
+so pieces, then chunks, are added in order: the result does not depend on
+the thread count, nor a state's on the rest of its grid, and memory is
+O(threads x (SUB + states)) at any sample count.  Every :class:`Moments` is
+summed about a centre fixed before its records are read, so no sums are
+ever shifted and merged: 0 in the pass, the data's means in
+:func:`reconstruct_covariance` and :func:`moment_stats`, which see records
+of any offset.  The batch API (:func:`sample_batch`, :func:`post_select`)
+sees the same records and makes the same acceptance decisions as the pass.
 
 Each worker thread writes a piece's temporaries into one 2.6 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
@@ -318,32 +319,24 @@ def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
 _BLOCK = 8192  # records per block of products, which then stay in cache
 
 
-def _transform(sums: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Sums of (a y)^(x4) from the sums of y^(x4): one factor of ``a`` per
-    axis; transform the leading axis, rotate it to the back, four times."""
-    d = len(sums)
-    flat = sums.reshape(d, -1)
-    for _ in range(4):
-        flat = (a @ flat).T.reshape(d, -1)
-    return flat.reshape(sums.shape)
-
-
-def _shift(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Re-express sums of y^(x4), y = (1, r - c), for y = (1, r - c + h),
-    which is A y with A = [[1, 0], [h, I]]."""
-    a = np.eye(len(sums))
-    a[1:, 0] = h
-    return _transform(sums, a)
-
-
 @lru_cache(maxsize=None)
 def _pairs(dim: int):
-    """The row pairs (i, j), i <= j, of a (dim, .) array, and the (dim, dim)
-    map from (i, j) or (j, i) to the pair's position."""
+    """Index arrays (i, j) of the pairs i <= j of ``dim`` variables, in Gram
+    row order, and the (dim, dim) map from (i, j) or (j, i) to their row."""
     i, j = np.triu_indices(dim)
     position = np.empty((dim, dim), dtype=int)
     position[i, j] = position[j, i] = np.arange(len(i))
-    return list(zip(i.tolist(), j.tolist())), position
+    return i, j, position
+
+
+def _pair_map(a: np.ndarray) -> np.ndarray:
+    """The pair map K of an (m, d) ``a``: the pair products of a y are K
+    times those of y, K[(i, j), (c, e)] = a_ic a_je + a_ie a_jc for c < e and
+    a_ic a_jc for c = e, so a Gram matrix Q of y's becomes K Q K^T."""
+    (i, j, _), (c, e, _) = map(_pairs, a.shape)
+    k = a[i][:, c] * a[j][:, e]
+    k += (c < e) * (a[i][:, e] * a[j][:, c])
+    return k
 
 
 def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
@@ -356,7 +349,7 @@ def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
     array of at least (d+1)(d+4)/2 rows of ``_BLOCK`` values.  The sums
     depend only on the values, not on the array's layout."""
     d, n = records.shape
-    pairs = _pairs(d + 1)[0]
+    pairs = list(zip(*(a.tolist() for a in _pairs(d + 1)[:2])))
     if blocks is None:
         blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
     y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
@@ -379,18 +372,18 @@ class MomentStats:
 
 @dataclass(frozen=True)
 class Moments:
-    """Count and co-moment sums up to order 4 of d-variate records.
+    """Co-moment sums up to order 4 of d-variate records.
 
-    ``sums`` is the (d+1)^4 tensor of the sum of y (x) y (x) y (x) y over the
-    records, with y = (1, record - center).  ``sums[0, 0, 0, 0]`` is the
-    count; ``sums[0, 0, 0, i]`` are first-order sums, which carry the
-    records' mean less ``center`` (zero up to rounding when ``center`` is the
-    mean); the entries with two, three and four nonzero indices are the
-    second-, third- and fourth-order sums.
+    ``gram`` is the Gram matrix that :func:`_add_gram` sums, over the
+    records, of the pair products y_i y_j, i <= j, of y = (1, record -
+    center), in :func:`_pairs` order: entry ((i, j), (k, l)) is the sum of
+    y_i y_j y_k y_l.  Row 0 is the pair (0, 0): the count, then the
+    first-order sums, which carry the records' mean less ``center`` (zero up
+    to rounding when ``center`` is the mean), then the second-order sums.
     """
 
     center: np.ndarray
-    sums: np.ndarray
+    gram: np.ndarray
 
     @classmethod
     def of(cls, records: np.ndarray) -> Moments:
@@ -402,47 +395,54 @@ class Moments:
         n_pairs = len(_pairs(d + 1)[0])
         q = np.zeros((n_pairs, n_pairs))
         _add_gram(q, records, center[:, None])
-        return cls.of_gram(center, q)
+        return cls(center, q)
 
-    @classmethod
-    def of_gram(cls, center: np.ndarray, q: np.ndarray) -> Moments:
-        """Moments from the Gram matrix :func:`_add_gram` sums about ``center``."""
-        position = _pairs(len(center) + 1)[1]
-        return cls(center, q[position[:, :, None, None], position])
+    def _sum(self, i: int, j: int, k: int, l: int) -> float:
+        """The sum of y_i y_j y_k y_l over the records."""
+        position = _pairs(len(self.center) + 1)[2]
+        return self.gram[position[i, j], position[k, l]]
 
     @property
     def count(self) -> int:
-        return int(self.sums[0, 0, 0, 0])
+        return int(self._sum(0, 0, 0, 0))
+
+    def _map(self, a: np.ndarray, center: np.ndarray) -> Moments:
+        """Moments of the records whose y is ``a`` y, about ``center``."""
+        k = _pair_map(a)
+        return Moments(center, k @ self.gram @ k.T)
 
     def linear(self, l: np.ndarray) -> Moments:
         """Moments of the records ``l @ r``: y = (1, r - c) becomes B y with
         B = blockdiag(1, l)."""
-        b = np.eye(len(self.sums))
+        b = np.eye(len(self.center) + 1)
         b[1:, 1:] = l
-        return Moments(l @ self.center, _transform(self.sums, b))
+        return self._map(b, l @ self.center)
 
     def marginal(self, variables) -> Moments:
-        idx = [0, *(v + 1 for v in variables)]
-        return Moments(self.center[list(variables)], self.sums[np.ix_(idx, idx, idx, idx)])
+        """Moments of the records' ``variables``, by a 0/1 map: no rounding."""
+        a = np.eye(len(self.center) + 1)[[0, *(v + 1 for v in variables)]]
+        return self._map(a, self.center[list(variables)])
 
-    def central(self):
-        """(mean, sums about the mean); the first-order sums move into the mean."""
-        h = -self.sums[0, 0, 0, 1:] / self.sums[0, 0, 0, 0]
-        return self.center - h, _shift(self.sums, h)
+    def central(self) -> Moments:
+        """The moments about the mean: y = (1, r - c) becomes A y with A =
+        [[1, 0], [h, I]], h = c - mean, from the first-order sums."""
+        a = np.eye(len(self.center) + 1)
+        a[1:, 0] = -self.gram[0, 1:len(a)] / self.gram[0, 0]
+        return self._map(a, self.center - a[1:, 0])
 
     def stats(self, variable: int = 0) -> MomentStats:
         """Mean, variance m2, skewness m3/m2^1.5, kurtosis m4/m2^2 (non-excess)."""
-        n = self.sums[0, 0, 0, 0]
+        n = self._sum(0, 0, 0, 0)
         if n < 2:
             raise ValueError("need at least two values")
-        mean, s = self.central()
+        m = self.central()
         k = variable + 1
-        var = s[0, 0, k, k] / n
+        var = m._sum(0, 0, k, k) / n
         if var == 0.0:
             raise ValueError("degenerate input: zero variance")
-        return MomentStats(mean=float(mean[variable]), variance=float(var),
-                           skewness=float(s[0, k, k, k] / n / var**1.5),
-                           kurtosis=float(s[k, k, k, k] / n / (var * var)))
+        return MomentStats(mean=float(m.center[variable]), variance=float(var),
+                           skewness=float(m._sum(0, k, k, k) / n / var**1.5),
+                           kurtosis=float(m._sum(k, k, k, k) / n / (var * var)))
 
 
 def moment_stats(values: np.ndarray) -> MomentStats:
@@ -450,16 +450,16 @@ def moment_stats(values: np.ndarray) -> MomentStats:
     return Moments.of(np.asarray(values, dtype=float).reshape(1, -1)).stats()
 
 
-def _entry(sums: np.ndarray, u: int, v: int):
-    """Estimate and SE of Cov(u, v) from central sums; the variance SE uses
-    the biased m2, the covariance SE the unbiased covariance."""
-    n = sums[0, 0, 0, 0]
+def _entry(m: Moments, u: int, v: int):
+    """Estimate and SE of Cov(u, v) from moments about the mean; the variance
+    SE uses the biased m2, the covariance SE the unbiased covariance."""
+    n = m._sum(0, 0, 0, 0)
     u, v = u + 1, v + 1
     if u == v:
-        m2 = sums[0, 0, u, u] / n
-        return m2 * n / (n - 1), np.sqrt(max(sums[u, u, u, u] / n - m2 * m2, 0.0) / n)
-    cov = sums[0, 0, u, v] / (n - 1)
-    return cov, np.sqrt(max(sums[u, u, v, v] / n - cov * cov, 0.0) / n)
+        m2 = m._sum(0, 0, u, u) / n
+        return m2 * n / (n - 1), np.sqrt(max(m._sum(u, u, u, u) / n - m2 * m2, 0.0) / n)
+    cov = m._sum(0, 0, u, v) / (n - 1)
+    return cov, np.sqrt(max(m._sum(u, u, v, v) / n - cov * cov, 0.0) / n)
 
 
 @dataclass(frozen=True)
@@ -479,7 +479,7 @@ class Ensemble:
     def bob(self) -> Moments:
         """Moments of Bob's (X_het, P_het) over both bases."""
         x, p = self.x.marginal((1, 2)), self.p.marginal((1, 2))
-        return Moments(x.center, x.sums + p.sums)
+        return Moments(x.center, x.gram + p.gram)
 
     def covariance(self, min_accepted: int = 10_000):
         """Invert the sampling conventions: (covariance estimate, standard errors).
@@ -504,17 +504,17 @@ class Ensemble:
         if min(self.x.count, self.p.count) < 2:  # a variance needs n - 1 > 0
             raise ReconstructionError(f"both Alice bases need at least 2 accepted records, "
                                       f"got {self.x.count} X and {self.p.count} P")
-        x, p, bob = (m.central()[1] for m in (self.x, self.p, self.bob()))
+        x, p, bob = (m.central() for m in (self.x, self.p, self.bob()))
         root2 = np.sqrt(2.0)
         cov = np.zeros((4, 4))
         se = np.zeros((4, 4))
-        for (i, j), sums, (u, v), scale in (
+        for (i, j), m, (u, v), scale in (
             ((0, 0), x, (0, 0), 1.0), ((1, 1), p, (0, 0), 1.0),
             ((2, 2), bob, (0, 0), 2.0), ((3, 3), bob, (1, 1), 2.0), ((2, 3), bob, (0, 1), 2.0),
             ((0, 2), x, (0, 1), root2), ((0, 3), x, (0, 2), root2),
             ((1, 2), p, (0, 1), root2), ((1, 3), p, (0, 2), root2),
         ):
-            v_ij, e_ij = _entry(sums, u, v)
+            v_ij, e_ij = _entry(m, u, v)
             cov[i, j] = cov[j, i] = scale * v_ij
             se[i, j] = se[j, i] = scale * e_ij
         cov[2, 2] -= 1.0
@@ -644,7 +644,7 @@ def sample_grid(states, count: int, seed: int, filters, counted,
     outs = iter(zip(*_grid_pass(chols, count, seed, filters, counted, threads)))
 
     def ensemble() -> Ensemble:
-        return Ensemble(*(Moments.of_gram(np.zeros(3), q) for q in next(outs)))
+        return Ensemble(*(Moments(np.zeros(3), q) for q in next(outs)))
 
     if any(f is None for fs in filters for f in fs):
         z = ensemble()
@@ -701,7 +701,7 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
             for row, col in zip(rec, cols):
                 np.compress(mask, col[rows], out=row)
             _add_gram(q, rec, centre[:, None])
-    return Ensemble(*map(Moments.of_gram, centres, grams)).covariance(min_accepted)
+    return Ensemble(*map(Moments, centres, grams)).covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------

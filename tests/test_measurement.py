@@ -31,6 +31,8 @@ from steerdist.measurement import (
     CHUNK,
     SUB,
     BatchSchemaError,
+    Moments,
+    _add_gram,
     _chunk_rng,
     _draws,
     _joint_cholesky,
@@ -407,7 +409,7 @@ def test_reconstruction_matches_two_pass_definitions(model_state):
 
 
 def _moment_arrays(ensembles):
-    return [a for e in ensembles for m in (e.x, e.p) for a in (m.center, m.sums)]
+    return [a for e in ensembles for m in (e.x, e.p) for a in (m.center, m.gram)]
 
 
 def test_sample_moments_bit_identical_across_threads(model_state):
@@ -537,6 +539,34 @@ def test_moment_stats_degenerate():
         moment_stats(np.ones(10))
     with pytest.raises(ValueError):
         moment_stats(np.array([1.0]))
+
+
+def test_pair_map_matches_records_mapped_directly():
+    # sums about a centre 0.3 off the mean, as the pass's 0 is, then mapped
+    rng = np.random.default_rng(29)
+    chol = np.array([[1.2, 0.0, 0.0], [0.5, 0.9, 0.0], [-0.4, 0.3, 0.7]])
+    r = 1e4 + np.array([[0.3], [-0.2], [0.1]]) + chol @ rng.standard_normal((3, 4001))
+    about = np.full(3, 1e4)
+    q = np.zeros((10, 10))
+    _add_gram(q, r, about[:, None])
+    m = Moments(about, q)
+
+    def close(got, want):
+        np.testing.assert_allclose(got.center, want.center, rtol=1e-12, atol=0)
+        scale = np.abs(want.gram).max()  # first-order sums about the mean are ~0
+        np.testing.assert_allclose(got.gram, want.gram, rtol=1e-12, atol=1e-12 * scale)
+
+    close(m.central(), Moments.of(r))
+    l = np.array([[1.5, 0.0, 0.0], [0.4, 0.8, 0.0], [-0.3, 0.2, 1.1]])
+    close(m.linear(l).central(), Moments.of(l @ r))
+    position = {pair: k for k, pair in enumerate(zip(*(a.tolist() for a in np.triu_indices(4))))}
+    for variables in ((1, 2), (2,), (2, 0)):
+        close(m.marginal(variables).central(), Moments.of(r[list(variables)]))
+        # a 0/1 map: the marginal's Gram matrix is a plain sub-block of Q
+        idx = [0, *(v + 1 for v in variables)]
+        rows = [position[min(idx[a], idx[b]), max(idx[a], idx[b])]
+                for a, b in zip(*np.triu_indices(len(idx)))]
+        assert np.array_equal(m.marginal(variables).gram, q[np.ix_(rows, rows)])
 
 
 # --- CSV -------------------------------------------------------------------------
