@@ -43,6 +43,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .channels import NOISE_MODELS
+
 ENV_PREFIX = "STEERDIST"
 
 MODES = ("analytic", "monte_carlo", "both")
@@ -57,7 +59,8 @@ class ConfigError(ValueError):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """``start:stop:step`` (stop inclusive within half a step) or a comma list."""
+    """``start:stop:step`` (every start + k*step up to stop + 1e-9*step, so
+    ``0:0.95:0.5`` is [0, 0.5]) or a comma list."""
     text = text.strip()
     try:
         if ":" in text:
@@ -107,15 +110,20 @@ class ExperimentConfig:
                 f"filter.cutoff_source must be one of {CUTOFF_SOURCES}, "
                 f"got {self.cutoff_source!r}"
             )
+        if self.noise_model not in NOISE_MODELS:
+            raise ConfigError(f"channel.noise_model must be one of {NOISE_MODELS}, "
+                              f"got {self.noise_model!r}")
         if self.mode != "analytic" and self.samples < MIN_MC_SAMPLES:
             raise ConfigError(
                 f"run.samples must be >= {MIN_MC_SAMPLES} in Monte Carlo modes, "
                 f"got {self.samples}"
             )
         # every comparison is false for NaN, so each check is written to fail on it
-        for name in ("squeeze_db", "antisqueeze_db"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"state.{name} must be finite, got {getattr(self, name)}")
+        if not -np.inf < self.squeeze_db <= 0:
+            raise ConfigError(f"state.squeeze_db must be finite and <= 0, got {self.squeeze_db}")
+        if not 0 <= self.antisqueeze_db < np.inf:
+            raise ConfigError(
+                f"state.antisqueeze_db must be finite and >= 0, got {self.antisqueeze_db}")
         if not 1.0 <= self.gain < np.inf:
             raise ConfigError(f"filter.gain must be finite and >= 1, got {self.gain}")
         if not 0 < self.cutoff < np.inf:

@@ -205,6 +205,15 @@ def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np
     return covs
 
 
+def _require_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
+    """:func:`require_cov_stack`, then :func:`require_physical_stack` unless
+    ``physicality_tol`` is infinite."""
+    covs = require_cov_stack(covs)
+    if not np.isinf(physicality_tol):
+        require_physical_stack(covs, physicality_tol)
+    return covs
+
+
 def check_physical(sigma: np.ndarray, tol: float = PHYSICALITY_TOL):
     """Bona-fide test: min symplectic eigenvalue >= 1 - tol.
 
@@ -231,6 +240,12 @@ def purity(sigma: np.ndarray) -> float:
     if det < 1.0 - PHYSICALITY_TOL:
         raise UnphysicalStateError(f"det sigma = {det:.12g} < 1, not a physical state")
     return 1.0 / np.sqrt(det)
+
+
+def _first_order_se(grad: np.ndarray, se: np.ndarray) -> float:
+    """sqrt(sum_{i<=j} (grad_ij se_ij)^2), the first-order SE of f(sigma) with
+    independent entries; grad_ij moves (i, j) and (j, i) together."""
+    return float(np.sqrt(np.sum(np.triu(grad * se) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -292,28 +292,6 @@ def reconstruction_tolerance(se: np.ndarray) -> float:
     return float(max(RECONSTRUCTION_TOL, 5.0 * np.max(se)))
 
 
-def propagate_se(func, cov: np.ndarray, se: np.ndarray) -> float:
-    """Standard error of a function of ``cov`` by central differences, step
-    1e-5*max(1, |cov_ij|), over the entries i <= j, taken as independent (as
-    the reconstruction estimates them).
-
-    ``func`` maps a (N, 4, 4) stack to N values; it is called once, on the
-    stack of every entry's up and down steps.
-    """
-    entries = [(i, j) for i in range(4) for j in range(i, 4) if se[i, j] != 0.0]
-    steps = [1e-5 * max(1.0, abs(cov[i, j])) for i, j in entries]
-    stack = np.repeat(cov[None], 2 * len(entries), axis=0)
-    for k, ((i, j), h) in enumerate(zip(entries, steps)):
-        stack[2 * k, i, j] = stack[2 * k, j, i] = cov[i, j] + h
-        stack[2 * k + 1, i, j] = stack[2 * k + 1, j, i] = cov[i, j] - h
-    values = func(stack) if entries else []
-    var = 0.0
-    for k, ((i, j), h) in enumerate(zip(entries, steps)):
-        grad = (values[2 * k] - values[2 * k + 1]) / (2.0 * h)
-        var += (grad * se[i, j]) ** 2
-    return float(np.sqrt(var))
-
-
 # --- streaming moments ----------------------------------------------------------
 
 _BLOCK = 8192  # records per block of products, which then stay in cache

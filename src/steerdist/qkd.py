@@ -30,13 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import (
-    GaussianState,
-    UnphysicalStateError,
-    check_physical,
-    require_cov_stack,
-)
-from .measurement import FilterSpec, propagate_se
+from .gaussian import GaussianState, _first_order_se, _require_stack, require_cov_stack
+from .measurement import FilterSpec
 
 
 @dataclass(frozen=True)
@@ -53,14 +48,8 @@ def conditional_variances(sigma: np.ndarray, physicality_tol: float = 1e-3):
     :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
     when feeding estimated covariances.
     """
-    if not np.isinf(physicality_tol):
-        report = check_physical(sigma, tol=physicality_tol)
-        if not report:
-            raise UnphysicalStateError(
-                f"unphysical input: min symplectic eigenvalue "
-                f"{report.min_symplectic_eigenvalue:.6g}"
-            )
-    v_x, v_p = _conditional_variances_stack(np.asarray(sigma, dtype=float)[None])
+    covs = _require_stack(np.asarray(sigma, dtype=float)[None], physicality_tol)
+    v_x, v_p = _conditional_variances_stack(covs)
     return float(v_x[0]), float(v_p[0])
 
 
@@ -110,10 +99,18 @@ def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
 
 def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
-    """Key rate and standard error from an estimated covariance matrix."""
+    """Key rate and its first-order standard error from an estimated
+    covariance, through the exact gradient of K = log2(2/e) - log2(V_X V_P)/2.
+    The entries count as independent, which overstates the seed-to-seed
+    spread 2.4-2.8x."""
     result = key_rate(cov, physicality_tol)
-    return result, propagate_se(
-        lambda covs: _rate(*_conditional_variances_stack(covs)), cov, se)
+    grad = np.zeros((4, 4))
+    for k, v in enumerate((result.v_x_cond, result.v_p_cond)):
+        # V = (B + 1)/2 - C^2/(2A) of basis k, with A, B, C its three entries
+        a, c, dk_dv = cov[k, k], cov[k, k + 2], -0.5 / (np.log(2.0) * v)
+        grad[k, k], grad[k + 2, k + 2], grad[k, k + 2] = (
+            dk_dv * c * c / (2.0 * a * a), dk_dv / 2.0, -dk_dv * c / a)
+    return result, _first_order_se(grad, se)
 
 
 class NoPositiveKeyError(RuntimeError):

@@ -101,3 +101,23 @@ def test_mode_and_source_validation():
 def test_bad_env_value_reports_variable():
     with pytest.raises(ConfigError, match="STEERDIST_RUN_SEED"):
         load_config(None, env={"STEERDIST_RUN_SEED": "not-a-number"})
+
+
+@pytest.mark.parametrize("key, value", [("channel.noise_model", "foo"),
+                                        ("state.squeeze_db", 0.5),
+                                        ("state.antisqueeze_db", -0.5)])
+def test_validate_refuses_bad_noise_model_and_db_sign(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        load_config(None, env={}, overrides={key.split(".")[1]: value})
+
+
+@pytest.mark.parametrize("command", ["fig4", "fig3a"])
+def test_cli_unknown_noise_model_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # fig4 never builds a channel, so only validation can refuse the key
+    from steerdist.cli import main
+
+    monkeypatch.setenv("STEERDIST_CHANNEL_NOISE_MODEL", "foo")
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out)]) == 2
+    assert "config error: channel.noise_model must be one of" in capsys.readouterr().err
+    assert not out.exists()

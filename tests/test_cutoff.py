@@ -3,6 +3,7 @@ import pytest
 
 import steerdist.cutoff
 import steerdist.qkd
+import steerdist.steering
 from steerdist import (
     ChannelSpec,
     CutoffCriteria,
@@ -105,6 +106,14 @@ def test_search_modules_bind_no_sampler(model_state):
         assert sampler.isdisjoint(vars(module)), module.__name__
     bc, _ = select_cutoff(model_state, ChannelSpec(0.4), 1.1)
     assert bc == 3.75
+
+
+def test_steering_binds_nothing_from_measurement():
+    # the steering monotone and its SE are covariance algebra, so the module
+    # that the cutoff search imports reaches nothing in the Monte Carlo module
+    bound = [name for name, value in vars(steerdist.steering).items()
+             if getattr(value, "__module__", None) == "steerdist.measurement"]
+    assert not bound
 
 
 # --- the batched search ------------------------------------------------------------

@@ -16,7 +16,9 @@ an output::
 
     PYTHONPATH=src python tests/test_golden.py --overwrite
 
-Without ``--overwrite`` the script prints the digests and writes nothing.
+Without ``--overwrite`` the script prints the digests, then a comment line
+naming every output whose digest or plain file differs from the recorded
+one, and writes nothing: check those names before overwriting.
 """
 
 from __future__ import annotations
@@ -210,4 +212,9 @@ if __name__ == "__main__":
             (GOLDEN_DIR / name).write_bytes(data)
         print(f"wrote {GOLDEN} and {len(plain)} files beside it")
     else:
+        _, want = read_golden()
+        moved = [name for name, digest in digests.items() if want.get(name) != digest]
+        moved += [name for name, data in plain.items()
+                  if not (GOLDEN_DIR / name).is_file() or (GOLDEN_DIR / name).read_bytes() != data]
         print(text, end="")
+        print(f"# differ from the recorded outputs: {', '.join(moved) or 'none'}")

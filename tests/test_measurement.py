@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import random_physical_state
 from steerdist import (
     BASIS_P,
     BASIS_X,
@@ -280,7 +281,9 @@ def test_filtered_roundtrip_matches_ideal_amplifier(model_state):
 
 
 def _se_per_matrix(func, cov, se):
-    """The finite-difference SE evaluated one perturbed matrix at a time."""
+    """The SE by central differences, step 1e-5*max(1, |cov_ij|), over the
+    entries i <= j taken as independent, one perturbed matrix at a time: the
+    reference for the exact-gradient SEs."""
     var = 0.0
     for i in range(4):
         for j in range(i, 4):
@@ -294,22 +297,31 @@ def _se_per_matrix(func, cov, se):
     return float(np.sqrt(var))
 
 
-def test_stacked_se_equals_per_matrix_loop(model_state):
-    from steerdist import from_cov, key_rate, key_rate_with_se, steering_signed
+def test_exact_se_matches_finite_difference_loop(model_state):
+    from steerdist import key_rate, key_rate_with_se, steering_signed
 
     batch = sample_batch(apply_lossy(model_state, 0.3), 200_000, seed=31)
     filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=32)
     cov, se = reconstruct_covariance(filtered, min_accepted=1_000)
     assert se[0, 1] == 0.0  # Alice's x-p entry is skipped
-    tol = reconstruction_tolerance(se)
-    for d in ("a_to_b", "b_to_a"):
-        _, err = steerability_with_se(cov, se, d, tol)
+    cases = [(cov, se, reconstruction_tolerance(se))]
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        scale = rng.uniform(1e-3, 1e-2, (4, 4))
+        cases.append((random_physical_state(rng).cov, scale + scale.T, 1e-2))
+    steerable = set()
+    for sigma, s, tol in cases:
+        for d in ("a_to_b", "b_to_a"):
+            _, err = steerability_with_se(sigma, s, d, tol)
+            assert err > 0.0
+            assert err == pytest.approx(_se_per_matrix(
+                lambda c: steering_signed(from_cov(c), d, np.inf), sigma, s), rel=1e-6)
+            steerable.add(steering_signed(from_cov(sigma), d, tol) > 0.0)
+        _, err = key_rate_with_se(sigma, s, tol)
         assert err > 0.0
-        assert err == _se_per_matrix(
-            lambda c: steering_signed(from_cov(c), d, np.inf), cov, se)
-    _, err = key_rate_with_se(cov, se, tol)
-    assert err > 0.0
-    assert err == _se_per_matrix(lambda c: key_rate(c, np.inf).key_rate, cov, se)
+        assert err == pytest.approx(_se_per_matrix(
+            lambda c: key_rate(c, np.inf).key_rate, sigma, s), rel=1e-6)
+    assert steerable == {True, False}  # the clipped directions are covered too
 
 
 def test_error_scaling_with_sample_count(model_state):
