@@ -28,6 +28,7 @@ from .steering import (
     steerability,
     steerability_stack,
     steerability_with_se,
+    steerability_with_se_stack,
     steering_loss_threshold,
     steering_signed,
     steering_signed_stack,
@@ -45,6 +46,7 @@ from .measurement import (
     MomentStats,
     QuadratureBatch,
     ReconstructionError,
+    covariance_stack,
     moment_stats,
     post_select,
     read_batch_csv,
@@ -74,6 +76,7 @@ from .qkd import (
     key_rate,
     key_rate_filtered,
     key_rate_with_se,
+    key_rate_with_se_stack,
     min_gain_for_key,
 )
 

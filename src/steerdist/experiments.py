@@ -27,21 +27,28 @@ from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import GaussianState, _each_cell, from_cov, save_cov, tmss_standard
+from .gaussian import (
+    GaussianState,
+    NumericalError,
+    _each_cell,
+    _raise_first,
+    from_cov,
+    save_cov,
+    tmss_standard,
+)
 from .measurement import (
     BatchSchemaError,
     FilterSpec,
-    ReconstructionError,
+    covariance_stack,
     post_select,
     read_batch_csv,
     reconstruct_covariance,
-    reconstruction_tolerance,
     sample_batch,
     sample_grid,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
-from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se
-from .steering import classify_stack, steerability_stack, steerability_with_se
+from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se_stack
+from .steering import classify_stack, steerability_stack, steerability_with_se_stack
 
 TABLE_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 TABLE_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -131,25 +138,25 @@ def _left_empty(where: str, reason) -> None:
     print(f"{where} Monte Carlo value left empty: {reason}", file=sys.stderr)
 
 
-def _steering_with_se(cov, se):
-    """(G_A->B, its SE, G_B->A, its SE) of an estimated covariance, checked
-    for physicality at its reconstruction tolerance."""
-    tol = reconstruction_tolerance(se)
-    return (*steerability_with_se(cov, se, "a_to_b", tol),
-            *steerability_with_se(cov, se, "b_to_a", tol))
-
-
-def _mc_steering_point(raw, amp, samples, where):
-    """(raw +- se, nla +- se, rate) from one point's raw and amplified
-    ensembles; the amplified values are None when their reconstruction
-    fails."""
-    raw_vals = _steering_with_se(*raw.covariance(MC_MIN_ACCEPTED))
+def _mc_steering(ens, where):
+    """(G_A->B raw, SE, G_B->A raw, SE, and the same amplified) of each
+    point's (raw, amplified) ensembles, from one reconstruction and one
+    steering stack call; the amplified values are None where their
+    reconstruction fails, with a line on standard error per such point, in
+    grid order.  A raw ensemble that fails to reconstruct, or a matrix the
+    steering stack refuses, raises tagged with its point as ``cell``."""
+    covs, ses, errors = covariance_stack([e for point in ens for e in point], MC_MIN_ACCEPTED)
+    _raise_first([e is not None for e in errors[::2]], lambda i: errors[2 * i])
     try:
-        amp_vals = _steering_with_se(*amp.covariance(MC_MIN_ACCEPTED))
-    except ReconstructionError as exc:
-        _left_empty(where, exc)
-        amp_vals = (None,) * 4
-    return (*raw_vals, *amp_vals, amp.accepted / samples)
+        vals = np.column_stack(steerability_with_se_stack(covs, ses, np.inf)).tolist()
+    except NumericalError as exc:  # matrices in (raw, amplified) order per point
+        exc.cell //= 2
+        raise
+    for i, error in enumerate(errors[1::2]):
+        if error is not None:
+            _left_empty(where(i), error)
+    return [[*vals[2 * i], *(vals[2 * i + 1] if errors[2 * i + 1] is None else (None,) * 4)]
+            for i in range(len(ens))]
 
 
 def run_fig3(variant: str, config: ExperimentConfig):
@@ -191,14 +198,14 @@ def run_fig3(variant: str, config: ExperimentConfig):
                 lambda i: (from_cov(outs[i]), (None, FilterSpec(g, beta_c[i]))), n))
             ens = sample_grid(states, config.samples, derive_seed(config.seed, 3),
                               filters, [()] * n, config.threads)[0]
-            mc = _each_cell(lambda i: _mc_steering_point(
-                *ens[i], config.samples, f"fig3{variant}: loss={losses[i]:g}"), n)
+            mc = _mc_steering(ens, lambda i: f"fig3{variant}: loss={losses[i]:g}")
         rows = []
         for i in range(n):
             row = [losses[i], *(col[i] for col in cols)]
             if mc:
-                (rab, seab, rba, seba, nab, senab, nba, senba, rate) = mc[i]
-                row += [rab, rba, nab, nba, rate, seab, seba, senab, senba]
+                rab, seab, rba, seba, nab, senab, nba, senba = mc[i]
+                row += [rab, rba, nab, nba, ens[i][1].accepted / config.samples,
+                        seab, seba, senab, senba]
             rows.append(row)
         return rows
 
@@ -268,7 +275,10 @@ def run_fig4(config: ExperimentConfig):
     key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
     mc = accepted = None
     if config.mode in ("monte_carlo", "both"):
-        mc, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
+        ens, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
+        covs, ses, errors = covariance_stack(list(ens.values()), MC_MIN_ACCEPTED)
+        values = zip(*(v.tolist() for v in key_rate_with_se_stack(covs, ses, np.inf)))
+        mc = dict(zip(ens, zip(errors, values)))
 
     rows = []
     for i, g in enumerate(gains):
@@ -279,12 +289,11 @@ def run_fig4(config: ExperimentConfig):
         k = vx = vp = se_k = None
         rate = accepted[i] / config.samples
         if i in mc:
-            try:
-                cov, se = mc[i].covariance(MC_MIN_ACCEPTED)
-                res, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
-                k, vx, vp = res.key_rate, res.v_x_cond, res.v_p_cond
-            except ReconstructionError as exc:
-                _left_empty(f"fig4: g={g:g}", exc)
+            error, values = mc[i]
+            if error is None:
+                k, vx, vp, se_k = values
+            else:
+                _left_empty(f"fig4: g={g:g}", error)
         if config.mode == "monte_carlo":
             rows.append([g, k, vx, vp, rate, se_k, ref])
         else:
@@ -501,17 +510,18 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
     filt = FilterSpec(config.gain, config.cutoff)
     filtered, rate = post_select(batch, filt, config.seed)
     cov, se = reconstruct_covariance(filtered, min_accepted)
-    gab, se_ab, gba, se_ba = _steering_with_se(cov, se)
-    kr, se_k = key_rate_with_se(cov, se, reconstruction_tolerance(se))
+    covs, ses = cov[None], se[None]  # checked for physicality by the reconstruction
+    gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses, np.inf))
+    kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses, np.inf))
     rows = [
         ["n_records", len(batch), None],
         ["n_accepted", int(np.count_nonzero(filtered.accepted)), None],
         ["acceptance_rate", rate, None],
         ["g_a_to_b", gab, se_ab],
         ["g_b_to_a", gba, se_ba],
-        ["key_rate", kr.key_rate, se_k],
-        ["v_x_cond", kr.v_x_cond, None],
-        ["v_p_cond", kr.v_p_cond, None],
+        ["key_rate", kr, se_k],
+        ["v_x_cond", vx, None],
+        ["v_p_cond", vp, None],
     ]
     out_path = _write_output(config, "ingest_report.csv", ["quantity", "value", "se"], rows)
     save_cov(cov, os.path.join(config.out_dir, "ingest_cov.txt"))

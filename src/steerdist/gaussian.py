@@ -169,13 +169,10 @@ def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return moduli[::2].copy()
 
 
-def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
-    """Smallest symplectic eigenvalue of each matrix of a (N, 4, 4) stack of
-    symmetric matrices (see :func:`require_cov_stack`).
-
-    Raises :class:`NumericalError` at the first matrix that is not positive
-    definite.
-    """
+def _min_symplectic(covs: np.ndarray):
+    """(smallest symplectic eigenvalues, positive-definite mask) of a (N, 4,
+    4) stack of symmetric matrices; the eigenvalue of a matrix outside the
+    mask is meaningless."""
     a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
     det_a, det_b, det_c = det2(a), det2(b), det2(c)
     pd = pd2(a)
@@ -185,31 +182,44 @@ def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
     det_s = np.zeros(len(covs))
     det_s[sub] = np.where(s_pd, det2(s), 0.0)
     pd[sub] = s_pd
-    _raise_first(~pd, lambda i: _not_pd_error(covs[i]))
     p = adj2(a) @ c + adj2(c).transpose(0, 2, 1) @ b
     q = adj2(c) @ a + adj2(b) @ c.transpose(0, 2, 1)
     kappa = 0.5 * np.trace(p @ q, axis1=1, axis2=2)
     half_gap = 0.5 * (det_a - det_b)
     nu_plus2 = (0.5 * (det_a + det_b) + det_c
                 + np.sqrt(np.maximum(half_gap * half_gap + kappa, 0.0)))
-    return np.sqrt(det_a * det_s / nu_plus2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only outside the mask
+        return np.sqrt(det_a * det_s / nu_plus2), pd
 
 
-def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
+def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
+    """Smallest symplectic eigenvalue of each matrix of a (N, 4, 4) stack of
+    symmetric matrices (see :func:`require_cov_stack`).
+
+    Raises :class:`NumericalError` at the first matrix that is not positive
+    definite.
+    """
+    nu, pd = _min_symplectic(covs)
+    _raise_first(~pd, lambda i: _not_pd_error(covs[i]))
+    return nu
+
+
+def require_physical_stack(covs: np.ndarray, tol=PHYSICALITY_TOL) -> np.ndarray:
     """Raise :class:`UnphysicalStateError` at the first matrix of a stack of
-    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol;
-    returns the stack."""
+    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol,
+    with ``tol`` one value or one per matrix; returns the stack."""
     nu = min_symplectic_eigenvalues(covs)
+    tol = np.broadcast_to(tol, nu.shape)
     _raise_first(nu < 1.0 - tol, lambda i: UnphysicalStateError(
-        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol:g})"))
+        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol[i]:g})"))
     return covs
 
 
-def _require_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
+def _require_stack(covs: np.ndarray, physicality_tol) -> np.ndarray:
     """:func:`require_cov_stack`, then :func:`require_physical_stack` unless
-    ``physicality_tol`` is infinite."""
+    ``physicality_tol`` (one value or one per matrix) is infinite throughout."""
     covs = require_cov_stack(covs)
-    if not np.isinf(physicality_tol):
+    if not np.isinf(physicality_tol).all():
         require_physical_stack(covs, physicality_tol)
     return covs
 
@@ -242,10 +252,11 @@ def purity(sigma: np.ndarray) -> float:
     return 1.0 / np.sqrt(det)
 
 
-def _first_order_se(grad: np.ndarray, se: np.ndarray) -> float:
-    """sqrt(sum_{i<=j} (grad_ij se_ij)^2), the first-order SE of f(sigma) with
-    independent entries; grad_ij moves (i, j) and (j, i) together."""
-    return float(np.sqrt(np.sum(np.triu(grad * se) ** 2)))
+def _first_order_se(grad: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """sqrt(sum_{i<=j} (grad_ij se_ij)^2) over the last two axes, the
+    first-order SE of f(sigma) with independent entries; grad_ij moves (i, j)
+    and (j, i) together."""
+    return np.sqrt(np.sum(np.triu(grad * se) ** 2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)

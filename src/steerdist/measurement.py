@@ -16,7 +16,15 @@ The filter accepts a raw outcome gamma with probability
             1                                         otherwise
 
 and accepted records are rescaled by 1/g (Bob's quadratures only); the
-cutoff is therefore expressed in raw-outcome units.
+cutoff is therefore expressed in raw-outcome units.  The code tests the
+threshold form: a record with acceptance uniform u in [0, 1) is accepted iff
+
+    t (|gamma|^2 - |beta_c|^2) > ln u,   t = 1 - g^-2,
+
+which is u < P_acc, since ln u < 0 <= the left side where P_acc = 1.  The
+pass takes the log of a piece's uniforms once, for every state and filter,
+so a filter costs a subtract, a scale and a compare per record; u = 0 gives
+ln u = -inf, and at g = 1 (t = 0) every record is accepted.
 
 Determinism: sampling and acceptance are partitioned into fixed-size chunks;
 chunk k draws from a generator seeded by (seed, namespace, k), so results are
@@ -80,7 +88,8 @@ from .gaussian import (
     NumericalError,
     RECONSTRUCTION_TOL,
     _each_cell,
-    check_physical,
+    _min_symplectic,
+    _not_pd_error,
 )
 
 CHUNK = 1 << 17  # even, so alternating bases stay aligned across chunks
@@ -113,14 +122,21 @@ class FilterSpec:
             raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff}")
 
 
-def _acceptance(mag2, filt: FilterSpec, out=None):
-    """Acceptance probability for squared outcome magnitude |gamma|^2, written
-    into ``out`` when it is given."""
-    t = 1.0 - 1.0 / (filt.gain * filt.gain)
+def _log_acceptance(mag2, filt: FilterSpec, out=None):
+    """t (|gamma|^2 - |beta_c|^2), t = 1 - g^-2, for squared outcome
+    magnitude |gamma|^2, written into ``out`` when it is given: the log of
+    the acceptance probability where that is below 1, and >= 0 where it is
+    1 (see the module docstring)."""
     p = np.subtract(mag2, filt.cutoff**2, out=np.empty_like(mag2) if out is None else out)
-    p *= t
-    np.minimum(p, 0.0, out=p)
-    return np.exp(p, out=p)
+    p *= 1.0 - 1.0 / (filt.gain * filt.gain)
+    return p
+
+
+def _log_uniforms(u: np.ndarray) -> np.ndarray:
+    """ln u of acceptance uniforms in [0, 1), in place: -inf at u = 0, which
+    every record's log acceptance exceeds."""
+    with np.errstate(divide="ignore"):
+        return np.log(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -260,14 +276,13 @@ def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
     keep their raw values and are flagged accepted = False.
     """
     n = len(batch)
-    p = _acceptance(0.5 * (batch.bob_x**2 + batch.bob_p**2), filt)
-
+    log_acceptance = _log_acceptance(0.5 * (batch.bob_x**2 + batch.bob_p**2), filt)
     u = np.empty(n)
     for k in range(_n_chunks(n)):
         start = k * CHUNK
         m = min(CHUNK, n - start)
         u[start:start + m] = _chunk_rng(seed, _NS_ACCEPT, k).random(m)
-    accepted = u < p
+    accepted = log_acceptance > _log_uniforms(u)
 
     bob_x = batch.bob_x.copy()
     bob_p = batch.bob_p.copy()
@@ -281,15 +296,17 @@ class ReconstructionError(NumericalError):
     pass
 
 
-def reconstruction_tolerance(se: np.ndarray) -> float:
-    """Physicality slack appropriate for an estimated covariance matrix.
+def reconstruction_tolerance(se: np.ndarray):
+    """Physicality slack appropriate for an estimated covariance matrix (a
+    float), or for each of a stack of them (an array).
 
     Statistical fluctuation alone pushes the minimum symplectic eigenvalue a
     few standard errors below 1, so the reject gate scales with the largest
     entry SE (floor 1e-3).  Pass this to steering/key-rate calls that consume
     reconstructed matrices.
     """
-    return float(max(RECONSTRUCTION_TOL, 5.0 * np.max(se)))
+    tol = np.maximum(RECONSTRUCTION_TOL, 5.0 * np.max(se, axis=(-2, -1)))
+    return float(tol) if tol.ndim == 0 else tol
 
 
 # --- streaming moments ----------------------------------------------------------
@@ -300,20 +317,23 @@ _BLOCK = 8192  # records per block of products, which then stay in cache
 @lru_cache(maxsize=None)
 def _pairs(dim: int):
     """Index arrays (i, j) of the pairs i <= j of ``dim`` variables, in Gram
-    row order, and the (dim, dim) map from (i, j) or (j, i) to their row."""
+    row order, the (dim, dim) map from (i, j) or (j, i) to their row, and the
+    pairs as a list of (i, j) ints."""
     i, j = np.triu_indices(dim)
     position = np.empty((dim, dim), dtype=int)
     position[i, j] = position[j, i] = np.arange(len(i))
-    return i, j, position
+    return i, j, position, list(zip(i.tolist(), j.tolist()))
 
 
 def _pair_map(a: np.ndarray) -> np.ndarray:
-    """The pair map K of an (m, d) ``a``: the pair products of a y are K
-    times those of y, K[(i, j), (c, e)] = a_ic a_je + a_ie a_jc for c < e and
-    a_ic a_jc for c = e, so a Gram matrix Q of y's becomes K Q K^T."""
-    (i, j, _), (c, e, _) = map(_pairs, a.shape)
-    k = a[i][:, c] * a[j][:, e]
-    k += (c < e) * (a[i][:, e] * a[j][:, c])
+    """The pair map K of each (m, d) ``a`` along the last two axes: the pair
+    products of a y are K times those of y, K[(i, j), (c, e)] = a_ic a_je +
+    a_ie a_jc for c < e and a_ic a_jc for c = e, so a Gram matrix Q of y's
+    becomes K Q K^T."""
+    (i, j, *_), (c, e, *_) = map(_pairs, a.shape[-2:])
+    ai, aj = a[..., i, :], a[..., j, :]
+    k = ai[..., c] * aj[..., e]
+    k += (c < e) * (ai[..., e] * aj[..., c])
     return k
 
 
@@ -327,7 +347,7 @@ def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
     array of at least (d+1)(d+4)/2 rows of ``_BLOCK`` values.  The sums
     depend only on the values, not on the array's layout."""
     d, n = records.shape
-    pairs = list(zip(*(a.tolist() for a in _pairs(d + 1)[:2])))
+    pairs = _pairs(d + 1)[3]
     if blocks is None:
         blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
     y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
@@ -358,6 +378,8 @@ class Moments:
     y_i y_j y_k y_l.  Row 0 is the pair (0, 0): the count, then the
     first-order sums, which carry the records' mean less ``center`` (zero up
     to rounding when ``center`` is the mean), then the second-order sums.
+    ``center`` and ``gram`` may carry leading axes, one entry per record
+    set; :meth:`marginal`, :meth:`central` and :meth:`_sum` act on each.
     """
 
     center: np.ndarray
@@ -375,10 +397,10 @@ class Moments:
         _add_gram(q, records, center[:, None])
         return cls(center, q)
 
-    def _sum(self, i: int, j: int, k: int, l: int) -> float:
+    def _sum(self, i: int, j: int, k: int, l: int):
         """The sum of y_i y_j y_k y_l over the records."""
-        position = _pairs(len(self.center) + 1)[2]
-        return self.gram[position[i, j], position[k, l]]
+        position = _pairs(self.center.shape[-1] + 1)[2]
+        return self.gram[..., position[i, j], position[k, l]]
 
     @property
     def count(self) -> int:
@@ -387,7 +409,7 @@ class Moments:
     def _map(self, a: np.ndarray, center: np.ndarray) -> Moments:
         """Moments of the records whose y is ``a`` y, about ``center``."""
         k = _pair_map(a)
-        return Moments(center, k @ self.gram @ k.T)
+        return Moments(center, k @ self.gram @ np.swapaxes(k, -1, -2))
 
     def linear(self, l: np.ndarray) -> Moments:
         """Moments of the records ``l @ r``: y = (1, r - c) becomes B y with
@@ -397,16 +419,20 @@ class Moments:
         return self._map(b, l @ self.center)
 
     def marginal(self, variables) -> Moments:
-        """Moments of the records' ``variables``, by a 0/1 map: no rounding."""
-        a = np.eye(len(self.center) + 1)[[0, *(v + 1 for v in variables)]]
-        return self._map(a, self.center[list(variables)])
+        """Moments of the records' ``variables``: their rows of the Gram
+        matrix, so no rounding."""
+        position = _pairs(self.center.shape[-1] + 1)[2]
+        rows = np.array([position[i, j] for i, j in itertools.combinations_with_replacement(
+            (0, *(v + 1 for v in variables)), 2)])
+        return Moments(self.center[..., list(variables)], self.gram[..., rows[:, None], rows])
 
     def central(self) -> Moments:
         """The moments about the mean: y = (1, r - c) becomes A y with A =
         [[1, 0], [h, I]], h = c - mean, from the first-order sums."""
-        a = np.eye(len(self.center) + 1)
-        a[1:, 0] = -self.gram[0, 1:len(a)] / self.gram[0, 0]
-        return self._map(a, self.center - a[1:, 0])
+        d = self.center.shape[-1]
+        a = np.broadcast_to(np.eye(d + 1), self.gram.shape[:-2] + (d + 1, d + 1)).copy()
+        a[..., 1:, 0] = -self.gram[..., 0, 1:d + 1] / self.gram[..., :1, 0]
+        return self._map(a, self.center - a[..., 1:, 0])
 
     def stats(self, variable: int = 0) -> MomentStats:
         """Mean, variance m2, skewness m3/m2^1.5, kurtosis m4/m2^2 (non-excess)."""
@@ -435,9 +461,89 @@ def _entry(m: Moments, u: int, v: int):
     u, v = u + 1, v + 1
     if u == v:
         m2 = m._sum(0, 0, u, u) / n
-        return m2 * n / (n - 1), np.sqrt(max(m._sum(u, u, u, u) / n - m2 * m2, 0.0) / n)
+        return m2 * n / (n - 1), np.sqrt(np.maximum(m._sum(u, u, u, u) / n - m2 * m2, 0.0) / n)
     cov = m._sum(0, 0, u, v) / (n - 1)
-    return cov, np.sqrt(max(m._sum(u, u, v, v) / n - cov * cov, 0.0) / n)
+    return cov, np.sqrt(np.maximum(m._sum(u, u, v, v) / n - cov * cov, 0.0) / n)
+
+
+_ENSEMBLE_BLOCK = 64  # ensembles per stacked evaluation, which bounds its temporaries
+
+
+def covariance_stack(ensembles, min_accepted: int = 10_000):
+    """Invert the sampling conventions for N :class:`Ensemble` s at once:
+    (covs, ses, errors), the (N, 4, 4) covariance estimates and standard
+    errors, and per ensemble the :class:`ReconstructionError` that refuses
+    it, or None.  A refused ensemble gets the vacuum's matrix and zero SEs,
+    which every stack kernel evaluates, so callers can blank its results.
+
+    Bob's block comes from the heterodyne records (V = 2 Var - 1,
+    off-diagonal 2 Cov), cross blocks from sqrt(2) * Cov per basis
+    sub-ensemble, Alice's diagonal from her homodyne sub-ensembles.  Her x-p
+    cross moment is not observable with single-quadrature homodyne and is
+    set to 0 (exact for every state in this study; :func:`sample_batch`
+    refuses a state where it is not).  Standard errors come from fourth
+    moments via the delta method.
+
+    An ensemble is refused with fewer than ``min_accepted`` records (a guard
+    of statistical quality; lower it explicitly for strongly filtered runs
+    where the standard errors still carry the uncertainty), with fewer than
+    2 in a basis, or when its estimate is not positive definite or has a
+    smallest symplectic eigenvalue below 1 - :func:`reconstruction_tolerance`
+    of its SEs.  An accepted estimate needs no other physicality check: the
+    steering and key-rate stacks take it with an infinite tolerance.
+
+    The ensembles are evaluated ``_ENSEMBLE_BLOCK`` at a time, so the
+    temporaries stay small on a large grid; each result depends on its
+    ensemble alone.
+    """
+    n = len(ensembles)
+    if n > _ENSEMBLE_BLOCK:
+        covs, ses, errors = np.empty((n, 4, 4)), np.empty((n, 4, 4)), []
+        for k in range(0, n, _ENSEMBLE_BLOCK):
+            block = slice(k, k + _ENSEMBLE_BLOCK)
+            covs[block], ses[block], part = covariance_stack(ensembles[block], min_accepted)
+            errors += part
+        return covs, ses, errors
+    stack = Ensemble(*(Moments(np.reshape([getattr(e, b).center for e in ensembles], (n, 3)),
+                               np.reshape([getattr(e, b).gram for e in ensembles], (n, 10, 10)))
+                       for b in ("x", "p")))
+    errors = []
+    for n_x, n_p in zip(*(m._sum(0, 0, 0, 0).astype(int).tolist() for m in (stack.x, stack.p))):
+        if n_x + n_p < min_accepted:
+            errors.append(ReconstructionError(
+                f"too few accepted records: {n_x + n_p} < {min_accepted}"))
+        elif min(n_x, n_p) < 2:  # a variance needs n - 1 > 0
+            errors.append(ReconstructionError(f"both Alice bases need at least 2 accepted "
+                                              f"records, got {n_x} X and {n_p} P"))
+        else:
+            errors.append(None)
+    root2 = np.sqrt(2.0)
+    covs, ses = np.zeros((2, n, 4, 4))
+    with np.errstate(divide="ignore", invalid="ignore"):  # only in the refused cells
+        x, p, bob = (m.central() for m in (stack.x, stack.p, stack.bob()))
+        for (i, j), m, (u, v), scale in (
+            ((0, 0), x, (0, 0), 1.0), ((1, 1), p, (0, 0), 1.0),
+            ((2, 2), bob, (0, 0), 2.0), ((3, 3), bob, (1, 1), 2.0), ((2, 3), bob, (0, 1), 2.0),
+            ((0, 2), x, (0, 1), root2), ((0, 3), x, (0, 2), root2),
+            ((1, 2), p, (0, 1), root2), ((1, 3), p, (0, 2), root2),
+        ):
+            v_ij, e_ij = _entry(m, u, v)
+            covs[:, i, j] = covs[:, j, i] = scale * v_ij
+            ses[:, i, j] = ses[:, j, i] = scale * e_ij
+    covs[:, 2, 2] -= 1.0
+    covs[:, 3, 3] -= 1.0
+
+    counted = np.array([e is None for e in errors], dtype=bool)
+    tols = reconstruction_tolerance(ses)
+    nu, pd = _min_symplectic(np.where(counted[:, None, None], covs, np.eye(4)))
+    for i in np.flatnonzero(counted & ~(pd & (nu >= 1.0 - tols))):
+        errors[i] = ReconstructionError(
+            f"reconstructed matrix is degenerate: {_not_pd_error(covs[i])}" if not pd[i] else
+            f"reconstructed matrix is unphysical beyond tolerance {tols[i]:.3g}: "
+            f"min symplectic eigenvalue {nu[i]:.6g}")
+    refused = [e is not None for e in errors]
+    covs[refused], ses[refused] = np.eye(4), 0.0
+    return covs, ses, errors
 
 
 @dataclass(frozen=True)
@@ -460,55 +566,12 @@ class Ensemble:
         return Moments(x.center, x.gram + p.gram)
 
     def covariance(self, min_accepted: int = 10_000):
-        """Invert the sampling conventions: (covariance estimate, standard errors).
-
-        Bob's block comes from the heterodyne records (V = 2 Var - 1,
-        off-diagonal 2 Cov), cross blocks from sqrt(2) * Cov per basis
-        sub-ensemble, Alice's diagonal from her homodyne sub-ensembles.  Her
-        x-p cross moment is not observable with single-quadrature homodyne and
-        is set to 0 (exact for every state in this study; :func:`sample_batch`
-        refuses a state where it is not).  Standard errors come from fourth
-        moments via the delta method.
-
-        ``min_accepted`` guards statistical quality; lower it explicitly for
-        strongly filtered runs where the standard errors still carry the
-        uncertainty.
-        """
-        n_acc = self.accepted
-        if n_acc < min_accepted:
-            raise ReconstructionError(
-                f"too few accepted records: {n_acc} < {min_accepted}"
-            )
-        if min(self.x.count, self.p.count) < 2:  # a variance needs n - 1 > 0
-            raise ReconstructionError(f"both Alice bases need at least 2 accepted records, "
-                                      f"got {self.x.count} X and {self.p.count} P")
-        x, p, bob = (m.central() for m in (self.x, self.p, self.bob()))
-        root2 = np.sqrt(2.0)
-        cov = np.zeros((4, 4))
-        se = np.zeros((4, 4))
-        for (i, j), m, (u, v), scale in (
-            ((0, 0), x, (0, 0), 1.0), ((1, 1), p, (0, 0), 1.0),
-            ((2, 2), bob, (0, 0), 2.0), ((3, 3), bob, (1, 1), 2.0), ((2, 3), bob, (0, 1), 2.0),
-            ((0, 2), x, (0, 1), root2), ((0, 3), x, (0, 2), root2),
-            ((1, 2), p, (0, 1), root2), ((1, 3), p, (0, 2), root2),
-        ):
-            v_ij, e_ij = _entry(m, u, v)
-            cov[i, j] = cov[j, i] = scale * v_ij
-            se[i, j] = se[j, i] = scale * e_ij
-        cov[2, 2] -= 1.0
-        cov[3, 3] -= 1.0
-
-        tol = reconstruction_tolerance(se)
-        try:
-            report = check_physical(cov, tol)
-        except ValueError as exc:  # not even positive definite
-            raise ReconstructionError(f"reconstructed matrix is degenerate: {exc}") from exc
-        if not report:
-            raise ReconstructionError(
-                f"reconstructed matrix is unphysical beyond tolerance {tol:.3g}: "
-                f"min symplectic eigenvalue {report.min_symplectic_eigenvalue:.6g}"
-            )
-        return cov, se
+        """(covariance estimate, standard errors): :func:`covariance_stack`
+        with N = 1, which raises the ensemble's :class:`ReconstructionError`."""
+        covs, ses, (error,) = covariance_stack([self], min_accepted)
+        if error is not None:
+            raise error
+        return covs[0], ses[0]
 
 
 class _Workspace:
@@ -550,11 +613,11 @@ def _mag2(rec: np.ndarray, work: _Workspace) -> np.ndarray:
     return mag2
 
 
-def _accepts(u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
-    """Mask, in ``work``, of the records whose uniform is below
-    P_acc(|gamma|^2), as :func:`post_select` decides."""
+def _accepts(log_u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
+    """Mask, in ``work``, of the records whose log uniform ``log_u`` is below
+    their log acceptance, as :func:`post_select` decides."""
     n = len(mag2)
-    return np.less(u, _acceptance(mag2, filt, work.acc[:n]), out=work.keep[:n])
+    return np.greater(_log_acceptance(mag2, filt, work.acc[:n]), log_u, out=work.keep[:n])
 
 
 def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> np.ndarray:
@@ -567,7 +630,8 @@ def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> 
     ``filters[i]`` accepts, rescaled, and the count alone, in entry [0, 0],
     of the records each filter of ``counted[i]`` accepts (:func:`_accepts`).
     The chunks' sums are added in chunk order; returns the (2, outputs, 10,
-    10) totals, x basis first.
+    10) totals, x basis first.  Each piece's uniforms are logged once, for
+    every state and filter.
     """
     raw = any(f is None for fs in filters for f in fs)
     steps = [(chol, [f for f in fs if f is not None], list(cs))
@@ -578,6 +642,7 @@ def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> 
     def chunk(k: int, work: _Workspace) -> np.ndarray:
         sums = np.zeros((2, n_out, 10, 10))  # Gram matrices of 3-variate records
         for _, z, u in _draws(seed, k, count, work, uniforms=n_out > raw):
+            log_u = None if u is None else _log_uniforms(u)  # shared by every filter
             for b in (BASIS_X, BASIS_P):
                 zb, out = z[b::2].T, iter(sums[b])
                 if raw:
@@ -586,11 +651,12 @@ def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> 
                     rec = np.matmul(chol[b], zb, out=work.rec[:zb.size].reshape(zb.shape))
                     mag2 = _mag2(rec, work)
                     for filt in fs:
-                        kept = rec.compress(_accepts(u[b::2], mag2, filt, work), axis=1)
+                        kept = rec.compress(_accepts(log_u[b::2], mag2, filt, work), axis=1)
                         kept[1:] /= filt.gain
                         _add_gram(next(out), kept, 0.0, work.blocks)
                     for filt in cs:
-                        next(out)[0, 0] += np.count_nonzero(_accepts(u[b::2], mag2, filt, work))
+                        keep = _accepts(log_u[b::2], mag2, filt, work)
+                        next(out)[0, 0] += np.count_nonzero(keep)
         return sums
 
     parts = _map_chunks(_per_worker(chunk), _n_chunks(count), threads)
@@ -656,7 +722,9 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     :meth:`Ensemble.covariance`.  A first pass over the chunks fixes each
     basis's centre: Alice's mean in that basis and Bob's mean over both
     bases.  A second adds each chunk's records of a basis to that basis's
-    Gram matrix about its centre (:func:`_add_gram`).
+    Gram matrix about its centre (:func:`_add_gram`).  The centre pass sums
+    with ``einsum``, whose order, unlike BLAS ``ddot``'s, does not depend on
+    the BLAS thread count, so the result's bytes do not either.
     """
     cols = (batch.alice_value, batch.bob_x, batch.bob_p)
 
@@ -669,7 +737,8 @@ def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     sums = np.zeros((2, 4))  # per basis: the count, then each column's sum
     for rows, kept in map(masks, chunks):
         for total, mask in zip(sums, kept):
-            total += [np.count_nonzero(mask), *(np.dot(c[rows], mask) for c in cols)]
+            total += [np.count_nonzero(mask),
+                      *(np.einsum("i,i", c[rows], mask, dtype=float) for c in cols)]
     centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
     centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
     grams = np.zeros((2, 10, 10))  # Gram matrices of 3-variate records

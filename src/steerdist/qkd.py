@@ -97,20 +97,31 @@ def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
     return _rate(v_x, v_p), v_x, v_p, acc
 
 
+def key_rate_with_se_stack(covs: np.ndarray, ses: np.ndarray, tols=1e-2):
+    """(key rates, V_x, V_p, SEs of the key rates) of a (N, 4, 4) stack of
+    estimated covariances and their entry SEs, each matrix checked for
+    physicality as :func:`steerdist.steering.steerability_with_se_stack`
+    does.  The SE is first order through the exact gradient of
+    K = log2(2/e) - log2(V_X V_P)/2; the entries count as independent, which
+    overstates the seed-to-seed spread 2.4-2.8x."""
+    covs = _require_stack(covs, tols)
+    v_x, v_p = _conditional_variances_stack(covs)
+    grad = np.zeros_like(covs)
+    for k, v in enumerate((v_x, v_p)):
+        # V = (B + 1)/2 - C^2/(2A) of basis k, with A, B, C its three entries
+        a, c, dk_dv = covs[:, k, k], covs[:, k, k + 2], -0.5 / (np.log(2.0) * v)
+        grad[:, k, k], grad[:, k + 2, k + 2], grad[:, k, k + 2] = (
+            dk_dv * c * c / (2.0 * a * a), dk_dv / 2.0, -dk_dv * c / a)
+    return _rate(v_x, v_p), v_x, v_p, _first_order_se(grad, ses)
+
+
 def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
     """Key rate and its first-order standard error from an estimated
-    covariance, through the exact gradient of K = log2(2/e) - log2(V_X V_P)/2.
-    The entries count as independent, which overstates the seed-to-seed
-    spread 2.4-2.8x."""
-    result = key_rate(cov, physicality_tol)
-    grad = np.zeros((4, 4))
-    for k, v in enumerate((result.v_x_cond, result.v_p_cond)):
-        # V = (B + 1)/2 - C^2/(2A) of basis k, with A, B, C its three entries
-        a, c, dk_dv = cov[k, k], cov[k, k + 2], -0.5 / (np.log(2.0) * v)
-        grad[k, k], grad[k + 2, k + 2], grad[k, k + 2] = (
-            dk_dv * c * c / (2.0 * a * a), dk_dv / 2.0, -dk_dv * c / a)
-    return result, _first_order_se(grad, se)
+    covariance: :func:`key_rate_with_se_stack` with N = 1."""
+    rate, v_x, v_p, err = key_rate_with_se_stack(
+        np.asarray(cov, dtype=float)[None], np.asarray(se, dtype=float)[None], physicality_tol)
+    return KeyRateResult(float(rate[0]), float(v_x[0]), float(v_p[0])), float(err[0])
 
 
 class NoPositiveKeyError(RuntimeError):

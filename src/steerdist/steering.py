@@ -35,7 +35,6 @@ from .gaussian import (
     _raise_first,
     _require_stack,
     det2,
-    from_cov,
     inv2,
     pd2,
     schur_2x2,
@@ -100,9 +99,10 @@ def steering_signed_stack(covs: np.ndarray, direction: str,
     return value
 
 
-def steerability_stack(covs: np.ndarray, physicality_tol: float = 1e-3):
+def steerability_stack(covs: np.ndarray, physicality_tol=1e-3):
     """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack; each matrix is
-    checked for physicality once, at ``physicality_tol``."""
+    checked for physicality once, at ``physicality_tol`` (one value or one
+    per matrix), or not at all when that is infinite throughout."""
     covs = _require_stack(covs, physicality_tol)
     (ab, ok_ab), (ba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
     _raise_first(~(ok_ab & ok_ba), lambda i: _evaluation_error(
@@ -154,21 +154,40 @@ def classify(state: GaussianState, tol: float = STEERING_POSITIVITY_TOL) -> Stee
     return SteeringResult(float(gab[0]), float(gba[0]), str(labels[0]))
 
 
+def steerability_with_se_stack(covs: np.ndarray, ses: np.ndarray, tols=1e-2):
+    """(G_A->B, its SE, G_B->A, its SE) arrays of a (N, 4, 4) stack of
+    estimated covariances and their entry SEs; each matrix is checked for
+    physicality as :func:`steerability_stack` does, so not at all with an
+    infinite ``tols``, which suits matrices that
+    :func:`steerdist.measurement.covariance_stack` has checked already.
+
+    The SE is first order through the exact gradient of the signed quantity
+    (nonzero where the monotone is clipped to 0), -U S^-1 U^T / 2 with
+    U = [cond^-1 cross; -I] in (conditioning, kept) rows.  The entries count
+    as independent, though they come from the same records, which
+    overstates the seed-to-seed spread 2.4-2.8x."""
+    values = steerability_stack(covs, tols)
+    covs, out = np.asarray(covs, dtype=float), []
+    for direction, value in zip(DIRECTIONS, values):
+        cond, kept, cross = _blocks_1p1(covs, direction)
+        m, minus_i = inv2(cond) @ cross, np.broadcast_to(-np.eye(2), cross.shape)
+        u = np.concatenate((m, minus_i) if direction == "a_to_b" else (minus_i, m), axis=1)
+        w = u @ inv2(schur_2x2(cond, kept, cross)) @ u.transpose(0, 2, 1)
+        # an off-diagonal entry moves at (i, j) and (j, i), which doubles it
+        grad = w.diagonal(axis1=1, axis2=2)[:, :, None] * np.eye(4) / 2 - w
+        out += [value, _first_order_se(grad, ses)]
+    return tuple(out)
+
+
 def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
                          physicality_tol: float = 1e-2):
     """Monotone value and its first-order standard error from an estimated
-    covariance: the exact gradient of the signed quantity (nonzero where the
-    monotone is clipped to 0) is -U S^-1 U^T / 2, U = [cond^-1 cross; -I] in
-    (conditioning, kept) rows.  The entries count as independent, though they
-    come from the same records, which overstates the seed-to-seed spread 2.4-2.8x."""
-    state = from_cov(cov)
-    value = steerability(state, direction, physicality_tol)
-    cond, kept, cross = (blk[0] for blk in _blocks_1p1(state.cov[None], direction))
-    m, minus_i = inv2(cond) @ cross, -np.eye(2)
-    u = np.vstack((m, minus_i) if direction == "a_to_b" else (minus_i, m))
-    w = u @ inv2(schur_2x2(cond, kept, cross)) @ u.T
-    # an off-diagonal entry moves at (i, j) and (j, i), which doubles it
-    return value, _first_order_se(np.diag(w.diagonal()) / 2 - w, se)
+    covariance: :func:`steerability_with_se_stack` with N = 1."""
+    _check_direction(direction)
+    values = steerability_with_se_stack(np.asarray(cov, dtype=float)[None],
+                                        np.asarray(se, dtype=float)[None], physicality_tol)
+    k = 2 * DIRECTIONS.index(direction)
+    return float(values[k][0]), float(values[k + 1][0])
 
 
 class NoThresholdError(NumericalError):

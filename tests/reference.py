@@ -9,7 +9,12 @@ references:
 * :func:`schur_complement`: the Schur complement by a linear solve, against
   the closed-form 2x2 one;
 * :func:`nla_cov_two_mode`: the two-sided amplifier map, whose g1 -> 1
-  limit is the one-sided map ``nla_single_mode`` evaluates exactly.
+  limit is the one-sided map ``nla_single_mode`` evaluates exactly;
+* :func:`covariance_per_matrix`, :func:`steerability_with_se_per_matrix`
+  and :func:`key_rate_with_se_per_matrix`: the Monte Carlo epilogue one
+  matrix at a time, as it was before the stacked calls replaced it, against
+  ``covariance_stack``, ``steerability_with_se_stack`` and
+  ``key_rate_with_se_stack``.
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
@@ -27,13 +32,18 @@ from steerdist.gaussian import (
     GaussianState,
     NumericalError,
     _require_cov,
+    check_physical,
     dump_cov,
     from_cov,
+    inv2,
     load_cov,
+    schur_2x2,
     symplectic_eigenvalues,
 )
+from steerdist.measurement import ReconstructionError, _pairs, reconstruction_tolerance
 from steerdist.nla import GainTooLargeError
-from steerdist.steering import _check_direction
+from steerdist.qkd import key_rate
+from steerdist.steering import _blocks_1p1, _check_direction, steerability
 
 
 # --- steering (general Schur/symplectic route) -------------------------------
@@ -165,3 +175,105 @@ def nla_cov_two_mode(sigma: np.ndarray, gains: GainPair) -> np.ndarray:
         )
     out = g2mat @ np.linalg.solve(m, g2mat) - 2.0 * g1mat
     return (out + out.T) / 2.0
+
+
+# --- the Monte Carlo epilogue, one matrix at a time ----------------------------
+
+def _pair_map(a: np.ndarray) -> np.ndarray:
+    (i, j, *_), (c, e, *_) = map(_pairs, a.shape)
+    k = a[i][:, c] * a[j][:, e]
+    k += (c < e) * (a[i][:, e] * a[j][:, c])
+    return k
+
+
+def _mapped(gram: np.ndarray, a: np.ndarray) -> np.ndarray:
+    k = _pair_map(a)
+    return k @ gram @ k.T
+
+
+def _dim(gram: np.ndarray) -> int:
+    """1 + the number of variables of a Gram matrix of pair products."""
+    return {10: 4, 6: 3}[len(gram)]
+
+
+def _central(gram: np.ndarray) -> np.ndarray:
+    a = np.eye(_dim(gram))
+    a[1:, 0] = -gram[0, 1:len(a)] / gram[0, 0]
+    return _mapped(gram, a)
+
+
+def _entry(gram: np.ndarray, u: int, v: int):
+    position = _pairs(_dim(gram))[2]
+
+    def total(i, j, k, l):
+        return gram[position[i, j], position[k, l]]
+
+    n = total(0, 0, 0, 0)
+    u, v = u + 1, v + 1
+    if u == v:
+        m2 = total(0, 0, u, u) / n
+        return m2 * n / (n - 1), np.sqrt(max(total(u, u, u, u) / n - m2 * m2, 0.0) / n)
+    cov = total(0, 0, u, v) / (n - 1)
+    return cov, np.sqrt(max(total(u, u, v, v) / n - cov * cov, 0.0) / n)
+
+
+def covariance_per_matrix(ens, min_accepted: int = 10_000):
+    """(covariance estimate, standard errors) of one ``Ensemble``, raising
+    its ``ReconstructionError``."""
+    n_x, n_p = int(ens.x.gram[0, 0]), int(ens.p.gram[0, 0])
+    if n_x + n_p < min_accepted:
+        raise ReconstructionError(f"too few accepted records: {n_x + n_p} < {min_accepted}")
+    if min(n_x, n_p) < 2:
+        raise ReconstructionError(f"both Alice bases need at least 2 accepted records, "
+                                  f"got {n_x} X and {n_p} P")
+    to_bob = np.eye(4)[[0, 2, 3]]
+    x, p, bob = (_central(g) for g in (
+        ens.x.gram, ens.p.gram, _mapped(ens.x.gram, to_bob) + _mapped(ens.p.gram, to_bob)))
+    root2 = np.sqrt(2.0)
+    cov, se = np.zeros((4, 4)), np.zeros((4, 4))
+    for (i, j), gram, (u, v), scale in (
+        ((0, 0), x, (0, 0), 1.0), ((1, 1), p, (0, 0), 1.0),
+        ((2, 2), bob, (0, 0), 2.0), ((3, 3), bob, (1, 1), 2.0), ((2, 3), bob, (0, 1), 2.0),
+        ((0, 2), x, (0, 1), root2), ((0, 3), x, (0, 2), root2),
+        ((1, 2), p, (0, 1), root2), ((1, 3), p, (0, 2), root2),
+    ):
+        v_ij, e_ij = _entry(gram, u, v)
+        cov[i, j] = cov[j, i] = scale * v_ij
+        se[i, j] = se[j, i] = scale * e_ij
+    cov[2, 2] -= 1.0
+    cov[3, 3] -= 1.0
+    tol = reconstruction_tolerance(se)
+    try:
+        report = check_physical(cov, tol)
+    except ValueError as exc:  # not even positive definite
+        raise ReconstructionError(f"reconstructed matrix is degenerate: {exc}") from exc
+    if not report:
+        raise ReconstructionError(
+            f"reconstructed matrix is unphysical beyond tolerance {tol:.3g}: "
+            f"min symplectic eigenvalue {report.min_symplectic_eigenvalue:.6g}")
+    return cov, se
+
+
+def _first_order_se(grad: np.ndarray, se: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(np.triu(grad * se) ** 2)))
+
+
+def steerability_with_se_per_matrix(cov, se, direction: str, physicality_tol: float = 1e-2):
+    """Monotone value and its first-order SE through the exact gradient."""
+    value = steerability(from_cov(cov), direction, physicality_tol)
+    cond, kept, cross = (blk[0] for blk in _blocks_1p1(cov[None], direction))
+    m, minus_i = inv2(cond) @ cross, -np.eye(2)
+    u = np.vstack((m, minus_i) if direction == "a_to_b" else (minus_i, m))
+    w = u @ inv2(schur_2x2(cond, kept, cross)) @ u.T
+    return value, _first_order_se(np.diag(w.diagonal()) / 2 - w, se)
+
+
+def key_rate_with_se_per_matrix(cov, se, physicality_tol: float = 1e-2):
+    """Key rate and its first-order SE through the exact gradient."""
+    result = key_rate(cov, physicality_tol)
+    grad = np.zeros((4, 4))
+    for k, v in enumerate((result.v_x_cond, result.v_p_cond)):
+        a, c, dk_dv = cov[k, k], cov[k, k + 2], -0.5 / (np.log(2.0) * v)
+        grad[k, k], grad[k + 2, k + 2], grad[k, k + 2] = (
+            dk_dv * c * c / (2.0 * a * a), dk_dv / 2.0, -dk_dv * c / a)
+    return result, _first_order_se(grad, se)

@@ -10,6 +10,7 @@ from steerdist import (
     FilterSpec,
     apply_lossy,
     classify,
+    cutoff_from_table,
     key_rate_with_se,
     post_select,
     read_cov,
@@ -239,6 +240,51 @@ def test_monte_carlo_empty_cells_are_reported(tmp_path, capsys):
     assert fig3[0]["g_a2b_raw"] and not fig3[0]["g_a2b_nla"]
     assert "fig3a: loss=0 Monte Carlo value left empty: too few accepted records: " in err
     assert len(err.splitlines()) == 2
+
+
+def test_fig3_empty_amplified_cells_keep_their_lines_in_grid_order(tmp_path, capsys):
+    # One stacked reconstruction serves every point; a refused amplified
+    # ensemble still empties its cells and prints its line in grid order.
+    # The CSV's bytes are the golden digest fig3a_both_empty_cells.csv.
+    config = _config(tmp_path, mode="both", samples=20_000,
+                     loss_grid=np.array([0.97, 0.2, 0.74, 0.4, 0.9]))
+    _, rows = run_fig3("a", config)
+    assert capsys.readouterr().err.splitlines() == [
+        "fig3a: loss=0.2 Monte Carlo value left empty: too few accepted records: 44 < 200",
+        "fig3a: loss=0.4 Monte Carlo value left empty: too few accepted records: 84 < 200"]
+    assert [row[8] is None for row in rows] == [False, True, False, True, False]
+
+
+def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, capsys):
+    # A refused raw ensemble, or a matrix the steering stack refuses, raises
+    # with its point as ``cell``, for ``_in_grid_order`` to re-run the points
+    # before it, which print their lines then.
+    import steerdist.experiments as experiments
+    from steerdist import NumericalError, ReconstructionError
+    from steerdist.measurement import sample_grid
+
+    losses = (0.74, 0.2)
+    filters = [(None, FilterSpec(1.2, cutoff_from_table(loss, 1.2))) for loss in losses]
+    big, small = sample_grid([apply_lossy(model_state, loss) for loss in losses], 20_000, 3,
+                             filters, [(), ()])[0]  # small's amplified ensemble is refused
+    refusal = f"too few accepted records: {small[1].accepted} < 200"
+    points = [big, small, (small[1], big[1]), small]
+    with pytest.raises(ReconstructionError, match=refusal) as exc:
+        experiments._mc_steering(points, lambda i: f"point {i}")
+    assert exc.value.cell == 2 and capsys.readouterr().err == ""
+    assert experiments._mc_steering(points[:2], lambda i: f"point {i}")[1][4:] == [None] * 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"point 1 Monte Carlo value left empty: {refusal}"]
+
+    def refuse(covs, ses, tols):  # the amplified matrix of point 1
+        error = NumericalError("refused")
+        error.cell = 3
+        raise error
+
+    monkeypatch.setattr(experiments, "steerability_with_se_stack", refuse)
+    with pytest.raises(NumericalError, match="refused") as exc:
+        experiments._mc_steering(points[:2], lambda i: f"point {i}")
+    assert exc.value.cell == 1
 
 
 def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,7 @@ import difflib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -72,6 +73,9 @@ PLAIN = [
 MONTE_CARLO = [
     (["fig3a", "--mode", "both", "--samples", "250000"],
      "[grids]\nloss_grid = 0.51:0.97:0.23\n", {"fig3a_both.csv": "fig3a.csv"}),
+    # the amplified ensembles of losses 0.2 and 0.4 are too small to reconstruct
+    (["fig3a", "--mode", "both", "--samples", "20000"],
+     "[grids]\nloss_grid = 0.97,0.2,0.74,0.4,0.9\n", {"fig3a_both_empty_cells.csv": "fig3a.csv"}),
     (["fig4", "--mode", "both", "--samples", "400000"], "",
      {"fig4_both.csv": "fig4.csv"}),
     (["fig-s2", "--mode", "monte_carlo", "--samples", "400000"], "",
@@ -193,6 +197,33 @@ def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
 
 def test_monte_carlo_outputs_match_golden_digests(tmp_path, monkeypatch):
     _compare(monte_carlo_digests, tmp_path, monkeypatch)
+
+
+def test_ingest_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # BLAS ddot's summation order changes with its thread count from about
+    # 2e4 values up, so a reduction through it wrote other bytes with
+    # OPENBLAS_NUM_THREADS=1 than with 2.
+    code = """
+import sys
+from pathlib import Path
+from test_golden import MONTE_CARLO, run_outputs
+work, input_path = map(Path, sys.argv[1:])
+out = run_outputs(work, [run for run in MONTE_CARLO if run[0][0] == "ingest"], input_path)
+print(out["ingest_cov.txt"].hex(), out["ingest_report.csv"].hex())
+"""
+    input_path = write_ingest_input(tmp_path / "ingest_input.csv")
+    outputs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"blas_{threads}"
+        work.mkdir()
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("STEERDIST_")}
+        env.update(OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(Path(__file__).parent), *sys.path]))
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", code, str(work), str(input_path)], capture_output=True,
+            text=True, env=env, check=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

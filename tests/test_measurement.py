@@ -2,11 +2,17 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from reference import random_physical_state
+from reference import (
+    covariance_per_matrix,
+    key_rate_with_se_per_matrix,
+    random_physical_state,
+    steerability_with_se_per_matrix,
+)
 from steerdist import (
     BASIS_P,
     BASIS_X,
@@ -32,6 +38,7 @@ from steerdist.measurement import (
     CHUNK,
     SUB,
     BatchSchemaError,
+    Ensemble,
     Moments,
     _add_gram,
     _chunk_rng,
@@ -41,7 +48,9 @@ from steerdist.measurement import (
     _NS_ACCEPT,
     _NS_GAUSS,
     _Workspace,
-    _acceptance,
+    _log_acceptance,
+    _log_uniforms,
+    covariance_stack,
     reconstruction_tolerance,
     sample_accepted,
     sample_grid,
@@ -56,8 +65,9 @@ def _se_units(got, want, se):
 # --- acceptance probability ---------------------------------------------------
 
 def _acceptance_at(beta, f):
-    """The acceptance probability at outcome magnitude |beta|."""
-    return float(_acceptance(np.array(beta * beta), f))
+    """The acceptance probability at outcome magnitude |beta|, exp of the
+    log acceptance where that is negative and 1 elsewhere."""
+    return float(np.exp(min(_log_acceptance(np.array(beta * beta), f), 0.0)))
 
 
 def test_acceptance_probability_at_cutoff_is_one():
@@ -83,6 +93,18 @@ def test_acceptance_probability_origin_value():
 def test_acceptance_probability_continuous_at_cutoff():
     f = FilterSpec(1.3, 3.0)
     assert _acceptance_at(3.0 - 1e-9, f) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_threshold_acceptance_at_a_zero_uniform_and_at_unit_gain():
+    # ln 0 = -inf lies below every log acceptance, with no warning; at g = 1
+    # the log acceptance is 0, above the log of every uniform in [0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_u = _log_uniforms(np.array([0.0, 0.25, 1.0 - 2.0**-53]))
+    assert log_u[0] == -np.inf
+    mag2 = np.array([0.0, 100.0, 0.0])
+    assert (_log_acceptance(mag2, FilterSpec(1.0, 4.5)) > log_u).all()
+    assert (_log_acceptance(mag2, FilterSpec(1.3, 4.5)) > log_u).tolist() == [True, True, False]
 
 
 def test_filter_spec_validation():
@@ -520,6 +542,100 @@ def test_sample_moments_match_batch_pipeline(model_state):
         want_cov, want_se = reconstruct_covariance(source, n_min)
         np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
         np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0)
+
+
+# --- stacked reconstruction and SEs ----------------------------------------------
+
+def _seeded_ensembles(model_state):
+    """Raw and filtered ensembles of three channel outputs: one pass."""
+    states = [apply_lossy(model_state, loss) for loss in (0.2, 0.5, 0.8)]
+    filters = [(None, FilterSpec(1.2, 3.0), FilterSpec(1.1, 4.5))] * len(states)
+    ens = sample_grid(states, 120_001, 41, filters, [()] * len(states))[0]
+    return [e for point in ens for e in point]
+
+
+def test_stacks_equal_the_per_matrix_code_within_one_ulp(model_state):
+    from steerdist import key_rate_with_se, key_rate_with_se_stack, steerability_with_se_stack
+
+    ensembles = _seeded_ensembles(model_state)
+    covs, ses, errors = covariance_stack(ensembles, 1_000)
+    assert errors == [None] * len(ensembles)
+    many = covariance_stack(ensembles * 8, 1_000)  # more than one block of ensembles
+    assert np.array_equal(many[0], np.tile(covs, (8, 1, 1)))
+    assert np.array_equal(many[1], np.tile(ses, (8, 1, 1))) and many[2] == errors * 8
+    ab, se_ab, ba, se_ba = steerability_with_se_stack(covs, ses, np.inf)
+    rate, v_x, v_p, se_rate = key_rate_with_se_stack(covs, ses, np.inf)
+    for i, ens in enumerate(ensembles):
+        cov, se = covariance_per_matrix(ens, 1_000)
+        np.testing.assert_array_max_ulp(covs[i], cov, 1)
+        np.testing.assert_array_max_ulp(ses[i], se, 1)
+        tol = reconstruction_tolerance(se)
+        for d, value, err in (("a_to_b", ab, se_ab), ("b_to_a", ba, se_ba)):
+            want = steerability_with_se_per_matrix(cov, se, d, tol)
+            np.testing.assert_array_max_ulp(np.array([value[i], err[i]]), np.array(want), 1)
+            assert steerability_with_se(cov, se, d, tol) == (value[i], err[i])  # N = 1
+        want, want_se = key_rate_with_se_per_matrix(cov, se, tol)
+        np.testing.assert_array_max_ulp(
+            np.array([rate[i], v_x[i], v_p[i], se_rate[i]]),
+            np.array([want.key_rate, want.v_x_cond, want.v_p_cond, want_se]), 1)
+        got, got_se = key_rate_with_se(cov, se, tol)
+        assert (got.key_rate, got_se) == (rate[i], se_rate[i])
+    both = np.concatenate([ab, ba])
+    assert (both > 0).any() and (both == 0).any()  # clipped values are covered too
+
+
+def _ensemble_of(records_x, records_p):
+    """An ensemble of (3, n) records per basis, summed about 0 as the pass does."""
+    def moments(records):
+        q = np.zeros((10, 10))
+        _add_gram(q, np.asarray(records, dtype=float), 0.0)
+        return Moments(np.zeros(3), q)
+
+    return Ensemble(moments(records_x), moments(records_p))
+
+
+def test_stacked_reconstruction_refuses_each_cell_as_the_per_matrix_code(model_state):
+    rng = np.random.default_rng(42)
+    good = _seeded_ensembles(model_state)[:2]
+
+    def normal(n, alice_scale=1.0):
+        return np.array([[alice_scale], [1.0], [1.0]]) * rng.standard_normal((3, n))
+
+    degenerate = normal(3_000)
+    degenerate[0] = 0.0  # Alice's variance is 0: not positive definite
+    cells = [
+        good[0],
+        _ensemble_of(normal(400), normal(400)),                  # too few records
+        good[1],
+        _ensemble_of(normal(3_000), normal(1)),                  # one P record
+        _ensemble_of(degenerate, normal(3_000)),                 # degenerate
+        _ensemble_of(normal(3_000, 0.5), normal(3_000, 0.5)),    # unphysical
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the refused cells divide by n - 1 = 0 and the like
+        covs, ses, errors = covariance_stack(cells, 1_000)
+    messages = []
+    for i, ens in enumerate(cells):
+        try:
+            cov, se = covariance_per_matrix(ens, 1_000)
+        except ReconstructionError as exc:
+            assert isinstance(errors[i], ReconstructionError)
+            assert str(errors[i]) == str(exc)
+            assert np.array_equal(covs[i], np.eye(4)) and not ses[i].any()  # evaluable
+            with pytest.raises(ReconstructionError) as single:
+                ens.covariance(1_000)
+            assert str(single.value) == str(exc)
+            messages.append(str(exc))
+        else:
+            assert errors[i] is None
+            np.testing.assert_array_max_ulp(covs[i], cov, 1)
+            np.testing.assert_array_max_ulp(ses[i], se, 1)
+            messages.append("")
+    assert [m.split(":")[0] for m in messages] == [
+        "", "too few accepted records", "",
+        "both Alice bases need at least 2 accepted records, got 3000 X and 1 P",
+        "reconstructed matrix is degenerate", messages[5].split(":")[0]]
+    assert messages[5].startswith("reconstructed matrix is unphysical beyond tolerance")
 
 
 # --- moments ---------------------------------------------------------------------
