@@ -145,7 +145,7 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     # a heavily truncated ensemble can fail the bona-fide condition outright;
     # evaluate steering as a plain moment functional and count non-evaluable
     # points as failures
-    (gab, ok_ab), (gba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
+    (gab, _, ok_ab), (gba, _, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
     evaluable = (ok_ab & ok_ba).reshape(n, size)
     err_ab = np.where(evaluable, np.abs(np.maximum(gab, 0.0).reshape(n, size)
                                         - gab_ref[:, None]), np.inf)

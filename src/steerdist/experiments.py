@@ -148,7 +148,7 @@ def _mc_steering(ens, where):
     covs, ses, errors = covariance_stack([e for point in ens for e in point], MC_MIN_ACCEPTED)
     _raise_first([e is not None for e in errors[::2]], lambda i: errors[2 * i])
     try:
-        vals = np.column_stack(steerability_with_se_stack(covs, ses, np.inf)).tolist()
+        vals = np.column_stack(steerability_with_se_stack(covs, ses)).tolist()
     except NumericalError as exc:  # matrices in (raw, amplified) order per point
         exc.cell //= 2
         raise
@@ -218,7 +218,7 @@ def run_fig3(variant: str, config: ExperimentConfig):
             "A->B amplified": [r[3] for r in rows],
             "B->A amplified": [r[4] for r in rows],
         }
-        svgplot.line_chart(losses, series, path.replace(".csv", ".svg"),
+        svgplot.line_chart(losses, series, os.path.splitext(path)[0] + ".svg",
                            title=f"steering vs loss ({'lossy' if variant == 'a' else 'noisy'} channel)",
                            xlabel="loss", ylabel="steering (nats)")
     return path, rows
@@ -249,7 +249,7 @@ def run_regions(variant: str, config: ExperimentConfig):
     path = _write_output(config, f"regions_{variant}.csv", ["g", "loss", "region"], rows)
     if config.svg:
         svgplot.region_map(
-            gains, losses, labels, path.replace(".csv", ".svg"),
+            gains, losses, labels, os.path.splitext(path)[0] + ".svg",
             title=f"steering regions ({'lossy' if variant == 'c' else 'noisy'} channel)",
         )
     return path, rows
@@ -277,7 +277,7 @@ def run_fig4(config: ExperimentConfig):
     if config.mode in ("monte_carlo", "both"):
         ens, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
         covs, ses, errors = covariance_stack(list(ens.values()), MC_MIN_ACCEPTED)
-        values = zip(*(v.tolist() for v in key_rate_with_se_stack(covs, ses, np.inf)))
+        values = zip(*(v.tolist() for v in key_rate_with_se_stack(covs, ses)))
         mc = dict(zip(ens, zip(errors, values)))
 
     rows = []
@@ -306,7 +306,7 @@ def run_fig4(config: ExperimentConfig):
             {"model state": [r[1] for r in rows],
              "pure -6 dB": [r[6] for r in rows],
              "zero": [0.0 for _ in rows]},
-            path.replace(".csv", ".svg"),
+            os.path.splitext(path)[0] + ".svg",
             title=f"1sDI key rate vs gain (cutoff {beta_c})",
             xlabel="gain", ylabel="key rate (bits)",
         )
@@ -511,8 +511,8 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
     filtered, rate = post_select(batch, filt, config.seed)
     cov, se = reconstruct_covariance(filtered, min_accepted)
     covs, ses = cov[None], se[None]  # checked for physicality by the reconstruction
-    gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses, np.inf))
-    kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses, np.inf))
+    gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses))
+    kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses))
     rows = [
         ["n_records", len(batch), None],
         ["n_accepted", int(np.count_nonzero(filtered.accepted)), None],

@@ -10,7 +10,10 @@ Conventions used throughout the package:
   symplectic eigenvalue is >= 1 (up to a small numerical slack).
 
 Functions named ``*_stack`` take a stack of matrices shaped (N, 4, 4) and
-check every entry as the single-matrix function does.  A failing entry
+check every entry as the single-matrix function does, except the
+``*_with_se_stack`` calls: they take matrices that
+:func:`steerdist.measurement.covariance_stack` accepted and check no
+physicality of their own, which their N = 1 calls do.  A failing entry
 raises the single-matrix exception, at the first failing index, with that
 index in the exception's ``cell`` attribute.  The physicality test uses the
 closed form of the symplectic spectrum through the 2x2 blocks A, B, C.
@@ -146,6 +149,17 @@ def schur_2x2(cond: np.ndarray, kept: np.ndarray, cross: np.ndarray) -> np.ndarr
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
+def schur_pd(cond: np.ndarray, kept: np.ndarray, cross: np.ndarray):
+    """(S, ok): :func:`schur_2x2` of each stacked block triple, and the mask of
+    those whose ``cond`` and S are positive definite; a ``cond`` outside it
+    counts as the identity, which keeps S finite."""
+    ok = pd2(cond)
+    if not ok.all():
+        cond = np.where(ok[..., None, None], cond, np.eye(2))
+    s = schur_2x2(cond, kept, cross)
+    return s, ok & pd2(s)
+
+
 def _not_pd_error(mat: np.ndarray) -> NumericalError:
     return NumericalError("matrix is not positive definite (smallest eigenvalue "
                           f"{np.linalg.eigvalsh(mat)[0]:.3e})")
@@ -175,13 +189,7 @@ def _min_symplectic(covs: np.ndarray):
     mask is meaningless."""
     a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
     det_a, det_b, det_c = det2(a), det2(b), det2(c)
-    pd = pd2(a)
-    sub = slice(None) if pd.all() else pd.copy()
-    s = schur_2x2(a[sub], b[sub], c[sub])
-    s_pd = pd2(s)
-    det_s = np.zeros(len(covs))
-    det_s[sub] = np.where(s_pd, det2(s), 0.0)
-    pd[sub] = s_pd
+    s, pd = schur_pd(a, b, c)
     p = adj2(a) @ c + adj2(c).transpose(0, 2, 1) @ b
     q = adj2(c) @ a + adj2(b) @ c.transpose(0, 2, 1)
     kappa = 0.5 * np.trace(p @ q, axis1=1, axis2=2)
@@ -189,7 +197,7 @@ def _min_symplectic(covs: np.ndarray):
     nu_plus2 = (0.5 * (det_a + det_b) + det_c
                 + np.sqrt(np.maximum(half_gap * half_gap + kappa, 0.0)))
     with np.errstate(divide="ignore", invalid="ignore"):  # only outside the mask
-        return np.sqrt(det_a * det_s / nu_plus2), pd
+        return np.sqrt(det_a * np.where(pd, det2(s), 0.0) / nu_plus2), pd
 
 
 def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
@@ -204,22 +212,21 @@ def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
     return nu
 
 
-def require_physical_stack(covs: np.ndarray, tol=PHYSICALITY_TOL) -> np.ndarray:
+def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
     """Raise :class:`UnphysicalStateError` at the first matrix of a stack of
-    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol,
-    with ``tol`` one value or one per matrix; returns the stack."""
+    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol;
+    returns the stack."""
     nu = min_symplectic_eigenvalues(covs)
-    tol = np.broadcast_to(tol, nu.shape)
     _raise_first(nu < 1.0 - tol, lambda i: UnphysicalStateError(
-        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol[i]:g})"))
+        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol:g})"))
     return covs
 
 
-def _require_stack(covs: np.ndarray, physicality_tol) -> np.ndarray:
+def _require_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
     """:func:`require_cov_stack`, then :func:`require_physical_stack` unless
-    ``physicality_tol`` (one value or one per matrix) is infinite throughout."""
+    ``physicality_tol`` is infinite."""
     covs = require_cov_stack(covs)
-    if not np.isinf(physicality_tol).all():
+    if not np.isinf(physicality_tol):
         require_physical_stack(covs, physicality_tol)
     return covs
 

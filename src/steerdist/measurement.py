@@ -302,8 +302,9 @@ def reconstruction_tolerance(se: np.ndarray):
 
     Statistical fluctuation alone pushes the minimum symplectic eigenvalue a
     few standard errors below 1, so the reject gate scales with the largest
-    entry SE (floor 1e-3).  Pass this to steering/key-rate calls that consume
-    reconstructed matrices.
+    entry SE (floor 1e-3).  Pass this to the N = 1 calls
+    :func:`steerdist.steering.steerability_with_se` and
+    :func:`steerdist.qkd.key_rate_with_se` on a reconstructed matrix.
     """
     tol = np.maximum(RECONSTRUCTION_TOL, 5.0 * np.max(se, axis=(-2, -1)))
     return float(tol) if tol.ndim == 0 else tol
@@ -490,7 +491,7 @@ def covariance_stack(ensembles, min_accepted: int = 10_000):
     2 in a basis, or when its estimate is not positive definite or has a
     smallest symplectic eigenvalue below 1 - :func:`reconstruction_tolerance`
     of its SEs.  An accepted estimate needs no other physicality check: the
-    steering and key-rate stacks take it with an infinite tolerance.
+    steering and key-rate SE stacks take it with no check of their own.
 
     The ensembles are evaluated ``_ENSEMBLE_BLOCK`` at a time, so the
     temporaries stay small on a large grid; each result depends on its
@@ -698,22 +699,6 @@ def sample_grid(states, count: int, seed: int, filters, counted,
                           else ensemble() for f in fs])
         counts.append([int(sum(q[0, 0] for q in next(outs))) for _ in cs])
     return ensembles, counts
-
-
-def sample_moments(state: GaussianState, count: int, seed: int, filters,
-                   threads: int = 1) -> list[Ensemble]:
-    """:func:`sample_grid` of the one state: for each entry of ``filters``
-    (None for the raw ensemble), the moments of the records
-    ``post_select(sample_batch(state, count, seed), filt, seed)`` accepts."""
-    return sample_grid([state], count, seed, [filters], [()], threads)[0][0]
-
-
-def sample_accepted(state: GaussianState, count: int, seed: int, filt: FilterSpec,
-                    threads: int = 1) -> int:
-    """The number of records ``post_select(sample_batch(state, count, seed),
-    filt, seed)`` accepts: the acceptance decisions of :func:`sample_moments`,
-    without the moments."""
-    return sample_grid([state], count, seed, [()], [[filt]], threads)[1][0][0]
 
 
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):

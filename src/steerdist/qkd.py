@@ -97,14 +97,14 @@ def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
     return _rate(v_x, v_p), v_x, v_p, acc
 
 
-def key_rate_with_se_stack(covs: np.ndarray, ses: np.ndarray, tols=1e-2):
+def key_rate_with_se_stack(covs: np.ndarray, ses: np.ndarray):
     """(key rates, V_x, V_p, SEs of the key rates) of a (N, 4, 4) stack of
-    estimated covariances and their entry SEs, each matrix checked for
-    physicality as :func:`steerdist.steering.steerability_with_se_stack`
-    does.  The SE is first order through the exact gradient of
-    K = log2(2/e) - log2(V_X V_P)/2; the entries count as independent, which
-    overstates the seed-to-seed spread 2.4-2.8x."""
-    covs = _require_stack(covs, tols)
+    estimated covariances and their entry SEs.  It takes matrices that
+    :func:`steerdist.measurement.covariance_stack` accepted, so it checks
+    their symmetry but not their physicality.  The SE is first order through
+    the exact gradient of K = log2(2/e) - log2(V_X V_P)/2; the entries count
+    as independent, which overstates the seed-to-seed spread 2.4-2.8x."""
+    covs = require_cov_stack(covs)
     v_x, v_p = _conditional_variances_stack(covs)
     grad = np.zeros_like(covs)
     for k, v in enumerate((v_x, v_p)):
@@ -118,9 +118,10 @@ def key_rate_with_se_stack(covs: np.ndarray, ses: np.ndarray, tols=1e-2):
 def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
                      physicality_tol: float = 1e-2):
     """Key rate and its first-order standard error from an estimated
-    covariance: :func:`key_rate_with_se_stack` with N = 1."""
-    rate, v_x, v_p, err = key_rate_with_se_stack(
-        np.asarray(cov, dtype=float)[None], np.asarray(se, dtype=float)[None], physicality_tol)
+    covariance: :func:`key_rate_with_se_stack` with N = 1, after a physicality
+    check at ``physicality_tol``."""
+    covs = _require_stack(np.asarray(cov, dtype=float)[None], physicality_tol)
+    rate, v_x, v_p, err = key_rate_with_se_stack(covs, np.asarray(se, dtype=float)[None])
     return KeyRateResult(float(rate[0]), float(v_x[0]), float(v_p[0])), float(err[0])
 
 

@@ -37,7 +37,8 @@ from .gaussian import (
     det2,
     inv2,
     pd2,
-    schur_2x2,
+    require_cov_stack,
+    schur_pd,
 )
 
 # Monotone values below this are reported as exactly "not steerable".
@@ -66,27 +67,23 @@ def _blocks_1p1(covs: np.ndarray, direction: str):
 
 
 def _signed_1p1(covs: np.ndarray, direction: str):
-    """-(ln det S)/2 for each matrix, and the mask of evaluable ones: those
-    whose conditioning block and Schur complement S are positive definite.
-    Entries outside the mask are 0."""
-    cond, kept, cross = _blocks_1p1(covs, direction)
-    ok = pd2(cond)
-    sub = slice(None) if ok.all() else ok.copy()
-    comp = schur_2x2(cond[sub], kept[sub], cross[sub])
-    det = det2(comp)
-    ok[sub] = pd2(comp)
+    """(-(ln det S)/2, S, ok) for each matrix, with ok the mask of evaluable
+    ones: those whose conditioning block and Schur complement S are positive
+    definite.  Values outside the mask are 0."""
+    comp, ok = schur_pd(*_blocks_1p1(covs, direction))
     value = np.zeros(len(covs))
-    value[ok] = -0.5 * np.log(det[ok[sub]])
-    return value, ok
+    value[ok] = -0.5 * np.log(det2(comp)[ok])
+    return value, comp, ok
 
 
-def _evaluation_error(cov: np.ndarray, direction: str) -> NumericalError:
-    """The error the general route raises on a non-evaluable 1+1 matrix."""
-    cond, kept, cross = (blk[0] for blk in _blocks_1p1(cov[None], direction))
+def _evaluation_error(cov: np.ndarray, comp: np.ndarray, direction: str) -> NumericalError:
+    """The error the general route raises on a non-evaluable 1+1 matrix whose
+    Schur complement in ``direction`` is ``comp``."""
+    cond = _blocks_1p1(cov[None], direction)[0][0]
     eig = np.linalg.eigvalsh(cond)[0]
     if not pd2(cond):
         return NumericalError(f"conditioning block is singular (smallest eigenvalue {eig:.3e})")
-    return _not_pd_error(schur_2x2(cond, kept, cross))
+    return _not_pd_error(comp)
 
 
 def steering_signed_stack(covs: np.ndarray, direction: str,
@@ -94,22 +91,27 @@ def steering_signed_stack(covs: np.ndarray, direction: str,
     """:func:`steering_signed` on a (N, 4, 4) stack."""
     _check_direction(direction)
     covs = _require_stack(covs, physicality_tol)
-    value, ok = _signed_1p1(covs, direction)
-    _raise_first(~ok, lambda i: _evaluation_error(covs[i], direction))
+    value, comp, ok = _signed_1p1(covs, direction)
+    _raise_first(~ok, lambda i: _evaluation_error(covs[i], comp[i], direction))
     return value
 
 
-def steerability_stack(covs: np.ndarray, physicality_tol=1e-3):
-    """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack; each matrix is
-    checked for physicality once, at ``physicality_tol`` (one value or one
-    per matrix), or not at all when that is infinite throughout."""
-    covs = _require_stack(covs, physicality_tol)
-    (ab, ok_ab), (ba, ok_ba) = (_signed_1p1(covs, d) for d in DIRECTIONS)
-    _raise_first(~(ok_ab & ok_ba), lambda i: _evaluation_error(
-        covs[i], "a_to_b" if not ok_ab[i] else "b_to_a"))
+def _signed_both(covs: np.ndarray):
+    """:func:`_signed_1p1` in both directions, raising at the first matrix not
+    evaluable in one (A->B checked first) or with a non-finite value."""
+    (ab, comp_ab, ok_ab), (ba, comp_ba, ok_ba) = both = [_signed_1p1(covs, d) for d in DIRECTIONS]
+    _raise_first(~(ok_ab & ok_ba), lambda i: _evaluation_error(covs[i], comp_ab[i], "a_to_b")
+                 if not ok_ab[i] else _evaluation_error(covs[i], comp_ba[i], "b_to_a"))
     _raise_first(~(np.isfinite(ab) & np.isfinite(ba)),
                  lambda i: NumericalError(f"steering value is not finite: {ab[i]}, {ba[i]}"))
-    return np.maximum(ab, 0.0), np.maximum(ba, 0.0)
+    return both
+
+
+def steerability_stack(covs: np.ndarray):
+    """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack; each matrix is
+    checked for physicality once, at 1e-3."""
+    return tuple(np.maximum(value, 0.0)
+                 for value, _, _ in _signed_both(_require_stack(covs, 1e-3)))
 
 
 def region_labels(g_a_to_b, g_b_to_a, tol: float = STEERING_POSITIVITY_TOL) -> np.ndarray:
@@ -154,38 +156,38 @@ def classify(state: GaussianState, tol: float = STEERING_POSITIVITY_TOL) -> Stee
     return SteeringResult(float(gab[0]), float(gba[0]), str(labels[0]))
 
 
-def steerability_with_se_stack(covs: np.ndarray, ses: np.ndarray, tols=1e-2):
+def steerability_with_se_stack(covs: np.ndarray, ses: np.ndarray):
     """(G_A->B, its SE, G_B->A, its SE) arrays of a (N, 4, 4) stack of
-    estimated covariances and their entry SEs; each matrix is checked for
-    physicality as :func:`steerability_stack` does, so not at all with an
-    infinite ``tols``, which suits matrices that
-    :func:`steerdist.measurement.covariance_stack` has checked already.
+    estimated covariances and their entry SEs.  It takes matrices that
+    :func:`steerdist.measurement.covariance_stack` accepted, so it checks
+    their symmetry and evaluability but not their physicality; it refuses as
+    :func:`steerability_stack` does.
 
     The SE is first order through the exact gradient of the signed quantity
     (nonzero where the monotone is clipped to 0), -U S^-1 U^T / 2 with
     U = [cond^-1 cross; -I] in (conditioning, kept) rows.  The entries count
     as independent, though they come from the same records, which
     overstates the seed-to-seed spread 2.4-2.8x."""
-    values = steerability_stack(covs, tols)
-    covs, out = np.asarray(covs, dtype=float), []
-    for direction, value in zip(DIRECTIONS, values):
-        cond, kept, cross = _blocks_1p1(covs, direction)
+    covs, out = require_cov_stack(covs), []
+    for direction, (value, comp, _) in zip(DIRECTIONS, _signed_both(covs)):
+        cond, _, cross = _blocks_1p1(covs, direction)
         m, minus_i = inv2(cond) @ cross, np.broadcast_to(-np.eye(2), cross.shape)
         u = np.concatenate((m, minus_i) if direction == "a_to_b" else (minus_i, m), axis=1)
-        w = u @ inv2(schur_2x2(cond, kept, cross)) @ u.transpose(0, 2, 1)
+        w = u @ inv2(comp) @ u.transpose(0, 2, 1)
         # an off-diagonal entry moves at (i, j) and (j, i), which doubles it
         grad = w.diagonal(axis1=1, axis2=2)[:, :, None] * np.eye(4) / 2 - w
-        out += [value, _first_order_se(grad, ses)]
+        out += [np.maximum(value, 0.0), _first_order_se(grad, ses)]
     return tuple(out)
 
 
 def steerability_with_se(cov: np.ndarray, se: np.ndarray, direction: str,
                          physicality_tol: float = 1e-2):
     """Monotone value and its first-order standard error from an estimated
-    covariance: :func:`steerability_with_se_stack` with N = 1."""
+    covariance: :func:`steerability_with_se_stack` with N = 1, after a
+    physicality check at ``physicality_tol``."""
     _check_direction(direction)
-    values = steerability_with_se_stack(np.asarray(cov, dtype=float)[None],
-                                        np.asarray(se, dtype=float)[None], physicality_tol)
+    covs = _require_stack(np.asarray(cov, dtype=float)[None], physicality_tol)
+    values = steerability_with_se_stack(covs, np.asarray(se, dtype=float)[None])
     k = 2 * DIRECTIONS.index(direction)
     return float(values[k][0]), float(values[k + 1][0])
 

@@ -29,7 +29,7 @@ from steerdist.experiments import (
     run_regions,
     run_selfcheck,
 )
-from steerdist.measurement import reconstruction_tolerance, sample_accepted
+from steerdist.measurement import reconstruction_tolerance, sample_grid
 
 
 def _config(tmp_path, **kw):
@@ -261,7 +261,6 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, cap
     # before it, which print their lines then.
     import steerdist.experiments as experiments
     from steerdist import NumericalError, ReconstructionError
-    from steerdist.measurement import sample_grid
 
     losses = (0.74, 0.2)
     filters = [(None, FilterSpec(1.2, cutoff_from_table(loss, 1.2))) for loss in losses]
@@ -276,7 +275,7 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, cap
     assert capsys.readouterr().err.splitlines() == [
         f"point 1 Monte Carlo value left empty: {refusal}"]
 
-    def refuse(covs, ses, tols):  # the amplified matrix of point 1
+    def refuse(covs, ses):  # the amplified matrix of point 1
         error = NumericalError("refused")
         error.cell = 3
         raise error
@@ -314,7 +313,8 @@ def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkey
     state, seed = experiments.model_state(config), experiments.derive_seed(config.seed, 4)
     for row in rows[2:]:
         assert row[-2] is None
-        assert row[-1] == sample_accepted(state, 400_000, seed, FilterSpec(row[0], 4.5)) / 400_000
+        counts = sample_grid([state], 400_000, seed, [()], [[FilterSpec(row[0], 4.5)]])[1]
+        assert row[-1] == counts[0][0] / 400_000
 
 
 def test_fig4_monte_carlo_memory_is_bounded(tmp_path):
@@ -377,16 +377,14 @@ def test_appendix_seeds_derive_from_grid_indices(tmp_path, monkeypatch):
 
 def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
     import steerdist.experiments as exp
-    from steerdist.measurement import sample_accepted
-
     config = _config(tmp_path, mode="monte_carlo", samples=40_000)
     _, rows = exp.run_appendix("fig_s4", config)
     losses, gains, outs = exp._appendix_grid(config)
     cutoffs = exp._table_cutoffs(losses, gains)
     seed = exp.derive_seed(config.seed, 6)
     for row, g, bc, out in zip(rows, gains, cutoffs, outs):
-        count = sample_accepted(exp.from_cov(out), 40_000, seed, FilterSpec(g, bc))
-        assert row[2] == count / 40_000
+        counts = sample_grid([exp.from_cov(out)], 40_000, seed, [()], [[FilterSpec(g, bc)]])[1]
+        assert row[2] == counts[0][0] / 40_000
 
 
 def test_fig_s2_gaussianity(tmp_path):
@@ -485,6 +483,14 @@ def test_cli_fig3a_and_svg(tmp_path):
     assert (out / "fig3a.svg").exists()
     svg = (out / "fig3a.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+@pytest.mark.parametrize("command, name", [
+    ("fig3a", "fig3a"), ("regions-c", "regions_c"), ("fig4", "fig4")])
+def test_cli_svg_goes_next_to_the_csv_in_a_directory_named_like_a_csv(tmp_path, command, name):
+    out = tmp_path / "run.csv.d"
+    assert main([command, "--out", str(out), "--svg", "--mode", "analytic"]) == 0
+    assert (out / f"{name}.svg").read_text().startswith("<svg")
 
 
 def test_cli_exit_codes(tmp_path):

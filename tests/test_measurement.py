@@ -52,9 +52,7 @@ from steerdist.measurement import (
     _log_uniforms,
     covariance_stack,
     reconstruction_tolerance,
-    sample_accepted,
     sample_grid,
-    sample_moments,
 )
 
 
@@ -448,9 +446,10 @@ def _moment_arrays(ensembles):
 
 def test_sample_moments_bit_identical_across_threads(model_state):
     filters = (None, FilterSpec(1.2, 3.0), FilterSpec(1.0, 3.0))
-    one = _moment_arrays(sample_moments(model_state, 300_001, 17, filters, threads=1))
+    one = _moment_arrays(sample_grid([model_state], 300_001, 17, [filters], [()], 1)[0][0])
     for threads in (2, 4):
-        other = _moment_arrays(sample_moments(model_state, 300_001, 17, filters, threads))
+        other = _moment_arrays(
+            sample_grid([model_state], 300_001, 17, [filters], [()], threads)[0][0])
         assert all(np.array_equal(a, b) for a, b in zip(one, other))
 
 
@@ -458,9 +457,9 @@ def test_sample_moments_bit_identical_across_threads(model_state):
 def test_sample_accepted_counts_the_moment_pass(model_state, threads):
     state = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.2, 3.0)
-    want = sample_moments(state, 300_001, 19, [filt])[0].accepted
+    want = sample_grid([state], 300_001, 19, [[filt]], [()])[0][0][0].accepted
     assert 0 < want < 300_001
-    assert sample_accepted(state, 300_001, 19, filt, threads) == want
+    assert sample_grid([state], 300_001, 19, [()], [[filt]], threads)[1][0][0] == want
 
 
 def _grid(model_state):
@@ -485,13 +484,14 @@ def test_grid_points_are_the_single_state_passes(model_state):
     states, filters = _grid(model_state)
     grid = sample_grid(states, 300_001, 22, filters, [()] * len(states), threads=2)[0]
     for state, fs, got in zip(states, filters, grid):
-        want = sample_moments(state, 300_001, 22, fs)
+        want = sample_grid([state], 300_001, 22, [fs], [()])[0][0]
         assert all(np.array_equal(a, b)
                    for a, b in zip(_moment_arrays(got), _moment_arrays(want)))
     counts = [n for (n,) in sample_grid(states, 300_001, 22, [()] * len(states),
                                         [[fs[-1]] for fs in filters])[1]]
     assert counts == [e[-1].accepted for e in grid]
-    assert counts == [sample_accepted(s, 300_001, 22, fs[-1]) for s, fs in zip(states, filters)]
+    assert counts == [sample_grid([s], 300_001, 22, [()], [[fs[-1]]])[1][0][0]
+                      for s, fs in zip(states, filters)]
 
 
 def test_grid_sampler_tags_the_refused_state(model_state):
@@ -532,7 +532,7 @@ def test_map_chunks_bounds_the_chunks_in_flight():
 def test_sample_moments_match_batch_pipeline(model_state):
     state = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.2, 3.0)
-    raw, amp = sample_moments(state, 300_001, 18, (None, filt), threads=2)
+    raw, amp = sample_grid([state], 300_001, 18, [(None, filt)], [()], threads=2)[0][0]
     batch = sample_batch(state, 300_001, 18)
     filtered, rate = post_select(batch, filt, 18)
     assert amp.accepted == np.count_nonzero(filtered.accepted) == round(rate * 300_001)
@@ -555,7 +555,8 @@ def _seeded_ensembles(model_state):
 
 
 def test_stacks_equal_the_per_matrix_code_within_one_ulp(model_state):
-    from steerdist import key_rate_with_se, key_rate_with_se_stack, steerability_with_se_stack
+    from steerdist import (key_rate_with_se, key_rate_with_se_stack, steerability_stack,
+                           steerability_with_se_stack)
 
     ensembles = _seeded_ensembles(model_state)
     covs, ses, errors = covariance_stack(ensembles, 1_000)
@@ -563,8 +564,9 @@ def test_stacks_equal_the_per_matrix_code_within_one_ulp(model_state):
     many = covariance_stack(ensembles * 8, 1_000)  # more than one block of ensembles
     assert np.array_equal(many[0], np.tile(covs, (8, 1, 1)))
     assert np.array_equal(many[1], np.tile(ses, (8, 1, 1))) and many[2] == errors * 8
-    ab, se_ab, ba, se_ba = steerability_with_se_stack(covs, ses, np.inf)
-    rate, v_x, v_p, se_rate = key_rate_with_se_stack(covs, ses, np.inf)
+    ab, se_ab, ba, se_ba = steerability_with_se_stack(covs, ses)
+    assert all(np.array_equal(got, want) for got, want in zip((ab, ba), steerability_stack(covs)))
+    rate, v_x, v_p, se_rate = key_rate_with_se_stack(covs, ses)
     for i, ens in enumerate(ensembles):
         cov, se = covariance_per_matrix(ens, 1_000)
         np.testing.assert_array_max_ulp(covs[i], cov, 1)
@@ -825,14 +827,14 @@ def test_monte_carlo_page_faults_do_not_grow_with_chunks():
     code = """
 import resource
 from steerdist import FilterSpec, apply_lossy, tmss_standard
-from steerdist.measurement import CHUNK, sample_moments
+from steerdist.measurement import CHUNK, sample_grid
 
 state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
 filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
 
 def faults(chunks):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    sample_moments(state, chunks * CHUNK, 1, filters, threads=1)
+    sample_grid([state], chunks * CHUNK, 1, [filters], [()], threads=1)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 print(faults(8), faults(40))
@@ -858,12 +860,12 @@ def test_monte_carlo_pass_peak_memory_is_small():
 import resource
 import numpy.random
 from steerdist import FilterSpec, apply_lossy, tmss_standard
-from steerdist.measurement import CHUNK, sample_moments
+from steerdist.measurement import CHUNK, sample_grid
 
 state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
 filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sample_moments(state, 16 * CHUNK, 1, filters, threads=2)
+sample_grid([state], 16 * CHUNK, 1, [filters], [()], threads=2)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

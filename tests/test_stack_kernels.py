@@ -29,14 +29,17 @@ from steerdist import (
     region_labels,
     select_cutoff,
     steerability,
+    steerability_stack,
+    steerability_with_se_stack,
     steering_signed,
     steering_signed_stack,
     symplectic_eigenvalues,
     tmss_standard,
 )
+from steerdist import steering
 from steerdist.config import load_config
 from steerdist.experiments import _in_grid_order, run_regions
-from steerdist.gaussian import min_symplectic_eigenvalues
+from steerdist.gaussian import min_symplectic_eigenvalues, require_cov_stack
 
 PAPER_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 PAPER_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -238,7 +241,7 @@ def test_unphysical_cell_raises_scalar_class(model_state):
         ChannelSpec(0.1).apply(from_cov(bad))
 
 
-def test_singular_conditioning_block_raises_general_class(model_state):
+def test_singular_conditioning_block_raises_general_class(model_state, monkeypatch):
     bad = np.diag([0.0, 0.0, 2.0, 2.0])
     covs = _stack_with(model_state, bad)
     with pytest.raises(NumericalError, match="conditioning block is singular") as stack_err:
@@ -246,6 +249,27 @@ def test_singular_conditioning_block_raises_general_class(model_state):
     assert stack_err.value.cell == 3
     with pytest.raises(NumericalError, match="conditioning block is singular"):
         _general_signed(bad, "a_to_b")
+
+    def singular(a, b):  # det sigma = 0 up to rounding
+        c = np.sqrt(a * b) * np.diag([1.0, -1.0])
+        return np.block([[a * np.eye(2), c], [c, b * np.eye(2)]])
+
+    # rounding leaves cell 3 evaluable in A->B only and cell 5 in B->A only
+    covs = _stack_with(model_state, singular(1.2, 1.1))
+    covs[5] = singular(1.1, 1.2)
+    steering_signed_stack(covs[3:4], "a_to_b", physicality_tol=np.inf)
+    steering_signed_stack(covs[5:6], "b_to_a", physicality_tol=np.inf)
+    with pytest.raises(NumericalError, match="not positive definite") as want:
+        steering_signed_stack(covs[3:4], "b_to_a", physicality_tol=np.inf)
+    # the physicality gate would refuse cell 5 first, whose A->B Schur
+    # complement is its positive-definiteness test; lifted, the first cell
+    # wins whichever direction fails there, in both stacks
+    monkeypatch.setattr(steering, "_require_stack", lambda covs, tol: require_cov_stack(covs))
+    for stack in (steerability_stack, lambda c: steerability_with_se_stack(c, np.zeros_like(c))):
+        with pytest.raises(NumericalError) as got:
+            stack(covs)
+        assert (type(got.value), str(got.value), got.value.cell) == (
+            NumericalError, str(want.value), 3)
 
 
 def test_anisotropic_cell_raises_scalar_class(model_state):
