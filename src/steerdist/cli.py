@@ -33,8 +33,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-COMMANDS = ("fig3a", "fig3b", "regions-c", "regions-d", "fig4",
-            "fig-s1", "fig-s2", "fig-s4", "table-s1", "ingest", "selfcheck")
+# command -> (its runner in steerdist.experiments, the runner's leading
+# arguments); ingest's path follows them, and every runner then takes the config
+COMMANDS = {
+    "fig3a": ("run_fig3", ("a",)), "fig3b": ("run_fig3", ("b",)),
+    "regions-c": ("run_regions", ("c",)), "regions-d": ("run_regions", ("d",)),
+    "fig4": ("run_fig4", ()),
+    "fig-s1": ("run_appendix", ("fig_s1",)), "fig-s2": ("run_appendix", ("fig_s2",)),
+    "fig-s4": ("run_appendix", ("fig_s4",)), "table-s1": ("run_appendix", ("table_s1",)),
+    "ingest": ("run_ingest", ()), "selfcheck": ("run_selfcheck", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,30 +92,19 @@ def main(argv=None) -> int:
     from . import experiments as exp
 
     try:
-        cmd = args.command
-        if cmd == "fig3a":
-            path, _ = exp.run_fig3("a", config)
-        elif cmd == "fig3b":
-            path, _ = exp.run_fig3("b", config)
-        elif cmd == "regions-c":
-            path, _ = exp.run_regions("c", config)
-        elif cmd == "regions-d":
-            path, _ = exp.run_regions("d", config)
-        elif cmd == "fig4":
-            path, _ = exp.run_fig4(config)
-        elif cmd in ("fig-s1", "fig-s2", "fig-s4", "table-s1"):
-            path, _ = exp.run_appendix(cmd.replace("-", "_"), config)
-        elif cmd == "ingest":
-            path, rows = exp.run_ingest(args.path, config)
+        runner, lead = COMMANDS[args.command]
+        if args.path is not None:  # ingest's path
+            lead += (args.path,)
+        result = getattr(exp, runner)(*lead, config)
+        if args.command == "selfcheck":
+            ok, lines = result
+            print("\n".join(lines))
+            return EXIT_OK if ok else EXIT_NUMERICAL
+        path, rows = result
+        if args.command == "ingest":
             for quantity, value, se in rows:
                 tail = "" if se is None else f" +- {se:.3g}"
                 print(f"{quantity}: {value}{tail}")
-        elif cmd == "selfcheck":
-            ok, lines = exp.run_selfcheck(config)
-            print("\n".join(lines))
-            return EXIT_OK if ok else EXIT_NUMERICAL
-        else:  # pragma: no cover
-            raise AssertionError(cmd)
         print(f"wrote {path}")
         return EXIT_OK
     except (NumericalError, BatchSchemaError, RuntimeError) as exc:

@@ -27,15 +27,7 @@ from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import (
-    GaussianState,
-    NumericalError,
-    _each_cell,
-    _raise_first,
-    from_cov,
-    save_cov,
-    tmss_standard,
-)
+from .gaussian import GaussianState, NumericalError, _raise_first, save_cov, tmss_standard
 from .measurement import (
     BatchSchemaError,
     FilterSpec,
@@ -194,9 +186,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
             cols = [v.tolist() for v in (*steerability_stack(outs), *ideal, rates)]
         mc = []
         if config.mode in ("monte_carlo", "both"):
-            states, filters = zip(*_each_cell(
-                lambda i: (from_cov(outs[i]), (None, FilterSpec(g, beta_c[i]))), n))
-            ens = sample_grid(states, config.samples, derive_seed(config.seed, 3),
+            filters = [(None, FilterSpec(g, bc)) for bc in beta_c]
+            ens = sample_grid(outs, config.samples, derive_seed(config.seed, 3),
                               filters, [()] * n, config.threads)[0]
             mc = _mc_steering(ens, lambda i: f"fig3{variant}: loss={losses[i]:g}")
         rows = []
@@ -327,9 +318,9 @@ def _fig4_sample(config, state, gains, filters, rates):
             counted.append(i)
             _left_empty(f"fig4: g={g:g}", f"too few accepted records: expected {expected:.0f}, "
                                           f"more than 6 sd below {MC_MIN_ACCEPTED}")
-    (ens,), (counts,) = sample_grid([state], config.samples, derive_seed(config.seed, 4),
-                                    [[filters[i] for i in sampled]],
-                                    [[filters[i] for i in counted]], config.threads)
+    (ens,), (counts,) = sample_grid(
+        state.cov[None], config.samples, derive_seed(config.seed, 4),
+        [[filters[i] for i in sampled]], [[filters[i] for i in counted]], config.threads)
     accepted = dict(zip(counted, counts))
     accepted.update((i, e.accepted) for i, e in zip(sampled, ens))
     return dict(zip(sampled, ens)), accepted
@@ -396,8 +387,7 @@ def _run_fig_s2(config):
                   f"exact moments: expected accepted count {expected:.0f} < "
                   f"{FIG_S2_MIN_EXPECTED}", file=sys.stderr)
     if sampled:
-        ens = sample_grid([from_cov(outs[i]) for i in sampled], config.samples,
-                          derive_seed(config.seed, 5),
+        ens = sample_grid(outs[sampled], config.samples, derive_seed(config.seed, 5),
                           [[FilterSpec(gains[i], cutoffs[i])] for i in sampled],
                           [()] * len(sampled), config.threads)[0]
         for i, (amp,) in zip(sampled, ens):
@@ -415,8 +405,7 @@ def _run_fig_s4(config):
     if config.mode == "analytic":
         rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
     else:
-        counts = sample_grid([from_cov(out) for out in outs], config.samples,
-                             derive_seed(config.seed, 6), [()] * len(outs),
+        counts = sample_grid(outs, config.samples, derive_seed(config.seed, 6), [()] * len(outs),
                              [[FilterSpec(g, bc)] for g, bc in zip(gains, cutoffs)],
                              config.threads)[1]
         rates = [n / config.samples for (n,) in counts]

@@ -70,18 +70,6 @@ def _raise_first(bad, make_error) -> None:
         raise exc
 
 
-def _each_cell(fn, n: int) -> list:
-    """``[fn(i) for i in range(n)]``, tagging a failure with its cell."""
-    out = []
-    for i in range(n):
-        try:
-            out.append(fn(i))
-        except Exception as exc:
-            exc.cell = i
-            raise
-    return out
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n symplectic form, block diagonal in [[0, 1], [-1, 0]]."""
     omega = np.zeros((2 * n_modes, 2 * n_modes))
@@ -213,12 +201,14 @@ def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
 
 
 def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
-    """Raise :class:`UnphysicalStateError` at the first matrix of a stack of
-    symmetric matrices whose smallest symplectic eigenvalue is below 1 - tol;
-    returns the stack."""
-    nu = min_symplectic_eigenvalues(covs)
-    _raise_first(nu < 1.0 - tol, lambda i: UnphysicalStateError(
-        f"state is unphysical: min symplectic eigenvalue {nu[i]:.12g} < 1 (tol {tol:g})"))
+    """Raise at the first matrix of a stack of symmetric matrices that is not
+    positive definite (:class:`NumericalError`) or whose smallest symplectic
+    eigenvalue is below 1 - tol (:class:`UnphysicalStateError`); returns the
+    stack."""
+    nu, pd = _min_symplectic(covs)
+    _raise_first(~pd | (nu < 1.0 - tol), lambda i: _not_pd_error(covs[i]) if not pd[i] else
+                 UnphysicalStateError(f"state is unphysical: min symplectic eigenvalue "
+                                      f"{nu[i]:.12g} < 1 (tol {tol:g})"))
     return covs
 
 

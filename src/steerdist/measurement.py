@@ -47,11 +47,11 @@ K^T, with Q that of z and K the pair map of blockdiag(1, L_i)
 (:func:`_pair_map`); only the filter step (acceptance, rescaling,
 reduction of the accepted records) runs per state.
 
-The centre 0 is exact: :func:`_sampler` draws L z, so every state is
-zero-mean, and the filter depends on |gamma|^2 alone, so each accepted
-ensemble is symmetric under a sign flip and zero-mean too.  A sample mean
-is then O(sigma / sqrt(n)), and :meth:`Moments.central`, K Q K^T with K the
-pair map of [[1, 0], [-mean, I]], loses nothing to cancellation.  Sums
+The centre 0 is exact: a state's records are L z, so it is zero-mean, and
+the filter depends on |gamma|^2 alone, so each accepted ensemble is
+symmetric under a sign flip and zero-mean too.  A sample mean is then
+O(sigma / sqrt(n)), and :meth:`Moments.central`, K Q K^T with K the pair
+map of [[1, 0], [-mean, I]], loses nothing to cancellation.  Sums
 about a common centre add with no correction term (Pebay, SAND2008-6212),
 so pieces, then chunks, are added in order: the result does not depend on
 the thread count, nor a state's on the rest of its grid, and memory is
@@ -87,9 +87,11 @@ from .gaussian import (
     GaussianState,
     NumericalError,
     RECONSTRUCTION_TOL,
-    _each_cell,
     _min_symplectic,
     _not_pd_error,
+    _raise_first,
+    require_cov_stack,
+    require_physical_stack,
 )
 
 CHUNK = 1 << 17  # even, so alternating bases stay aligned across chunks
@@ -192,33 +194,30 @@ def _map_chunks(fn, n_chunks: int, threads: int):
             yield pending.popleft().result()
 
 
-def _joint_cholesky(state: GaussianState):
-    """Cholesky factors of the (alice, X_het, P_het) joint for both bases."""
-    a, b, c = state.blocks()
-    het = (b + np.eye(2)) / 2.0
-    mats = []
-    for row, avar in ((0, a[0, 0]), (1, a[1, 1])):
-        m = np.empty((3, 3))
-        m[0, 0] = avar
-        m[0, 1] = m[1, 0] = c[row, 0] / np.sqrt(2.0)
-        m[0, 2] = m[2, 0] = c[row, 1] / np.sqrt(2.0)
-        m[1:, 1:] = het
-        mats.append(np.linalg.cholesky(m))
-    return mats  # [L_X, L_P]
+def _joint_cholesky(covs: np.ndarray) -> np.ndarray:
+    """Cholesky factors of each matrix's (alice, X_het, P_het) joint, (N, 2,
+    3, 3), x basis first."""
+    m = np.empty((len(covs), 2, 3, 3))
+    m[:, :, 0, 0] = covs[:, [0, 1], [0, 1]]
+    m[:, :, 0, 1:] = m[:, :, 1:, 0] = covs[:, :2, 2:] / np.sqrt(2.0)
+    m[:, :, 1:, 1:] = (covs[:, None, 2:, 2:] + np.eye(2)) / 2.0
+    return np.linalg.cholesky(m)
 
 
-def _sampler(state: GaussianState, count: int):
-    """The Cholesky factors for drawing ``count`` records from ``state``,
-    after the checks :func:`sample_batch` documents."""
+def _sampler(covs: np.ndarray, count: int) -> np.ndarray:
+    """The Cholesky factors for drawing ``count`` records from each matrix of
+    a (N, 4, 4) stack, after the checks :func:`sample_batch` documents.  It
+    raises at the first matrix that fails one, the x-p check first."""
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    a = state.cov[:2, :2]
-    if abs(a[0, 1]) > max(1.0, abs(a[0, 0])) * MODEL_RTOL:
-        raise NotImplementedError(
-            "sampling requires a zero Alice x-p covariance, which homodyne "
-            f"reconstruction cannot observe (got sigma[0, 1] = {a[0, 1]:.6g})")
-    state.require_physical(RECONSTRUCTION_TOL)
-    return _joint_cholesky(state)
+    covs = require_cov_stack(covs)
+    xp = np.abs(covs[:, 0, 1]) > np.maximum(1.0, np.abs(covs[:, 0, 0])) * MODEL_RTOL
+    first_xp = np.argmax(np.append(xp, True))  # N when no matrix fails the x-p check
+    require_physical_stack(covs[:first_xp], RECONSTRUCTION_TOL)
+    _raise_first(xp, lambda i: NotImplementedError(
+        "sampling requires a zero Alice x-p covariance, which homodyne "
+        f"reconstruction cannot observe (got sigma[0, 1] = {covs[i, 0, 1]:.6g})"))
+    return _joint_cholesky(covs)
 
 
 def _draws(seed: int, k: int, count: int, work: _Workspace, uniforms: bool):
@@ -251,7 +250,7 @@ def sample_batch(
     covariance must be 0: single-quadrature homodyne cannot observe it, so
     :func:`reconstruct_covariance` could not recover the state.
     """
-    chol = _sampler(state, count)
+    chol = _sampler(state.cov[None], count)[0]
     basis = np.empty(count, dtype=np.uint8)
     basis[0::2], basis[1::2] = BASIS_X, BASIS_P
     cols = np.empty((3, count))
@@ -667,25 +666,26 @@ def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> 
     return total
 
 
-def sample_grid(states, count: int, seed: int, filters, counted,
+def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
                 threads: int = 1) -> tuple[list[list[Ensemble]], list[list[int]]]:
-    """One streaming pass over a common draw for a grid of states.  For each
-    state i: the moments of the records ``post_select(sample_batch(states[i],
-    count, seed), filt, seed)`` accepts, for each entry filt of
-    ``filters[i]`` (None for the raw ensemble), and the number of records
-    each filter of ``counted[i]`` accepts, without their moments.  Returns
-    (ensembles, counts), one list per state in each.
+    """One streaming pass over a common draw for a (N, 4, 4) stack of
+    covariance matrices, such as a grid's channel outputs.  For each matrix
+    i: the moments of the records ``post_select(sample_batch(
+    GaussianState(covs[i]), count, seed), filt, seed)`` accepts, for each
+    entry filt of ``filters[i]`` (None for the raw ensemble), and the number
+    of records each filter of ``counted[i]`` accepts, without their moments.
+    Returns (ensembles, counts), one list per matrix in each.
 
     Every state reads the same normals and uniforms, so a state's result does
     not depend on the rest of the grid.  Memory is O(threads x (SUB +
     states)) at any ``count``, and the result is bit-identical for any
-    ``threads``.  A state :func:`sample_batch` refuses raises with its index
-    as ``exc.cell``.
+    ``threads``.  The first matrix :func:`sample_batch` would refuse raises
+    with its index as ``exc.cell``.
     """
-    if not len(states) == len(filters) == len(counted):
-        raise ValueError(f"{len(states)} states, {len(filters)} filter lists and "
+    if not len(covs) == len(filters) == len(counted):
+        raise ValueError(f"{len(covs)} states, {len(filters)} filter lists and "
                          f"{len(counted)} lists of counted filters")
-    chols = _each_cell(lambda i: _sampler(states[i], count), len(states))
+    chols = _sampler(covs, count)
     outs = iter(zip(*_grid_pass(chols, count, seed, filters, counted, threads)))
 
     def ensemble() -> Ensemble:

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import GaussianState, _first_order_se, _require_stack, require_cov_stack
+from .gaussian import (
+    GaussianState,
+    RECONSTRUCTION_TOL,
+    _first_order_se,
+    _require_stack,
+    require_cov_stack,
+)
 from .measurement import FilterSpec
 
 
@@ -41,10 +47,10 @@ class KeyRateResult:
     v_p_cond: float
 
 
-def conditional_variances(sigma: np.ndarray, physicality_tol: float = 1e-3):
+def conditional_variances(sigma: np.ndarray, physicality_tol: float = RECONSTRUCTION_TOL):
     """(V_{X_B|X_A}, V_{P_B|P_A}) of heterodyne given homodyne.
 
-    ``physicality_tol`` is loose by default; pass
+    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``); pass
     :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
     when feeding estimated covariances.
     """
@@ -65,8 +71,10 @@ def _rate(v_x, v_p):
     return np.log2(2.0 / (np.e * np.sqrt(v_x * v_p)))
 
 
-def key_rate(sigma: np.ndarray, physicality_tol: float = 1e-3) -> KeyRateResult:
-    """Lower bound on the reverse-reconciliation key rate, in bits."""
+def key_rate(sigma: np.ndarray, physicality_tol: float = RECONSTRUCTION_TOL) -> KeyRateResult:
+    """Lower bound on the reverse-reconciliation key rate, in bits; the
+    matrix is checked for physicality at ``physicality_tol``
+    (``RECONSTRUCTION_TOL``)."""
     v_x, v_p = conditional_variances(sigma, physicality_tol)
     return KeyRateResult(float(_rate(v_x, v_p)), v_x, v_p)
 

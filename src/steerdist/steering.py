@@ -30,6 +30,7 @@ from .channels import ChannelSpec, apply_noisy
 from .gaussian import (
     GaussianState,
     NumericalError,
+    RECONSTRUCTION_TOL,
     _first_order_se,
     _not_pd_error,
     _raise_first,
@@ -43,6 +44,9 @@ from .gaussian import (
 
 # Monotone values below this are reported as exactly "not steerable".
 STEERING_POSITIVITY_TOL = 1e-9
+
+# Width of the loss bracket at which steering_loss_threshold stops bisecting.
+THRESHOLD_XTOL = 1e-4
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 
@@ -87,7 +91,7 @@ def _evaluation_error(cov: np.ndarray, comp: np.ndarray, direction: str) -> Nume
 
 
 def steering_signed_stack(covs: np.ndarray, direction: str,
-                          physicality_tol: float = 1e-3) -> np.ndarray:
+                          physicality_tol: float = RECONSTRUCTION_TOL) -> np.ndarray:
     """:func:`steering_signed` on a (N, 4, 4) stack."""
     _check_direction(direction)
     covs = _require_stack(covs, physicality_tol)
@@ -109,27 +113,27 @@ def _signed_both(covs: np.ndarray):
 
 def steerability_stack(covs: np.ndarray):
     """(G_A->B, G_B->A) monotone arrays of a (N, 4, 4) stack; each matrix is
-    checked for physicality once, at 1e-3."""
+    checked for physicality once, at ``RECONSTRUCTION_TOL``."""
     return tuple(np.maximum(value, 0.0)
-                 for value, _, _ in _signed_both(_require_stack(covs, 1e-3)))
+                 for value, _, _ in _signed_both(_require_stack(covs, RECONSTRUCTION_TOL)))
 
 
-def region_labels(g_a_to_b, g_b_to_a, tol: float = STEERING_POSITIVITY_TOL) -> np.ndarray:
+def region_labels(g_a_to_b, g_b_to_a) -> np.ndarray:
     """Region label of each (G_A->B, G_B->A) pair: a direction counts when
-    its monotone exceeds ``tol``."""
-    ab, ba = np.asarray(g_a_to_b) > tol, np.asarray(g_b_to_a) > tol
+    its monotone exceeds ``STEERING_POSITIVITY_TOL``."""
+    ab, ba = (np.asarray(g) > STEERING_POSITIVITY_TOL for g in (g_a_to_b, g_b_to_a))
     return np.select([ab & ba, ab, ba],
                      ["two_way", "one_way_a_to_b", "one_way_b_to_a"], "none")
 
 
-def classify_stack(covs: np.ndarray, tol: float = STEERING_POSITIVITY_TOL):
+def classify_stack(covs: np.ndarray):
     """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack."""
     gab, gba = steerability_stack(covs)
-    return gab, gba, region_labels(gab, gba, tol)
+    return gab, gba, region_labels(gab, gba)
 
 
 def steering_signed(state: GaussianState, direction: str,
-                    physicality_tol: float = 1e-3) -> float:
+                    physicality_tol: float = RECONSTRUCTION_TOL) -> float:
     """Signed pre-max steering quantity; positive iff steerable.
 
     Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
@@ -137,22 +141,23 @@ def steering_signed(state: GaussianState, direction: str,
     Bisection in :func:`steering_loss_threshold` brackets on this quantity
     because the monotone itself has a kink at zero.
 
-    ``physicality_tol`` is loose by default so that Monte Carlo
-    reconstructions (accepted up to 1e-3 below the vacuum bound) can be
-    evaluated.
+    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``) so that
+    Monte Carlo reconstructions, accepted up to that far below the vacuum
+    bound, can be evaluated.
     """
     return float(steering_signed_stack(state.cov[None], direction, physicality_tol)[0])
 
 
 def steerability(state: GaussianState, direction: str,
-                 physicality_tol: float = 1e-3) -> float:
-    """Gaussian steering monotone in the given direction, in nats."""
+                 physicality_tol: float = RECONSTRUCTION_TOL) -> float:
+    """Gaussian steering monotone in the given direction, in nats, checked
+    for physicality at ``physicality_tol`` (``RECONSTRUCTION_TOL``)."""
     return max(0.0, steering_signed(state, direction, physicality_tol))
 
 
-def classify(state: GaussianState, tol: float = STEERING_POSITIVITY_TOL) -> SteeringResult:
+def classify(state: GaussianState) -> SteeringResult:
     """Both monotone values plus the region label used in the steering maps."""
-    gab, gba, labels = classify_stack(state.cov[None], tol)
+    gab, gba, labels = classify_stack(state.cov[None])
     return SteeringResult(float(gab[0]), float(gba[0]), str(labels[0]))
 
 
@@ -201,9 +206,9 @@ def steering_loss_threshold(
     channel_template: ChannelSpec,
     direction: str,
     nla_gain: float | None = None,
-    xtol: float = 1e-4,
 ) -> float:
-    """Loss value where the monotone first reaches zero, by bisection.
+    """Loss value where the monotone first reaches zero, by bisection to a
+    bracket of width ``THRESHOLD_XTOL``.
 
     The channel template supplies excess noise and noise model; its own loss
     value is ignored.  When ``nla_gain`` is given, the channel output is
@@ -231,7 +236,7 @@ def steering_loss_threshold(
         # steerable even at full loss cannot happen for these channels, but
         # guard the bisection anyway
         return 1.0
-    while hi - lo > xtol:
+    while hi - lo > THRESHOLD_XTOL:
         mid = 0.5 * (lo + hi)
         if signed(mid) > 0.0:
             lo = mid

@@ -264,8 +264,9 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, cap
 
     losses = (0.74, 0.2)
     filters = [(None, FilterSpec(1.2, cutoff_from_table(loss, 1.2))) for loss in losses]
-    big, small = sample_grid([apply_lossy(model_state, loss) for loss in losses], 20_000, 3,
-                             filters, [(), ()])[0]  # small's amplified ensemble is refused
+    covs = np.stack([apply_lossy(model_state, loss).cov for loss in losses])
+    # small's amplified ensemble is refused
+    big, small = sample_grid(covs, 20_000, 3, filters, [(), ()])[0]
     refusal = f"too few accepted records: {small[1].accepted} < 200"
     points = [big, small, (small[1], big[1]), small]
     with pytest.raises(ReconstructionError, match=refusal) as exc:
@@ -294,9 +295,9 @@ def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkey
     calls = []
     sample_grid = experiments.sample_grid
 
-    def spy(states, count, seed, filters, counted, threads=1):
+    def spy(covs, count, seed, filters, counted, threads=1):
         calls.append(([f.gain for f in filters[0]], [f.gain for f in counted[0]]))
-        return sample_grid(states, count, seed, filters, counted, threads)
+        return sample_grid(covs, count, seed, filters, counted, threads)
 
     monkeypatch.setattr(experiments, "sample_grid", spy)
     config = _config(tmp_path, mode="both", samples=400_000,
@@ -313,7 +314,7 @@ def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkey
     state, seed = experiments.model_state(config), experiments.derive_seed(config.seed, 4)
     for row in rows[2:]:
         assert row[-2] is None
-        counts = sample_grid([state], 400_000, seed, [()], [[FilterSpec(row[0], 4.5)]])[1]
+        counts = sample_grid(state.cov[None], 400_000, seed, [()], [[FilterSpec(row[0], 4.5)]])[1]
         assert row[-1] == counts[0][0] / 400_000
 
 
@@ -383,7 +384,7 @@ def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
     cutoffs = exp._table_cutoffs(losses, gains)
     seed = exp.derive_seed(config.seed, 6)
     for row, g, bc, out in zip(rows, gains, cutoffs, outs):
-        counts = sample_grid([exp.from_cov(out)], 40_000, seed, [()], [[FilterSpec(g, bc)]])[1]
+        counts = sample_grid(out[None], 40_000, seed, [()], [[FilterSpec(g, bc)]])[1]
         assert row[2] == counts[0][0] / 40_000
 
 

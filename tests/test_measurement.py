@@ -19,6 +19,7 @@ from steerdist import (
     FilterSpec,
     QuadratureBatch,
     ReconstructionError,
+    UnphysicalStateError,
     acceptance_rate_exact,
     apply_lossy,
     cutoff_from_table,
@@ -156,7 +157,7 @@ def test_sampling_determinism_under_threads(model_state):
 
 def _masked_sample_reference(state, count, seed):
     """Each chunk's records through boolean basis masks, one chunk at a time."""
-    l_x, l_p = _joint_cholesky(state)
+    l_x, l_p = _joint_cholesky(state.cov[None])[0]
     vals = []
     for start in range(0, count, CHUNK):
         m = min(CHUNK, count - start)
@@ -446,10 +447,10 @@ def _moment_arrays(ensembles):
 
 def test_sample_moments_bit_identical_across_threads(model_state):
     filters = (None, FilterSpec(1.2, 3.0), FilterSpec(1.0, 3.0))
-    one = _moment_arrays(sample_grid([model_state], 300_001, 17, [filters], [()], 1)[0][0])
+    one = _moment_arrays(sample_grid(model_state.cov[None], 300_001, 17, [filters], [()], 1)[0][0])
     for threads in (2, 4):
         other = _moment_arrays(
-            sample_grid([model_state], 300_001, 17, [filters], [()], threads)[0][0])
+            sample_grid(model_state.cov[None], 300_001, 17, [filters], [()], threads)[0][0])
         assert all(np.array_equal(a, b) for a, b in zip(one, other))
 
 
@@ -457,52 +458,69 @@ def test_sample_moments_bit_identical_across_threads(model_state):
 def test_sample_accepted_counts_the_moment_pass(model_state, threads):
     state = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.2, 3.0)
-    want = sample_grid([state], 300_001, 19, [[filt]], [()])[0][0][0].accepted
+    want = sample_grid(state.cov[None], 300_001, 19, [[filt]], [()])[0][0][0].accepted
     assert 0 < want < 300_001
-    assert sample_grid([state], 300_001, 19, [()], [[filt]], threads)[1][0][0] == want
+    assert sample_grid(state.cov[None], 300_001, 19, [()], [[filt]], threads)[1][0][0] == want
 
 
 def _grid(model_state):
-    states = [apply_lossy(model_state, loss) for loss in (0.0, 0.3, 0.6)]
+    covs = np.stack([apply_lossy(model_state, loss).cov for loss in (0.0, 0.3, 0.6)])
     filters = [(None, FilterSpec(1.2, 3.0)), (FilterSpec(1.1, 4.0), None, FilterSpec(1.0, 3.0)),
                (FilterSpec(1.25, 2.5),)]
-    return states, filters
+    return covs, filters
 
 
 def test_sample_grid_moments_bit_identical_across_threads(model_state):
-    states, filters = _grid(model_state)
-    counted = [()] * len(states)
-    one = [_moment_arrays(e) for e in sample_grid(states, 300_001, 21, filters, counted, 1)[0]]
+    covs, filters = _grid(model_state)
+    counted = [()] * len(covs)
+    one = [_moment_arrays(e) for e in sample_grid(covs, 300_001, 21, filters, counted, 1)[0]]
     for threads in (2, 4):
         other = [_moment_arrays(e)
-                 for e in sample_grid(states, 300_001, 21, filters, counted, threads)[0]]
+                 for e in sample_grid(covs, 300_001, 21, filters, counted, threads)[0]]
         assert all(np.array_equal(a, b) for x, y in zip(one, other) for a, b in zip(x, y))
 
 
 def test_grid_points_are_the_single_state_passes(model_state):
     # common random numbers: a state's ensembles do not depend on its grid
-    states, filters = _grid(model_state)
-    grid = sample_grid(states, 300_001, 22, filters, [()] * len(states), threads=2)[0]
-    for state, fs, got in zip(states, filters, grid):
-        want = sample_grid([state], 300_001, 22, [fs], [()])[0][0]
+    covs, filters = _grid(model_state)
+    grid = sample_grid(covs, 300_001, 22, filters, [()] * len(covs), threads=2)[0]
+    for cov, fs, got in zip(covs, filters, grid):
+        want = sample_grid(cov[None], 300_001, 22, [fs], [()])[0][0]
         assert all(np.array_equal(a, b)
                    for a, b in zip(_moment_arrays(got), _moment_arrays(want)))
-    counts = [n for (n,) in sample_grid(states, 300_001, 22, [()] * len(states),
+    counts = [n for (n,) in sample_grid(covs, 300_001, 22, [()] * len(covs),
                                         [[fs[-1]] for fs in filters])[1]]
     assert counts == [e[-1].accepted for e in grid]
-    assert counts == [sample_grid([s], 300_001, 22, [()], [[fs[-1]]])[1][0][0]
-                      for s, fs in zip(states, filters)]
+    assert counts == [sample_grid(cov[None], 300_001, 22, [()], [[fs[-1]]])[1][0][0]
+                      for cov, fs in zip(covs, filters)]
 
 
 def test_grid_sampler_tags_the_refused_state(model_state):
-    bad = from_cov(np.diag([1.0, 1.0, 0.5, 0.5]))  # unphysical
-    states = [model_state, apply_lossy(model_state, 0.5), bad]
+    bad = np.diag([1.0, 1.0, 0.5, 0.5])  # unphysical
+    covs = np.stack([model_state.cov, apply_lossy(model_state, 0.5).cov, bad])
     with pytest.raises(ValueError) as info:
-        sample_grid(states, 20_000, 1, [[None]] * 3, [()] * 3)
+        sample_grid(covs, 20_000, 1, [[None]] * 3, [()] * 3)
     assert info.value.cell == 2
     with pytest.raises(ValueError) as info:
-        sample_grid(states, 20_000, 1, [()] * 3, [[FilterSpec(1.2, 3.0)]] * 3)
+        sample_grid(covs, 20_000, 1, [()] * 3, [[FilterSpec(1.2, 3.0)]] * 3)
     assert info.value.cell == 2
+
+
+def test_grid_sampler_refuses_the_first_failing_state(model_state):
+    # each state is checked for its Alice x-p covariance, then physicality;
+    # the first state that fails a check raises, whichever check it is
+    xp = model_state.cov.copy()
+    xp[0, 1] = xp[1, 0] = 0.1  # physical
+    unphysical = 0.4 * np.eye(4)
+    both = unphysical.copy()
+    both[0, 1] = both[1, 0] = 0.1
+    for error, cells in ((UnphysicalStateError, (unphysical, xp)),
+                         (NotImplementedError, (xp, unphysical)),
+                         (NotImplementedError, (both, unphysical))):
+        covs = np.stack([model_state.cov, cells[0], model_state.cov, cells[1]])
+        with pytest.raises(error) as info:
+            sample_grid(covs, 20_000, 1, [[None]] * 4, [()] * 4)
+        assert info.value.cell == 1
 
 
 def test_map_chunks_bounds_the_chunks_in_flight():
@@ -532,7 +550,7 @@ def test_map_chunks_bounds_the_chunks_in_flight():
 def test_sample_moments_match_batch_pipeline(model_state):
     state = apply_lossy(model_state, 0.2)
     filt = FilterSpec(1.2, 3.0)
-    raw, amp = sample_grid([state], 300_001, 18, [(None, filt)], [()], threads=2)[0][0]
+    raw, amp = sample_grid(state.cov[None], 300_001, 18, [(None, filt)], [()], threads=2)[0][0]
     batch = sample_batch(state, 300_001, 18)
     filtered, rate = post_select(batch, filt, 18)
     assert amp.accepted == np.count_nonzero(filtered.accepted) == round(rate * 300_001)
@@ -548,9 +566,9 @@ def test_sample_moments_match_batch_pipeline(model_state):
 
 def _seeded_ensembles(model_state):
     """Raw and filtered ensembles of three channel outputs: one pass."""
-    states = [apply_lossy(model_state, loss) for loss in (0.2, 0.5, 0.8)]
-    filters = [(None, FilterSpec(1.2, 3.0), FilterSpec(1.1, 4.5))] * len(states)
-    ens = sample_grid(states, 120_001, 41, filters, [()] * len(states))[0]
+    covs = np.stack([apply_lossy(model_state, loss).cov for loss in (0.2, 0.5, 0.8)])
+    filters = [(None, FilterSpec(1.2, 3.0), FilterSpec(1.1, 4.5))] * len(covs)
+    ens = sample_grid(covs, 120_001, 41, filters, [()] * len(covs))[0]
     return [e for point in ens for e in point]
 
 
@@ -834,7 +852,7 @@ filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
 
 def faults(chunks):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    sample_grid([state], chunks * CHUNK, 1, [filters], [()], threads=1)
+    sample_grid(state.cov[None], chunks * CHUNK, 1, [filters], [()], threads=1)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 print(faults(8), faults(40))
@@ -865,7 +883,7 @@ from steerdist.measurement import CHUNK, sample_grid
 state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
 filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sample_grid([state], 16 * CHUNK, 1, [filters], [()], threads=2)
+sample_grid(state.cov[None], 16 * CHUNK, 1, [filters], [()], threads=2)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

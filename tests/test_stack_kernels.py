@@ -39,7 +39,11 @@ from steerdist import (
 from steerdist import steering
 from steerdist.config import load_config
 from steerdist.experiments import _in_grid_order, run_regions
-from steerdist.gaussian import min_symplectic_eigenvalues, require_cov_stack
+from steerdist.gaussian import (
+    min_symplectic_eigenvalues,
+    require_cov_stack,
+    require_physical_stack,
+)
 
 PAPER_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 PAPER_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -270,6 +274,20 @@ def test_singular_conditioning_block_raises_general_class(model_state, monkeypat
             stack(covs)
         assert (type(got.value), str(got.value), got.value.cell) == (
             NumericalError, str(want.value), 3)
+
+
+def test_unphysical_cell_wins_over_a_later_singular_one(model_state):
+    # one physicality pass: cell 2 (positive definite, unphysical) comes
+    # before cell 4 (not positive definite), so cell 2's error is raised
+    covs = _stack_with(model_state, 0.4 * np.eye(4), at=2)
+    covs[4] = np.diag([0.0, 0.0, 2.0, 2.0])
+    for stack in (require_physical_stack, steerability_stack, lambda c: channel_stack(c, 0.1)):
+        with pytest.raises(UnphysicalStateError) as err:
+            stack(covs)
+        assert err.value.cell == 2
+    with pytest.raises(NumericalError, match="not positive definite") as err:
+        require_physical_stack(covs[3:])
+    assert type(err.value) is NumericalError and err.value.cell == 1
 
 
 def test_anisotropic_cell_raises_scalar_class(model_state):
