@@ -22,7 +22,7 @@ for loss in (0.0, 0.2, 0.31, 0.5, 0.9):
           f"B->A {result.g_b_to_a:.4f}  {result.region}")
 
 thr = steering_loss_threshold(state, ChannelSpec(0.0), "b_to_a")
-print(f"\nB->A vanishing loss (bisection): {thr:.4f}   (closed form 0.30771)")
+print(f"\nB->A vanishing loss (quadratic root): {thr:.5f}   (1 - (n-1)/(c^2-(n-1)^2) = 0.30771)")
 
 noisy = ChannelSpec(0.0, excess_noise=0.12, noise_model="loss_scaled")
 print("\nwith excess noise 0.12 (loss-scaled):")

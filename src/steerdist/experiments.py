@@ -448,9 +448,9 @@ def run_selfcheck(config: ExperimentConfig):
     check("pure symplectic spectrum", np.allclose(nu, 1.0, atol=1e-9), f"nu={nu}")
 
     thr = steering_loss_threshold(s, ChannelSpec(0.0), "b_to_a")
-    check("lossy B->A threshold", abs(thr - 0.3077101) < 2e-4, f"{thr:.6f}")
+    check("lossy B->A threshold", abs(thr - 0.3077101) < 1e-6, f"{thr:.6f}")
     thr = steering_loss_threshold(s, ChannelSpec(0.0, 0.12), "a_to_b")
-    check("noisy A->B threshold", abs(thr - 0.7072406) < 2e-4, f"{thr:.6f}")
+    check("noisy A->B threshold", abs(thr - 0.7072406) < 1e-6, f"{thr:.6f}")
 
     near = nla_single_mode(s.cov, 1 + 1e-6)
     check("amplifier identity limit", np.max(np.abs(near - s.cov)) < 1e-4)

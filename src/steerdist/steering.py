@@ -1,5 +1,5 @@
 """The Gaussian EPR-steering monotone, direction classification, and
-loss-threshold root finding.
+closed-form loss thresholds.
 
 The A->B monotone is
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, apply_noisy
+from .channels import ChannelSpec, channel_stack
 from .gaussian import (
     GaussianState,
     NumericalError,
@@ -35,18 +35,18 @@ from .gaussian import (
     _not_pd_error,
     _raise_first,
     _require_stack,
+    adj2,
     det2,
     inv2,
     pd2,
     require_cov_stack,
+    schur_2x2,
     schur_pd,
 )
+from .nla import nla_single_mode_stack
 
 # Monotone values below this are reported as exactly "not steerable".
 STEERING_POSITIVITY_TOL = 1e-9
-
-# Width of the loss bracket at which steering_loss_threshold stops bisecting.
-THRESHOLD_XTOL = 1e-4
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 
@@ -138,8 +138,6 @@ def steering_signed(state: GaussianState, direction: str,
 
     Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
     and -ln(nu_min) (negative) otherwise, so it crosses zero continuously.
-    Bisection in :func:`steering_loss_threshold` brackets on this quantity
-    because the monotone itself has a kink at zero.
 
     ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``) so that
     Monte Carlo reconstructions, accepted up to that far below the vacuum
@@ -201,45 +199,47 @@ class NoThresholdError(NumericalError):
     """The requested direction is already unsteerable at zero loss."""
 
 
-def steering_loss_threshold(
-    state: GaussianState,
-    channel_template: ChannelSpec,
-    direction: str,
-    nla_gain: float | None = None,
-) -> float:
-    """Loss value where the monotone first reaches zero, by bisection to a
-    bracket of width ``THRESHOLD_XTOL``.
+def _det_poly(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Coefficients, highest power first, of det(m0 + T m1) for 2x2 m0, m1."""
+    return np.array([det2(m1), np.trace(adj2(m0) @ m1), det2(m0)])
+
+
+def steering_loss_threshold(state: GaussianState, channel_template: ChannelSpec,
+                            direction: str, nla_gain: float | None = None) -> float:
+    """Loss value where the monotone first reaches zero, in closed form.
 
     The channel template supplies excess noise and noise model; its own loss
-    value is ignored.  When ``nla_gain`` is given, the channel output is
-    amplified analytically on Bob's side before evaluating; a gain below 1
-    is refused.
+    value is ignored.  With ``nla_gain``, Bob's channel output is amplified
+    analytically before evaluating; a gain below 1 is refused.
+
+    With T = 1 - loss, the channel keeps Alice's block A, scales the cross
+    block X by sqrt(T) and makes Bob's block N + T (B - N), with A, B, X the
+    zero-loss output's blocks and N Bob's block at full loss.  So
+    S_{B|A} = N + T D with D = S - N, S = ``schur_2x2(A, B, X)``, and with
+    s = (g^2 - 1)/(g^2 + 1) (0 without the amplifier) each threshold
+    condition is a quadratic in T:
+
+        A->B:  det((N - sI) + T D) - det((I - sN) - sT D) = 0,
+        B->A:  det A det((N - sI) + T D) - det((N - sI) + T (B - N)) = 0.
+
+    The threshold is 1 - the largest root T in [0, 1]: pure loss also has
+    the root T = 0 in A->B, where Bob's output is vacuum.
     """
-    from .nla import nla_single_mode  # local import; nla depends on gaussian only
-
-    def signed(loss: float) -> float:
-        out = apply_noisy(state, loss, channel_template.excess_noise,
-                          channel_template.noise_model)
-        if nla_gain is not None:
-            out = GaussianState(nla_single_mode(out.cov, nla_gain))
-        return steering_signed(out, direction)
-
-    lo, hi = 0.0, 1.0
-    f_lo = signed(lo)
+    outs = channel_stack(state.cov, [0.0, 1.0], channel_template.excess_noise,
+                         channel_template.noise_model)
+    amp = outs if nla_gain is None else nla_single_mode_stack(outs, nla_gain)
+    f_lo, f_hi = steering_signed_stack(amp, direction)
     if f_lo <= STEERING_POSITIVITY_TOL:
-        raise NoThresholdError(
-            f"direction {direction} is not steerable at zero loss "
-            f"(signed value {f_lo:.3e})"
-        )
-    f_hi = signed(hi)
-    if f_hi > 0.0:
-        # steerable even at full loss cannot happen for these channels, but
-        # guard the bisection anyway
+        raise NoThresholdError(f"direction {direction} is not steerable at zero loss "
+                               f"(signed value {f_lo:.3e})")
+    if f_hi > 0.0:  # steerable even at full loss cannot happen for these channels
         return 1.0
-    while hi - lo > THRESHOLD_XTOL:
-        mid = 0.5 * (lo + hi)
-        if signed(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    s = 0.0 if nla_gain is None else (nla_gain**2 - 1.0) / (nla_gain**2 + 1.0)
+    (a, _), (b, n), (x, _) = _blocks_1p1(outs, "a_to_b")
+    d, eye = schur_2x2(a, b, x) - n, np.eye(2)
+    if direction == "a_to_b":
+        poly = _det_poly(n - s * eye, d) - _det_poly(eye - s * n, -s * d)
+    else:
+        poly = det2(a) * _det_poly(n - s * eye, d) - _det_poly(n - s * eye, b - n)
+    roots = np.roots(poly)
+    return float(1.0 - roots.real[np.isreal(roots) & (roots.real <= 1.0)].max())

@@ -14,7 +14,10 @@ references:
   and :func:`key_rate_with_se_per_matrix`: the Monte Carlo epilogue one
   matrix at a time, as it was before the stacked calls replaced it, against
   ``covariance_stack``, ``steerability_with_se_stack`` and
-  ``key_rate_with_se_stack``.
+  ``key_rate_with_se_stack``;
+* :func:`loss_threshold_bisection`: the loss threshold by bisection on the
+  signed steering quantity, against the closed-form root of
+  ``steering_loss_threshold``.
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from steerdist.channels import ChannelSpec, apply_noisy
 from steerdist.gaussian import (
     GaussianState,
     NumericalError,
@@ -41,9 +45,16 @@ from steerdist.gaussian import (
     symplectic_eigenvalues,
 )
 from steerdist.measurement import ReconstructionError, _pairs, reconstruction_tolerance
-from steerdist.nla import GainTooLargeError
+from steerdist.nla import GainTooLargeError, nla_single_mode
 from steerdist.qkd import key_rate
-from steerdist.steering import _blocks_1p1, _check_direction, steerability
+from steerdist.steering import (
+    STEERING_POSITIVITY_TOL,
+    NoThresholdError,
+    _blocks_1p1,
+    _check_direction,
+    steerability,
+    steering_signed,
+)
 
 
 # --- steering (general Schur/symplectic route) -------------------------------
@@ -123,6 +134,38 @@ def cov_to_text(sigma: np.ndarray) -> str:
 
 def cov_from_text(text: str) -> np.ndarray:
     return load_cov(io.StringIO(text))
+
+
+# --- loss threshold by bisection ---------------------------------------------
+
+def loss_threshold_bisection(state: GaussianState, channel_template: ChannelSpec,
+                             direction: str, nla_gain: float | None, xtol: float) -> float:
+    """Loss value where the signed steering quantity first reaches zero, by
+    bisection to a bracket of width ``xtol``; returns the bracket's midpoint.
+    It refuses and returns 1.0 where ``steering_loss_threshold`` does, but
+    tests steerability at zero loss before the gain bound at full loss."""
+
+    def signed(loss: float) -> float:
+        out = apply_noisy(state, loss, channel_template.excess_noise,
+                          channel_template.noise_model)
+        if nla_gain is not None:
+            out = GaussianState(nla_single_mode(out.cov, nla_gain))
+        return steering_signed(out, direction)
+
+    lo, hi = 0.0, 1.0
+    f_lo = signed(lo)
+    if f_lo <= STEERING_POSITIVITY_TOL:
+        raise NoThresholdError(f"direction {direction} is not steerable at zero loss "
+                               f"(signed value {f_lo:.3e})")
+    if signed(hi) > 0.0:
+        return 1.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if signed(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # --- two-sided amplifier map --------------------------------------------------

@@ -245,7 +245,7 @@ def test_monte_carlo_empty_cells_are_reported(tmp_path, capsys):
 def test_fig3_empty_amplified_cells_keep_their_lines_in_grid_order(tmp_path, capsys):
     # One stacked reconstruction serves every point; a refused amplified
     # ensemble still empties its cells and prints its line in grid order.
-    # The CSV's bytes are the golden digest fig3a_both_empty_cells.csv.
+    # The CSV's bytes are the golden file fig3a_both_empty_cells.csv.
     config = _config(tmp_path, mode="both", samples=20_000,
                      loss_grid=np.array([0.97, 0.2, 0.74, 0.4, 0.9]))
     _, rows = run_fig3("a", config)

@@ -1,29 +1,33 @@
 """Golden outputs of the commands.
 
 Every analytic command runs in process with the default configuration
-(the plotting ones once more with ``--svg``), and so do pinned small Monte
-Carlo runs and an ``ingest`` of a seeded raw
-export.  The small analytic CSVs must equal, byte for byte, the files of
-the same name in ``tests/golden/`` (a failure shows a unified diff); the
-sha256 of every other file they write (and of ``selfcheck``'s standard
-output) must equal the one recorded in ``tests/golden/outputs.sha256``.
-The bytes depend on numpy's floating-point kernels and, for the Monte Carlo
-runs, on its random streams, so on a numpy version other than the recorded
-one the tests are skipped, never compared loosely.
+(the plotting ones once more with ``--svg``), and so do ``selfcheck``,
+pinned small Monte Carlo runs and an ``ingest`` of a seeded raw export.
+The small outputs (the small analytic CSVs, ``selfcheck``'s standard output
+and every Monte Carlo output) must equal, byte for byte, the files of the
+same name in ``tests/golden/``; the sha256 of every other file (the large
+analytic CSVs and the SVGs) must equal the one recorded in
+``tests/golden/outputs.sha256``.  A moved CSV is reported by the largest
+relative move of each numeric column, any other moved file by a unified
+diff.  The bytes depend on numpy's floating-point kernels and, for the
+Monte Carlo runs, on its random streams, so on a numpy version other than
+the recorded one the tests are skipped, never compared loosely.
 
 To record the golden files and digests again after a deliberate change of
 an output::
 
     PYTHONPATH=src python tests/test_golden.py --overwrite
 
-Without ``--overwrite`` the script prints the digests, then a comment line
-naming every output whose digest or plain file differs from the recorded
-one, and writes nothing: check those names before overwriting.
+Without ``--overwrite`` the script prints the digests, the report of every
+moved golden file, then a comment line naming every output whose digest or
+golden file differs from the recorded one, and writes nothing: check those
+moves before overwriting.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import difflib
 import hashlib
 import io
@@ -60,7 +64,8 @@ ANALYTIC = [
     (["fig4", "--svg"], "", {"fig4.svg": "fig4.svg"}),
 ]
 
-# The small analytic CSVs, kept as plain files in ``tests/golden/``.
+# The small analytic CSVs, kept as golden files like ``selfcheck``'s standard
+# output and every Monte Carlo output.
 PLAIN = [
     (["fig4"], "", {"fig4.csv": "fig4.csv"}),
     (["fig-s1"], "", {"fig_s1.csv": "fig_s1.csv"}),
@@ -121,19 +126,58 @@ def run_outputs(work: Path, runs, input_path: Path | None = None) -> dict[str, b
     return outputs_by_name
 
 
-def analytic_digests(work: Path) -> dict[str, str]:
-    digests = run_commands(work, ANALYTIC)
+def small_analytic_outputs(work: Path) -> dict[str, bytes]:
+    """The ``PLAIN`` outputs and ``selfcheck``'s standard output."""
+    outputs = run_outputs(work, PLAIN)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(["selfcheck", "--out", str(work / "selfcheck")])
     if code != 0:
         raise RuntimeError(f"selfcheck exited with {code}")
-    digests["selfcheck.stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-    return digests
+    outputs["selfcheck.stdout"] = stdout.getvalue().encode()
+    return outputs
 
 
-def monte_carlo_digests(work: Path) -> dict[str, str]:
-    return run_commands(work, MONTE_CARLO, write_ingest_input(work / "ingest_input.csv"))
+def monte_carlo_outputs(work: Path) -> dict[str, bytes]:
+    return run_outputs(work, MONTE_CARLO, write_ingest_input(work / "ingest_input.csv"))
+
+
+def _relative_move(want: str, got: str) -> float:
+    if want == got:
+        return 0.0
+    try:
+        x, y = float(want), float(got)
+    except ValueError:
+        return np.inf
+    return abs(y - x) / abs(x) if x else np.inf
+
+
+def column_moves(want: bytes, got: bytes) -> str:
+    """Largest relative move of each numeric column of a CSV that moved (inf
+    where a cell was 0, empty or text and changed)."""
+    old, new = (list(csv.reader(io.StringIO(data.decode()))) for data in (want, got))
+    if old[0] != new[0] or len(old) != len(new):
+        return "  the header or the number of rows differs"
+    return "\n".join(
+        f"  {column}: {max(_relative_move(a[j], b[j]) for a, b in zip(old, new)):.3g}"
+        for j, column in enumerate(old[0]))
+
+
+def golden_moves(outputs: dict[str, bytes]) -> dict[str, str]:
+    """Name -> report of each output that differs from its file in ``tests/golden/``."""
+    reports = {}
+    for name, got in outputs.items():
+        path = GOLDEN_DIR / name
+        want = path.read_bytes() if path.is_file() else b""
+        if got == want:
+            continue
+        if name.endswith(".csv") and want:
+            reports[name] = f"{name}: largest relative move per column\n{column_moves(want, got)}"
+        else:
+            reports[name] = "".join(difflib.unified_diff(
+                want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
+                f"tests/golden/{name}", f"{name} (this run)"))
+    return reports
 
 
 def read_golden() -> tuple[str, dict[str, str]]:
@@ -160,43 +204,35 @@ def _same_numpy_clean_env(monkeypatch) -> dict[str, str]:
     return want
 
 
-def _compare(compute, tmp_path, monkeypatch):
+def test_golden_file_lists_every_output():
+    _, want = read_golden()
+    assert sorted(want) == sorted(n for _, _, out in ANALYTIC for n in out)
+
+
+def test_golden_directory_holds_every_plain_output():
+    names = [n for runs in (PLAIN, MONTE_CARLO) for _, _, out in runs for n in out]
+    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted(
+        [*names, "selfcheck.stdout", GOLDEN.name])
+
+
+def test_small_analytic_outputs_match_golden_files(tmp_path, monkeypatch):
+    _same_numpy_clean_env(monkeypatch)
+    moved = golden_moves(small_analytic_outputs(tmp_path))
+    assert not moved, "outputs differ from the golden files:\n" + "\n".join(moved.values())
+
+
+def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
     want = _same_numpy_clean_env(monkeypatch)
-    got = compute(tmp_path)
+    got = run_commands(tmp_path, ANALYTIC)
     assert set(got) <= set(want), f"no golden digest for {sorted(set(got) - set(want))}"
     moved = [name for name in got if got[name] != want[name]]
     assert not moved, f"outputs differ from the golden digests: {moved}"
 
 
-def test_golden_file_lists_every_output():
-    _, want = read_golden()
-    names = [n for runs in (ANALYTIC, MONTE_CARLO) for _, _, out in runs for n in out]
-    assert sorted(want) == sorted([*names, "selfcheck.stdout"])
-
-
-def test_golden_directory_holds_every_plain_output():
-    names = sorted(n for _, _, out in PLAIN for n in out)
-    assert sorted(p.name for p in GOLDEN_DIR.iterdir()) == sorted([*names, GOLDEN.name])
-
-
-def test_small_analytic_outputs_match_golden_files(tmp_path, monkeypatch):
+def test_monte_carlo_outputs_match_golden_files(tmp_path, monkeypatch):
     _same_numpy_clean_env(monkeypatch)
-    moved = []
-    for name, got in run_outputs(tmp_path, PLAIN).items():
-        want = (GOLDEN_DIR / name).read_bytes()
-        if got != want:
-            moved.append("".join(difflib.unified_diff(
-                want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
-                f"tests/golden/{name}", f"{name} (this run)")))
-    assert not moved, "outputs differ from the golden files:\n" + "\n".join(moved)
-
-
-def test_analytic_outputs_match_golden_digests(tmp_path, monkeypatch):
-    _compare(analytic_digests, tmp_path, monkeypatch)
-
-
-def test_monte_carlo_outputs_match_golden_digests(tmp_path, monkeypatch):
-    _compare(monte_carlo_digests, tmp_path, monkeypatch)
+    moved = golden_moves(monte_carlo_outputs(tmp_path))
+    assert not moved, "outputs differ from the golden files:\n" + "\n".join(moved.values())
 
 
 def test_ingest_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -232,8 +268,8 @@ if __name__ == "__main__":
     if any(v.startswith("STEERDIST_") for v in os.environ):
         sys.exit("unset the STEERDIST_* environment variables first")
     with tempfile.TemporaryDirectory() as tmp:
-        plain = run_outputs(Path(tmp), PLAIN)
-        digests = {**analytic_digests(Path(tmp)), **monte_carlo_digests(Path(tmp))}
+        plain = {**small_analytic_outputs(Path(tmp)), **monte_carlo_outputs(Path(tmp))}
+        digests = run_commands(Path(tmp), ANALYTIC)
     text = f"# numpy {np.__version__}\n" + "".join(
         f"{digest}  {name}\n" for name, digest in digests.items())
     if "--overwrite" in sys.argv[1:]:
@@ -244,8 +280,9 @@ if __name__ == "__main__":
         print(f"wrote {GOLDEN} and {len(plain)} files beside it")
     else:
         _, want = read_golden()
+        reports = golden_moves(plain)
         moved = [name for name, digest in digests.items() if want.get(name) != digest]
-        moved += [name for name, data in plain.items()
-                  if not (GOLDEN_DIR / name).is_file() or (GOLDEN_DIR / name).read_bytes() != data]
         print(text, end="")
-        print(f"# differ from the recorded outputs: {', '.join(moved) or 'none'}")
+        for report in reports.values():
+            print(report.rstrip("\n"))
+        print(f"# differ from the recorded outputs: {', '.join([*moved, *reports]) or 'none'}")

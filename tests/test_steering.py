@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from reference import loss_threshold_bisection, random_physical_state
 
 from steerdist import (
     ChannelSpec,
+    GainTooLargeError,
     NoThresholdError,
     apply_lossy,
     classify,
@@ -107,6 +109,69 @@ def test_threshold_unsteerable_direction_raises(model_state):
     dead = apply_lossy(model_state, 0.35)  # B->A already gone
     with pytest.raises(NoThresholdError):
         steering_loss_threshold(dead, ChannelSpec(0.0), "b_to_a")
+
+
+# (channel, direction, gain) of the thresholds the paper reports
+PUBLISHED = [
+    (ChannelSpec(0.0), "b_to_a", None),
+    (ChannelSpec(0.0, 0.12), "a_to_b", None),
+    (ChannelSpec(0.0), "b_to_a", 1.2),
+    (ChannelSpec(0.0, 0.12), "b_to_a", None),
+    (ChannelSpec(0.0, 0.12), "b_to_a", 1.2),
+]
+
+
+@pytest.mark.parametrize("channel, direction, gain", PUBLISHED,
+                         ids=["lossy-b_to_a", "noisy-a_to_b", "lossy-b_to_a-g1.2",
+                              "noisy-b_to_a", "noisy-b_to_a-g1.2"])
+def test_threshold_is_a_root_of_the_signed_quantity(model_state, channel, direction, gain):
+    loss = steering_loss_threshold(model_state, channel, direction, nla_gain=gain)
+    out = ChannelSpec(loss, channel.excess_noise, channel.noise_model).apply(model_state)
+    if gain is not None:
+        out = from_cov(nla_single_mode(out.cov, gain))
+    assert abs(steering_signed(out, direction)) <= 1e-12
+
+
+def test_threshold_closed_forms_are_exact(model_state):
+    n, c = model_state.cov[0, 0], model_state.cov[0, 2]
+    lossy = steering_loss_threshold(model_state, ChannelSpec(0.0), "b_to_a")
+    assert lossy == pytest.approx(1.0 - (n - 1) / (c * c - (n - 1) ** 2), abs=1e-12)
+    noisy = steering_loss_threshold(model_state, ChannelSpec(0.0, 0.12), "a_to_b")
+    assert noisy == pytest.approx(1.0 - 0.12 / (0.12 + (n - (n * n - c * c)) / n), abs=1e-12)
+
+
+def test_threshold_agrees_with_fine_bisection_on_random_states():
+    rng = np.random.default_rng(20230817)
+    channels = [ChannelSpec(0.0), ChannelSpec(0.0, 0.1, "loss_scaled"),
+                ChannelSpec(0.0, 0.1, "fixed")]
+    compared = []
+    for _ in range(5):
+        state = random_physical_state(rng, nu_max=1.2)
+        for channel in channels:
+            for direction in ("a_to_b", "b_to_a"):
+                for gain in (None, 1.1, 1.3):
+                    try:
+                        want = loss_threshold_bisection(state, channel, direction, gain, 1e-12)
+                    except (NoThresholdError, GainTooLargeError):
+                        with pytest.raises((NoThresholdError, GainTooLargeError)):
+                            steering_loss_threshold(state, channel, direction, gain)
+                        continue
+                    got = steering_loss_threshold(state, channel, direction, gain)
+                    assert got == pytest.approx(want, abs=1e-9)
+                    compared.append(got)
+    assert len(compared) >= 30 and min(compared) < 0.5
+
+
+def test_threshold_is_exactly_one_where_a_to_b_survives_pure_loss(model_state):
+    assert steering_loss_threshold(model_state, ChannelSpec(0.0), "a_to_b") == 1.0
+    assert steering_loss_threshold(model_state, ChannelSpec(0.0), "a_to_b", nla_gain=1.2) == 1.0
+
+
+def test_threshold_checks_the_gain_bound_at_both_ends(model_state):
+    # amplified B->A is gone at zero loss, but the gain bound fails at full loss
+    dead = apply_lossy(model_state, 0.6)
+    with pytest.raises(GainTooLargeError):
+        steering_loss_threshold(dead, ChannelSpec(0.0, 5.0), "b_to_a", nla_gain=1.2)
 
 
 def test_signed_quantity_is_continuous_through_zero(model_state):
