@@ -32,7 +32,7 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if self.excess_noise < 0.0:
+        if not self.excess_noise >= 0.0:  # written to refuse NaN, as the loss check
             raise ValueError(f"excess_noise must be >= 0, got {self.excess_noise}")
         if self.noise_model not in NOISE_MODELS:
             raise ValueError(
@@ -61,7 +61,7 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
                                          np.asarray(excess_noise, dtype=float))
     n = max(losses.size, len(covs) if covs.ndim == 3 else 1)
     losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
-    _raise_first(excess < 0.0, lambda i: ValueError(
+    _raise_first(~(excess >= 0.0), lambda i: ValueError(
         f"excess_noise must be >= 0, got {excess[i]}"))
     _raise_first(~((losses >= 0.0) & (losses <= 1.0)), lambda i: ValueError(
         f"loss must be in [0, 1], got {losses[i]}"))

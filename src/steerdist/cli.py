@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FULL_SAMPLES, ConfigError, load_config
+from .config import FULL_SAMPLES, MODES, ConfigError, load_config
 from .gaussian import NumericalError
 from .measurement import BatchSchemaError
 
@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="DIR")
     parser.add_argument("--svg", action="store_true", default=None)
-    parser.add_argument("--mode", choices=("analytic", "monte_carlo", "both"),
-                        default=None)
+    parser.add_argument("--mode", choices=MODES, default=None)
     parser.add_argument("--full", action="store_true",
                         help=f"raise sample count to {FULL_SAMPLES:.0e}")
     return parser

@@ -49,9 +49,13 @@ class CutoffCriteria:
     grid_max: float = 10.0
 
     def __post_init__(self):
+        # written to refuse NaN, for which every comparison is false
         for name in ("kurt_tol", "steering_tol", "grid_step"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 < self.grid_min <= self.grid_max < np.inf:
+            raise ValueError(f"need 0 < grid_min <= grid_max < inf, got {self.grid_min}, "
+                             f"{self.grid_max}")
 
 
 class CutoffSearchError(RuntimeError):

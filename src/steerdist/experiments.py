@@ -31,8 +31,8 @@ from .gaussian import GaussianState, NumericalError, _raise_first, save_cov, tms
 from .measurement import (
     BatchSchemaError,
     FilterSpec,
+    _batch_ensemble,
     covariance_stack,
-    post_select,
     read_batch_csv,
     reconstruct_covariance,
     sample_batch,
@@ -130,25 +130,29 @@ def _left_empty(where: str, reason) -> None:
     print(f"{where} Monte Carlo value left empty: {reason}", file=sys.stderr)
 
 
-def _mc_steering(ens, where):
-    """(G_A->B raw, SE, G_B->A raw, SE, and the same amplified) of each
-    point's (raw, amplified) ensembles, from one reconstruction and one
-    steering stack call; the amplified values are None where their
-    reconstruction fails, with a line on standard error per such point, in
-    grid order.  A raw ensemble that fails to reconstruct, or a matrix the
-    steering stack refuses, raises tagged with its point as ``cell``."""
-    covs, ses, errors = covariance_stack([e for point in ens for e in point], MC_MIN_ACCEPTED)
-    _raise_first([e is not None for e in errors[::2]], lambda i: errors[2 * i])
+def _mc_values(points, kernel, where, raw: bool = False):
+    """The Monte Carlo values of a grid's points, each a tuple of equally
+    many ensembles (with ``raw``, the raw ensemble first), from one
+    :func:`covariance_stack` call and one stack ``kernel`` call: per point,
+    the kernel's values of each of its ensembles in turn, None in place of
+    those of a refused ensemble, with one line on standard error per refused
+    ensemble, in grid order.  A refused raw ensemble, or a matrix the kernel
+    refuses, raises tagged with its point as ``cell``."""
+    flat = [e for point in points for e in point]
+    width = len(flat) // max(len(points), 1)
+    covs, ses, errors = covariance_stack(flat, MC_MIN_ACCEPTED)
+    if raw:
+        _raise_first([e is not None for e in errors[::width]], lambda i: errors[width * i])
     try:
-        vals = np.column_stack(steerability_with_se_stack(covs, ses)).tolist()
-    except NumericalError as exc:  # matrices in (raw, amplified) order per point
-        exc.cell //= 2
+        vals = np.column_stack(kernel(covs, ses)).tolist()
+    except NumericalError as exc:  # matrices in point order
+        exc.cell //= width
         raise
-    for i, error in enumerate(errors[1::2]):
+    for j, error in enumerate(errors):
         if error is not None:
-            _left_empty(where(i), error)
-    return [[*vals[2 * i], *(vals[2 * i + 1] if errors[2 * i + 1] is None else (None,) * 4)]
-            for i in range(len(ens))]
+            _left_empty(where(j // width), error)
+            vals[j] = [None] * len(vals[j])
+    return [sum(vals[width * i:width * (i + 1)], []) for i in range(len(points))]
 
 
 def run_fig3(variant: str, config: ExperimentConfig):
@@ -189,7 +193,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
             filters = [(None, FilterSpec(g, bc)) for bc in beta_c]
             ens = sample_grid(outs, config.samples, derive_seed(config.seed, 3),
                               filters, [()] * n, config.threads)[0]
-            mc = _mc_steering(ens, lambda i: f"fig3{variant}: loss={losses[i]:g}")
+            mc = _mc_values(ens, steerability_with_se_stack,
+                            lambda i: f"fig3{variant}: loss={losses[i]:g}", raw=True)
         rows = []
         for i in range(n):
             row = [losses[i], *(col[i] for col in cols)]
@@ -266,10 +271,9 @@ def run_fig4(config: ExperimentConfig):
     key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
     mc = accepted = None
     if config.mode in ("monte_carlo", "both"):
-        ens, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
-        covs, ses, errors = covariance_stack(list(ens.values()), MC_MIN_ACCEPTED)
-        values = zip(*(v.tolist() for v in key_rate_with_se_stack(covs, ses)))
-        mc = dict(zip(ens, zip(errors, values)))
+        sampled, ens, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
+        mc = dict(zip(sampled, _mc_values([(e,) for e in ens], key_rate_with_se_stack,
+                                          lambda j: f"fig4: g={gains[sampled[j]]:g}")))
 
     rows = []
     for i, g in enumerate(gains):
@@ -277,14 +281,8 @@ def run_fig4(config: ExperimentConfig):
         if mc is None:
             rows.append([g, *ana, None, ref])
             continue
-        k = vx = vp = se_k = None
+        k, vx, vp, se_k = mc.get(i, (None,) * 4)
         rate = accepted[i] / config.samples
-        if i in mc:
-            error, values = mc[i]
-            if error is None:
-                k, vx, vp, se_k = values
-            else:
-                _left_empty(f"fig4: g={g:g}", error)
         if config.mode == "monte_carlo":
             rows.append([g, k, vx, vp, rate, se_k, ref])
         else:
@@ -305,10 +303,10 @@ def run_fig4(config: ExperimentConfig):
 
 
 def _fig4_sample(config, state, gains, filters, rates):
-    """One pass over the model state's records: ({gain index: ensemble},
-    {gain index: accepted count}).  A gain whose exact expected accepted
-    count is more than 6 sd (its square root) below ``MC_MIN_ACCEPTED`` is
-    only counted, with one line on standard error."""
+    """One pass over the model state's records: (sampled gains' indices,
+    their ensembles, {gain index: accepted count}).  A gain whose exact
+    expected accepted count is more than 6 sd (its square root) below
+    ``MC_MIN_ACCEPTED`` is only counted, with one line on standard error."""
     sampled, counted = [], []
     for i, (g, rate) in enumerate(zip(gains, rates)):
         expected = rate * config.samples
@@ -323,7 +321,7 @@ def _fig4_sample(config, state, gains, filters, rates):
         [[filters[i] for i in sampled]], [[filters[i] for i in counted]], config.threads)
     accepted = dict(zip(counted, counts))
     accepted.update((i, e.accepted) for i, e in zip(sampled, ens))
-    return dict(zip(sampled, ens)), accepted
+    return sampled, ens, accepted
 
 
 def _appendix_grid(config):
@@ -496,16 +494,15 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
             f"{path}: {len(batch) - int(np.count_nonzero(batch.accepted))} of "
             f"{len(batch)} records have accepted = 0; ingest takes raw records "
             "and applies the configured filter itself")
-    filt = FilterSpec(config.gain, config.cutoff)
-    filtered, rate = post_select(batch, filt, config.seed)
-    cov, se = reconstruct_covariance(filtered, min_accepted)
+    ens = _batch_ensemble(batch, FilterSpec(config.gain, config.cutoff), config.seed)
+    cov, se = ens.covariance(min_accepted)
     covs, ses = cov[None], se[None]  # checked for physicality by the reconstruction
     gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses))
     kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses))
     rows = [
         ["n_records", len(batch), None],
-        ["n_accepted", int(np.count_nonzero(filtered.accepted)), None],
-        ["acceptance_rate", rate, None],
+        ["n_accepted", ens.accepted, None],
+        ["acceptance_rate", ens.accepted / len(batch), None],
         ["g_a_to_b", gab, se_ab],
         ["g_b_to_a", gba, se_ba],
         ["key_rate", kr, se_k],

@@ -84,7 +84,9 @@ def _require_cov(sigma: np.ndarray) -> np.ndarray:
 
 
 def _require_symmetric(covs: np.ndarray) -> np.ndarray:
-    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))  # NaN or inf with such an entry
+    _raise_first(~np.isfinite(scale),
+                 lambda i: ValueError("covariance matrix has a non-finite entry"))
     asym = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
     _raise_first(asym > SYMMETRY_RTOL * scale,
                  lambda i: ValueError("covariance matrix is not symmetric"))
@@ -92,7 +94,8 @@ def _require_symmetric(covs: np.ndarray) -> np.ndarray:
 
 
 def require_cov_stack(covs: np.ndarray) -> np.ndarray:
-    """Check a (N, 4, 4) stack of covariance matrices: every matrix symmetric."""
+    """Check a (N, 4, 4) stack of covariance matrices: every matrix finite
+    and symmetric."""
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3 or covs.shape[1:] != (4, 4):
         raise ValueError(f"expected 4x4 covariance matrices, got shape {covs.shape[1:]}")
@@ -292,7 +295,7 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     n = (V_sq + V_anti)/2 and c = (V_anti - V_sq)/2 in variance units.
     The state is pure iff V_anti = 1/V_sq.
     """
-    if squeeze_db > 0 or antisqueeze_db < 0:
+    if not squeeze_db <= 0 <= antisqueeze_db:  # written to refuse NaN
         raise ValueError(
             f"expected squeeze_db <= 0 <= antisqueeze_db, got ({squeeze_db}, {antisqueeze_db})"
         )

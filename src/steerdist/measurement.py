@@ -57,10 +57,11 @@ so pieces, then chunks, are added in order: the result does not depend on
 the thread count, nor a state's on the rest of its grid, and memory is
 O(threads x (SUB + states)) at any sample count.  Every :class:`Moments` is
 summed about a centre fixed before its records are read, so no sums are
-ever shifted and merged: 0 in the pass, the data's means in
-:func:`reconstruct_covariance` and :func:`moment_stats`, which see records
-of any offset.  The batch API (:func:`sample_batch`, :func:`post_select`)
-sees the same records and makes the same acceptance decisions as the pass.
+ever shifted and merged: 0 in the pass, the first chunk's means in
+:func:`reconstruct_covariance`'s one pass over a recorded batch, the data's
+means in :func:`moment_stats`; the last two see records of any offset.  The
+batch API (:func:`sample_batch`, :func:`post_select`) sees the same records
+and makes the same acceptance decisions as the pass.
 
 Each worker thread writes a piece's temporaries into one 2.6 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
@@ -267,26 +268,28 @@ def sample_batch(
     return QuadratureBatch(basis, cols[0], cols[1], cols[2])
 
 
+def _filter_chunk(batch: QuadratureBatch, filt: FilterSpec, seed: int, k: int):
+    """The filter step on chunk k of a batch's raw records: (accepted mask,
+    Bob's x, Bob's p) of the chunk, decided by the chunk's acceptance
+    uniforms, with the accepted records' quadratures divided by g."""
+    rows = slice(k * CHUNK, (k + 1) * CHUNK)
+    bob = batch.bob_x[rows], batch.bob_p[rows]
+    u = _chunk_rng(seed, _NS_ACCEPT, k).random(len(bob[0]))
+    accepted = _log_acceptance(0.5 * (bob[0]**2 + bob[1]**2), filt) > _log_uniforms(u)
+    return accepted, *(np.divide(c, filt.gain, out=c.copy(), where=accepted) for c in bob)
+
+
 def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
-    """Apply the acceptance filter to raw outcomes and rescale accepted ones.
+    """Apply the acceptance filter to raw outcomes and rescale accepted ones
+    (:func:`_filter_chunk` on each chunk).
 
     Returns (filtered_batch, acceptance_rate).  Accepted records have Bob's
     quadratures divided by g; Alice's values are untouched; rejected records
     keep their raw values and are flagged accepted = False.
     """
     n = len(batch)
-    log_acceptance = _log_acceptance(0.5 * (batch.bob_x**2 + batch.bob_p**2), filt)
-    u = np.empty(n)
-    for k in range(_n_chunks(n)):
-        start = k * CHUNK
-        m = min(CHUNK, n - start)
-        u[start:start + m] = _chunk_rng(seed, _NS_ACCEPT, k).random(m)
-    accepted = log_acceptance > _log_uniforms(u)
-
-    bob_x = batch.bob_x.copy()
-    bob_p = batch.bob_p.copy()
-    bob_x[accepted] /= filt.gain
-    bob_p[accepted] /= filt.gain
+    accepted, bob_x, bob_p = map(np.concatenate, zip(*(
+        _filter_chunk(batch, filt, seed, k) for k in range(_n_chunks(n)))))
     out = replace(batch, bob_x=bob_x, bob_p=bob_p, accepted=accepted)
     return out, float(np.count_nonzero(accepted)) / n
 
@@ -620,23 +623,36 @@ def _accepts(log_u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
     return np.greater(_log_acceptance(mag2, filt, work.acc[:n]), log_u, out=work.keep[:n])
 
 
-def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> np.ndarray:
-    """One chunked pass over a common draw for a grid of states.
+def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
+                threads: int = 1) -> tuple[list[list[Ensemble]], list[list[int]]]:
+    """One streaming pass over a common draw for a (N, 4, 4) stack of
+    covariance matrices, such as a grid's channel outputs.  For each matrix
+    i: the moments of the records ``post_select(sample_batch(
+    GaussianState(covs[i]), count, seed), filt, seed)`` accepts, for each
+    entry filt of ``filters[i]`` (None for the raw ensemble), and the number
+    of records each filter of ``counted[i]`` accepts, without their moments.
+    Returns (ensembles, counts), one list per matrix in each.
 
-    Per piece of :func:`_draws` and Alice basis b, it adds to the chunk's
-    Gram matrices about 0 (:func:`_add_gram`): when any entry of ``filters``
-    is None, that of the basis's normals z; then, for each state i, with
-    records chol_i[b] z, that of the records each :class:`FilterSpec` of
-    ``filters[i]`` accepts, rescaled, and the count alone, in entry [0, 0],
-    of the records each filter of ``counted[i]`` accepts (:func:`_accepts`).
-    The chunks' sums are added in chunk order; returns the (2, outputs, 10,
-    10) totals, x basis first.  Each piece's uniforms are logged once, for
-    every state and filter.
+    Per piece of :func:`_draws` and Alice basis b, a chunk adds one Gram
+    matrix about 0 (:func:`_add_gram`) per output slot: that of the normals
+    z when any filter is None (every raw ensemble is a :meth:`Moments.linear`
+    of it), then per state i, with records chol_i[b] z, that of each filter's
+    accepted, rescaled records, and the count alone, in entry [0, 0], of
+    each counted filter's (:func:`_accepts`).  Chunks add in chunk order.
+
+    Every state reads the same normals and uniforms, so a state's result does
+    not depend on the rest of the grid.  Memory is O(threads x (SUB +
+    states)) at any ``count``, and the result is bit-identical for any
+    ``threads``.  The first matrix :func:`sample_batch` would refuse raises
+    with its index as ``exc.cell``.
     """
+    if not len(covs) == len(filters) == len(counted):
+        raise ValueError(f"{len(covs)} states, {len(filters)} filter lists and "
+                         f"{len(counted)} lists of counted filters")
+    chols = _sampler(covs, count)
     raw = any(f is None for fs in filters for f in fs)
-    steps = [(chol, [f for f in fs if f is not None], list(cs))
-             for chol, fs, cs in zip(chols, filters, counted)]
-    steps = [step for step in steps if step[1] or step[2]]
+    steps = [(chol, [f for f in fs if f is not None], cs)  # states with a filter
+             for chol, fs, cs in zip(chols, filters, counted) if any(fs) or cs]
     n_out = raw + sum(len(fs) + len(cs) for _, fs, cs in steps)
 
     def chunk(k: int, work: _Workspace) -> np.ndarray:
@@ -659,40 +675,12 @@ def _grid_pass(chols, count: int, seed: int, filters, counted, threads: int) -> 
                         next(out)[0, 0] += np.count_nonzero(keep)
         return sums
 
-    parts = _map_chunks(_per_worker(chunk), _n_chunks(count), threads)
-    total = next(parts)
-    for part in parts:
-        total += part
-    return total
-
-
-def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
-                threads: int = 1) -> tuple[list[list[Ensemble]], list[list[int]]]:
-    """One streaming pass over a common draw for a (N, 4, 4) stack of
-    covariance matrices, such as a grid's channel outputs.  For each matrix
-    i: the moments of the records ``post_select(sample_batch(
-    GaussianState(covs[i]), count, seed), filt, seed)`` accepts, for each
-    entry filt of ``filters[i]`` (None for the raw ensemble), and the number
-    of records each filter of ``counted[i]`` accepts, without their moments.
-    Returns (ensembles, counts), one list per matrix in each.
-
-    Every state reads the same normals and uniforms, so a state's result does
-    not depend on the rest of the grid.  Memory is O(threads x (SUB +
-    states)) at any ``count``, and the result is bit-identical for any
-    ``threads``.  The first matrix :func:`sample_batch` would refuse raises
-    with its index as ``exc.cell``.
-    """
-    if not len(covs) == len(filters) == len(counted):
-        raise ValueError(f"{len(covs)} states, {len(filters)} filter lists and "
-                         f"{len(counted)} lists of counted filters")
-    chols = _sampler(covs, count)
-    outs = iter(zip(*_grid_pass(chols, count, seed, filters, counted, threads)))
+    outs = iter(zip(*sum(_map_chunks(_per_worker(chunk), _n_chunks(count), threads))))
 
     def ensemble() -> Ensemble:
         return Ensemble(*(Moments(np.zeros(3), q) for q in next(outs)))
 
-    if any(f is None for fs in filters for f in fs):
-        z = ensemble()
+    z = ensemble() if raw else None
     ensembles, counts = [], []
     for chol, fs, cs in zip(chols, filters, counted):
         ensembles.append([Ensemble(z.x.linear(chol[0]), z.p.linear(chol[1])) if f is None
@@ -701,39 +689,46 @@ def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
     return ensembles, counts
 
 
+def _batch_ensemble(batch: QuadratureBatch, filt: FilterSpec | None = None,
+                    seed: int | None = None) -> Ensemble:
+    """The :class:`Ensemble` of a batch's accepted records (every record if
+    it has no accepted column) in one pass over its chunks; with ``filt``,
+    of those ``post_select(batch, filt, seed)`` accepts, each chunk filtered
+    by :func:`_filter_chunk`, so no whole-batch copy is made.  The first
+    chunk fixes each basis's centre, Alice's mean in that basis and Bob's
+    over both, summed with ``einsum``, whose order, unlike BLAS ``ddot``'s,
+    does not depend on the BLAS thread count, so neither do the result's
+    bytes; every chunk's records are summed about it (:func:`_add_gram`)."""
+    centres, grams = None, np.zeros((2, 10, 10))  # Gram matrices of 3-variate records
+    for k in range(_n_chunks(len(batch))):
+        rows = slice(k * CHUNK, (k + 1) * CHUNK)
+        if filt is None:
+            keep = True if batch.accepted is None else batch.accepted[rows]
+            cols = batch.alice_value[rows], batch.bob_x[rows], batch.bob_p[rows]
+        else:
+            keep, *bob = _filter_chunk(batch, filt, seed, k)
+            cols = batch.alice_value[rows], *bob
+        masks = [(batch.alice_basis[rows] == b) & keep for b in (BASIS_X, BASIS_P)]
+        if centres is None:  # per basis: the count, then each column's sum
+            sums = np.array([[np.count_nonzero(mask),
+                              *(np.einsum("i,i", c, mask, dtype=float) for c in cols)]
+                             for mask in masks])
+            centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
+            centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
+        for q, centre, mask in zip(grams, centres, masks):
+            rec = np.empty((3, np.count_nonzero(mask)))
+            for row, col in zip(rec, cols):
+                np.compress(mask, col, out=row)
+            _add_gram(q, rec, centre[:, None])
+    return Ensemble(*map(Moments, centres, grams))
+
+
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
     """(covariance estimate, standard errors) from a batch's accepted records
     (every record if it has no accepted column), in any basis order; see
-    :meth:`Ensemble.covariance`.  A first pass over the chunks fixes each
-    basis's centre: Alice's mean in that basis and Bob's mean over both
-    bases.  A second adds each chunk's records of a basis to that basis's
-    Gram matrix about its centre (:func:`_add_gram`).  The centre pass sums
-    with ``einsum``, whose order, unlike BLAS ``ddot``'s, does not depend on
-    the BLAS thread count, so the result's bytes do not either.
-    """
-    cols = (batch.alice_value, batch.bob_x, batch.bob_p)
-
-    def masks(k: int):
-        rows = slice(k * CHUNK, (k + 1) * CHUNK)
-        keep = True if batch.accepted is None else batch.accepted[rows]
-        return rows, [(batch.alice_basis[rows] == b) & keep for b in (BASIS_X, BASIS_P)]
-
-    chunks = range(_n_chunks(len(batch)))
-    sums = np.zeros((2, 4))  # per basis: the count, then each column's sum
-    for rows, kept in map(masks, chunks):
-        for total, mask in zip(sums, kept):
-            total += [np.count_nonzero(mask),
-                      *(np.einsum("i,i", c[rows], mask, dtype=float) for c in cols)]
-    centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
-    centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
-    grams = np.zeros((2, 10, 10))  # Gram matrices of 3-variate records
-    for rows, kept in map(masks, chunks):
-        for q, centre, mask in zip(grams, centres, kept):
-            rec = np.empty((3, np.count_nonzero(mask)))
-            for row, col in zip(rec, cols):
-                np.compress(mask, col[rows], out=row)
-            _add_gram(q, rec, centre[:, None])
-    return Ensemble(*map(Moments, centres, grams)).covariance(min_accepted)
+    :meth:`Ensemble.covariance`, from one pass over the chunks
+    (:func:`_batch_ensemble`)."""
+    return _batch_ensemble(batch).covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------

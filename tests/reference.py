@@ -17,7 +17,10 @@ references:
   ``key_rate_with_se_stack``;
 * :func:`loss_threshold_bisection`: the loss threshold by bisection on the
   signed steering quantity, against the closed-form root of
-  ``steering_loss_threshold``.
+  ``steering_loss_threshold``;
+* :func:`reconstruct_covariance_two_pass`: the batch reduction about the
+  whole batch's means, from a first pass over every chunk, against the
+  one-pass ``reconstruct_covariance``, whose centre is its first chunk's.
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
@@ -44,7 +47,18 @@ from steerdist.gaussian import (
     schur_2x2,
     symplectic_eigenvalues,
 )
-from steerdist.measurement import ReconstructionError, _pairs, reconstruction_tolerance
+from steerdist.measurement import (
+    BASIS_P,
+    BASIS_X,
+    CHUNK,
+    Ensemble,
+    Moments,
+    ReconstructionError,
+    _add_gram,
+    _n_chunks,
+    _pairs,
+    reconstruction_tolerance,
+)
 from steerdist.nla import GainTooLargeError, nla_single_mode
 from steerdist.qkd import key_rate
 from steerdist.steering import (
@@ -320,3 +334,33 @@ def key_rate_with_se_per_matrix(cov, se, physicality_tol: float = 1e-2):
         grad[k, k], grad[k + 2, k + 2], grad[k, k + 2] = (
             dk_dv * c * c / (2.0 * a * a), dk_dv / 2.0, -dk_dv * c / a)
     return result, _first_order_se(grad, se)
+
+
+# --- batch reduction (two passes) ----------------------------------------------
+
+def reconstruct_covariance_two_pass(batch, min_accepted: int = 10_000):
+    """(covariance estimate, standard errors) of a batch's accepted records:
+    a first pass over the chunks fixes each basis's centre (Alice's mean in
+    that basis, Bob's over both bases, of the whole batch), a second adds
+    each chunk's records of a basis to that basis's Gram matrix about it."""
+    cols = (batch.alice_value, batch.bob_x, batch.bob_p)
+
+    def masks(k: int):
+        rows = slice(k * CHUNK, (k + 1) * CHUNK)
+        keep = True if batch.accepted is None else batch.accepted[rows]
+        return rows, [(batch.alice_basis[rows] == b) & keep for b in (BASIS_X, BASIS_P)]
+
+    chunks = range(_n_chunks(len(batch)))
+    sums = np.zeros((2, 4))  # per basis: the count, then each column's sum
+    for rows, kept in map(masks, chunks):
+        for total, mask in zip(sums, kept):
+            total += [np.count_nonzero(mask),
+                      *(np.einsum("i,i", c[rows], mask, dtype=float) for c in cols)]
+    centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
+    centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
+    grams = np.zeros((2, 10, 10))
+    for rows, kept in map(masks, chunks):
+        for q, centre, mask in zip(grams, centres, kept):
+            rec = np.stack([c[rows][mask] for c in cols])
+            _add_gram(q, rec, centre[:, None])
+    return Ensemble(*map(Moments, centres, grams)).covariance(min_accepted)

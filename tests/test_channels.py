@@ -8,8 +8,10 @@ from steerdist import (
     ChannelSpec,
     apply_lossy,
     apply_noisy,
+    channel_stack,
     check_physical,
     steerability,
+    tmss_standard,
 )
 
 
@@ -60,6 +62,15 @@ def test_channel_spec_validation():
         ChannelSpec(loss=1.5)
     with pytest.raises(ValueError):
         ChannelSpec(loss=0.5, excess_noise=-0.1)
+    # NaN fails the checks too, rather than reaching the physicality check
+    with pytest.raises(ValueError, match="loss must be in"):
+        ChannelSpec(float("nan"))
+    with pytest.raises(ValueError, match="excess_noise must be >= 0, got nan"):
+        ChannelSpec(0.1, float("nan")).apply(tmss_standard(-3.0, 3.0))
+    with pytest.raises(ValueError, match="excess_noise must be >= 0, got nan"):
+        channel_stack(np.eye(4), 0.1, float("nan"))
+    with pytest.raises(ValueError, match="loss must be in"):
+        channel_stack(np.eye(4), float("nan"))
 
 
 @settings(max_examples=40, deadline=None)

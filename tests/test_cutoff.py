@@ -95,6 +95,17 @@ def test_gain_must_exceed_one(model_state):
 def test_criteria_validation():
     with pytest.raises(ValueError):
         CutoffCriteria(kurt_tol=0.0)
+    # NaN would make every cutoff fail, an empty grid fail inside np.argmax
+    nan, inf = float("nan"), float("inf")
+    for name in ("kurt_tol", "steering_tol", "grid_step"):
+        for value in (nan, inf, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                CutoffCriteria(**{name: value})
+    for bounds in ((nan, 10.0), (1.0, nan), (1.0, inf), (0.0, 10.0), (5.0, 4.0)):
+        with pytest.raises(ValueError, match="grid_min <= grid_max"):
+            CutoffCriteria(grid_min=bounds[0], grid_max=bounds[1])
+    assert len(select_cutoff_stack(np.eye(4)[None], 1.1, CutoffCriteria(
+        grid_min=2.0, grid_max=2.0)).grid) == 1
 
 
 def test_search_modules_bind_no_sampler(model_state):

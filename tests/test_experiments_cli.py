@@ -255,7 +255,7 @@ def test_fig3_empty_amplified_cells_keep_their_lines_in_grid_order(tmp_path, cap
     assert [row[8] is None for row in rows] == [False, True, False, True, False]
 
 
-def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, capsys):
+def test_mc_steering_tags_a_failure_with_its_point(model_state, capsys):
     # A refused raw ensemble, or a matrix the steering stack refuses, raises
     # with its point as ``cell``, for ``_in_grid_order`` to re-run the points
     # before it, which print their lines then.
@@ -269,10 +269,12 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, cap
     big, small = sample_grid(covs, 20_000, 3, filters, [(), ()])[0]
     refusal = f"too few accepted records: {small[1].accepted} < 200"
     points = [big, small, (small[1], big[1]), small]
+    kernel = experiments.steerability_with_se_stack
     with pytest.raises(ReconstructionError, match=refusal) as exc:
-        experiments._mc_steering(points, lambda i: f"point {i}")
+        experiments._mc_values(points, kernel, lambda i: f"point {i}", raw=True)
     assert exc.value.cell == 2 and capsys.readouterr().err == ""
-    assert experiments._mc_steering(points[:2], lambda i: f"point {i}")[1][4:] == [None] * 4
+    assert experiments._mc_values(points[:2], kernel, lambda i: f"point {i}",
+                                  raw=True)[1][4:] == [None] * 4
     assert capsys.readouterr().err.splitlines() == [
         f"point 1 Monte Carlo value left empty: {refusal}"]
 
@@ -281,9 +283,8 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, monkeypatch, cap
         error.cell = 3
         raise error
 
-    monkeypatch.setattr(experiments, "steerability_with_se_stack", refuse)
     with pytest.raises(NumericalError, match="refused") as exc:
-        experiments._mc_steering(points[:2], lambda i: f"point {i}")
+        experiments._mc_values(points[:2], refuse, lambda i: f"point {i}", raw=True)
     assert exc.value.cell == 1
 
 
@@ -421,10 +422,10 @@ def test_fig_s2_reports_exact_moment_cells(tmp_path, capsys):
 
 # --- ingest ----------------------------------------------------------------------
 
-def test_ingest_reproduces_in_memory_pipeline(tmp_path, model_state):
-    batch = sample_batch(model_state, 120_000, seed=31)
-    csv_path = tmp_path / "ext.csv"
-    write_batch_csv(batch, csv_path)
+def test_ingest_reproduces_in_memory_pipeline(tmp_path, multi_chunk_file):
+    # ingest filters and reduces chunk by chunk in one pass; across chunk
+    # boundaries it must still equal the whole-batch calls exactly
+    batch, csv_path = multi_chunk_file
     config = _config(tmp_path, gain=1.1, cutoff=4.0, seed=33)
     report_path, rows = run_ingest(str(csv_path), config, min_accepted=1_000)
     report = {name: (value, se) for name, value, se in rows}
@@ -434,6 +435,7 @@ def test_ingest_reproduces_in_memory_pipeline(tmp_path, model_state):
     tol = reconstruction_tolerance(se)
     want_ab, want_se = steerability_with_se(cov, se, "a_to_b", tol)
     assert report["acceptance_rate"][0] == rate
+    assert report["n_accepted"][0] == np.count_nonzero(filtered.accepted)
     assert report["g_a_to_b"][0] == want_ab
     assert report["g_a_to_b"][1] == want_se
     kr, se_k = key_rate_with_se(cov, se, tol)

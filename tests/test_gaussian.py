@@ -17,6 +17,8 @@ from steerdist import (
     tmss_standard,
     vacuum_state,
 )
+from steerdist.filtered_moments import filtered_ensemble_stack
+from steerdist.gaussian import require_cov_stack
 
 # oracle: V = 10^(dB/10), n = (V_sq + V_anti)/2, c = (V_anti - V_sq)/2
 V_SQ = 10.0 ** (-0.42)
@@ -59,6 +61,9 @@ def test_tmss_rejects_bad_db_pairs():
         tmss_standard(1.0, 2.0)  # positive squeeze level
     with pytest.raises(UnphysicalStateError):
         tmss_standard(-6.0, 3.0)  # V_sq * V_anti < 1
+    for pair in ((float("nan"), 1.0), (-1.0, float("nan"))):
+        with pytest.raises(ValueError, match="expected squeeze_db <= 0 <= antisqueeze_db"):
+            tmss_standard(*pair)
 
 
 def test_symplectic_eigenvalues_vacuum_and_thermal():
@@ -159,6 +164,20 @@ def test_state_partition_validation():
         cov = np.eye(4)
         cov[0, 1] = 0.5
         from_cov(cov)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cov_stack_refuses_a_non_finite_matrix_naming_its_cell(bad):
+    covs = np.stack([np.eye(4)] * 3)
+    covs[1, 2, 3] = covs[1, 3, 2] = bad
+    with pytest.raises(ValueError, match="non-finite entry") as exc:
+        require_cov_stack(covs)
+    assert exc.value.cell == 1
+    with pytest.raises(ValueError, match="non-finite entry"):
+        from_cov(covs[1])
+    with pytest.raises(ValueError, match="non-finite entry") as exc:
+        filtered_ensemble_stack(covs, 1.2, 3.0)
+    assert exc.value.cell == 1
 
 
 def test_state_arrays_frozen():

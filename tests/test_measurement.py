@@ -11,6 +11,7 @@ from reference import (
     covariance_per_matrix,
     key_rate_with_se_per_matrix,
     random_physical_state,
+    reconstruct_covariance_two_pass,
     steerability_with_se_per_matrix,
 )
 from steerdist import (
@@ -283,6 +284,19 @@ def test_model_state_roundtrip(model_state):
     batch = sample_batch(model_state, 1_000_000, seed=21)
     cov, se = reconstruct_covariance(batch)
     assert _se_units(cov, model_state.cov, se) < 5.0
+
+
+def test_reconstruction_across_chunks_matches_two_pass_reference(multi_chunk_file):
+    # one pass sums about the first chunk's means, the reference about the
+    # whole batch's: the two differ by rounding only
+    batch, _ = multi_chunk_file
+    assert len(batch) > 2 * CHUNK
+    filtered, _ = post_select(batch, FilterSpec(1.1, 4.0), seed=33)
+    for source, n_min in ((batch, 10_000), (filtered, 1_000)):
+        cov, se = reconstruct_covariance(source, n_min)
+        want_cov, want_se = reconstruct_covariance_two_pass(source, n_min)
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(se, want_se, rtol=1e-12, atol=0)
 
 
 def test_filtered_roundtrip_matches_ideal_amplifier(model_state):
