@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _raise_first, require_cov_stack, require_physical_stack
+from .gaussian import GaussianState, _require_in, require_cov_stack, require_physical_stack
 
 NOISE_MODELS = ("fixed", "loss_scaled")
 DEFAULT_NOISE_MODEL = "loss_scaled"
@@ -30,17 +30,19 @@ class ChannelSpec:
     noise_model: str = DEFAULT_NOISE_MODEL
 
     def __post_init__(self):
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {self.loss}")
-        if not self.excess_noise >= 0.0:  # written to refuse NaN, as the loss check
-            raise ValueError(f"excess_noise must be >= 0, got {self.excess_noise}")
-        if self.noise_model not in NOISE_MODELS:
-            raise ValueError(
-                f"unknown noise_model {self.noise_model!r}, expected one of {NOISE_MODELS}"
-            )
+        _check_channel(self.loss, self.excess_noise, self.noise_model)
 
     def apply(self, state: GaussianState) -> GaussianState:
         return apply_noisy(state, self.loss, self.excess_noise, self.noise_model)
+
+
+def _check_channel(losses, excess_noise, noise_model: str) -> None:
+    """Refuse a loss outside [0, 1], an excess noise below 0, NaN or infinite,
+    or an unknown noise model; an array at its first failing entry."""
+    _require_in(losses, "loss", 0.0, 1.0)
+    _require_in(excess_noise, "excess_noise", 0.0)
+    if noise_model not in NOISE_MODELS:
+        raise ValueError(f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}")
 
 
 def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
@@ -52,19 +54,12 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
     Every output is checked for physicality at ``PHYSICALITY_TOL`` after the
     loss and again after the noise.
     """
-    if noise_model not in NOISE_MODELS:
-        raise ValueError(
-            f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}"
-        )
     covs = np.asarray(covs, dtype=float)
     losses, excess = np.broadcast_arrays(np.asarray(losses, dtype=float),
                                          np.asarray(excess_noise, dtype=float))
     n = max(losses.size, len(covs) if covs.ndim == 3 else 1)
     losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
-    _raise_first(~(excess >= 0.0), lambda i: ValueError(
-        f"excess_noise must be >= 0, got {excess[i]}"))
-    _raise_first(~((losses >= 0.0) & (losses <= 1.0)), lambda i: ValueError(
-        f"loss must be in [0, 1], got {losses[i]}"))
+    _check_channel(losses, excess, noise_model)
     cov = np.array(np.broadcast_to(covs, (n, *covs.shape[-2:])))
     require_cov_stack(cov)
     b = slice(2, 4)

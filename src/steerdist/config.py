@@ -103,38 +103,16 @@ class ExperimentConfig:
     fig4_g_grid: np.ndarray = field(default_factory=lambda: parse_grid("1.0:1.56:0.02"))
 
     def validate(self) -> "ExperimentConfig":
-        if self.mode not in MODES:
-            raise ConfigError(f"run.mode must be one of {MODES}, got {self.mode!r}")
-        if self.cutoff_source not in CUTOFF_SOURCES:
-            raise ConfigError(
-                f"filter.cutoff_source must be one of {CUTOFF_SOURCES}, "
-                f"got {self.cutoff_source!r}"
-            )
-        if self.noise_model not in NOISE_MODELS:
-            raise ConfigError(f"channel.noise_model must be one of {NOISE_MODELS}, "
-                              f"got {self.noise_model!r}")
+        """Check every key against its :data:`_SCHEMA` rule, in table order,
+        then the sample floor of the Monte Carlo modes and the grids."""
+        for where, (name, _, requirement, ok) in _SCHEMA.items():
+            value = getattr(self, name)
+            if ok is not None and not ok(value):
+                shown = repr(value) if isinstance(value, str) else value
+                raise ConfigError(f"{where} must be {requirement}, got {shown}")
         if self.mode != "analytic" and self.samples < MIN_MC_SAMPLES:
-            raise ConfigError(
-                f"run.samples must be >= {MIN_MC_SAMPLES} in Monte Carlo modes, "
-                f"got {self.samples}"
-            )
-        # every comparison is false for NaN, so each check is written to fail on it
-        if not -np.inf < self.squeeze_db <= 0:
-            raise ConfigError(f"state.squeeze_db must be finite and <= 0, got {self.squeeze_db}")
-        if not 0 <= self.antisqueeze_db < np.inf:
-            raise ConfigError(
-                f"state.antisqueeze_db must be finite and >= 0, got {self.antisqueeze_db}")
-        if not 1.0 <= self.gain < np.inf:
-            raise ConfigError(f"filter.gain must be finite and >= 1, got {self.gain}")
-        if not 0 < self.cutoff < np.inf:
-            raise ConfigError(f"filter.cutoff must be finite and > 0, got {self.cutoff}")
-        if not 0 <= self.excess_noise < np.inf:
-            raise ConfigError(
-                f"channel.excess_noise must be finite and >= 0, got {self.excess_noise}")
-        if self.seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {self.seed}")
-        if self.threads < 1:
-            raise ConfigError(f"run.threads must be >= 1, got {self.threads}")
+            raise ConfigError(f"run.samples must be >= {MIN_MC_SAMPLES} in Monte Carlo modes, "
+                              f"got {self.samples}")
         for name in ("loss_grid", "g_grid", "fig4_g_grid"):
             grid = getattr(self, name)
             if len(grid) == 0:
@@ -144,40 +122,43 @@ class ExperimentConfig:
         return self
 
 
-_SCHEMA = {
-    ("state", "squeeze_db"): ("squeeze_db", float),
-    ("state", "antisqueeze_db"): ("antisqueeze_db", float),
-    ("channel", "excess_noise"): ("excess_noise", float),
-    ("channel", "noise_model"): ("noise_model", str),
-    ("filter", "gain"): ("gain", float),
-    ("filter", "cutoff"): ("cutoff", float),
-    ("filter", "cutoff_source"): ("cutoff_source", str),
-    ("run", "mode"): ("mode", str),
-    ("run", "samples"): ("samples", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "threads"): ("threads", int),
-    ("run", "out"): ("out_dir", str),
-    ("run", "svg"): ("svg", "bool"),
-    ("grids", "loss_grid"): ("loss_grid", parse_grid),
-    ("grids", "g_grid"): ("g_grid", parse_grid),
-    ("grids", "fig4_g_grid"): ("fig4_g_grid", parse_grid),
-}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in _TRUE + _FALSE:
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return text.lower() in _TRUE
+
+
+# "<section>.<key>": (field, converter, requirement, rule).  A value the rule
+# refuses gives "<section>.<key> must be <requirement>, got <value>"; every
+# comparison is false for NaN, so each numeric rule is written to fail on it.
+_SCHEMA = {
+    "state.squeeze_db": ("squeeze_db", float, "finite and <= 0", lambda v: -np.inf < v <= 0),
+    "state.antisqueeze_db": ("antisqueeze_db", float, "finite and >= 0", lambda v: 0 <= v < np.inf),
+    "channel.excess_noise": ("excess_noise", float, "finite and >= 0", lambda v: 0 <= v < np.inf),
+    "channel.noise_model": ("noise_model", str, f"one of {NOISE_MODELS}",
+                            lambda v: v in NOISE_MODELS),
+    "filter.gain": ("gain", float, "finite and >= 1", lambda v: 1 <= v < np.inf),
+    "filter.cutoff": ("cutoff", float, "finite and > 0", lambda v: 0 < v < np.inf),
+    "filter.cutoff_source": ("cutoff_source", str, f"one of {CUTOFF_SOURCES}",
+                             lambda v: v in CUTOFF_SOURCES),
+    "run.mode": ("mode", str, f"one of {MODES}", lambda v: v in MODES),
+    "run.samples": ("samples", int, None, None),
+    "run.seed": ("seed", int, ">= 0", lambda v: v >= 0),
+    "run.threads": ("threads", int, ">= 1", lambda v: v >= 1),
+    "run.out": ("out_dir", str, None, None),
+    "run.svg": ("svg", _boolean, None, None),
+    "grids.loss_grid": ("loss_grid", parse_grid, None, None),
+    "grids.g_grid": ("g_grid", parse_grid, None, None),
+    "grids.fig4_g_grid": ("fig4_g_grid", parse_grid, None, None),
+}
 
 
 def _convert(raw: str, conv, where: str):
-    raw = raw.strip()
     try:
-        if conv == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        return conv(raw)
+        return conv(raw.strip())
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -188,20 +169,18 @@ def load_config(path: str | None = None, env: dict | None = None,
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
             for key in parser[section]:
-                schema = _SCHEMA.get((section, key))
+                schema = _SCHEMA.get(f"{section}.{key}")
                 if schema is None:
                     raise ConfigError(f"unknown config key [{section}] {key}")
-                name, conv = schema
-                values[name] = _convert(parser[section][key], conv,
-                                        f"config [{section}] {key}")
+                name, conv = schema[:2]
+                values[name] = _convert(parser[section][key], conv, f"config [{section}] {key}")
     env = os.environ if env is None else env
-    for (section, key), (name, conv) in _SCHEMA.items():
-        var = f"{ENV_PREFIX}_{section.upper()}_{key.upper()}"
+    for where, (name, conv, *_) in _SCHEMA.items():
+        var = f"{ENV_PREFIX}_{where.replace('.', '_').upper()}"
         if var in env:
             values[name] = _convert(env[var], conv, f"environment {var}")
     if overrides:

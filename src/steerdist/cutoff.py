@@ -200,6 +200,8 @@ def reference_cutoff_table() -> dict:
 
 def cutoff_from_table(loss: float, g: float, table: dict | None = None) -> float:
     """Nearest-grid lookup in the reference table (no interpolation)."""
+    if not (np.isfinite(loss) and np.isfinite(g)):
+        raise ValueError(f"loss and gain must be finite, got loss {loss}, gain {g}")
     if table is None:
         table = reference_cutoff_table()
     losses = sorted({k[0] for k in table})

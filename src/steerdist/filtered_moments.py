@@ -35,7 +35,7 @@ from math import factorial
 import numpy as np
 
 from .gaussian import GaussianState, _raise_first, require_cov_stack
-from .measurement import MODEL_RTOL, FilterSpec
+from .measurement import MODEL_RTOL, FilterSpec, _check_filter
 
 # terms of the power series of J_k(y) for |y| <= 1: the first omitted one,
 # at most 1/20! < 4e-19, is below 2e-18 of J_k(y) >= J_k(1) > e^-1/(k+1)
@@ -103,6 +103,7 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
     n = len(covs)
     g = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
     cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (n,))
+    _check_filter(g, cutoffs)
     a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
     scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * MODEL_RTOL
     _raise_first((np.abs(b[:, 0, 0] - b[:, 1, 1]) > scale) | (np.abs(b[:, 0, 1]) > scale),

@@ -61,13 +61,25 @@ class UnphysicalStateError(NumericalError):
 
 
 def _raise_first(bad, make_error) -> None:
-    """Raise ``make_error(i)`` at the first true entry of ``bad``, tagged with i."""
+    """Raise ``make_error(i)`` at the first true entry of ``bad``, tagged with
+    i unless ``bad`` is 0-d, the check of one value."""
     hits = np.flatnonzero(bad)
     if hits.size:
         i = int(hits[0])
         exc = make_error(i)
-        exc.cell = i
+        if np.ndim(bad):
+            exc.cell = i
         raise exc
+
+
+def _require_in(values, name: str, low: float, high: float = np.inf) -> None:
+    """Refuse NaN, +inf or a value outside [low, high]: one value, or an array's
+    first such entry.  With no upper bound the rule reads ">= low", and
+    "finite and >= low" for +inf, the one failing value equal to ``high``."""
+    v = np.asarray(values)
+    rule = f"in [{low:g}, {high:g}]" if high < np.inf else f">= {low:g}"
+    _raise_first(~((v >= low) & (v <= high) & (v < np.inf)), lambda i: ValueError(
+        f"{name} must be {'finite and ' if v.flat[i] == high else ''}{rule}, got {v.flat[i]}"))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -255,7 +267,9 @@ def purity(sigma: np.ndarray) -> float:
 def _first_order_se(grad: np.ndarray, se: np.ndarray) -> np.ndarray:
     """sqrt(sum_{i<=j} (grad_ij se_ij)^2) over the last two axes, the
     first-order SE of f(sigma) with independent entries; grad_ij moves (i, j)
-    and (j, i) together."""
+    and (j, i) together.  ``se`` must have the shape of ``grad``."""
+    if np.shape(se) != grad.shape:
+        raise ValueError(f"expected entry SEs of shape {grad.shape}, got {np.shape(se)}")
     return np.sqrt(np.sum(np.triu(grad * se) ** 2, axis=(-2, -1)))
 
 
@@ -305,15 +319,8 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
         raise UnphysicalStateError(
             f"V_sq*V_anti = {v_sq * v_anti:.6g} < 1: dB pair is unphysical"
         )
-    n = (v_sq + v_anti) / 2.0
-    c = (v_anti - v_sq) / 2.0
-    z = np.diag([1.0, -1.0])
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = n * np.eye(2)
-    cov[2:, 2:] = n * np.eye(2)
-    cov[:2, 2:] = c * z
-    cov[2:, :2] = c * z
-    return from_cov(cov).require_physical()
+    n, cz = (v_sq + v_anti) / 2.0, (v_anti - v_sq) / 2.0 * np.diag([1.0, -1.0])
+    return from_cov(np.block([[n * np.eye(2), cz], [cz, n * np.eye(2)]])).require_physical()
 
 
 # --- plain-text serialization ------------------------------------------------

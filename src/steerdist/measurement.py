@@ -94,6 +94,7 @@ from .gaussian import (
     require_cov_stack,
     require_physical_stack,
 )
+from .nla import _check_gains
 
 CHUNK = 1 << 17  # even, so alternating bases stay aligned across chunks
 SUB = 1 << 15  # records a pass draws and reduces at a time; even, divides CHUNK
@@ -118,11 +119,15 @@ class FilterSpec:
     cutoff: float
 
     def __post_init__(self):
-        # written to refuse NaN, for which every comparison is false
-        if not self.gain >= 1.0:
-            raise ValueError(f"gain must be >= 1, got {self.gain}")
-        if not 0.0 < self.cutoff < np.inf:
-            raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff}")
+        _check_filter(self.gain, self.cutoff)
+
+
+def _check_filter(gains, cutoffs) -> None:
+    """The gain rule, then the cutoff rule (finite and > 0), on values or arrays."""
+    _check_gains(gains)
+    cutoffs = np.asarray(cutoffs)
+    _raise_first(~((cutoffs > 0.0) & (cutoffs < np.inf)), lambda i: ValueError(
+        f"cutoff must be finite and > 0, got {cutoffs.flat[i]}"))
 
 
 def _log_acceptance(mag2, filt: FilterSpec, out=None):

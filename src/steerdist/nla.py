@@ -29,6 +29,7 @@ from .gaussian import (
     UnphysicalStateError,
     _raise_first,
     _require_cov,
+    _require_in,
     inv2,
     min_eig2,
     min_symplectic_eigenvalues,
@@ -39,6 +40,11 @@ from .gaussian import (
 
 class GainTooLargeError(NumericalError):
     """2B(g) I - L is not positive definite: gain too large for this state."""
+
+
+def _check_gains(gains) -> None:
+    """The gain rule, at least 1 and finite, on one gain or an array of them."""
+    _require_in(gains, "gain", 1.0)
 
 
 def nla_single_mode(sigma: np.ndarray, g: float) -> np.ndarray:
@@ -54,7 +60,7 @@ def nla_single_mode_stack(covs: np.ndarray, gains) -> np.ndarray:
     amplified entry is checked for physicality at ``PHYSICALITY_TOL``."""
     covs = require_cov_stack(covs)
     gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
-    _raise_first(~(gains >= 1.0), lambda i: ValueError(f"gain must be >= 1, got {gains[i]}"))
+    _check_gains(gains)
     out = covs.copy()
     amp = np.flatnonzero(gains != 1.0)
     if amp.size == 0:

@@ -86,16 +86,17 @@ def key_rate_filtered(state: GaussianState, gain: float, beta_c: float) -> KeyRa
     post-selected data; under strong truncation it need not satisfy the
     bona-fide state condition, so no physicality gate is applied.
     """
+    filt = FilterSpec(gain, beta_c)  # at unit gain too, as the stack refuses
     if gain == 1.0:
         return key_rate(state.cov)
-    ens = filtered_ensemble(state, FilterSpec(gain, beta_c))
+    ens = filtered_ensemble(state, filt)
     return key_rate(ens.cov, physicality_tol=np.inf)
 
 
 def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
     """(key rates, V_x, V_p, acceptance rates) of :func:`key_rate_filtered`
-    on a (N, 4, 4) stack, one gain per matrix, with no check of the gains or
-    of the unit-gain rows, which keep their matrix and rate 1."""
+    on a (N, 4, 4) stack, one gain per matrix, with no physicality check of
+    the unit-gain rows, which keep their matrix and rate 1."""
     covs = require_cov_stack(covs)
     gains = np.asarray(gains, dtype=float)
     acc, ens, _ = filtered_ensemble_stack(covs, gains, beta_c)
@@ -144,9 +145,10 @@ def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
     g_grid = np.asarray(list(g_grid), dtype=float)
     if g_grid.size == 0:
         raise ValueError("gain grid is empty")
-    # a gain below 1 is evaluated at 1 here and refused by the scan below
+    # a gain FilterSpec refuses is evaluated at 1 here, refused in place by the scan
+    gains = np.where((g_grid >= 1.0) & (g_grid < np.inf), g_grid, 1.0)
     rates = _filtered_key_rate_stack(np.broadcast_to(state.cov, (g_grid.size, 4, 4)),
-                                     np.maximum(g_grid, 1.0), beta_c)[0]
+                                     gains, beta_c)[0]
     for g, rate in zip(g_grid.tolist(), rates.tolist()):
         if g == 1.0:  # the unfiltered state, checked for physicality
             rate = key_rate(state.cov).key_rate

@@ -73,6 +73,25 @@ def test_channel_spec_validation():
         channel_stack(np.eye(4), float("nan"))
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.5,), "loss must be in [0, 1], got 1.5"),
+    ((float("nan"),), "loss must be in [0, 1], got nan"),
+    ((-0.1,), "loss must be in [0, 1], got -0.1"),
+    ((0.1, -0.1), "excess_noise must be >= 0, got -0.1"),
+    ((0.1, float("nan")), "excess_noise must be >= 0, got nan"),
+    ((0.1, float("inf")), "excess_noise must be finite and >= 0, got inf"),
+    ((0.1, 0.1, "thermal"),
+     "unknown noise_model 'thermal', expected one of ('fixed', 'loss_scaled')"),
+])
+def test_channel_spec_and_stack_refuse_alike(args, message):
+    with pytest.raises(ValueError) as spec_err:
+        ChannelSpec(*args)
+    with pytest.raises(ValueError) as stack_err:
+        channel_stack(np.eye(4), *args)
+    assert str(spec_err.value) == str(stack_err.value) == message
+    assert not hasattr(spec_err.value, "cell")  # one value, no stack entry to name
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=0.999),

@@ -38,6 +38,12 @@ def test_nearest_grid_lookup():
     assert cutoff_from_table(0.71, 1.06) == 3.00  # snaps to (0.8, 1.05)
 
 
+@pytest.mark.parametrize("loss, g", [(np.nan, 1.2), (0.3, np.nan), (np.inf, 1.2), (0.3, -np.inf)])
+def test_table_lookup_refuses_a_non_finite_loss_or_gain(loss, g):
+    with pytest.raises(ValueError, match="loss and gain must be finite"):
+        cutoff_from_table(loss, g)
+
+
 def test_selected_cutoffs_match_published_corners(model_state):
     # published: (0, 1.20) -> 5.50 and (0.8, 1.05) -> 3.00, tolerance half a step
     bc, diag = select_cutoff(model_state, ChannelSpec(0.0), 1.20)

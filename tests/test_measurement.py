@@ -114,7 +114,8 @@ def test_filter_spec_validation():
         FilterSpec(1.2, 0.0)
 
 
-@pytest.mark.parametrize("gain, cutoff", [(np.nan, 3.0), (1.2, np.nan), (1.2, np.inf)])
+@pytest.mark.parametrize("gain, cutoff", [(np.nan, 3.0), (1.2, np.nan), (1.2, np.inf),
+                                          (np.inf, 3.0)])
 def test_filter_spec_refuses_nan_and_inf(gain, cutoff):
     with pytest.raises(ValueError):
         FilterSpec(gain, cutoff)
@@ -584,6 +585,16 @@ def _seeded_ensembles(model_state):
     filters = [(None, FilterSpec(1.2, 3.0), FilterSpec(1.1, 4.5))] * len(covs)
     ens = sample_grid(covs, 120_001, 41, filters, [()] * len(covs))[0]
     return [e for point in ens for e in point]
+
+
+def test_se_stacks_refuse_ses_of_another_shape(model_state):
+    from steerdist import key_rate_with_se_stack, steerability_with_se_stack
+
+    covs = model_state.cov[None]
+    for ses in (np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((1, 4, 3))):
+        for stack in (steerability_with_se_stack, key_rate_with_se_stack):
+            with pytest.raises(ValueError, match="expected entry SEs of shape"):
+                stack(covs, ses)
 
 
 def test_stacks_equal_the_per_matrix_code_within_one_ulp(model_state):

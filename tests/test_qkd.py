@@ -108,6 +108,12 @@ def test_filtered_key_rate_crosses_zero(model_state):
     assert key_rate_filtered(model_state, 1.35, 4.5).key_rate > 0
 
 
+@pytest.mark.parametrize("cutoff", [np.nan, -1.0, 0.0])
+def test_unfiltered_key_rate_refuses_a_cutoff_the_filter_refuses(model_state, cutoff):
+    with pytest.raises(ValueError, match="cutoff must be finite and > 0"):
+        key_rate_filtered(model_state, 1.0, cutoff)
+
+
 def test_filtered_key_rate_stack_equals_scalar_calls(model_state, pure_state):
     from steerdist import FilterSpec, acceptance_rate_exact
     from steerdist.qkd import _filtered_key_rate_stack
@@ -147,6 +153,15 @@ def test_min_gain_refuses_gain_below_one(model_state):
         min_gain_for_key(model_state, 4.5, [0.9, 1.0])
     # the grid is scanned in order: a positive key before the bad gain wins
     assert min_gain_for_key(model_state, 4.5, [1.0, 1.4, 0.9]) == 1.4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+def test_min_gain_scans_past_no_gain_it_does_not_reach(model_state, bad):
+    # every gain FilterSpec refuses is evaluated at 1 by the stack call, so
+    # the scan stops at 1.4 and refuses the bad gain only at its position
+    assert min_gain_for_key(model_state, 4.5, [1.3, 1.4, bad]) == 1.4
+    with pytest.raises(ValueError, match=f"gain must be (finite and )?>= 1, got {bad}"):
+        min_gain_for_key(model_state, 4.5, [1.3, bad, 1.4])
 
 
 def test_key_rate_with_se(model_state):

@@ -215,6 +215,40 @@ def test_bad_gain_cell_raises_scalar_class(model_state):
         nla_single_mode(model_state.cov, gains[4])
 
 
+@pytest.mark.parametrize("gain, cutoff, message", [
+    (0.5, 3.0, "gain must be >= 1, got 0.5"),
+    (np.nan, 3.0, "gain must be >= 1, got nan"),
+    (np.inf, 3.0, "gain must be finite and >= 1, got inf"),
+    (1.2, 0.0, "cutoff must be finite and > 0, got 0.0"),
+    (1.2, -1.0, "cutoff must be finite and > 0, got -1.0"),
+    (1.2, np.nan, "cutoff must be finite and > 0, got nan"),
+    (1.2, np.inf, "cutoff must be finite and > 0, got inf"),
+])
+def test_filter_kernel_refuses_what_filter_spec_refuses(model_state, gain, cutoff, message):
+    gains, cutoffs = np.full(6, 1.2), np.full(6, 3.0)
+    gains[3], cutoffs[3] = gain, cutoff
+    with pytest.raises(ValueError) as stack_err:
+        filtered_ensemble_stack(np.repeat(model_state.cov[None], 6, axis=0), gains, cutoffs)
+    assert (str(stack_err.value), stack_err.value.cell) == (message, 3)
+    with pytest.raises(ValueError) as spec_err:
+        FilterSpec(gain, cutoff)
+    assert str(spec_err.value) == message
+
+
+def test_amplifier_and_channel_kernels_refuse_an_infinite_value(model_state):
+    covs = np.repeat(model_state.cov[None], 6, axis=0)
+    gains = np.full(6, 1.2)
+    gains[3] = np.inf
+    with pytest.raises(ValueError, match="gain must be finite and >= 1, got inf") as err:
+        nla_single_mode_stack(covs, gains)
+    assert err.value.cell == 3
+    excess = np.full(6, 0.1)
+    excess[4] = np.inf
+    with pytest.raises(ValueError, match="excess_noise must be finite and >= 0") as err:
+        channel_stack(covs, 0.2, excess)
+    assert err.value.cell == 4
+
+
 def test_unphysical_amplifier_output_raises_scalar_class(model_state):
     # the amplifier does not check its input; an unphysical input gives an
     # unphysical output, which the output check rejects
