@@ -5,6 +5,7 @@ Carlo post-selection pipeline, cutoff selection, and the 1sDI-QKD key rate.
 
 from .gaussian import (
     GaussianState,
+    InputError,
     NumericalError,
     PhysicalityReport,
     UnphysicalStateError,

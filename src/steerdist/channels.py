@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, _require_in, require_cov_stack, require_physical_stack
+from .gaussian import (
+    GaussianState,
+    InputError,
+    _require_in,
+    require_cov_stack,
+    require_physical_stack,
+)
 
 NOISE_MODELS = ("fixed", "loss_scaled")
 DEFAULT_NOISE_MODEL = "loss_scaled"
@@ -42,7 +48,7 @@ def _check_channel(losses, excess_noise, noise_model: str) -> None:
     _require_in(losses, "loss", 0.0, 1.0)
     _require_in(excess_noise, "excess_noise", 0.0)
     if noise_model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}")
+        raise InputError(f"unknown noise_model {noise_model!r}, expected one of {NOISE_MODELS}")
 
 
 def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,

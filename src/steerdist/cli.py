@@ -11,13 +11,14 @@ Subcommands reproduce each figure/table as a batch run::
     steerdist ingest data.csv
     steerdist selfcheck
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-numerical failure is a :class:`steerdist.gaussian.NumericalError` (unphysical
-or degenerate matrices, gains past the normalisability bound, failed
-reconstructions, no steering threshold), an unreadable quadrature file
-(:class:`BatchSchemaError`) or a ``RuntimeError`` (no cutoff or gain on the
-grid meets the criteria, unsupported Bob block); any other ``ValueError``
-or ``OSError`` is a configuration error.
+Exit codes follow from the exception's type alone: 0 success; 2 for an
+:class:`steerdist.gaussian.InputError` (a config key, loss, gain, cutoff or
+variant that a rule refuses) or an ``OSError``; 3 for a
+:class:`steerdist.gaussian.NumericalError` (unphysical or degenerate
+matrices, gains past the normalisability bound, failed reconstructions, no
+grid point or root that meets a criterion) or an unreadable quadrature file
+(:class:`BatchSchemaError`).  Nothing else is caught, so a defect exits 1
+with its traceback.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import FULL_SAMPLES, MODES, ConfigError, load_config
-from .gaussian import NumericalError
+from .config import FULL_SAMPLES, MODES, load_config
+from .gaussian import InputError, NumericalError
 from .measurement import BatchSchemaError
 
 EXIT_OK = 0
@@ -74,23 +75,12 @@ def main(argv=None) -> int:
         parser.error("ingest: the following arguments are required: path")
     if args.command != "ingest" and args.path is not None:
         parser.error(f"unrecognized arguments: {args.path}")
-    overrides = {
-        "seed": args.seed,
-        "samples": FULL_SAMPLES if args.full else args.samples,
-        "threads": args.threads,
-        "out_dir": args.out,
-        "svg": args.svg,
-        "mode": args.mode,
-    }
-    try:
-        config = load_config(args.config, overrides=overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    overrides = {"seed": args.seed, "samples": FULL_SAMPLES if args.full else args.samples,
+                 "threads": args.threads, "out_dir": args.out, "svg": args.svg, "mode": args.mode}
     from . import experiments as exp
 
     try:
+        config = load_config(args.config, overrides=overrides)
         runner, lead = COMMANDS[args.command]
         if args.path is not None:  # ingest's path
             lead += (args.path,)
@@ -106,11 +96,10 @@ def main(argv=None) -> int:
                 print(f"{quantity}: {value}{tail}")
         print(f"wrote {path}")
         return EXIT_OK
-    except (NumericalError, BatchSchemaError, RuntimeError) as exc:
+    except (NumericalError, BatchSchemaError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        # unknown variants/bad CLI values that slipped past config parsing
+    except (InputError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

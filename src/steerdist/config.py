@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import NOISE_MODELS
+from .gaussian import InputError
 
 ENV_PREFIX = "STEERDIST"
 
@@ -54,7 +55,7 @@ MIN_MC_SAMPLES = 10_000
 FULL_SAMPLES = 100_000_000
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     pass
 
 
@@ -102,7 +103,7 @@ class ExperimentConfig:
     g_grid: np.ndarray = field(default_factory=lambda: parse_grid("1.0:1.25:0.0125"))
     fig4_g_grid: np.ndarray = field(default_factory=lambda: parse_grid("1.0:1.56:0.02"))
 
-    def validate(self) -> "ExperimentConfig":
+    def validate(self) -> None:
         """Check every key against its :data:`_SCHEMA` rule, in table order,
         then the sample floor of the Monte Carlo modes and the grids."""
         for where, (name, _, requirement, ok) in _SCHEMA.items():
@@ -119,7 +120,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grids.{name} is empty")
             if not np.isfinite(grid).all():
                 raise ConfigError(f"grids.{name} must be finite")
-        return self
+
+    __post_init__ = validate  # no config exists unchecked
 
 
 _TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
@@ -185,4 +187,4 @@ def load_config(path: str | None = None, env: dict | None = None,
             values[name] = _convert(env[var], conv, f"environment {var}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return replace(ExperimentConfig(), **values).validate()
+    return ExperimentConfig(**values)

@@ -29,8 +29,15 @@ import numpy as np
 
 from .channels import ChannelSpec
 from .filtered_moments import filtered_ensemble_stack
-from .gaussian import GaussianState, _raise_first, require_cov_stack
-from .nla import nla_single_mode_stack
+from .gaussian import (
+    GaussianState,
+    InputError,
+    NumericalError,
+    _raise_first,
+    _require_positive,
+    require_cov_stack,
+)
+from .nla import _check_gains, nla_single_mode_stack
 from .steering import DIRECTIONS, _signed_1p1, steerability_stack
 
 # Calibrated defaults: with the exact criteria, (kurt_tol, steering_tol) =
@@ -49,16 +56,16 @@ class CutoffCriteria:
     grid_max: float = 10.0
 
     def __post_init__(self):
-        # written to refuse NaN, for which every comparison is false
         for name in ("kurt_tol", "steering_tol", "grid_step"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0 < self.grid_min <= self.grid_max < np.inf:
-            raise ValueError(f"need 0 < grid_min <= grid_max < inf, got {self.grid_min}, "
+            _require_positive(getattr(self, name), name)
+        if not 0 < self.grid_min <= self.grid_max < np.inf:  # written to refuse NaN
+            raise InputError(f"need 0 < grid_min <= grid_max < inf, got {self.grid_min}, "
                              f"{self.grid_max}")
 
 
-class CutoffSearchError(RuntimeError):
+class CutoffSearchError(NumericalError):
+    """No cutoff on the grid meets the criteria; ``trace`` holds the scan."""
+
     def __init__(self, message: str, trace: list):
         super().__init__(message)
         self.trace = trace
@@ -133,7 +140,8 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     outs = require_cov_stack(outs)
     n = len(outs)
     gains = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
-    _raise_first(~(gains > 1.0), lambda i: ValueError(
+    _check_gains(gains)
+    _raise_first(gains == 1.0, lambda i: InputError(
         f"cutoff selection needs g > 1, got {gains[i]}"))
     gab_ref, gba_ref = steerability_stack(nla_single_mode_stack(outs, gains))
 
@@ -177,15 +185,8 @@ def select_cutoff(
     scan = select_cutoff_stack(channel.apply(state).cov[None], g, criteria)
     scan.require([channel.loss])
     trace = scan.trace(0)
-    chosen = trace[-1]
-    return chosen["beta_c"], CutoffDiagnostics(
-        beta_c=chosen["beta_c"],
-        acceptance_rate=chosen["acceptance_rate"],
-        kurtosis=chosen["kurtosis"],
-        steering_err_a_to_b=chosen["steering_err_a_to_b"],
-        steering_err_b_to_a=chosen["steering_err_b_to_a"],
-        trace=trace,
-    )
+    chosen = {k: v for k, v in trace[-1].items() if k not in ("skewness", "passed")}
+    return chosen["beta_c"], CutoffDiagnostics(**chosen, trace=trace)
 
 
 def reference_cutoff_table() -> dict:
@@ -201,7 +202,7 @@ def reference_cutoff_table() -> dict:
 def cutoff_from_table(loss: float, g: float, table: dict | None = None) -> float:
     """Nearest-grid lookup in the reference table (no interpolation)."""
     if not (np.isfinite(loss) and np.isfinite(g)):
-        raise ValueError(f"loss and gain must be finite, got loss {loss}, gain {g}")
+        raise InputError(f"loss and gain must be finite, got loss {loss}, gain {g}")
     if table is None:
         table = reference_cutoff_table()
     losses = sorted({k[0] for k in table})

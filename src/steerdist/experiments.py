@@ -27,7 +27,14 @@ from .channels import ChannelSpec, channel_stack
 from .config import ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
-from .gaussian import GaussianState, NumericalError, _raise_first, save_cov, tmss_standard
+from .gaussian import (
+    GaussianState,
+    InputError,
+    NumericalError,
+    _raise_first,
+    save_cov,
+    tmss_standard,
+)
 from .measurement import (
     BatchSchemaError,
     FilterSpec,
@@ -39,7 +46,7 @@ from .measurement import (
     sample_grid,
 )
 from .nla import nla_single_mode, nla_single_mode_stack
-from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se_stack
+from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se_stack, min_gain_for_key
 from .steering import classify_stack, steerability_stack, steerability_with_se_stack
 
 TABLE_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
@@ -69,23 +76,25 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
-def write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
 def _write_output(config: ExperimentConfig, name: str, header, rows) -> str:
     """Write the CSV ``name`` into the output directory; returns its path."""
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, name)
-    write_csv(path, header, rows)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     return path
 
 
 def model_state(config: ExperimentConfig) -> GaussianState:
     return tmss_standard(config.squeeze_db, config.antisqueeze_db)
+
+
+def _noisy_excess(config: ExperimentConfig, command: str) -> float:
+    """The excess noise of the noisy channel, which ``command`` requires > 0."""
+    if config.excess_noise <= 0.0:
+        raise InputError(f"{command} requires channel.excess_noise > 0")
+    return config.excess_noise
 
 
 def _in_grid_order(chain, n_cells: int):
@@ -162,10 +171,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
     excess_noise > 0).  Returns (csv_path, rows).
     """
     if variant not in ("a", "b"):
-        raise ValueError(f"fig3 variant must be 'a' or 'b', got {variant!r}")
-    excess = 0.0 if variant == "a" else config.excess_noise
-    if variant == "b" and excess <= 0.0:
-        raise ValueError("fig3b requires channel.excess_noise > 0")
+        raise InputError(f"fig3 variant must be 'a' or 'b', got {variant!r}")
+    excess = 0.0 if variant == "a" else _noisy_excess(config, "fig3b")
     state = model_state(config)
     g = config.gain
     losses = [float(x) for x in config.loss_grid]
@@ -223,10 +230,8 @@ def run_fig3(variant: str, config: ExperimentConfig):
 def run_regions(variant: str, config: ExperimentConfig):
     """Steering region map over (gain, loss); analytic pipeline only."""
     if variant not in ("c", "d"):
-        raise ValueError(f"regions variant must be 'c' or 'd', got {variant!r}")
-    excess = 0.0 if variant == "c" else config.excess_noise
-    if variant == "d" and excess <= 0.0:
-        raise ValueError("regions-d requires channel.excess_noise > 0")
+        raise InputError(f"regions variant must be 'c' or 'd', got {variant!r}")
+    excess = 0.0 if variant == "c" else _noisy_excess(config, "regions-d")
     state = model_state(config)
     gains = [float(g) for g in config.g_grid]
     losses = [float(x) for x in config.loss_grid]
@@ -338,7 +343,7 @@ def run_appendix(item: str, config: ExperimentConfig):
     runner = {"fig_s1": _run_fig_s1, "fig_s2": _run_fig_s2,
               "fig_s4": _run_fig_s4, "table_s1": _run_table_s1}.get(item)
     if runner is None:
-        raise ValueError(f"unknown appendix item {item!r}")
+        raise InputError(f"unknown appendix item {item!r}")
     return runner(config)
 
 
@@ -473,7 +478,6 @@ def run_selfcheck(config: ExperimentConfig):
     check("vacuum roundtrip", dev < 6.0, f"max dev {dev:.2f} SE")
 
     check("key rate of model state", abs(key_rate(s.cov).key_rate + 0.2167817) < 1e-4)
-    from .qkd import min_gain_for_key
     gstar = min_gain_for_key(s, 4.5, np.arange(1.0, 1.56, 0.02))
     check("minimum gain for positive key", 1.3 <= gstar <= 1.5, f"g*={gstar:.2f}")
 

@@ -48,10 +48,15 @@ PHYSICALITY_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-3
 
 
+class InputError(ValueError):
+    """A caller-supplied value that a rule refuses; the CLI exits with status 2."""
+
+
 class NumericalError(ValueError):
-    """A numerical failure: an unphysical or degenerate matrix, a gain past
-    the normalisability bound, a failed reconstruction.  The CLI exits with
-    status 3 on it.  A stack kernel sets ``cell`` to the failing entry."""
+    """The physics or numerics have no answer: an unphysical or degenerate
+    matrix, a gain past the normalisability bound, a failed reconstruction,
+    no grid point or root that meets a criterion.  The CLI exits with status
+    3 on it.  A stack kernel sets ``cell`` to the failing entry."""
 
     cell: int | None = None
 
@@ -78,16 +83,21 @@ def _require_in(values, name: str, low: float, high: float = np.inf) -> None:
     "finite and >= low" for +inf, the one failing value equal to ``high``."""
     v = np.asarray(values)
     rule = f"in [{low:g}, {high:g}]" if high < np.inf else f">= {low:g}"
-    _raise_first(~((v >= low) & (v <= high) & (v < np.inf)), lambda i: ValueError(
+    _raise_first(~((v >= low) & (v <= high) & (v < np.inf)), lambda i: InputError(
         f"{name} must be {'finite and ' if v.flat[i] == high else ''}{rule}, got {v.flat[i]}"))
+
+
+def _require_positive(values, name: str) -> None:
+    """The rule "finite and > 0", checked as :func:`_require_in` checks its own."""
+    v = np.asarray(values)
+    _raise_first(~((v > 0) & (v < np.inf)), lambda i: InputError(
+        f"{name} must be finite and > 0, got {v.flat[i]}"))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """The 2n x 2n symplectic form, block diagonal in [[0, 1], [-1, 0]]."""
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
+    omega, even = np.zeros((2 * n_modes, 2 * n_modes)), np.arange(0, 2 * n_modes, 2)
+    omega[even, even + 1], omega[even + 1, even] = 1.0, -1.0
     return omega
 
 
@@ -164,8 +174,8 @@ def schur_pd(cond: np.ndarray, kept: np.ndarray, cross: np.ndarray):
 
 
 def _not_pd_error(mat: np.ndarray) -> NumericalError:
-    return NumericalError("matrix is not positive definite (smallest eigenvalue "
-                          f"{np.linalg.eigvalsh(mat)[0]:.3e})")
+    eig = np.linalg.eigvalsh(mat)[0] if np.isfinite(mat).all() else np.nan  # an overflowed estimate
+    return NumericalError(f"matrix is not positive definite (smallest eigenvalue {eig:.3e})")
 
 
 def symplectic_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -289,10 +299,6 @@ class GaussianState:
         """(A, B, C): Alice block, Bob block, and the Alice-row cross block."""
         return self.cov[:2, :2], self.cov[2:, 2:], self.cov[:2, 2:]
 
-    def require_physical(self, tol: float = PHYSICALITY_TOL) -> "GaussianState":
-        require_physical_stack(self.cov[None], tol)
-        return self
-
 
 def from_cov(cov: np.ndarray) -> GaussianState:
     return GaussianState(cov)
@@ -310,17 +316,16 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     The state is pure iff V_anti = 1/V_sq.
     """
     if not squeeze_db <= 0 <= antisqueeze_db:  # written to refuse NaN
-        raise ValueError(
-            f"expected squeeze_db <= 0 <= antisqueeze_db, got ({squeeze_db}, {antisqueeze_db})"
-        )
+        raise InputError(f"expected squeeze_db <= 0 <= antisqueeze_db, "
+                         f"got ({squeeze_db}, {antisqueeze_db})")
     v_sq = 10.0 ** (squeeze_db / 10.0)
     v_anti = 10.0 ** (antisqueeze_db / 10.0)
     if v_sq * v_anti < 1.0 - PHYSICALITY_TOL:
-        raise UnphysicalStateError(
-            f"V_sq*V_anti = {v_sq * v_anti:.6g} < 1: dB pair is unphysical"
-        )
+        raise UnphysicalStateError(f"V_sq*V_anti = {v_sq * v_anti:.6g} < 1: dB pair is unphysical")
     n, cz = (v_sq + v_anti) / 2.0, (v_anti - v_sq) / 2.0 * np.diag([1.0, -1.0])
-    return from_cov(np.block([[n * np.eye(2), cz], [cz, n * np.eye(2)]])).require_physical()
+    state = from_cov(np.block([[n * np.eye(2), cz], [cz, n * np.eye(2)]]))
+    require_physical_stack(state.cov[None])
+    return state
 
 
 # --- plain-text serialization ------------------------------------------------

@@ -91,6 +91,7 @@ from .gaussian import (
     _min_symplectic,
     _not_pd_error,
     _raise_first,
+    _require_positive,
     require_cov_stack,
     require_physical_stack,
 )
@@ -125,9 +126,7 @@ class FilterSpec:
 def _check_filter(gains, cutoffs) -> None:
     """The gain rule, then the cutoff rule (finite and > 0), on values or arrays."""
     _check_gains(gains)
-    cutoffs = np.asarray(cutoffs)
-    _raise_first(~((cutoffs > 0.0) & (cutoffs < np.inf)), lambda i: ValueError(
-        f"cutoff must be finite and > 0, got {cutoffs.flat[i]}"))
+    _require_positive(cutoffs, "cutoff")
 
 
 def _log_acceptance(mag2, filt: FilterSpec, out=None):
@@ -744,18 +743,12 @@ _BASIS_CHARS = ("X", "P")
 
 def write_batch_csv(batch: QuadratureBatch, path) -> None:
     acc = batch.accepted if batch.accepted is not None else np.ones(len(batch), dtype=bool)
-    # plain-float repr is the shortest exact round-trip representation
-    basis = batch.alice_basis.tolist()
-    aval = batch.alice_value.tolist()
-    bx = batch.bob_x.tolist()
-    bp = batch.bob_p.tolist()
-    flags = acc.astype(int).tolist()
+    cols = (batch.alice_basis, batch.alice_value, batch.bob_x, batch.bob_p, acc.astype(int))
     with open(path, "w") as fh:
         fh.write(BATCH_HEADER + "\n")
-        for i in range(len(basis)):
-            fh.write(
-                f"{i},{_BASIS_CHARS[basis[i]]},{aval[i]!r},{bx[i]!r},{bp[i]!r},{flags[i]}\n"
-            )
+        # plain-float repr is the shortest exact round-trip representation
+        fh.writelines(f"{i},{_BASIS_CHARS[b]},{a!r},{x!r},{p!r},{f}\n"
+                      for i, (b, a, x, p, f) in enumerate(zip(*(c.tolist() for c in cols))))
 
 
 class BatchSchemaError(ValueError):

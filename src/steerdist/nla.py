@@ -27,12 +27,13 @@ from .gaussian import (
     PHYSICALITY_TOL,
     NumericalError,
     UnphysicalStateError,
+    _min_symplectic,
+    _not_pd_error,
     _raise_first,
     _require_cov,
     _require_in,
     inv2,
     min_eig2,
-    min_symplectic_eigenvalues,
     pd2,
     require_cov_stack,
 )
@@ -84,12 +85,9 @@ def nla_single_mode_stack(covs: np.ndarray, gains) -> np.ndarray:
     res[:, 2:, :2] = np.swapaxes(res[:, :2, 2:], 1, 2)
     res[:, 2:, 2:] = (2.0 * b * l - np.eye(2)) @ m
     out[amp] = 0.5 * (res + np.swapaxes(res, 1, 2))
-    nu = np.ones(len(covs))
-    try:
-        nu[amp] = min_symplectic_eigenvalues(out[amp])
-    except NumericalError as exc:  # not positive definite: report the stack index
-        exc.cell = int(amp[exc.cell])
-        raise
+    nu, pd = np.ones(len(covs)), np.ones(len(covs), dtype=bool)
+    nu[amp], pd[amp] = _min_symplectic(out[amp])
+    _raise_first(~pd, lambda i: _not_pd_error(out[i]))
     _raise_first(nu < 1.0 - PHYSICALITY_TOL, lambda i: UnphysicalStateError(
         f"amplified state is unphysical: min symplectic eigenvalue {nu[i]:.12g}"))
     return out

@@ -32,6 +32,8 @@ import numpy as np
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
 from .gaussian import (
     GaussianState,
+    InputError,
+    NumericalError,
     RECONSTRUCTION_TOL,
     _first_order_se,
     _require_stack,
@@ -134,8 +136,8 @@ def key_rate_with_se(cov: np.ndarray, se: np.ndarray,
     return KeyRateResult(float(rate[0]), float(v_x[0]), float(v_p[0])), float(err[0])
 
 
-class NoPositiveKeyError(RuntimeError):
-    pass
+class NoPositiveKeyError(NumericalError):
+    """No gain on the grid gives a positive key rate."""
 
 
 def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
@@ -144,7 +146,7 @@ def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
     positive key or raises at the first gain :class:`FilterSpec` refuses."""
     g_grid = np.asarray(list(g_grid), dtype=float)
     if g_grid.size == 0:
-        raise ValueError("gain grid is empty")
+        raise InputError("gain grid is empty")
     # a gain FilterSpec refuses is evaluated at 1 here, refused in place by the scan
     gains = np.where((g_grid >= 1.0) & (g_grid < np.inf), g_grid, 1.0)
     rates = _filtered_key_rate_stack(np.broadcast_to(state.cov, (g_grid.size, 4, 4)),

@@ -29,6 +29,7 @@ import numpy as np
 from .channels import ChannelSpec, channel_stack
 from .gaussian import (
     GaussianState,
+    InputError,
     NumericalError,
     RECONSTRUCTION_TOL,
     _first_order_se,
@@ -60,7 +61,7 @@ class SteeringResult:
 
 def _check_direction(direction: str) -> None:
     if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        raise InputError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 def _blocks_1p1(covs: np.ndarray, direction: str):

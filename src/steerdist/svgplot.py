@@ -30,9 +30,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
     raw = (hi - lo) / n
     mag = 10 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    start = math.ceil(lo / step) * step
-    out = []
-    t = start
+    out, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-12:
         out.append(round(t, 12))
         t += step
@@ -118,10 +116,8 @@ def line_chart(x, series: dict, path, title: str = "", xlabel: str = "",
 
 def region_map(g_values, loss_values, regions, path, title: str = "") -> None:
     """Categorical heat map; ``regions[i][j]`` labels (g_values[i], loss_values[j])."""
-    gs = [float(v) for v in g_values]
-    ls = [float(v) for v in loss_values]
-    cw = _PLOT_W / len(ls)
-    chh = _PLOT_H / len(gs)
+    gs, ls = [float(v) for v in g_values], [float(v) for v in loss_values]
+    cw, chh = _PLOT_W / len(ls), _PLOT_H / len(gs)
     cells = []
     for i in range(len(gs)):
         for j in range(len(ls)):

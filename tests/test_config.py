@@ -121,3 +121,17 @@ def test_cli_unknown_noise_model_is_a_config_error(tmp_path, capsys, monkeypatch
     assert main([command, "--out", str(out)]) == 2
     assert "config error: channel.noise_model must be one of" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_checks_itself_on_construction():
+    # a config that never passed the rules cannot exist: replace() and the
+    # constructor refuse as load_config does
+    from dataclasses import replace
+
+    from steerdist.config import ExperimentConfig
+
+    config = load_config(None, env={})
+    with pytest.raises(ConfigError, match="^run.mode must be one of"):
+        replace(config, mode="bogus")
+    with pytest.raises(ConfigError, match="^run.threads must be >= 1, got 0"):
+        ExperimentConfig(threads=0, mode="both", samples=20000)

@@ -105,7 +105,7 @@ def test_criteria_validation():
     nan, inf = float("nan"), float("inf")
     for name in ("kurt_tol", "steering_tol", "grid_step"):
         for value in (nan, inf, -1.0):
-            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                 CutoffCriteria(**{name: value})
     for bounds in ((nan, 10.0), (1.0, nan), (1.0, inf), (0.0, 10.0), (5.0, 4.0)):
         with pytest.raises(ValueError, match="grid_min <= grid_max"):
@@ -209,3 +209,25 @@ def test_fig3a_search_reports_first_cell_without_cutoff(tmp_path, model_state, c
     assert str(want.value) in capsys.readouterr().err
     assert not (tmp_path / "run" / "fig3a.csv").exists()
     assert not (tmp_path / "cli" / "fig3a.csv").exists()
+
+
+def test_shared_rules_and_failure_types(model_state):
+    from steerdist import FilterSpec, InputError, NoPositiveKeyError, NumericalError
+
+    # one "finite and > 0" rule for the filter's cutoff and the criteria
+    with pytest.raises(InputError, match=r"^kurt_tol must be finite and > 0, got nan$"):
+        CutoffCriteria(kurt_tol=float("nan"))
+    with pytest.raises(InputError, match=r"^cutoff must be finite and > 0, got 0.0$"):
+        FilterSpec(1.2, 0.0)
+    # the gain rule first, then the search's own g > 1
+    outs = np.stack([model_state.cov] * 2)
+    with pytest.raises(InputError, match=r"^gain must be finite and >= 1, got inf$") as exc:
+        select_cutoff_stack(outs, [1.2, np.inf])
+    assert exc.value.cell == 1
+    with pytest.raises(InputError, match=r"^gain must be >= 1, got 0.5$"):
+        select_cutoff_stack(outs, 0.5)
+    with pytest.raises(InputError, match=r"^cutoff selection needs g > 1, got 1.0$"):
+        select_cutoff_stack(outs, 1.0)
+    # no grid point meeting the criteria is a numerical failure (exit 3)
+    assert issubclass(CutoffSearchError, NumericalError)
+    assert issubclass(NoPositiveKeyError, NumericalError)

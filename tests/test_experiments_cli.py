@@ -566,6 +566,58 @@ def test_cli_numerical_errors_exit_3(tmp_path, monkeypatch):
     assert main(["regions-c", "--out", str(tmp_path / "s")]) == 3
 
 
+@pytest.mark.parametrize("error", [ValueError("boom"), np.linalg.LinAlgError("singular"),
+                                   RuntimeError("bug")])
+def test_cli_lets_a_defect_propagate(tmp_path, monkeypatch, error):
+    # only an input refusal (2) or a numerical failure (3) has an exit code of
+    # its own; anything else is a defect and reaches the console script
+    import steerdist.experiments as exp
+
+    def broken(variant, config):
+        raise error
+
+    monkeypatch.setattr(exp, "run_regions", broken)
+    with pytest.raises(type(error), match=str(error)):
+        main(["regions-c", "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("command, ini, message", [
+    ("fig3a", "[grids]\nloss_grid = 0,1.5\n", "loss must be in [0, 1], got 1.5"),
+    ("fig3a", "[filter]\ncutoff_source = search\ngain = 1.0\n[grids]\nloss_grid = 0,0.2\n",
+     "cutoff selection needs g > 1, got 1.0"),
+    ("fig3b", "[channel]\nexcess_noise = 0\n", "fig3b requires channel.excess_noise > 0"),
+    ("regions-c", "[grids]\ng_grid = 0.9,1.0\nloss_grid = 0,0.2\n",
+     "gain must be >= 1, got 0.9"),
+], ids=["loss", "search-gain", "fig3b-noise", "regions-gain"])
+def test_cli_input_refusals_exit_2(tmp_path, capsys, command, ini, message):
+    import steerdist.experiments as exp
+    from steerdist import InputError
+    from steerdist.cli import COMMANDS
+
+    path = tmp_path / "run.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    runner, lead = COMMANDS[command]
+    config = load_config(str(path), env={}, overrides={"out_dir": str(out)})
+    with pytest.raises(InputError) as exc:
+        getattr(exp, runner)(*lead, config)
+    assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the records' squares overflow
+def test_cli_ingest_overflowing_records_exit_3(tmp_path, capsys):
+    # an estimate that overflows is refused as a degenerate reconstruction,
+    # not by a linear-algebra error from its refusal message
+    csv_path = tmp_path / "huge.csv"
+    rows = (f"{i},{'XP'[i % 2]},1e200,1e200,-1e200\n" for i in range(20_000))
+    csv_path.write_text("idx,alice_basis,alice_value,bob_x,bob_p\n" + "".join(rows))
+    assert main(["ingest", str(csv_path), "--out", str(tmp_path / "o")]) == 3
+    assert "reconstructed matrix is degenerate" in capsys.readouterr().err
+
+
 def test_cli_gain_past_bound_exits_3(tmp_path, capsys):
     ini = tmp_path / "gain.ini"
     ini.write_text("[grids]\ng_grid = 1.0,1.5\nloss_grid = 0:0.5:0.25\n")
