@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import NOISE_MODELS
-from .gaussian import InputError
+from .gaussian import DB_RULE, InputError, db_variance_ok
+from .measurement import MAX_CUTOFF
 
 ENV_PREFIX = "STEERDIST"
 
@@ -137,13 +138,16 @@ def _boolean(text: str) -> bool:
 # refuses gives "<section>.<key> must be <requirement>, got <value>"; every
 # comparison is false for NaN, so each numeric rule is written to fail on it.
 _SCHEMA = {
-    "state.squeeze_db": ("squeeze_db", float, "finite and <= 0", lambda v: -np.inf < v <= 0),
-    "state.antisqueeze_db": ("antisqueeze_db", float, "finite and >= 0", lambda v: 0 <= v < np.inf),
+    "state.squeeze_db": ("squeeze_db", float, f"<= 0 with {DB_RULE}",
+                         lambda v: v <= 0 and db_variance_ok(v)),
+    "state.antisqueeze_db": ("antisqueeze_db", float, f">= 0 with {DB_RULE}",
+                             lambda v: v >= 0 and db_variance_ok(v)),
     "channel.excess_noise": ("excess_noise", float, "finite and >= 0", lambda v: 0 <= v < np.inf),
     "channel.noise_model": ("noise_model", str, f"one of {NOISE_MODELS}",
                             lambda v: v in NOISE_MODELS),
     "filter.gain": ("gain", float, "finite and >= 1", lambda v: 1 <= v < np.inf),
-    "filter.cutoff": ("cutoff", float, "finite and > 0", lambda v: 0 < v < np.inf),
+    "filter.cutoff": ("cutoff", float, f"finite, > 0 and <= {MAX_CUTOFF:g}",
+                      lambda v: 0 < v <= MAX_CUTOFF),
     "filter.cutoff_source": ("cutoff_source", str, f"one of {CUTOFF_SOURCES}",
                              lambda v: v in CUTOFF_SOURCES),
     "run.mode": ("mode", str, f"one of {MODES}", lambda v: v in MODES),
@@ -171,8 +175,11 @@ def load_config(path: str | None = None, env: dict | None = None,
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path!r}")
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"cannot read config file {path!r}")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
         for section in parser.sections():
             for key in parser[section]:
                 schema = _SCHEMA.get(f"{section}.{key}")

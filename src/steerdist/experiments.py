@@ -135,10 +135,6 @@ def _fig3_cutoffs(config, outs, losses):
             scan.rates[np.arange(len(losses)), chosen])
 
 
-def _left_empty(where: str, reason) -> None:
-    print(f"{where} Monte Carlo value left empty: {reason}", file=sys.stderr)
-
-
 def _mc_values(points, kernel, where, raw: bool = False):
     """The Monte Carlo values of a grid's points, each a tuple of equally
     many ensembles (with ``raw``, the raw ensemble first), from one
@@ -159,7 +155,7 @@ def _mc_values(points, kernel, where, raw: bool = False):
         raise
     for j, error in enumerate(errors):
         if error is not None:
-            _left_empty(where(j // width), error)
+            print(f"{where(j // width)} Monte Carlo value left empty: {error}", file=sys.stderr)
             vals[j] = [None] * len(vals[j])
     return [sum(vals[width * i:width * (i + 1)], []) for i in range(len(points))]
 
@@ -258,7 +254,8 @@ def run_regions(variant: str, config: ExperimentConfig):
 
 def run_fig4(config: ExperimentConfig):
     """Key-rate sweep over gain at fixed cutoff, with pure -6 dB reference;
-    one stack call gives the analytic columns of both states."""
+    one stack call gives the analytic columns of both states, one pass with
+    every gain as a filter the Monte Carlo ones, left empty as in fig3."""
     state = model_state(config)
     pure_ref = tmss_standard(-6.0, 6.0)
     beta_c = config.cutoff
@@ -274,11 +271,12 @@ def run_fig4(config: ExperimentConfig):
     n = len(gains)
     covs = np.repeat(np.stack([state.cov, pure_ref.cov]), n, axis=0)
     key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
-    mc = accepted = None
+    mc = None
     if config.mode in ("monte_carlo", "both"):
-        sampled, ens, accepted = _fig4_sample(config, state, gains, filters, acc[:n])
-        mc = dict(zip(sampled, _mc_values([(e,) for e in ens], key_rate_with_se_stack,
-                                          lambda j: f"fig4: g={gains[sampled[j]]:g}")))
+        (ens,), _ = sample_grid(state.cov[None], config.samples, derive_seed(config.seed, 4),
+                                [filters], [()], config.threads)
+        mc = _mc_values([(e,) for e in ens], key_rate_with_se_stack,
+                        lambda i: f"fig4: g={gains[i]:g}")
 
     rows = []
     for i, g in enumerate(gains):
@@ -286,8 +284,8 @@ def run_fig4(config: ExperimentConfig):
         if mc is None:
             rows.append([g, *ana, None, ref])
             continue
-        k, vx, vp, se_k = mc.get(i, (None,) * 4)
-        rate = accepted[i] / config.samples
+        k, vx, vp, se_k = mc[i]
+        rate = ens[i].accepted / config.samples
         if config.mode == "monte_carlo":
             rows.append([g, k, vx, vp, rate, se_k, ref])
         else:
@@ -305,28 +303,6 @@ def run_fig4(config: ExperimentConfig):
             xlabel="gain", ylabel="key rate (bits)",
         )
     return path, rows
-
-
-def _fig4_sample(config, state, gains, filters, rates):
-    """One pass over the model state's records: (sampled gains' indices,
-    their ensembles, {gain index: accepted count}).  A gain whose exact
-    expected accepted count is more than 6 sd (its square root) below
-    ``MC_MIN_ACCEPTED`` is only counted, with one line on standard error."""
-    sampled, counted = [], []
-    for i, (g, rate) in enumerate(zip(gains, rates)):
-        expected = rate * config.samples
-        if expected + 6.0 * np.sqrt(expected) >= MC_MIN_ACCEPTED:
-            sampled.append(i)
-        else:
-            counted.append(i)
-            _left_empty(f"fig4: g={g:g}", f"too few accepted records: expected {expected:.0f}, "
-                                          f"more than 6 sd below {MC_MIN_ACCEPTED}")
-    (ens,), (counts,) = sample_grid(
-        state.cov[None], config.samples, derive_seed(config.seed, 4),
-        [[filters[i] for i in sampled]], [[filters[i] for i in counted]], config.threads)
-    accepted = dict(zip(counted, counts))
-    accepted.update((i, e.accepted) for i, e in zip(sampled, ens))
-    return sampled, ens, accepted
 
 
 def _appendix_grid(config):

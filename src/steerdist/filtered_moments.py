@@ -42,28 +42,29 @@ from .measurement import MODEL_RTOL, FilterSpec, _check_filter
 _TERMS = 20
 
 
-def _upper_gamma_tail(k: int, y):
-    """Gamma(k+1, y) = e^{-y} sum_{j<=k} y^j k!/j!; all terms positive."""
-    return np.exp(-y) * sum(factorial(k) // factorial(j) * y**j for j in range(k + 1))
+def _tail_sum(k: int, y):
+    """e^y Gamma(k+1, y) = sum_{j<=k} y^j k!/j!; all terms positive."""
+    return sum(factorial(k) // factorial(j) * y**j for j in range(k + 1))
 
 
 def _weighted_u_moments(s2, t, bc2, kmax: int):
-    """m_k = E[min(1, e^{t(u-bc2)}) u^k] for u ~ Exp(mean s2), k = 0..kmax;
-    the arguments are length-N arrays.
+    """(r, f): m_k = E[min(1, e^{t(u-bc2)}) u^k] = f r_k for u ~ Exp(mean s2),
+    k = 0..kmax, from length-N arrays.  f = max(e^{-tB}, e^{-qB}) may round
+    to 0 at a large cutoff, where r and so m_j / m_k = r_j / r_k stay finite.
 
     With q = 1/s2, B = bc2 and y = (q - t) B, the part below the cutoff is
     q B^{k+1} e^{-tB} J_k(y), J_k(y) = int_0^1 s^k e^{-ys} ds.  For |y| <= 1
     J_k is the power series sum_m (-y)^m / (m! (k+1+m)).  Otherwise
     e^{-tB} J_0 = (e^{-tB} - e^{-qB}) / y and
     e^{-tB} J_k = (k e^{-tB} J_{k-1} - e^{-qB}) / y, evaluated relative to
-    the larger of e^{-tB} and e^{-qB}: nothing overflows when t > q, and
-    the two exponentials are not rounded apart before the recurrence
-    subtracts them."""
+    f: nothing overflows when t > q, and the two exponentials are not
+    rounded apart before the recurrence subtracts them.  The tail adds
+    e^{-qB} :func:`_tail_sum` (k, qB) / q^k."""
     q = 1.0 / s2
     y = (q - t) * bc2
-    big = np.exp(-np.minimum(q, t) * bc2)   # max(e^{-tB}, e^{-qB})
-    ratio = np.exp(-np.abs(y))              # min(e^{-tB}, e^{-qB}) / big
-    et, eq = np.where(y > 0, 1.0, ratio), np.where(y > 0, ratio, 1.0)  # e^{-tB}, e^{-qB} / big
+    big = np.exp(-np.minimum(q, t) * bc2)   # f = max(e^{-tB}, e^{-qB})
+    ratio = np.exp(-np.abs(y))              # min(e^{-tB}, e^{-qB}) / f
+    et, eq = np.where(y > 0, 1.0, ratio), np.where(y > 0, ratio, 1.0)  # e^{-tB}, e^{-qB} / f
     small = np.abs(y) <= 1.0
     # each branch sees a harmless value in the other branch's rows
     minus_y = np.where(small, -y, 0.0)
@@ -77,9 +78,9 @@ def _weighted_u_moments(s2, t, bc2, kmax: int):
         for m in range(_TERMS - 1, -1, -1):  # Horner's rule
             series *= minus_y
             series += 1.0 / (factorial(m) * (k + 1 + m))
-        below = q * bc2 ** (k + 1) * big * np.where(small, et * series, rec)
-        out[k] = below + _upper_gamma_tail(k, q * bc2) / q**k
-    return out
+        below = q * bc2 ** (k + 1) * np.where(small, et * series, rec)
+        out[k] = below + eq * _tail_sum(k, q * bc2) / q**k
+    return out, big
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,9 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
                      f"(got diag {b[i, 0, 0]:.6g}/{b[i, 1, 1]:.6g}, cross {b[i, 0, 1]:.6g})"))
     s2 = (b[:, 0, 0] + 1.0) / 2.0   # E[u] without filtering
     t = 1.0 - 1.0 / (g * g)
-    m0, m1, m2 = _weighted_u_moments(s2, t, cutoffs**2, kmax=2)
-    u1 = m1 / m0                    # <u> under acceptance
-    u2 = m2 / m0
+    (r0, r1, r2), scale = _weighted_u_moments(s2, t, cutoffs**2, kmax=2)
+    u1 = r1 / r0                    # <u> under acceptance
+    u2 = r2 / r0
 
     out = np.zeros((n, 4, 4))
     # Bob block: accepted Var(bob quadrature) = <u>, rescaled by 1/g^2,
@@ -132,7 +133,7 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
 
     # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
     # scale-invariant so the 1/g rescale drops out.
-    return m0, out, 1.5 * u2 / (u1 * u1)
+    return r0 * scale, out, 1.5 * u2 / (u1 * u1)
 
 
 def filtered_ensemble(state: GaussianState, filt: FilterSpec) -> FilteredEnsemble:

@@ -87,11 +87,22 @@ def _require_in(values, name: str, low: float, high: float = np.inf) -> None:
         f"{name} must be {'finite and ' if v.flat[i] == high else ''}{rule}, got {v.flat[i]}"))
 
 
-def _require_positive(values, name: str) -> None:
-    """The rule "finite and > 0", checked as :func:`_require_in` checks its own."""
+def _require_positive(values, name: str, high: float = np.inf) -> None:
+    """The rule "finite and > 0" ("<= high" for a finite value above
+    ``high``), checked as :func:`_require_in` checks its own."""
     v = np.asarray(values)
-    _raise_first(~((v > 0) & (v < np.inf)), lambda i: InputError(
-        f"{name} must be finite and > 0, got {v.flat[i]}"))
+    _raise_first(~((v > 0) & (v <= high) & (v < np.inf)), lambda i: InputError(
+        f"{name} must be {f'<= {high:g}' if high < v.flat[i] < np.inf else 'finite and > 0'}, "
+        f"got {v.flat[i]}"))
+
+
+DB_RULE = "10**(dB/10) a finite, positive float"  # dB in about [-3236, 3082.5]
+
+
+def db_variance_ok(db: float) -> bool:
+    """Whether ``db`` keeps :data:`DB_RULE`; NaN does not."""
+    with np.errstate(over="ignore", under="ignore"):
+        return bool(0.0 < np.power(10.0, db / 10.0) < np.inf)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -315,8 +326,9 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     n = (V_sq + V_anti)/2 and c = (V_anti - V_sq)/2 in variance units.
     The state is pure iff V_anti = 1/V_sq.
     """
-    if not squeeze_db <= 0 <= antisqueeze_db:  # written to refuse NaN
-        raise InputError(f"expected squeeze_db <= 0 <= antisqueeze_db, "
+    if not (squeeze_db <= 0 <= antisqueeze_db
+            and db_variance_ok(squeeze_db) and db_variance_ok(antisqueeze_db)):
+        raise InputError(f"expected squeeze_db <= 0 <= antisqueeze_db, each with {DB_RULE}, "
                          f"got ({squeeze_db}, {antisqueeze_db})")
     v_sq = 10.0 ** (squeeze_db / 10.0)
     v_anti = 10.0 ** (antisqueeze_db / 10.0)

@@ -111,10 +111,13 @@ MODEL_RTOL = 1e-9
 BASIS_X = 0
 BASIS_P = 1
 
+# the exact filtered moments' cutoff^6 term overflows a float near 2.4e51
+MAX_CUTOFF = 1e50
+
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """NLA gain g >= 1 and cutoff magnitude |beta_c| > 0 (raw-outcome units)."""
+    """NLA gain g >= 1 and cutoff magnitude |beta_c| in (0, ``MAX_CUTOFF``] (raw units)."""
 
     gain: float
     cutoff: float
@@ -124,9 +127,9 @@ class FilterSpec:
 
 
 def _check_filter(gains, cutoffs) -> None:
-    """The gain rule, then the cutoff rule (finite and > 0), on values or arrays."""
+    """The gain rule, then the cutoff rule (in (0, ``MAX_CUTOFF``]), on values or arrays."""
     _check_gains(gains)
-    _require_positive(cutoffs, "cutoff")
+    _require_positive(cutoffs, "cutoff", MAX_CUTOFF)
 
 
 def _log_acceptance(mag2, filt: FilterSpec, out=None):

@@ -206,6 +206,36 @@ def test_fig4_refuses_nan_input(tmp_path, capsys, ini):
     assert not (out / "fig4.csv").exists()
 
 
+@pytest.mark.parametrize("cutoff", ["36", "50"])
+def test_fig4_runs_at_cutoffs_whose_filter_factor_underflows(tmp_path, cutoff):
+    path = tmp_path / "cutoff.ini"
+    path.write_text(f"[filter]\ncutoff = {cutoff}\n")
+    out = tmp_path / "o"
+    assert main(["fig4", "--config", str(path), "--out", str(out)]) == 0
+    rows = _read_rows(out / "fig4.csv")
+    assert all(np.isfinite(float(row["key_rate"])) for row in rows)
+
+
+@pytest.mark.parametrize("text, needle", [
+    (b"seed = 3\n", "{path}: File contains no section headers"),
+    (b"[run]\nseed = 3\nseed = 4\n", "{path}: While reading from"),
+    (b"[run]\nout = a\xff\xfeb\n", "{path}: 'utf-8' codec can't decode byte 0xff"),
+    (b"[filter]\ncutoff = 1e300\n", "filter.cutoff must be finite, > 0 and <= 1e+50, got 1e+300"),
+    (b"[state]\nantisqueeze_db = 4000\n", "state.antisqueeze_db must be >= 0 with 10**(dB/10)"),
+    (b"[state]\nsqueeze_db = -4000\n", "state.squeeze_db must be <= 0 with 10**(dB/10)"),
+])
+def test_fig4_refuses_unusable_config_files(tmp_path, capsys, text, needle):
+    # a file configparser cannot parse is named in the message
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    out = tmp_path / "o"
+    assert main(["fig4", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert needle.format(path=f"cannot parse config file {str(path)!r}") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["analytic", "both"])
 def test_fig4_refuses_gain_below_one(tmp_path, capsys, mode):
     ini = tmp_path / "gains.ini"
@@ -288,35 +318,32 @@ def test_mc_steering_tags_a_failure_with_its_point(model_state, capsys):
     assert exc.value.cell == 1
 
 
-def test_fig4_counts_but_does_not_reduce_hopeless_gains(tmp_path, capsys, monkeypatch):
-    # A gain whose exact expected accepted count lies more than 6 sd below
-    # MC_MIN_ACCEPTED is only counted in the pass: its cell ends empty anyway.
+def test_fig4_empty_cells_follow_the_reconstruction_rule(tmp_path, capsys, monkeypatch):
+    # Every gain is a filter of the one pass; covariance_stack alone decides
+    # which key rates are left empty, as in fig3, and says why in grid order.
     import steerdist.experiments as experiments
 
-    calls = []
+    calls, passes = [], []
     sample_grid = experiments.sample_grid
 
     def spy(covs, count, seed, filters, counted, threads=1):
-        calls.append(([f.gain for f in filters[0]], [f.gain for f in counted[0]]))
-        return sample_grid(covs, count, seed, filters, counted, threads)
+        calls.append(([f.gain for f in filters[0]], [list(c) for c in counted]))
+        passes.append(sample_grid(covs, count, seed, filters, counted, threads))
+        return passes[-1]
 
     monkeypatch.setattr(experiments, "sample_grid", spy)
     config = _config(tmp_path, mode="both", samples=400_000,
                      fig4_g_grid=np.array([1.2, 1.42, 1.44, 1.5]))
     _, rows = run_fig4(config)
-    assert calls == [([1.2, 1.42], [1.44, 1.5])]
-    err = capsys.readouterr().err.splitlines()
-    assert err[:2] == [
-        "fig4: g=1.44 Monte Carlo value left empty: too few accepted records: "
-        "expected 130, more than 6 sd below 200",
-        "fig4: g=1.5 Monte Carlo value left empty: too few accepted records: "
-        "expected 95, more than 6 sd below 200"]
-    # a counted gain keeps its sampled acceptance rate; its key rate is empty
-    state, seed = experiments.model_state(config), experiments.derive_seed(config.seed, 4)
-    for row in rows[2:]:
-        assert row[-2] is None
-        counts = sample_grid(state.cov[None], 400_000, seed, [()], [[FilterSpec(row[0], 4.5)]])[1]
-        assert row[-1] == counts[0][0] / 400_000
+    assert calls == [([1.2, 1.42, 1.44, 1.5], [[]])]
+    (ens,), _ = passes[0]
+    assert [e.accepted for e in ens[1:]] == [145, 126, 94]
+    assert capsys.readouterr().err.splitlines() == [
+        f"fig4: g={g} Monte Carlo value left empty: too few accepted records: {n} < 200"
+        for g, n in ((1.42, 145), (1.44, 126), (1.5, 94))]
+    assert rows[0][-2] is not None and all(row[-2] is None for row in rows[1:])
+    for row, e in zip(rows, ens):
+        assert row[-1] == e.accepted / 400_000
 
 
 def test_fig4_monte_carlo_memory_is_bounded(tmp_path):

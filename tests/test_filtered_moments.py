@@ -33,6 +33,36 @@ def test_large_cutoff_limit_is_ideal_amplifier(model_state):
         assert np.max(np.abs(ens.cov - ideal)) < 1e-8
 
 
+def test_cutoffs_beyond_the_float_range_of_their_factor_match_ideal_amplifier(model_state):
+    # e^{-t c^2} underflows to 0 from c ~ 49 at g = 1.2; the moments keep it
+    # apart, so the ensemble still converges and its rate rounds to 0
+    import warnings
+
+    from steerdist.filtered_moments import filtered_ensemble_stack
+
+    out = apply_lossy(model_state, 0.2).cov[None]
+    ideal = nla_single_mode(out[0], 1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates, covs, _ = filtered_ensemble_stack(np.repeat(out, 2, axis=0), 1.2, [60.0, 1e10])
+    assert np.max(np.abs(covs - ideal)) < 1e-12
+    assert rates.tolist() == [0.0, 0.0]
+
+
+def test_cutoff_beyond_the_closed_form_is_refused_alike(model_state):
+    from steerdist import InputError
+    from steerdist.filtered_moments import filtered_ensemble_stack
+    from steerdist.measurement import MAX_CUTOFF
+
+    filtered_ensemble(model_state, FilterSpec(1.2, MAX_CUTOFF))
+    message = r"^cutoff must be <= 1e\+50, got 1e\+300$"
+    with pytest.raises(InputError, match=message):
+        FilterSpec(1.2, 1e300)
+    with pytest.raises(InputError, match=message) as exc:
+        filtered_ensemble_stack(np.stack([model_state.cov] * 2), 1.2, [4.5, 1e300])
+    assert exc.value.cell == 1
+
+
 def test_alice_cross_term_follows_the_filter(model_state):
     # a local rotation and squeeze on Alice keeps Bob's block isotropic but
     # gives Alice's block an x-p covariance, which the filter must carry too
@@ -90,12 +120,12 @@ def test_tail_sum_matches_incomplete_gamma():
 
     from scipy.special import gammaincc  # test oracle only
 
-    from steerdist.filtered_moments import _upper_gamma_tail
+    from steerdist.filtered_moments import _tail_sum
 
     for k in range(5):
         for y in (1e-3, 0.1, 1.0, 4.5, 20.0, 60.0, 300.0):
             want = gammaincc(k + 1, y) * factorial(k)
-            assert _upper_gamma_tail(k, y) == pytest.approx(want, rel=1e-12)
+            assert np.exp(-y) * _tail_sum(k, y) == pytest.approx(want, rel=1e-12)
 
 
 def test_strong_truncation_is_detectably_non_gaussian(model_state):
@@ -145,7 +175,8 @@ def test_weighted_u_moments_match_high_precision_integrals():
 
     with mp.workdps(40):
         want = np.array([[float(exact(*row, k)) for row in rows] for k in range(3)])
-    got = _weighted_u_moments(s2, t, bc2, kmax=2)
+    ratios, scale = _weighted_u_moments(s2, t, bc2, kmax=2)
+    got = ratios * scale
     assert np.max(np.abs(got - want) / want) <= 2e-14
 
 
@@ -156,6 +187,7 @@ def test_weighted_u_moments_at_unit_gain_are_exponential_moments():
 
     s2 = np.array([1.0, 1.7, 4.2, 12.5, 30.0])
     for bc2 in (0.01, 1.0, 9.0, 60.0):
-        got = _weighted_u_moments(s2, np.zeros_like(s2), np.full_like(s2, bc2), kmax=2)
+        ratios, scale = _weighted_u_moments(s2, np.zeros_like(s2), np.full_like(s2, bc2), kmax=2)
+        got = ratios * scale
         for k in range(3):
             assert got[k] == pytest.approx(factorial(k) * s2**k, rel=2e-14, abs=0)

@@ -66,6 +66,15 @@ def test_tmss_rejects_bad_db_pairs():
             tmss_standard(*pair)
 
 
+@pytest.mark.parametrize("pair", [(-4.2, 4000.0), (-4000.0, 7.3)])
+def test_tmss_refuses_db_values_whose_variance_is_no_positive_float(pair):
+    # 10**400 overflows a float and 10**-400 rounds to 0
+    from steerdist import InputError
+
+    with pytest.raises(InputError, match=r"10\*\*\(dB/10\) a finite, positive float"):
+        tmss_standard(*pair)
+
+
 def test_symplectic_eigenvalues_vacuum_and_thermal():
     assert np.allclose(symplectic_eigenvalues(np.eye(6)), 1.0)
     assert symplectic_eigenvalues(np.diag([3.0, 3.0]))[0] == pytest.approx(3.0)

@@ -3,8 +3,8 @@
 Every analytic command runs in process with the default configuration
 (the plotting ones once more with ``--svg``), and so do ``selfcheck``,
 pinned small Monte Carlo runs and an ``ingest`` of a seeded raw export.
-The small outputs (the small analytic CSVs, ``selfcheck``'s standard output
-and every Monte Carlo output) must equal, byte for byte, the files of the
+The small outputs (the small analytic CSVs, ``selfcheck``'s standard output,
+and every Monte Carlo output and standard error) must equal, byte for byte, the files of the
 same name in ``tests/golden/``; the sha256 of every other file (the large
 analytic CSVs and the SVGs) must equal the one recorded in
 ``tests/golden/outputs.sha256``.  A moved CSV is reported by the largest
@@ -75,20 +75,25 @@ PLAIN = [
 ]
 
 # ``{input}`` is the seeded raw export written by :func:`write_ingest_input`.
+# A file of None is the command's standard error, which names every grid
+# point left empty and why.
 MONTE_CARLO = [
     (["fig3a", "--mode", "both", "--samples", "250000"],
-     "[grids]\nloss_grid = 0.51:0.97:0.23\n", {"fig3a_both.csv": "fig3a.csv"}),
+     "[grids]\nloss_grid = 0.51:0.97:0.23\n",
+     {"fig3a_both.csv": "fig3a.csv", "fig3a_both.stderr": None}),
     # the amplified ensembles of losses 0.2 and 0.4 are too small to reconstruct
     (["fig3a", "--mode", "both", "--samples", "20000"],
-     "[grids]\nloss_grid = 0.97,0.2,0.74,0.4,0.9\n", {"fig3a_both_empty_cells.csv": "fig3a.csv"}),
+     "[grids]\nloss_grid = 0.97,0.2,0.74,0.4,0.9\n",
+     {"fig3a_both_empty_cells.csv": "fig3a.csv", "fig3a_both_empty_cells.stderr": None}),
     (["fig4", "--mode", "both", "--samples", "400000"], "",
-     {"fig4_both.csv": "fig4.csv"}),
+     {"fig4_both.csv": "fig4.csv", "fig4_both.stderr": None}),
     (["fig-s2", "--mode", "monte_carlo", "--samples", "400000"], "",
-     {"fig_s2_monte_carlo.csv": "fig_s2.csv"}),
+     {"fig_s2_monte_carlo.csv": "fig_s2.csv", "fig_s2_monte_carlo.stderr": None}),
     (["fig-s4", "--mode", "monte_carlo", "--samples", "400000"], "",
-     {"fig_s4_monte_carlo.csv": "fig_s4.csv"}),
+     {"fig_s4_monte_carlo.csv": "fig_s4.csv", "fig_s4_monte_carlo.stderr": None}),
     (["ingest", "{input}"], "[filter]\ngain = 1.2\ncutoff = 3.0\n",
-     {"ingest_report.csv": "ingest_report.csv", "ingest_cov.txt": "ingest_cov.txt"}),
+     {"ingest_report.csv": "ingest_report.csv", "ingest_cov.txt": "ingest_cov.txt",
+      "ingest.stderr": None}),
 ]
 
 INGEST_LOSS = 0.3
@@ -117,12 +122,14 @@ def run_outputs(work: Path, runs, input_path: Path | None = None) -> dict[str, b
         config = work / f"{out.name}.ini"
         config.write_text("[run]\nmode = analytic\n" + ini)
         argv = [arg.format(input=input_path) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main([*argv, "--config", str(config), "--out", str(out)])
         if code != 0:
-            raise RuntimeError(f"{' '.join(argv)} exited with {code}")
+            raise RuntimeError(f"{' '.join(argv)} exited with {code}: {stderr.getvalue()}")
         for name, written in outputs.items():
-            outputs_by_name[name] = (out / written).read_bytes()
+            outputs_by_name[name] = (stderr.getvalue().encode() if written is None
+                                     else (out / written).read_bytes())
     return outputs_by_name
 
 
