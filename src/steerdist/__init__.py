@@ -17,7 +17,6 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_form,
     tmss_standard,
-    vacuum_state,
 )
 from .channels import ChannelSpec, apply_lossy, apply_noisy, channel_stack
 from .steering import (
@@ -31,7 +30,6 @@ from .steering import (
     steerability_with_se,
     steerability_with_se_stack,
     steering_loss_threshold,
-    steering_signed,
     steering_signed_stack,
 )
 from .nla import (
@@ -73,7 +71,6 @@ from .cutoff import (
 from .qkd import (
     KeyRateResult,
     NoPositiveKeyError,
-    conditional_variances,
     key_rate,
     key_rate_filtered,
     key_rate_with_se,

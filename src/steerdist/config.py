@@ -54,6 +54,7 @@ CUTOFF_SOURCES = ("table", "config", "search")
 
 MIN_MC_SAMPLES = 10_000
 FULL_SAMPLES = 100_000_000
+MAX_GRID_POINTS = 1_000_000  # 8 MB, 2,000 x the paper's 491-point loss grid
 
 
 class ConfigError(InputError):
@@ -62,7 +63,8 @@ class ConfigError(InputError):
 
 def parse_grid(text: str) -> np.ndarray:
     """``start:stop:step`` (every start + k*step up to stop + 1e-9*step, so
-    ``0:0.95:0.5`` is [0, 0.5]) or a comma list."""
+    ``0:0.95:0.5`` is [0, 0.5]; at most :data:`MAX_GRID_POINTS` points) or a
+    comma list."""
     text = text.strip()
     try:
         if ":" in text:
@@ -74,7 +76,10 @@ def parse_grid(text: str) -> np.ndarray:
                 raise ValueError("start, stop and step must be finite")
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
-            n = int(round((stop - start) / step))
+            span = (stop - start) / step  # checked as a float (inf too) before allocating
+            if not span < MAX_GRID_POINTS - 0.5:
+                raise ValueError(f"more than {MAX_GRID_POINTS} points")
+            n = int(round(span))
             grid = start + step * np.arange(n + 1)
             return grid[grid <= stop + step * 1e-9]
         grid = np.array([float(p) for p in text.split(",") if p.strip()])

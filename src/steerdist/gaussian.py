@@ -224,18 +224,6 @@ def _min_symplectic(covs: np.ndarray):
         return np.sqrt(det_a * np.where(pd, det2(s), 0.0) / nu_plus2), pd
 
 
-def min_symplectic_eigenvalues(covs: np.ndarray) -> np.ndarray:
-    """Smallest symplectic eigenvalue of each matrix of a (N, 4, 4) stack of
-    symmetric matrices (see :func:`require_cov_stack`).
-
-    Raises :class:`NumericalError` at the first matrix that is not positive
-    definite.
-    """
-    nu, pd = _min_symplectic(covs)
-    _raise_first(~pd, lambda i: _not_pd_error(covs[i]))
-    return nu
-
-
 def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np.ndarray:
     """Raise at the first matrix of a stack of symmetric matrices that is not
     positive definite (:class:`NumericalError`) or whose smallest symplectic
@@ -261,10 +249,13 @@ def check_physical(sigma: np.ndarray, tol: float = PHYSICALITY_TOL):
     """Bona-fide test: min symplectic eigenvalue >= 1 - tol.
 
     Returns a (passed, min_symplectic_eigenvalue) named tuple so callers can
-    report how badly a matrix fails.
+    report how badly a matrix fails; raises :class:`NumericalError` on a
+    matrix that is not positive definite.
     """
-    nu_min = float(min_symplectic_eigenvalues(_require_cov(sigma)[None])[0])
-    return PhysicalityReport(nu_min >= 1.0 - tol, nu_min)
+    sigma = _require_cov(sigma)
+    nu, pd = _min_symplectic(sigma[None])
+    _raise_first(~pd, lambda i: _not_pd_error(sigma))
+    return PhysicalityReport(bool(nu[0] >= 1.0 - tol), float(nu[0]))
 
 
 @dataclass(frozen=True)
@@ -313,10 +304,6 @@ class GaussianState:
 
 def from_cov(cov: np.ndarray) -> GaussianState:
     return GaussianState(cov)
-
-
-def vacuum_state() -> GaussianState:
-    return from_cov(np.eye(4))
 
 
 def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:

@@ -63,7 +63,7 @@ means in :func:`moment_stats`; the last two see records of any offset.  The
 batch API (:func:`sample_batch`, :func:`post_select`) sees the same records
 and makes the same acceptance decisions as the pass.
 
-Each worker thread writes a piece's temporaries into one 2.6 MB
+Each worker thread writes a piece's temporaries into one 2.4 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
 Fresh arrays per chunk leave the allocator free to map new pages for each
 chunk, about 1,800 minor page faults a chunk; with the workspace a pass's
@@ -354,19 +354,21 @@ def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
     SAND2008-6212).  Sums about a common centre add with no correction term,
     so records can be added in any pieces.  The products are formed
     ``_BLOCK`` records at a time, in ``blocks`` when it is given: a float
-    array of at least (d+1)(d+4)/2 rows of ``_BLOCK`` values.  The sums
-    depend only on the values, not on the array's layout."""
+    array of at least (d+1)(d+2)/2 rows of ``_BLOCK`` values.  As y_0 = 1,
+    the first d + 1 pairs (0, j) are y itself, so only the others are
+    multiplied.  The sums depend only on the values, not on the array's
+    layout."""
     d, n = records.shape
     pairs = _pairs(d + 1)[3]
     if blocks is None:
-        blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
-    y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
-    y[0] = 1.0
+        blocks = np.empty((len(pairs), min(n, _BLOCK)))
+    prod = blocks[:len(pairs)]  # its rows 0..d are y
+    prod[0] = 1.0
     for start in range(0, n, _BLOCK):
         w = min(_BLOCK, n - start)
-        np.subtract(records[:, start:start + w], center, out=y[1:, :w])
-        for k, (i, j) in enumerate(pairs):
-            np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
+        np.subtract(records[:, start:start + w], center, out=prod[1:d + 1, :w])
+        for k, (i, j) in enumerate(pairs[d + 1:], d + 1):
+            np.multiply(prod[i, :w], prod[j, :w], out=prod[k, :w])
         q += prod[:, :w] @ prod[:, :w].T
 
 
@@ -587,7 +589,7 @@ class Ensemble:
 class _Workspace:
     """One worker's sub-chunk temporaries (see the module docstring): normals,
     uniforms, one basis's records, |gamma|^2, acceptance probabilities, keep
-    mask and block products, 2,637,824 bytes in all: 6.5 x SUB + 14 x
+    mask and block products, 2,375,680 bytes in all: 6.5 x SUB + 10 x
     _BLOCK float64 values and SUB / 2 bools."""
 
     def __init__(self):
@@ -596,7 +598,7 @@ class _Workspace:
         self.rec = np.empty(3 * half)  # flat, so that its (3, n) head is contiguous
         self.mag2, self.acc = np.empty(half), np.empty(half)
         self.keep = np.empty(half, dtype=bool)
-        self.blocks = np.empty((4 + 10, _BLOCK))  # _add_gram of 3-variate records
+        self.blocks = np.empty((10, _BLOCK))  # _add_gram of 3-variate records
 
 
 def _per_worker(fn):

@@ -10,7 +10,8 @@ Alice's homodyne outcome, computed directly from the covariance matrix:
     V_{X_B|X_A} = (B_xx + 1)/2 - (C_xx/sqrt(2))^2 / A_xx
 
 and analogously for p.  Negative values are reported as-is (no secure key
-from this bound).
+from this bound).  :func:`key_rate` and :func:`key_rate_filtered` are the
+stack kernels with N = 1.
 
 ``min_gain_for_key`` sweeps the distillation gain at fixed cutoff.  It
 evaluates the exact post-selected ensemble at the given cutoff
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
+from .filtered_moments import filtered_ensemble_stack
 from .gaussian import (
     GaussianState,
     InputError,
@@ -38,6 +39,7 @@ from .gaussian import (
     _first_order_se,
     _require_stack,
     require_cov_stack,
+    require_physical_stack,
 )
 from .measurement import FilterSpec
 
@@ -47,18 +49,6 @@ class KeyRateResult:
     key_rate: float  # bits per accepted symbol; negative = insecure regime
     v_x_cond: float
     v_p_cond: float
-
-
-def conditional_variances(sigma: np.ndarray, physicality_tol: float = RECONSTRUCTION_TOL):
-    """(V_{X_B|X_A}, V_{P_B|P_A}) of heterodyne given homodyne.
-
-    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``); pass
-    :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
-    when feeding estimated covariances.
-    """
-    covs = _require_stack(np.asarray(sigma, dtype=float)[None], physicality_tol)
-    v_x, v_p = _conditional_variances_stack(covs)
-    return float(v_x[0]), float(v_p[0])
 
 
 def _conditional_variances_stack(covs: np.ndarray):
@@ -74,38 +64,55 @@ def _rate(v_x, v_p):
 
 
 def key_rate(sigma: np.ndarray, physicality_tol: float = RECONSTRUCTION_TOL) -> KeyRateResult:
-    """Lower bound on the reverse-reconciliation key rate, in bits; the
-    matrix is checked for physicality at ``physicality_tol``
-    (``RECONSTRUCTION_TOL``)."""
-    v_x, v_p = conditional_variances(sigma, physicality_tol)
-    return KeyRateResult(float(_rate(v_x, v_p)), v_x, v_p)
+    """Lower bound on the reverse-reconciliation key rate, in bits, with the
+    conditional variances of heterodyne given homodyne; the matrix is checked
+    for physicality at ``physicality_tol`` (``RECONSTRUCTION_TOL``; pass
+    :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
+    when feeding estimated covariances)."""
+    covs = _require_stack(np.asarray(sigma, dtype=float)[None], physicality_tol)
+    v_x, v_p = _conditional_variances_stack(covs)
+    return KeyRateResult(float(_rate(v_x, v_p)[0]), float(v_x[0]), float(v_p[0]))
 
 
 def key_rate_filtered(state: GaussianState, gain: float, beta_c: float) -> KeyRateResult:
-    """Key rate of the exact post-selected ensemble at one (gain, cutoff).
+    """Key rate of the exact post-selected ensemble at one (gain, cutoff):
+    :func:`_filtered_key_rate_stack` with N = 1.
 
     The ensemble's moment matrix is the statistics of the protocol's own
     post-selected data; under strong truncation it need not satisfy the
-    bona-fide state condition, so no physicality gate is applied.
+    bona-fide state condition, so no physicality gate is applied.  At unit
+    gain the state itself is checked, at ``RECONSTRUCTION_TOL``.
     """
-    filt = FilterSpec(gain, beta_c)  # at unit gain too, as the stack refuses
+    FilterSpec(gain, beta_c)  # at unit gain too, as the stack refuses
     if gain == 1.0:
-        return key_rate(state.cov)
-    ens = filtered_ensemble(state, filt)
-    return key_rate(ens.cov, physicality_tol=np.inf)
+        require_physical_stack(state.cov[None], RECONSTRUCTION_TOL)
+    rate, v_x, v_p, _ = _filtered_key_rate_stack(state.cov[None], [gain], beta_c)
+    return KeyRateResult(float(rate[0]), float(v_x[0]), float(v_p[0]))
 
 
 def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
     """(key rates, V_x, V_p, acceptance rates) of :func:`key_rate_filtered`
     on a (N, 4, 4) stack, one gain per matrix, with no physicality check of
-    the unit-gain rows, which keep their matrix and rate 1."""
+    the unit-gain rows, which keep their matrix and rate 1.  A filtered V is
+    not the ensemble's difference of two entries that grow like <u> ~
+    cutoff^2: with w = <u>/s2 >= 1 (read back from the ensemble's Bob
+    variance 2<u>/g^2 - 1), a = sigma_kk and (c, d) = (sigma_k,k+2,
+    sigma_k,3-k) Alice's row of the cross block, basis k has V = (w/g^2)
+    (2 a s2 - c^2 + d^2 (w - 1)) / (2 a + (c^2 + d^2)(w - 1)/s2)."""
     covs = require_cov_stack(covs)
     gains = np.asarray(gains, dtype=float)
     acc, ens, _ = filtered_ensemble_stack(covs, gains, beta_c)
-    unit = gains == 1.0
-    ens[unit], acc[unit] = covs[unit], 1.0
-    v_x, v_p = _conditional_variances_stack(ens)
-    return _rate(v_x, v_p), v_x, v_p, acc
+    unit, g2 = gains == 1.0, gains**2
+    acc[unit] = 1.0
+    s2 = (covs[:, 2, 2] + 1.0) / 2.0
+    w = (ens[:, 2, 2] + 1.0) * g2 / (2.0 * s2)
+    v = []
+    for k, v_unit in enumerate(_conditional_variances_stack(covs)):
+        a, c, d = covs[:, k, k], covs[:, k, k + 2], covs[:, k, 3 - k]
+        v_filt = w / g2 * (2.0 * a * s2 - c * c + d * d * (w - 1.0)) / (
+            2.0 * a + (c * c + d * d) * (w - 1.0) / s2)
+        v.append(np.where(unit, v_unit, v_filt))
+    return _rate(*v), *v, acc
 
 
 def key_rate_with_se_stack(covs: np.ndarray, ses: np.ndarray):

@@ -14,10 +14,10 @@ det S = det sigma / det sigma_cond, so the signed quantity is
 
 The stack kernels :func:`steering_signed_stack`, :func:`steerability_stack`
 and :func:`classify_stack` evaluate it through the closed-form 2x2 Schur
-complement on (N, 4, 4) stacks; :func:`steering_signed`,
-:func:`steerability` and :func:`classify` call them with N = 1.  The tests
-check the kernels against the general route through the symplectic
-spectrum of the Schur complement, kept in ``tests/reference.py``.
+complement on (N, 4, 4) stacks; :func:`steerability` and :func:`classify`
+call them with N = 1.  The tests check the kernels against the general
+route through the symplectic spectrum of the Schur complement, kept in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -93,7 +93,16 @@ def _evaluation_error(cov: np.ndarray, comp: np.ndarray, direction: str) -> Nume
 
 def steering_signed_stack(covs: np.ndarray, direction: str,
                           physicality_tol: float = RECONSTRUCTION_TOL) -> np.ndarray:
-    """:func:`steering_signed` on a (N, 4, 4) stack."""
+    """Signed pre-max steering quantity of each matrix of a (N, 4, 4) stack;
+    positive iff steerable.
+
+    Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
+    and -ln(nu_min) (negative) otherwise, so it crosses zero continuously.
+
+    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``) so that
+    Monte Carlo reconstructions, accepted up to that far below the vacuum
+    bound, can be evaluated.
+    """
     _check_direction(direction)
     covs = _require_stack(covs, physicality_tol)
     value, comp, ok = _signed_1p1(covs, direction)
@@ -133,25 +142,11 @@ def classify_stack(covs: np.ndarray):
     return gab, gba, region_labels(gab, gba)
 
 
-def steering_signed(state: GaussianState, direction: str,
-                    physicality_tol: float = RECONSTRUCTION_TOL) -> float:
-    """Signed pre-max steering quantity; positive iff steerable.
-
-    Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
-    and -ln(nu_min) (negative) otherwise, so it crosses zero continuously.
-
-    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``) so that
-    Monte Carlo reconstructions, accepted up to that far below the vacuum
-    bound, can be evaluated.
-    """
-    return float(steering_signed_stack(state.cov[None], direction, physicality_tol)[0])
-
-
 def steerability(state: GaussianState, direction: str,
                  physicality_tol: float = RECONSTRUCTION_TOL) -> float:
     """Gaussian steering monotone in the given direction, in nats, checked
     for physicality at ``physicality_tol`` (``RECONSTRUCTION_TOL``)."""
-    return max(0.0, steering_signed(state, direction, physicality_tol))
+    return max(0.0, float(steering_signed_stack(state.cov[None], direction, physicality_tol)[0]))
 
 
 def classify(state: GaussianState) -> SteeringResult:

@@ -20,7 +20,10 @@ references:
   ``steering_loss_threshold``;
 * :func:`reconstruct_covariance_two_pass`: the batch reduction about the
   whole batch's means, from a first pass over every chunk, against the
-  one-pass ``reconstruct_covariance``, whose centre is its first chunk's.
+  one-pass ``reconstruct_covariance``, whose centre is its first chunk's;
+* :func:`add_gram_all_pairs`: the Gram matrix of the pair products with
+  every pair multiplied, the constant-1 ones too, against ``_add_gram``,
+  which takes the pairs (0, j) as y itself.
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
@@ -55,6 +58,7 @@ from steerdist.measurement import (
     Moments,
     ReconstructionError,
     _add_gram,
+    _BLOCK,
     _n_chunks,
     _pairs,
     reconstruction_tolerance,
@@ -67,7 +71,7 @@ from steerdist.steering import (
     _blocks_1p1,
     _check_direction,
     steerability,
-    steering_signed,
+    steering_signed_stack,
 )
 
 
@@ -164,7 +168,7 @@ def loss_threshold_bisection(state: GaussianState, channel_template: ChannelSpec
                           channel_template.noise_model)
         if nla_gain is not None:
             out = GaussianState(nla_single_mode(out.cov, nla_gain))
-        return steering_signed(out, direction)
+        return float(steering_signed_stack(out.cov[None], direction)[0])
 
     lo, hi = 0.0, 1.0
     f_lo = signed(lo)
@@ -364,3 +368,20 @@ def reconstruct_covariance_two_pass(batch, min_accepted: int = 10_000):
             rec = np.stack([c[rows][mask] for c in cols])
             _add_gram(q, rec, centre[:, None])
     return Ensemble(*map(Moments, centres, grams)).covariance(min_accepted)
+
+
+def add_gram_all_pairs(q, records, center, blocks: np.ndarray | None = None) -> None:
+    """``_add_gram`` forming every pair product, (0, j) included, in a block
+    of (d+1)(d+4)/2 rows: y, then the products."""
+    d, n = records.shape
+    pairs = _pairs(d + 1)[3]
+    if blocks is None:
+        blocks = np.empty((d + 1 + len(pairs), min(n, _BLOCK)))
+    y, prod = blocks[:d + 1], blocks[d + 1:d + 1 + len(pairs)]
+    y[0] = 1.0
+    for start in range(0, n, _BLOCK):
+        w = min(_BLOCK, n - start)
+        np.subtract(records[:, start:start + w], center, out=y[1:, :w])
+        for k, (i, j) in enumerate(pairs):
+            np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
+        q += prod[:, :w] @ prod[:, :w].T

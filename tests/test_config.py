@@ -27,6 +27,30 @@ def test_parse_grid_refuses_non_finite_values(text):
         parse_grid(text)
 
 
+@pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1e308:1e-308", "0:1:1e-8"])
+def test_grids_too_large_to_build_are_refused(tmp_path, capsys, grid):
+    # 10^12 points end in MemoryError, an infinite count in OverflowError and
+    # 10^8 points in an 800 MB array unless the count is checked first
+    from steerdist.cli import main
+    from steerdist.config import MAX_GRID_POINTS
+
+    ini = tmp_path / "grid.ini"
+    ini.write_text(f"[grids]\nloss_grid = {grid}\n")
+    out = tmp_path / "o"
+    assert main(["fig3a", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad grid {grid!r}: more than {MAX_GRID_POINTS} points" in err
+    assert not out.exists()
+
+
+def test_grid_at_the_point_cap_is_built():
+    from steerdist.config import MAX_GRID_POINTS
+
+    assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match="more than"):
+        parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
 @pytest.mark.parametrize("name", ["gain", "cutoff", "excess_noise", "squeeze_db",
                                   "antisqueeze_db"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])

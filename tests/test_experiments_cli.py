@@ -216,6 +216,35 @@ def test_fig4_runs_at_cutoffs_whose_filter_factor_underflows(tmp_path, cutoff):
     assert all(np.isfinite(float(row["key_rate"])) for row in rows)
 
 
+@pytest.mark.parametrize("cutoff", ["1e10", "1e25", "1e50"])
+def test_fig4_conditional_variances_reach_their_limits_at_huge_cutoffs(tmp_path, model_state,
+                                                                       cutoff):
+    # the ensemble's entries grow like cutoff^2 above the gain bound; V is
+    # formed without subtracting them, so each V is its infinite-cutoff
+    # limit: the ideal amplifier's below the bound, with w = <u>/s2 -> inf
+    # (s2/g^2)(2 a s2 - c^2)/c^2 above it, and no warning is raised
+    import warnings
+
+    from steerdist import key_rate, max_single_mode_gain, nla_single_mode
+
+    path = tmp_path / "cutoff.ini"
+    path.write_text(f"[filter]\ncutoff = {cutoff}\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig4", "--config", str(path), "--out", str(out)]) == 0
+    a, c = model_state.cov[0, 0], model_state.cov[0, 2]
+    s2 = (model_state.cov[2, 2] + 1.0) / 2.0
+    bound = max_single_mode_gain(model_state.cov)
+    for row in _read_rows(out / "fig4.csv"):
+        g = float(row["g"])
+        want = (key_rate(nla_single_mode(model_state.cov, g)).v_x_cond if g < bound
+                else s2 / g**2 * (2.0 * a * s2 - c * c) / (c * c))
+        for name in ("v_x_cond", "v_p_cond"):
+            assert float(row[name]) == pytest.approx(want, rel=1e-9), (g, name)
+        assert np.isfinite(float(row["key_rate_pure_6db"]))
+
+
 @pytest.mark.parametrize("text, needle", [
     (b"seed = 3\n", "{path}: File contains no section headers"),
     (b"[run]\nseed = 3\nseed = 4\n", "{path}: While reading from"),

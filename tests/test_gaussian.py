@@ -15,7 +15,6 @@ from steerdist import (
     symplectic_eigenvalues,
     symplectic_form,
     tmss_standard,
-    vacuum_state,
 )
 from steerdist.filtered_moments import filtered_ensemble_stack
 from steerdist.gaussian import require_cov_stack
@@ -190,7 +189,7 @@ def test_cov_stack_refuses_a_non_finite_matrix_naming_its_cell(bad):
 
 
 def test_state_arrays_frozen():
-    s = vacuum_state()
+    s = from_cov(np.eye(4))
     with pytest.raises(ValueError):
         s.cov[0, 0] = 5.0
 

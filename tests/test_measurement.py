@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from reference import (
+    add_gram_all_pairs,
     covariance_per_matrix,
     key_rate_with_se_per_matrix,
     random_physical_state,
@@ -33,7 +34,6 @@ from steerdist import (
     sample_batch,
     steerability_with_se,
     tmss_standard,
-    vacuum_state,
     write_batch_csv,
 )
 from steerdist.measurement import (
@@ -124,7 +124,7 @@ def test_filter_spec_refuses_nan_and_inf(gain, cutoff):
 # --- sampling -------------------------------------------------------------------
 
 def test_vacuum_heterodyne_variance():
-    batch = sample_batch(vacuum_state(), 1_000_000, seed=101)
+    batch = sample_batch(from_cov(np.eye(4)), 1_000_000, seed=101)
     se = np.sqrt(2.0 / len(batch))  # SE of a unit-variance estimate
     assert abs(np.var(batch.bob_x) - 1.0) < 3 * se
     assert abs(np.var(batch.bob_p) - 1.0) < 3 * se
@@ -146,7 +146,7 @@ def test_model_state_heterodyne_moments(model_state):
 
 
 def test_alternating_schedule_is_half_half():
-    batch = sample_batch(vacuum_state(), 1000, seed=1)
+    batch = sample_batch(from_cov(np.eye(4)), 1000, seed=1)
     assert np.array_equal(batch.alice_basis[:4], [BASIS_X, BASIS_P, BASIS_X, BASIS_P])
 
 
@@ -276,7 +276,7 @@ def test_acceptance_stream_independent_of_filter(model_state):
 # --- reconstruction -------------------------------------------------------------
 
 def test_vacuum_roundtrip():
-    batch = sample_batch(vacuum_state(), 1_000_000, seed=20)
+    batch = sample_batch(from_cov(np.eye(4)), 1_000_000, seed=20)
     cov, se = reconstruct_covariance(batch)
     assert _se_units(cov, np.eye(4), se) < 5.0
 
@@ -334,7 +334,7 @@ def _se_per_matrix(func, cov, se):
 
 
 def test_exact_se_matches_finite_difference_loop(model_state):
-    from steerdist import key_rate, key_rate_with_se, steering_signed
+    from steerdist import key_rate, key_rate_with_se, steering_signed_stack
 
     batch = sample_batch(apply_lossy(model_state, 0.3), 200_000, seed=31)
     filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=32)
@@ -351,8 +351,8 @@ def test_exact_se_matches_finite_difference_loop(model_state):
             _, err = steerability_with_se(sigma, s, d, tol)
             assert err > 0.0
             assert err == pytest.approx(_se_per_matrix(
-                lambda c: steering_signed(from_cov(c), d, np.inf), sigma, s), rel=1e-6)
-            steerable.add(steering_signed(from_cov(sigma), d, tol) > 0.0)
+                lambda c: steering_signed_stack(c[None], d, np.inf)[0], sigma, s), rel=1e-6)
+            steerable.add(steering_signed_stack(sigma[None], d, tol)[0] > 0.0)
         _, err = key_rate_with_se(sigma, s, tol)
         assert err > 0.0
         assert err == pytest.approx(_se_per_matrix(
@@ -714,6 +714,25 @@ def test_moment_stats_degenerate():
         moment_stats(np.array([1.0]))
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n", [1, 8_191, 8_193, 16_384])
+@pytest.mark.parametrize("centred", [False, True])
+def test_gram_without_constant_products_is_bit_identical(d, n, centred):
+    # the pairs (0, j) are y itself: the BLAS input is the same matrix
+    rng = np.random.default_rng(n + d)
+    records = 0.5 + rng.standard_normal((d, n))
+    center = records.mean(axis=1)[:, None] if centred else 0.0
+    pairs = (d + 1) * (d + 2) // 2
+    got, want = np.zeros((2, pairs, pairs))
+    _add_gram(got, records, center)
+    add_gram_all_pairs(want, records, center)
+    assert got.tobytes() == want.tobytes()
+    if d == 3:  # in the pass's workspace block too
+        got[:] = 0.0
+        _add_gram(got, records, center, _Workspace().blocks)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pair_map_matches_records_mapped_directly():
     # sums about a centre 0.3 off the mean, as the pass's 0 is, then mapped
     rng = np.random.default_rng(29)
@@ -892,7 +911,7 @@ print(faults(8), faults(40))
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_monte_carlo_pass_peak_memory_is_small():
-    # Each worker draws and reduces SUB records at a time in a 2.6 MB
+    # Each worker draws and reduces SUB records at a time in a 2.4 MB
     # workspace.  numpy.random is imported lazily and grows the peak RSS by
     # about 6,300 KiB on its own, so it is imported before the baseline
     # reading; a first BLAS call adds under 1,000 KiB.  Measured this way on

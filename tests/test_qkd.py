@@ -4,27 +4,33 @@ from scipy.optimize import brentq
 
 from steerdist import (
     NoPositiveKeyError,
-    conditional_variances,
+    apply_lossy,
+    from_cov,
     key_rate,
     key_rate_filtered,
     key_rate_with_se,
     min_gain_for_key,
     nla_single_mode,
     tmss_standard,
-    vacuum_state,
 )
+from steerdist.qkd import _filtered_key_rate_stack
 
 TWO_OVER_E = 2.0 / np.e
 
 
+def _conditional_variances(sigma):
+    result = key_rate(sigma)
+    return result.v_x_cond, result.v_p_cond
+
+
 def test_conditional_variances_vacuum():
-    assert conditional_variances(np.eye(4)) == (1.0, 1.0)
+    assert _conditional_variances(np.eye(4)) == (1.0, 1.0)
 
 
 def test_conditional_variances_pure_state():
     s = tmss_standard(-6.0, 6.0)
     n = s.cov[0, 0]
-    v_x, v_p = conditional_variances(s.cov)
+    v_x, v_p = _conditional_variances(s.cov)
     # pure-state identity: (1+n)/(2n)
     assert v_x == pytest.approx((1 + n) / (2 * n), rel=1e-12)
     assert v_p == pytest.approx(v_x, rel=1e-12)
@@ -34,7 +40,7 @@ def test_conditional_variances_model_state(model_state):
     n, c = model_state.cov[0, 0], model_state.cov[0, 2]
     want = (n + 1) / 2 - c * c / (2 * n)
     assert want == pytest.approx(0.855054, abs=1e-6)
-    v_x, v_p = conditional_variances(model_state.cov)
+    v_x, v_p = _conditional_variances(model_state.cov)
     assert v_x == pytest.approx(want, rel=1e-12)
     assert v_p == pytest.approx(want, rel=1e-12)
 
@@ -73,8 +79,8 @@ def test_key_rate_symmetric_under_x_p_exchange(model_state):
     assert key_rate(swapped).key_rate == pytest.approx(
         key_rate(model_state.cov).key_rate, rel=1e-12
     )
-    assert conditional_variances(swapped) == pytest.approx(
-        conditional_variances(model_state.cov)[::-1], rel=1e-12
+    assert _conditional_variances(swapped) == pytest.approx(
+        _conditional_variances(model_state.cov)[::-1], rel=1e-12
     )
 
 
@@ -115,18 +121,85 @@ def test_unfiltered_key_rate_refuses_a_cutoff_the_filter_refuses(model_state, cu
 
 
 def test_filtered_key_rate_stack_equals_scalar_calls(model_state, pure_state):
+    # the scalar call is row 0 of the stack at N = 1, and a row does not
+    # depend on the rest of its stack
     from steerdist import FilterSpec, acceptance_rate_exact
-    from steerdist.qkd import _filtered_key_rate_stack
 
     states = [model_state, pure_state, tmss_standard(-6.0, 6.0)]
-    gains = [1.0, 1.1, 1.3, 1.5]
+    gains = [1.0, 1.1, 1.3, 1.44, 1.5]
     cells = [(s, g) for s in states for g in gains]
-    key, v_x, v_p, acc = _filtered_key_rate_stack(
-        np.stack([s.cov for s, _ in cells]), [g for _, g in cells], 4.5)
-    for i, (s, g) in enumerate(cells):
-        want = key_rate_filtered(s, g, 4.5)
-        assert (key[i], v_x[i], v_p[i]) == (want.key_rate, want.v_x_cond, want.v_p_cond)
-        assert acc[i] == (1.0 if g == 1.0 else acceptance_rate_exact(s, FilterSpec(g, 4.5)))
+    for cutoff in (4.5, 30.0):
+        key, v_x, v_p, acc = _filtered_key_rate_stack(
+            np.stack([s.cov for s, _ in cells]), [g for _, g in cells], cutoff)
+        for i, (s, g) in enumerate(cells):
+            want = key_rate_filtered(s, g, cutoff)
+            one = _filtered_key_rate_stack(s.cov[None], [g], cutoff)
+            assert (want.key_rate, want.v_x_cond, want.v_p_cond) == tuple(x[0] for x in one[:3])
+            assert (key[i], v_x[i], v_p[i]) == tuple(x[0] for x in one[:3])
+            assert acc[i] == (1.0 if g == 1.0 else acceptance_rate_exact(s, FilterSpec(g, cutoff)))
+
+
+@pytest.mark.parametrize("state, gain, cutoff, message", [
+    (None, 0.9, 4.5, r"^gain must be >= 1, got 0\.9$"),
+    (None, np.nan, 4.5, r"^gain must be >= 1, got nan$"),
+    (None, 1.2, -1.0, r"^cutoff must be finite and > 0, got -1\.0$"),
+    (None, 1.0, np.inf, r"^cutoff must be finite and > 0, got inf$"),
+    (None, 1.2, 1e300, r"^cutoff must be <= 1e\+50, got 1e\+300$"),
+    (0.5, 1.0, 4.5, r"^state is unphysical: min symplectic eigenvalue 0\.5 < 1 \(tol 0\.001\)$"),
+])
+def test_filtered_key_rate_refusals(model_state, state, gain, cutoff, message):
+    state = model_state if state is None else from_cov(state * np.eye(4))
+    with pytest.raises(ValueError, match=message):
+        key_rate_filtered(state, gain, cutoff)
+
+
+def test_filtered_key_rate_checks_no_physicality_of_the_ensemble():
+    # above unit gain the post-selected statistics are taken as they are
+    assert key_rate_filtered(from_cov(0.5 * np.eye(4)), 1.2, 4.5).key_rate > 0
+
+
+def _exact_conditional_variances(cov, gain, cutoff):
+    """(V_x, V_p) of the exact filtered ensemble, in 40-digit arithmetic:
+    its Bob block, cross block and Alice diagonal from the weighted u-moments
+    m_0 and m_1, then (B + 1)/2 - C^2/(2 A) per basis."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        sigma = [[mp.mpf(float(x)) for x in row] for row in cov]
+        g, bc2 = mp.mpf(gain), mp.mpf(cutoff) ** 2
+        s2 = (sigma[2][2] + 1) / 2
+        q, t = 1 / s2, 1 - 1 / g**2
+
+        def m(k):
+            below = (q * mp.exp(-t * bc2) * bc2 ** (k + 1)
+                     * mp.hyp1f1(k + 1, k + 2, -(q - t) * bc2) / (k + 1))
+            return below + mp.gammainc(k + 1, q * bc2) / q**k
+
+        w = m(1) / m(0) / s2
+        out = []
+        for k in (0, 1):
+            row2 = sigma[k][2] ** 2 + sigma[k][3] ** 2
+            alice = sigma[k][k] + row2 / (2 * s2) * (w - 1)
+            cross = sigma[k][k + 2] * w / g
+            out.append(float(w * s2 / g**2 - cross**2 / (2 * alice)))
+        return out
+
+
+@pytest.mark.parametrize("cutoff", [4.5, 30.0, 1e4])
+def test_filtered_conditional_variances_match_high_precision(model_state, cutoff):
+    # a standard-form state, a lossy one, and one whose Alice mode is
+    # rotated, so that her cross-block rows have both entries
+    theta = 0.4
+    rot = np.eye(4)
+    rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    covs = [model_state.cov, apply_lossy(model_state, 0.3).cov,
+            rot @ model_state.cov @ rot.T]
+    gains = (1.1, 1.3, 1.44, 1.5)
+    cells = [(cov, g) for cov in covs for g in gains]
+    _, v_x, v_p, _ = _filtered_key_rate_stack(np.stack([c for c, _ in cells]),
+                                              [g for _, g in cells], cutoff)
+    want = np.array([_exact_conditional_variances(c, g, cutoff) for c, g in cells])
+    got = np.stack([v_x, v_p], axis=1)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_min_gain_analytic(model_state):
@@ -176,4 +249,4 @@ def test_key_rate_with_se(model_state):
 
 def test_unphysical_input_rejected():
     with pytest.raises(Exception, match="unphysical"):
-        conditional_variances(0.5 * np.eye(4))
+        key_rate(0.5 * np.eye(4))

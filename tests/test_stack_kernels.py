@@ -19,6 +19,7 @@ from steerdist import (
     NumericalError,
     UnphysicalStateError,
     channel_stack,
+    check_physical,
     classify_stack,
     filtered_ensemble,
     filtered_ensemble_stack,
@@ -31,7 +32,6 @@ from steerdist import (
     steerability,
     steerability_stack,
     steerability_with_se_stack,
-    steering_signed,
     steering_signed_stack,
     symplectic_eigenvalues,
     tmss_standard,
@@ -40,7 +40,7 @@ from steerdist import steering
 from steerdist.config import load_config
 from steerdist.experiments import _in_grid_order, run_regions
 from steerdist.gaussian import (
-    min_symplectic_eigenvalues,
+    _min_symplectic,
     require_cov_stack,
     require_physical_stack,
 )
@@ -74,7 +74,7 @@ def test_stack_matches_general_route_on_random_states():
         want = np.array([_general_signed(c, d) for c in covs])
         assert np.max(np.abs(got - want)) < 1e-12
         # the scalar call is the N = 1 kernel call
-        assert steering_signed(from_cov(covs[7]), d) == got[7]
+        assert [steerability(from_cov(c), d) for c in covs] == np.maximum(got, 0.0).tolist()
     _, _, labels = classify_stack(covs)
     assert labels.tolist() == _general_labels(covs)
     assert len(set(labels.tolist())) >= 3  # the stack covers several regions
@@ -85,9 +85,12 @@ def test_symplectic_closed_form_matches_eigenvalues():
     pure = [tmss_standard(db, -db).cov for db in np.linspace(-12.0, 0.0, 25)]
     covs = np.concatenate([covs, pure])
     want = np.array([symplectic_eigenvalues(c)[0] for c in covs])
-    assert np.max(np.abs(min_symplectic_eigenvalues(covs) - want)) < 1e-12
+    got, pd = _min_symplectic(covs)
+    assert pd.all() and np.max(np.abs(got - want)) < 1e-12
     # degenerate spectra (pure symmetric states) keep full precision
-    assert np.max(np.abs(min_symplectic_eigenvalues(np.array(pure)) - 1.0)) < 1e-12
+    assert np.max(np.abs(_min_symplectic(np.array(pure))[0] - 1.0)) < 1e-12
+    # the scalar call is the N = 1 kernel call
+    assert check_physical(covs[7]).min_symplectic_eigenvalue == got[7]
 
 
 def _ref_channel(cov, loss, excess):

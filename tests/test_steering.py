@@ -12,9 +12,8 @@ from steerdist import (
     nla_single_mode,
     steerability,
     steering_loss_threshold,
-    steering_signed,
+    steering_signed_stack,
     tmss_standard,
-    vacuum_state,
 )
 
 # oracle: for the symmetric standard form, G = -ln((n^2-c^2)/n) in both
@@ -24,7 +23,7 @@ def _standard_form_steering(n, c):
 
 
 def test_vacuum_not_steerable():
-    v = vacuum_state()
+    v = from_cov(np.eye(4))
     assert steerability(v, "a_to_b") == 0.0
     assert steerability(v, "b_to_a") == 0.0
 
@@ -129,7 +128,7 @@ def test_threshold_is_a_root_of_the_signed_quantity(model_state, channel, direct
     out = ChannelSpec(loss, channel.excess_noise, channel.noise_model).apply(model_state)
     if gain is not None:
         out = from_cov(nla_single_mode(out.cov, gain))
-    assert abs(steering_signed(out, direction)) <= 1e-12
+    assert abs(steering_signed_stack(out.cov[None], direction)[0]) <= 1e-12
 
 
 def test_threshold_closed_forms_are_exact(model_state):
@@ -176,8 +175,8 @@ def test_threshold_checks_the_gain_bound_at_both_ends(model_state):
 
 def test_signed_quantity_is_continuous_through_zero(model_state):
     thr = 0.30771011021372685
-    lo = steering_signed(apply_lossy(model_state, thr - 1e-4), "b_to_a")
-    hi = steering_signed(apply_lossy(model_state, thr + 1e-4), "b_to_a")
+    lo, hi = steering_signed_stack(np.stack([apply_lossy(model_state, thr + dl).cov
+                                             for dl in (-1e-4, 1e-4)]), "b_to_a")
     assert lo > 0 > hi
     assert abs(lo) < 1e-3 and abs(hi) < 1e-3
 
