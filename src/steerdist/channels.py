@@ -43,8 +43,9 @@ class ChannelSpec:
 
 
 def _check_channel(losses, excess_noise, noise_model: str) -> None:
-    """Refuse a loss outside [0, 1], an excess noise below 0, NaN or infinite,
-    or an unknown noise model; an array at its first failing entry."""
+    """Refuse a loss outside [0, 1], an excess noise below 0 or above
+    ``MAX_CUTOFF``, NaN or infinite, or an unknown noise model; an array at
+    its first failing entry."""
     _require_in(losses, "loss", 0.0, 1.0)
     _require_in(excess_noise, "excess_noise", 0.0)
     if noise_model not in NOISE_MODELS:

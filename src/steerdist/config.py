@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import NOISE_MODELS
-from .gaussian import DB_RULE, InputError, db_variance_ok
-from .measurement import MAX_CUTOFF
+from .gaussian import DB_RULE, MAX_CUTOFF, InputError, db_variance_ok
 
 ENV_PREFIX = "STEERDIST"
 
@@ -147,10 +146,12 @@ _SCHEMA = {
                          lambda v: v <= 0 and db_variance_ok(v)),
     "state.antisqueeze_db": ("antisqueeze_db", float, f">= 0 with {DB_RULE}",
                              lambda v: v >= 0 and db_variance_ok(v)),
-    "channel.excess_noise": ("excess_noise", float, "finite and >= 0", lambda v: 0 <= v < np.inf),
+    "channel.excess_noise": ("excess_noise", float, f"finite, >= 0 and <= {MAX_CUTOFF:g}",
+                             lambda v: 0 <= v <= MAX_CUTOFF),
     "channel.noise_model": ("noise_model", str, f"one of {NOISE_MODELS}",
                             lambda v: v in NOISE_MODELS),
-    "filter.gain": ("gain", float, "finite and >= 1", lambda v: 1 <= v < np.inf),
+    "filter.gain": ("gain", float, f"finite, >= 1 and <= {MAX_CUTOFF:g}",
+                    lambda v: 1 <= v <= MAX_CUTOFF),
     "filter.cutoff": ("cutoff", float, f"finite, > 0 and <= {MAX_CUTOFF:g}",
                       lambda v: 0 < v <= MAX_CUTOFF),
     "filter.cutoff_source": ("cutoff_source", str, f"one of {CUTOFF_SOURCES}",

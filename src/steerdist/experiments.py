@@ -24,7 +24,7 @@ import numpy as np
 
 from . import svgplot
 from .channels import ChannelSpec, channel_stack
-from .config import ExperimentConfig
+from .config import MAX_GRID_POINTS, ConfigError, ExperimentConfig
 from .cutoff import cutoff_from_table, reference_cutoff_table, select_cutoff_stack
 from .filtered_moments import filtered_ensemble, filtered_ensemble_stack
 from .gaussian import (
@@ -228,6 +228,9 @@ def run_regions(variant: str, config: ExperimentConfig):
     if variant not in ("c", "d"):
         raise InputError(f"regions variant must be 'c' or 'd', got {variant!r}")
     excess = 0.0 if variant == "c" else _noisy_excess(config, "regions-d")
+    if len(config.g_grid) * len(config.loss_grid) > MAX_GRID_POINTS:
+        raise ConfigError(f"regions-{variant}: a map of {len(config.g_grid)} gains x "
+                          f"{len(config.loss_grid)} losses has more than {MAX_GRID_POINTS} cells")
     state = model_state(config)
     gains = [float(g) for g in config.g_grid]
     losses = [float(x) for x in config.loss_grid]

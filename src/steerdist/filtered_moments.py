@@ -17,10 +17,11 @@ tail is int_y^inf v^k e^{-v} dv = e^{-y} sum_{j<=k} k!/j! y^j.  This closed
 form replaces a 400-node Gauss-Legendre quadrature: it is exact to 5e-15
 relative against 40-digit arithmetic (the quadrature: 3e-13), and start-up
 no longer solves the quadrature's 400 x 400 eigenproblem.
-This gives the exact acceptance rate, the exact covariance matrix the
-reconstruction converges to, and the exact kurtosis of the accepted
-marginals — all deterministic and valid even where the acceptance rate
-starves a sampled run.
+This gives the exact acceptance rate, accepted mean <u> and kurtosis of
+the accepted marginals, and from <u> the exact covariance matrix the
+reconstruction converges to -- all deterministic and valid even where the
+acceptance rate starves a sampled run.  The filtered key rate takes <u>
+itself, not the matrix's Bob entry 2<u>/g^2 - 1, which cancels at large g.
 
 As beta_c -> infinity (and g below the normalizability bound) the filtered
 covariance converges to the ideal amplified covariance, which provides an
@@ -93,31 +94,35 @@ class FilteredEnsemble:
     bob_skewness: float      # exactly 0 by symmetry of the radial weight
 
 
-def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
-    """Exact accepted-ensemble statistics of a (N, 4, 4) stack; ``gains`` and
-    ``cutoffs`` are scalars or length-N arrays.
-
-    Returns (acceptance rates, covariance matrices, Bob kurtoses), one entry
-    per matrix; the skewness is 0 for all of them.
-    """
-    covs = require_cov_stack(covs)
-    n = len(covs)
-    g = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
-    cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (n,))
+def _filter_integrals(covs: np.ndarray, gains, cutoffs):
+    """(gains, s2 = E[u] unfiltered, <u> accepted, acceptance rates, Bob
+    kurtoses) of a (N, 4, 4) stack, after the filter and isotropy checks."""
+    g = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
+    cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (len(covs),))
     _check_filter(g, cutoffs)
-    a, b, c = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+    b = covs[:, 2:, 2:]
     scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * MODEL_RTOL
     _raise_first((np.abs(b[:, 0, 0] - b[:, 1, 1]) > scale) | (np.abs(b[:, 0, 1]) > scale),
                  lambda i: NotImplementedError(
                      "exact filtered moments require an isotropic Bob block "
                      f"(got diag {b[i, 0, 0]:.6g}/{b[i, 1, 1]:.6g}, cross {b[i, 0, 1]:.6g})"))
-    s2 = (b[:, 0, 0] + 1.0) / 2.0   # E[u] without filtering
+    s2 = (b[:, 0, 0] + 1.0) / 2.0
     t = 1.0 - 1.0 / (g * g)
     (r0, r1, r2), scale = _weighted_u_moments(s2, t, cutoffs**2, kmax=2)
-    u1 = r1 / r0                    # <u> under acceptance
-    u2 = r2 / r0
+    u1 = r1 / r0
+    # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
+    # scale-invariant so the 1/g rescale drops out.
+    return g, s2, u1, r0 * scale, 1.5 * (r2 / r0) / (u1 * u1)
 
-    out = np.zeros((n, 4, 4))
+
+def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
+    """(acceptance rates, covariance matrices, Bob kurtoses) of the accepted
+    ensembles of a (N, 4, 4) stack, ``gains`` and ``cutoffs`` scalars or
+    length-N arrays; the skewness is 0 for all of them."""
+    covs = require_cov_stack(covs)
+    g, s2, u1, rate, kurt = _filter_integrals(covs, gains, cutoffs)
+    a, c = covs[:, :2, :2], covs[:, :2, 2:]
+    out = np.zeros((len(covs), 4, 4))
     # Bob block: accepted Var(bob quadrature) = <u>, rescaled by 1/g^2,
     # then V = 2 Var - 1. Radial weight keeps the block isotropic.
     out[:, 2:, 2:] = (2.0 * u1 / g**2 - 1.0)[:, None, None] * np.eye(2)
@@ -130,10 +135,7 @@ def filtered_ensemble_stack(covs: np.ndarray, gains, cutoffs):
     for i, j in ((0, 0), (1, 1), (0, 1)):
         cvec2 = (c[:, i, 0] * c[:, j, 0] + c[:, i, 1] * c[:, j, 1]) / 2.0
         out[:, i, j] = out[:, j, i] = a[:, i, j] + (cvec2 / s2) * (u1 / s2 - 1.0)
-
-    # E[q^4] = (3/8)<u^2> per quadrature component of gamma; kurtosis is
-    # scale-invariant so the 1/g rescale drops out.
-    return r0 * scale, out, 1.5 * u2 / (u1 * u1)
+    return rate, out, kurt
 
 
 def filtered_ensemble(state: GaussianState, filt: FilterSpec) -> FilteredEnsemble:

@@ -77,14 +77,27 @@ def _raise_first(bad, make_error) -> None:
         raise exc
 
 
+# The one magnitude bound of every amplitude input (cutoff, gain, excess noise,
+# 10**(|dB|/10)): the exact filtered moments' cutoff^6 term overflows a float
+# near 2.4e51, and below it g^2 and products of 2x2 determinants stay finite.
+MAX_CUTOFF = 1e50
+
+
 def _require_in(values, name: str, low: float, high: float = np.inf) -> None:
     """Refuse NaN, +inf or a value outside [low, high]: one value, or an array's
-    first such entry.  With no upper bound the rule reads ">= low", and
-    "finite and >= low" for +inf, the one failing value equal to ``high``."""
+    first such entry.  With no upper bound the rule reads ">= low", "finite
+    and >= low" for +inf, and "<= MAX_CUTOFF" for a finite value above
+    :data:`MAX_CUTOFF`."""
     v = np.asarray(values)
     rule = f"in [{low:g}, {high:g}]" if high < np.inf else f">= {low:g}"
-    _raise_first(~((v >= low) & (v <= high) & (v < np.inf)), lambda i: InputError(
-        f"{name} must be {'finite and ' if v.flat[i] == high else ''}{rule}, got {v.flat[i]}"))
+
+    def error(i):
+        x = v.flat[i]
+        text = (f"<= {MAX_CUTOFF:g}" if high == np.inf and MAX_CUTOFF < x < np.inf
+                else f"finite and {rule}" if x == high else rule)
+        return InputError(f"{name} must be {text}, got {x}")
+
+    _raise_first(~((v >= low) & (v <= min(high, MAX_CUTOFF))), error)
 
 
 def _require_positive(values, name: str, high: float = np.inf) -> None:
@@ -96,13 +109,12 @@ def _require_positive(values, name: str, high: float = np.inf) -> None:
         f"got {v.flat[i]}"))
 
 
-DB_RULE = "10**(dB/10) a finite, positive float"  # dB in about [-3236, 3082.5]
+DB_RULE = f"10**(dB/10) a finite, positive float in [{1 / MAX_CUTOFF:g}, {MAX_CUTOFF:g}]"
 
 
 def db_variance_ok(db: float) -> bool:
-    """Whether ``db`` keeps :data:`DB_RULE`; NaN does not."""
-    with np.errstate(over="ignore", under="ignore"):
-        return bool(0.0 < np.power(10.0, db / 10.0) < np.inf)
+    """Whether ``db`` keeps :data:`DB_RULE`, which is |dB| <= 500; NaN does not."""
+    return bool(abs(db) <= 10.0 * np.log10(MAX_CUTOFF))
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:

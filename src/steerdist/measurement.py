@@ -85,6 +85,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import (
+    MAX_CUTOFF,
     GaussianState,
     NumericalError,
     RECONSTRUCTION_TOL,
@@ -111,13 +112,11 @@ MODEL_RTOL = 1e-9
 BASIS_X = 0
 BASIS_P = 1
 
-# the exact filtered moments' cutoff^6 term overflows a float near 2.4e51
-MAX_CUTOFF = 1e50
-
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """NLA gain g >= 1 and cutoff magnitude |beta_c| in (0, ``MAX_CUTOFF``] (raw units)."""
+    """NLA gain g in [1, ``MAX_CUTOFF``] and cutoff magnitude |beta_c| in
+    (0, ``MAX_CUTOFF``] (raw units)."""
 
     gain: float
     cutoff: float

@@ -6,15 +6,16 @@ sigma' = G2 (2 G1 - sigma)^{-1} G2 - 2 G1 for diagonal gain matrices G1, G2
 (Fiurasek & Cerf, PRA 2012; the tests keep this two-sided map in
 ``tests/reference.py``).  The paper amplifies Bob's mode only, the exact
 g1 -> 1 limit of that map: with K, L, X Alice's (kept), Bob's (amplified)
-and the cross block,
+and the cross block, B = (g^2+1)/(2(g^2-1)), D = g/(1-g^2) and
+M = (2B I - L)^{-1}, it sends K -> K + X M X^T, X -> -2D X M and
+L -> (2B L - I) M.  In s = (g^2-1)/(g^2+1) = 1/(2B) and N = (I - sL)^{-1},
+M = sN and -2D s = 2g/(g^2+1), so
 
-    B = (g^2+1)/(2(g^2-1)),  D = g/(1-g^2),  M = (2B I - L)^{-1},
+    K -> K + s X N X^T,   X -> (2g/(g^2+1)) X N,   L -> (L - sI) N.
 
-    K -> K + X M X^T,   X -> -2D X M,   L -> 4D^2 M - 2B I = (2B L - I) M
-
-(the last form, from D^2 - B^2 = -1/4, avoids cancellation as g -> 1).  It
-needs 2B I - L > 0, otherwise the amplified state is unnormalizable; that
-is the bound :func:`max_single_mode_gain` states.
+At g = 1, s = 0 and N = I, so every block comes out unchanged.  The map
+needs I - sL > 0, otherwise the amplified state is unnormalizable; that is
+the bound :func:`max_single_mode_gain` states.
 
 States have zero mean, so only the covariance matrix is transformed.
 """
@@ -44,51 +45,44 @@ class GainTooLargeError(NumericalError):
 
 
 def _check_gains(gains) -> None:
-    """The gain rule, at least 1 and finite, on one gain or an array of them."""
+    """The gain rule, in [1, ``MAX_CUTOFF``], on one gain or an array of them."""
     _require_in(gains, "gain", 1.0)
 
 
+def _amplifier_s(gains):
+    """s = (g^2 - 1)/(g^2 + 1) of a gain or an array of them: 0 at unit gain."""
+    return (np.square(gains) - 1.0) / (np.square(gains) + 1.0)
+
+
 def nla_single_mode(sigma: np.ndarray, g: float) -> np.ndarray:
-    """Exact amplification of Bob's mode: with M = (2B(g) I - L)^{-1}, Alice's,
-    the cross and Bob's blocks map to K + X M X^T, -2D(g) X M, (2B(g) L - I) M.
-    """
+    """Exact amplification of Bob's mode by the map in s of the module docstring."""
     return nla_single_mode_stack(np.asarray(sigma, dtype=float)[None], g)[0]
 
 
 def nla_single_mode_stack(covs: np.ndarray, gains) -> np.ndarray:
     """:func:`nla_single_mode` on a (N, 4, 4) stack; ``gains`` is a scalar or
-    a length-N array.  Entries with gain 1 are returned unchanged; every
-    amplified entry is checked for physicality at ``PHYSICALITY_TOL``."""
+    a length-N array.  Entries with gain 1 come out equal to their symmetric
+    input; every amplified entry is checked for physicality at
+    ``PHYSICALITY_TOL``."""
     covs = require_cov_stack(covs)
     gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
     _check_gains(gains)
-    out = covs.copy()
-    amp = np.flatnonzero(gains != 1.0)
-    if amp.size == 0:
-        return out
-    g = gains[amp][:, None, None]
-    b = (g * g + 1.0) / (2.0 * (g * g - 1.0))
-    d = g / (1.0 - g * g)
-    sub = covs[amp]
-    k, l, x = sub[:, :2, :2], sub[:, 2:, 2:], sub[:, :2, 2:]
-    n = 2.0 * b * np.eye(2) - l
-    eig, bad = np.ones(len(covs)), np.zeros(len(covs), dtype=bool)
-    eig[amp], bad[amp] = min_eig2(n), ~pd2(n)
-    _raise_first(bad, lambda i: GainTooLargeError(
+    s = _amplifier_s(gains)[:, None, None]
+    k, l, x = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
+    n = np.eye(2) - s * l
+    _raise_first(~pd2(n), lambda i: GainTooLargeError(
         f"gain {gains[i]} too large for this state: "
-        f"2*B*I - L has eigenvalue {eig[i]:.6g} <= 0"))
-    m = inv2(n)
-    xm = x @ m
-    res = np.empty_like(sub)
-    res[:, :2, :2] = k + xm @ np.swapaxes(x, 1, 2)
-    res[:, :2, 2:] = -2.0 * d * xm
-    res[:, 2:, :2] = np.swapaxes(res[:, :2, 2:], 1, 2)
-    res[:, 2:, 2:] = (2.0 * b * l - np.eye(2)) @ m
-    out[amp] = 0.5 * (res + np.swapaxes(res, 1, 2))
-    nu, pd = np.ones(len(covs)), np.ones(len(covs), dtype=bool)
-    nu[amp], pd[amp] = _min_symplectic(out[amp])
-    _raise_first(~pd, lambda i: _not_pd_error(out[i]))
-    _raise_first(nu < 1.0 - PHYSICALITY_TOL, lambda i: UnphysicalStateError(
+        f"2*B*I - L has eigenvalue {min_eig2(n[i]) / s[i, 0, 0]:.6g} <= 0"))
+    n = inv2(n)
+    out = np.empty_like(covs)
+    out[:, :2, :2] = k + s * (x @ n @ np.swapaxes(x, 1, 2))
+    out[:, :2, 2:] = (2.0 * gains / (gains * gains + 1.0))[:, None, None] * x @ n
+    out[:, 2:, :2] = np.swapaxes(out[:, :2, 2:], 1, 2)
+    out[:, 2:, 2:] = l @ n - s * n
+    out = 0.5 * (out + np.swapaxes(out, 1, 2))
+    nu, pd = _min_symplectic(out)
+    _raise_first((gains != 1.0) & ~pd, lambda i: _not_pd_error(out[i]))
+    _raise_first((gains != 1.0) & (nu < 1.0 - PHYSICALITY_TOL), lambda i: UnphysicalStateError(
         f"amplified state is unphysical: min symplectic eigenvalue {nu[i]:.12g}"))
     return out
 

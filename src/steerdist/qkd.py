@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtered_moments import filtered_ensemble_stack
+from .filtered_moments import _filter_integrals
 from .gaussian import (
     GaussianState,
     InputError,
@@ -93,19 +93,16 @@ def key_rate_filtered(state: GaussianState, gain: float, beta_c: float) -> KeyRa
 def _filtered_key_rate_stack(covs: np.ndarray, gains, beta_c: float):
     """(key rates, V_x, V_p, acceptance rates) of :func:`key_rate_filtered`
     on a (N, 4, 4) stack, one gain per matrix, with no physicality check of
-    the unit-gain rows, which keep their matrix and rate 1.  A filtered V is
-    not the ensemble's difference of two entries that grow like <u> ~
-    cutoff^2: with w = <u>/s2 >= 1 (read back from the ensemble's Bob
-    variance 2<u>/g^2 - 1), a = sigma_kk and (c, d) = (sigma_k,k+2,
-    sigma_k,3-k) Alice's row of the cross block, basis k has V = (w/g^2)
-    (2 a s2 - c^2 + d^2 (w - 1)) / (2 a + (c^2 + d^2)(w - 1)/s2)."""
+    the unit-gain rows, which keep their matrix and rate 1.  A filtered V
+    comes straight from the filter integrals, not from the ensemble's
+    entries, which grow like <u> ~ cutoff^2: with w = <u>/s2 >= 1, a =
+    sigma_kk and (c, d) = (sigma_k,k+2, sigma_k,3-k) Alice's row of the
+    cross block, basis k has V = (w/g^2) (2 a s2 - c^2 + d^2 (w - 1)) /
+    (2 a + (c^2 + d^2)(w - 1)/s2)."""
     covs = require_cov_stack(covs)
-    gains = np.asarray(gains, dtype=float)
-    acc, ens, _ = filtered_ensemble_stack(covs, gains, beta_c)
-    unit, g2 = gains == 1.0, gains**2
+    g, s2, u1, acc, _ = _filter_integrals(covs, gains, beta_c)
+    unit, g2, w = g == 1.0, g * g, u1 / s2
     acc[unit] = 1.0
-    s2 = (covs[:, 2, 2] + 1.0) / 2.0
-    w = (ens[:, 2, 2] + 1.0) * g2 / (2.0 * s2)
     v = []
     for k, v_unit in enumerate(_conditional_variances_stack(covs)):
         a, c, d = covs[:, k, k], covs[:, k, k + 2], covs[:, k, 3 - k]

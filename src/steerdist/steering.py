@@ -44,7 +44,7 @@ from .gaussian import (
     schur_2x2,
     schur_pd,
 )
-from .nla import nla_single_mode_stack
+from .nla import _amplifier_s, nla_single_mode_stack
 
 # Monotone values below this are reported as exactly "not steerable".
 STEERING_POSITIVITY_TOL = 1e-9
@@ -212,8 +212,8 @@ def steering_loss_threshold(state: GaussianState, channel_template: ChannelSpec,
     block X by sqrt(T) and makes Bob's block N + T (B - N), with A, B, X the
     zero-loss output's blocks and N Bob's block at full loss.  So
     S_{B|A} = N + T D with D = S - N, S = ``schur_2x2(A, B, X)``, and with
-    s = (g^2 - 1)/(g^2 + 1) (0 without the amplifier) each threshold
-    condition is a quadratic in T:
+    the amplifier map's s = (g^2 - 1)/(g^2 + 1) (0 without the amplifier;
+    see :mod:`steerdist.nla`) each threshold condition is a quadratic in T:
 
         A->B:  det((N - sI) + T D) - det((I - sN) - sT D) = 0,
         B->A:  det A det((N - sI) + T D) - det((N - sI) + T (B - N)) = 0.
@@ -223,14 +223,14 @@ def steering_loss_threshold(state: GaussianState, channel_template: ChannelSpec,
     """
     outs = channel_stack(state.cov, [0.0, 1.0], channel_template.excess_noise,
                          channel_template.noise_model)
-    amp = outs if nla_gain is None else nla_single_mode_stack(outs, nla_gain)
-    f_lo, f_hi = steering_signed_stack(amp, direction)
+    gain = 1.0 if nla_gain is None else nla_gain
+    f_lo, f_hi = steering_signed_stack(nla_single_mode_stack(outs, gain), direction)
     if f_lo <= STEERING_POSITIVITY_TOL:
         raise NoThresholdError(f"direction {direction} is not steerable at zero loss "
                                f"(signed value {f_lo:.3e})")
     if f_hi > 0.0:  # steerable even at full loss cannot happen for these channels
         return 1.0
-    s = 0.0 if nla_gain is None else (nla_gain**2 - 1.0) / (nla_gain**2 + 1.0)
+    s = _amplifier_s(gain)
     (a, _), (b, n), (x, _) = _blocks_1p1(outs, "a_to_b")
     d, eye = schur_2x2(a, b, x) - n, np.eye(2)
     if direction == "a_to_b":

@@ -82,6 +82,7 @@ def test_channel_spec_validation():
     ((0.1, float("inf")), "excess_noise must be finite and >= 0, got inf"),
     ((0.1, 0.1, "thermal"),
      "unknown noise_model 'thermal', expected one of ('fixed', 'loss_scaled')"),
+    ((0.1, 1e60), "excess_noise must be <= 1e+50, got 1e+60"),
 ])
 def test_channel_spec_and_stack_refuse_alike(args, message):
     with pytest.raises(ValueError) as spec_err:

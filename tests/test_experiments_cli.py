@@ -780,3 +780,106 @@ def test_published_table_is_read_only_where_a_cutoff_comes_from_it(tmp_path, mon
         calls.clear()
         assert main([*argv, "--out", str(tmp_path / "table")]) == 0
         assert len(calls) == 1, argv
+
+
+def test_fig4_key_rate_at_huge_gains_has_no_cancellation(tmp_path):
+    # V comes from w = <u>/s2 of the filter integrals, not from the Bob
+    # entry 2<u>/g^2 - 1 of the ensemble, which cancels as g grows: V g^2
+    # tends to one limit and no warning is raised on the way
+    import warnings
+
+    path = tmp_path / "gains.ini"
+    path.write_text("[grids]\nfig4_g_grid = 1e10,1e20,1e50\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fig4", "--config", str(path), "--out", str(out)]) == 0
+    rows = _read_rows(out / "fig4.csv")
+    scaled = [float(row[name]) * float(row["g"]) ** 2
+              for row in rows for name in ("v_x_cond", "v_p_cond")]
+    assert len(scaled) == 6 and all(np.isfinite(float(row["key_rate"])) for row in rows)
+    assert scaled == pytest.approx([scaled[0]] * 6, rel=1e-12)
+
+
+@pytest.mark.parametrize("command, ini, message", [
+    ("fig4", "[grids]\nfig4_g_grid = 1.2,1e100\n", "gain must be <= 1e+50, got 1e+100"),
+    ("fig4", "[grids]\nfig4_g_grid = 1.2,1e200\n", "gain must be <= 1e+50, got 1e+200"),
+    ("fig3a", "[filter]\ngain = 1e200\n",
+     "filter.gain must be finite, >= 1 and <= 1e+50, got 1e+200"),
+    ("regions-c", "[grids]\ng_grid = 1,1e200\nloss_grid = 0,0.5\n",
+     "gain must be <= 1e+50, got 1e+200"),
+    *[(command, f"[channel]\nexcess_noise = {eps}\n",
+       f"channel.excess_noise must be finite, >= 0 and <= 1e+50, got {float(eps)}")
+      for command in ("fig3b", "regions-d", "fig-s1") for eps in ("1e150", "1e200", "1e300")],
+    *[(command, "[state]\nantisqueeze_db = 3000\n",
+       "state.antisqueeze_db must be >= 0 with 10**(dB/10) a finite, positive float in "
+       "[1e-50, 1e+50], got 3000.0")
+      for command in ("fig3a", "regions-c", "fig4", "fig-s2", "table-s1")],
+])
+def test_amplitudes_above_the_magnitude_bound_exit_2(tmp_path, capsys, command, ini, message):
+    # each of these overflowed on its way to the covariance algebra: exit 1
+    # with warnings as errors, a NaN eigenvalue or a NaN key rate without
+    import warnings
+
+    path = tmp_path / "big.ini"
+    path.write_text(ini)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_AT_THE_BOUND = {
+    "amplitudes": "[filter]\ngain = 1e50\ncutoff = 1e50\n[channel]\nexcess_noise = 1e50\n",
+    "pure-500dB": "[state]\nsqueeze_db = -500\nantisqueeze_db = 500\n",
+    "mixed-500dB": "[state]\nantisqueeze_db = 500\n",
+}
+
+
+@pytest.mark.parametrize("ini", _AT_THE_BOUND.values(), ids=_AT_THE_BOUND)
+def test_amplitudes_at_the_magnitude_bound_are_evaluated(tmp_path, ini):
+    # at the bound itself the rules accept, and the algebra ends in a value
+    # or a numerical refusal (exit 3), never in an overflow; the Monte Carlo
+    # runs sample one chunk at the 10,000-sample floor
+    import warnings
+
+    path = tmp_path / "edge.ini"
+    path.write_text(ini + "[grids]\nloss_grid = 0,0.5\ng_grid = 1,1.2\nfig4_g_grid = 1,1.3\n")
+    runs = [[command] for command in ("fig3a", "fig3b", "regions-c", "regions-d", "fig4",
+                                      "fig-s1", "fig-s2", "fig-s4", "table-s1")]
+    runs += [[command, "--mode", "monte_carlo", "--samples", "10000"]
+             for command in ("fig4", "fig-s2", "fig-s4", "fig3b")]
+    for k, argv in enumerate(runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(path), "--out", str(tmp_path / str(k))])
+        assert code in (0, 3), argv
+
+
+def test_region_map_above_the_cell_cap_is_refused(tmp_path, capsys):
+    # each grid is under the per-grid cap, their product is not: refused
+    # before the 1,001,000-cell map is built
+    from steerdist.config import MAX_GRID_POINTS
+
+    path = tmp_path / "map.ini"
+    path.write_text("[grids]\ng_grid = 1:2:0.001\nloss_grid = 0:0.999:0.001\n")
+    out = tmp_path / "o"
+    assert main(["regions-c", "--config", str(path), "--out", str(out)]) == 2
+    assert (f"config error: regions-c: a map of 1001 gains x 1000 losses has more than "
+            f"{MAX_GRID_POINTS} cells") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_region_map_at_the_cell_cap_is_built(tmp_path, monkeypatch):
+    import steerdist.experiments as exp
+
+    monkeypatch.setattr(exp, "MAX_GRID_POINTS", 6)
+    path = tmp_path / "map.ini"
+    path.write_text("[grids]\ng_grid = 1,1.1\nloss_grid = 0,0.1,0.2\n")
+    assert main(["regions-d", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert len(_read_rows(tmp_path / "a" / "regions_d.csv")) == 6
+    path.write_text("[grids]\ng_grid = 1,1.1\nloss_grid = 0,0.1,0.2,0.3\n")
+    assert main(["regions-d", "--config", str(path), "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()

@@ -74,6 +74,17 @@ def test_tmss_refuses_db_values_whose_variance_is_no_positive_float(pair):
         tmss_standard(*pair)
 
 
+def test_db_rule_is_the_magnitude_bound_of_the_variance():
+    # 10**(|dB|/10) <= 1e50 is |dB| <= 500, on both sides of 0 dB
+    from steerdist import InputError
+    from steerdist.gaussian import db_variance_ok
+
+    assert db_variance_ok(500.0) and db_variance_ok(-500.0)
+    for pair in ((-4.2, 500.00000000001), (-500.00000000001, 7.3)):
+        with pytest.raises(InputError, match=r"in \[1e-50, 1e\+50\], got"):
+            tmss_standard(*pair)
+
+
 def test_symplectic_eigenvalues_vacuum_and_thermal():
     assert np.allclose(symplectic_eigenvalues(np.eye(6)), 1.0)
     assert symplectic_eigenvalues(np.diag([3.0, 3.0]))[0] == pytest.approx(3.0)

@@ -184,3 +184,67 @@ def test_impure_state_crossover(model_state):
     assert gba > gab  # the reverse of the pure-state ordering
     base = steerability(model_state, "a_to_b")
     assert gab > base and gba > base  # amplification enhances both directions
+
+
+def test_unit_gain_rows_of_channel_outputs_come_out_bit_identical(model_state, pure_state):
+    # one map serves every row: at g = 1, s = 0 and N = I, so a unit-gain
+    # row equals its (symmetric) input with no branch of its own
+    from steerdist import channel_stack, nla_single_mode_stack
+
+    losses = np.linspace(0.0, 0.98, 50)
+    outs = np.concatenate([channel_stack(state.cov, losses, eps, model)
+                           for state in (model_state, pure_state)
+                           for eps, model in ((0.0, "fixed"), (0.12, "loss_scaled"))])
+    gains = np.where(np.arange(len(outs)) % 3 == 0, 1.0, 1.2)
+    amp = nla_single_mode_stack(outs, gains)
+    unit = gains == 1.0
+    assert np.array_equal(amp[unit], outs[unit])
+    assert not np.isclose(amp[~unit], outs[~unit]).all(axis=(1, 2)).any()
+
+
+def test_unit_gain_rows_are_not_checked_for_physicality():
+    # the map refuses an unphysical output only where it amplifies
+    from steerdist import UnphysicalStateError, nla_single_mode_stack
+
+    thin = np.diag([0.5, 0.5, 0.5, 0.5])
+    assert np.array_equal(nla_single_mode_stack(thin[None], 1.0)[0], thin)
+    with pytest.raises(UnphysicalStateError, match="amplified state is unphysical") as exc:
+        nla_single_mode_stack(np.stack([thin, thin]), [1.0, 1.2])
+    assert exc.value.cell == 1
+
+
+def test_gain_too_large_names_the_eigenvalue_of_two_b_minus_l(model_state):
+    # lambda_min(I - sL)/s is lambda_min(2B I - L), since 2B = 1/s
+    sigma = apply_lossy(model_state, 0.3).cov
+    g = 1.01 * max_single_mode_gain(sigma)
+    b = (g * g + 1.0) / (2.0 * (g * g - 1.0))
+    want = np.linalg.eigvalsh(2.0 * b * np.eye(2) - sigma[2:, 2:])[0]
+    with pytest.raises(GainTooLargeError) as exc:
+        nla_single_mode(sigma, g)
+    assert str(exc.value) == (f"gain {g} too large for this state: "
+                              f"2*B*I - L has eigenvalue {want:.6g} <= 0")
+
+
+@pytest.mark.parametrize("gains, cell, message", [
+    ([1.2, 1e60, 0.5], 1, "gain must be <= 1e+50, got 1e+60"),
+    ([1.2, 0.5, 1e60], 1, "gain must be >= 1, got 0.5"),
+    ([np.inf, 1e60], 0, "gain must be finite and >= 1, got inf"),
+])
+def test_gain_rule_names_the_first_failing_cell(model_state, gains, cell, message):
+    from steerdist import InputError, nla_single_mode_stack
+
+    with pytest.raises(InputError) as exc:
+        nla_single_mode_stack(np.stack([model_state.cov] * len(gains)), gains)
+    assert str(exc.value) == message and exc.value.cell == cell
+
+
+@pytest.mark.parametrize("bob", [1.0, 2.87525368])
+def test_gain_at_the_magnitude_bound_is_refused_without_overflow(bob):
+    # at g = 1e50, s rounds to 1, so only Bob's vacuum block could stay
+    # normalisable, and I - sL rounds to 0 there too: the map refuses the
+    # gain by its bound (exit 3), and no g^2 or product overflows on the way
+    from steerdist.gaussian import MAX_CUTOFF
+
+    sigma = np.diag([1.0, 1.0, bob, bob])
+    with pytest.raises(GainTooLargeError, match="eigenvalue"):
+        nla_single_mode(sigma, MAX_CUTOFF)

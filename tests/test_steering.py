@@ -196,3 +196,19 @@ def test_unphysical_input_rejected():
 def test_bad_direction_rejected(model_state):
     with pytest.raises(ValueError, match="direction"):
         steerability(model_state, "sideways")
+
+
+@pytest.mark.parametrize("channel, want", [(ChannelSpec(0.0), 1.0),
+                                           (ChannelSpec(0.0, 0.12), 0.7072406)])
+def test_a_to_b_threshold_does_not_depend_on_the_gain(model_state, channel, want):
+    # Bob's conditional matrix is isotropic here, S = lambda I, and the map
+    # sends it to (S - sI)(I - sS)^{-1}: A->B steering vanishes where
+    # lambda = 1, at every s, so one loss serves every gain of the grid
+    from steerdist.config import ExperimentConfig
+
+    gains = ExperimentConfig().g_grid
+    assert len(gains) == 21
+    got = np.array([steering_loss_threshold(model_state, channel, "a_to_b", float(g))
+                    for g in gains])
+    assert got == pytest.approx(np.full(len(gains), want), abs=5e-8)
+    assert np.ptp(got) <= 1e-12
