@@ -57,13 +57,15 @@ so pieces, then chunks, are added in order: the result does not depend on
 the thread count, nor a state's on the rest of its grid, and memory is
 O(threads x (SUB + states)) at any sample count.  Every :class:`Moments` is
 summed about a centre fixed before its records are read, so no sums are
-ever shifted and merged: 0 in the pass, the first chunk's means in
+ever shifted and merged: 0 in the pass, the first piece's kept means in
 :func:`reconstruct_covariance`'s one pass over a recorded batch, the data's
 means in :func:`moment_stats`; the last two see records of any offset.  The
 batch API (:func:`sample_batch`, :func:`post_select`) sees the same records
-and makes the same acceptance decisions as the pass.
+and makes the same acceptance decisions as the pass: a recorded batch is
+filtered piece by piece, with the chunk's uniforms of the same draw, by the
+pass's own filter step (:func:`_batch_pieces`).
 
-Each worker thread writes a piece's temporaries into one 2.4 MB
+Each worker thread writes a piece's temporaries into one 2.7 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
 Fresh arrays per chunk leave the allocator free to map new pages for each
 chunk, about 1,800 minor page faults a chunk; with the workspace a pass's
@@ -227,21 +229,22 @@ def _sampler(covs: np.ndarray, count: int) -> np.ndarray:
     return _joint_cholesky(covs)
 
 
-def _draws(seed: int, k: int, count: int, work: _Workspace, uniforms: bool):
+def _draws(seed: int, k: int, count: int, work: _Workspace, uniforms: bool,
+           normals: bool = True):
     """Chunk k's standard normals and, with ``uniforms``, its acceptance
     uniforms, drawn into ``work`` in pieces of at most SUB records from the
     chunk's two generators, which give the values of one whole-chunk draw.
     Yields (start, z, u) per piece: its offset in the chunk, its (m, 3)
-    normals and its m uniforms (None without ``uniforms``).  Records
-    alternate x, p, x, ... and CHUNK and SUB are even, so a piece's x-basis
-    rows are ``z[0::2]``; a basis's (alice, X_het, P_het) records are
-    ``chol[b] @ z[b::2].T``."""
+    normals (None without ``normals``) and its m uniforms (None without
+    ``uniforms``).  Records alternate x, p, x, ... and CHUNK and SUB are
+    even, so a piece's x-basis rows are ``z[0::2]``; a basis's (alice,
+    X_het, P_het) records are ``chol[b] @ z[b::2].T``."""
     m = min(CHUNK, count - k * CHUNK)
-    normal = _chunk_rng(seed, _NS_GAUSS, k)
+    normal = _chunk_rng(seed, _NS_GAUSS, k) if normals else None
     uniform = _chunk_rng(seed, _NS_ACCEPT, k) if uniforms else None
     for start in range(0, m, SUB):
         w = min(SUB, m - start)
-        yield (start, normal.standard_normal(out=work.z[:w]),
+        yield (start, normal.standard_normal(out=work.z[:w]) if normals else None,
                uniform.random(out=work.u[:w]) if uniforms else None)
 
 
@@ -274,28 +277,38 @@ def sample_batch(
     return QuadratureBatch(basis, cols[0], cols[1], cols[2])
 
 
-def _filter_chunk(batch: QuadratureBatch, filt: FilterSpec, seed: int, k: int):
-    """The filter step on chunk k of a batch's raw records: (accepted mask,
-    Bob's x, Bob's p) of the chunk, decided by the chunk's acceptance
-    uniforms, with the accepted records' quadratures divided by g."""
-    rows = slice(k * CHUNK, (k + 1) * CHUNK)
-    bob = batch.bob_x[rows], batch.bob_p[rows]
-    u = _chunk_rng(seed, _NS_ACCEPT, k).random(len(bob[0]))
-    accepted = _log_acceptance(0.5 * (bob[0]**2 + bob[1]**2), filt) > _log_uniforms(u)
-    return accepted, *(np.divide(c, filt.gain, out=c.copy(), where=accepted) for c in bob)
+def _batch_pieces(batch: QuadratureBatch, filt: FilterSpec | None, seed: int | None,
+                  work: _Workspace):
+    """Yield (rows, keep) per piece of :func:`_draws` of a recorded batch:
+    its slice and, in ``work``, the mask of the records ``filt`` accepts by
+    the pass's filter step on Bob's raw quadratures and the piece's
+    uniforms; without ``filt``, the accepted column (None if there is none)."""
+    n = len(batch)
+    for k in range(_n_chunks(n)):
+        for start, _, u in _draws(seed, k, n, work, uniforms=filt is not None, normals=False):
+            rows = slice(k * CHUNK + start, k * CHUNK + start + SUB)
+            if filt is None:
+                yield rows, None if batch.accepted is None else batch.accepted[rows]
+            else:
+                mag2 = _mag2(batch.bob_x[rows], batch.bob_p[rows], work)
+                yield rows, _accepts(_log_uniforms(u), mag2, filt, work)
 
 
 def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
-    """Apply the acceptance filter to raw outcomes and rescale accepted ones
-    (:func:`_filter_chunk` on each chunk).
+    """Apply the acceptance filter to raw outcomes and rescale accepted ones.
 
     Returns (filtered_batch, acceptance_rate).  Accepted records have Bob's
     quadratures divided by g; Alice's values are untouched; rejected records
-    keep their raw values and are flagged accepted = False.
+    keep their raw values and are flagged accepted = False.  The output
+    columns are filled piece by piece (:func:`_batch_pieces`).
     """
     n = len(batch)
-    accepted, bob_x, bob_p = map(np.concatenate, zip(*(
-        _filter_chunk(batch, filt, seed, k) for k in range(_n_chunks(n)))))
+    accepted = np.empty(n, dtype=bool)
+    bob_x, bob_p = batch.bob_x.copy(), batch.bob_p.copy()
+    for rows, keep in _batch_pieces(batch, filt, seed, _Workspace()):
+        accepted[rows] = keep
+        for col in (bob_x[rows], bob_p[rows]):
+            np.divide(col, filt.gain, out=col, where=keep)
     out = replace(batch, bob_x=bob_x, bob_p=bob_p, accepted=accepted)
     return out, float(np.count_nonzero(accepted)) / n
 
@@ -586,17 +599,18 @@ class Ensemble:
 
 
 class _Workspace:
-    """One worker's sub-chunk temporaries (see the module docstring): normals,
+    """One worker's piece temporaries (see the module docstring): normals,
     uniforms, one basis's records, |gamma|^2, acceptance probabilities, keep
-    mask and block products, 2,375,680 bytes in all: 6.5 x SUB + 10 x
-    _BLOCK float64 values and SUB / 2 bools."""
+    mask and block products, 2,654,208 bytes in all: 7.5 x SUB + 10 x
+    _BLOCK float64 values and SUB bools.  The pass filters one basis, half a
+    piece, at a time, :func:`_batch_pieces` a whole piece."""
 
     def __init__(self):
         half = SUB // 2
         self.z, self.u = np.empty((SUB, 3)), np.empty(SUB)
         self.rec = np.empty(3 * half)  # flat, so that its (3, n) head is contiguous
-        self.mag2, self.acc = np.empty(half), np.empty(half)
-        self.keep = np.empty(half, dtype=bool)
+        self.mag2, self.acc = np.empty(SUB), np.empty(SUB)
+        self.keep = np.empty(SUB, dtype=bool)
         self.blocks = np.empty((10, _BLOCK))  # _add_gram of 3-variate records
 
 
@@ -614,12 +628,12 @@ def _per_worker(fn):
     return run
 
 
-def _mag2(rec: np.ndarray, work: _Workspace) -> np.ndarray:
-    """|gamma|^2 = 0.5 * (X^2 + P^2) of (alice, X_het, P_het) records, in
+def _mag2(bob_x: np.ndarray, bob_p: np.ndarray, work: _Workspace) -> np.ndarray:
+    """|gamma|^2 = 0.5 * (X^2 + P^2) of Bob's heterodyne quadratures, in
     ``work``."""
-    n = rec.shape[1]
-    mag2 = np.square(rec[1], out=work.mag2[:n])
-    mag2 += np.square(rec[2], out=work.acc[:n])
+    n = len(bob_x)
+    mag2 = np.square(bob_x, out=work.mag2[:n])
+    mag2 += np.square(bob_p, out=work.acc[:n])
     mag2 *= 0.5
     return mag2
 
@@ -673,7 +687,7 @@ def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
                     _add_gram(next(out), zb, 0.0, work.blocks)
                 for chol, fs, cs in steps:
                     rec = np.matmul(chol[b], zb, out=work.rec[:zb.size].reshape(zb.shape))
-                    mag2 = _mag2(rec, work)
+                    mag2 = _mag2(rec[1], rec[2], work)
                     for filt in fs:
                         kept = rec.compress(_accepts(log_u[b::2], mag2, filt, work), axis=1)
                         kept[1:] /= filt.gain
@@ -700,34 +714,35 @@ def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
 def _batch_ensemble(batch: QuadratureBatch, filt: FilterSpec | None = None,
                     seed: int | None = None) -> Ensemble:
     """The :class:`Ensemble` of a batch's accepted records (every record if
-    it has no accepted column) in one pass over its chunks; with ``filt``,
-    of those ``post_select(batch, filt, seed)`` accepts, each chunk filtered
-    by :func:`_filter_chunk`, so no whole-batch copy is made.  The first
-    chunk fixes each basis's centre, Alice's mean in that basis and Bob's
-    over both, summed with ``einsum``, whose order, unlike BLAS ``ddot``'s,
-    does not depend on the BLAS thread count, so neither do the result's
-    bytes; every chunk's records are summed about it (:func:`_add_gram`)."""
+    it has no accepted column) in one pass over its pieces
+    (:func:`_batch_pieces`); with ``filt``, of those ``post_select(batch,
+    filt, seed)`` accepts, each piece's kept records compressed per Alice
+    basis and Bob's divided by g.  The first piece's kept records fix each
+    basis's centre, Alice's mean in that basis and Bob's over both, summed by
+    numpy's pairwise sum, whose order, unlike BLAS ``ddot``'s, does not
+    depend on the BLAS thread count, so neither do the result's bytes; every
+    piece's records are summed about it (:func:`_add_gram`)."""
+    work = _Workspace()
+    cols = batch.alice_value, batch.bob_x, batch.bob_p
     centres, grams = None, np.zeros((2, 10, 10))  # Gram matrices of 3-variate records
-    for k in range(_n_chunks(len(batch))):
-        rows = slice(k * CHUNK, (k + 1) * CHUNK)
-        if filt is None:
-            keep = True if batch.accepted is None else batch.accepted[rows]
-            cols = batch.alice_value[rows], batch.bob_x[rows], batch.bob_p[rows]
-        else:
-            keep, *bob = _filter_chunk(batch, filt, seed, k)
-            cols = batch.alice_value[rows], *bob
-        masks = [(batch.alice_basis[rows] == b) & keep for b in (BASIS_X, BASIS_P)]
-        if centres is None:  # per basis: the count, then each column's sum
-            sums = np.array([[np.count_nonzero(mask),
-                              *(np.einsum("i,i", c, mask, dtype=float) for c in cols)]
-                             for mask in masks])
-            centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
-            centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
-        for q, centre, mask in zip(grams, centres, masks):
+    for rows, keep in _batch_pieces(batch, filt, seed, work):
+        kept = []
+        for b in (BASIS_X, BASIS_P):
+            mask = batch.alice_basis[rows] == b
+            if keep is not None:
+                mask &= keep
             rec = np.empty((3, np.count_nonzero(mask)))
             for row, col in zip(rec, cols):
-                np.compress(mask, col, out=row)
-            _add_gram(q, rec, centre[:, None])
+                np.compress(mask, col[rows], out=row)
+            if filt is not None:
+                rec[1:] /= filt.gain
+            kept.append(rec)
+        if centres is None:  # per basis: the count, then each column's sum
+            sums = np.array([[rec.shape[1], *rec.sum(axis=1)] for rec in kept])
+            centres = sums[:, 1:] / np.maximum(sums[:, :1], 1.0)
+            centres[:, 1:] = sums[:, 2:].sum(axis=0) / max(sums[:, 0].sum(), 1.0)
+        for q, centre, rec in zip(grams, centres, kept):
+            _add_gram(q, rec, centre[:, None], work.blocks)
     return Ensemble(*map(Moments, centres, grams))
 
 

@@ -20,7 +20,7 @@ references:
   ``steering_loss_threshold``;
 * :func:`reconstruct_covariance_two_pass`: the batch reduction about the
   whole batch's means, from a first pass over every chunk, against the
-  one-pass ``reconstruct_covariance``, whose centre is its first chunk's;
+  one-pass ``reconstruct_covariance``, whose centre is its first piece's;
 * :func:`add_gram_all_pairs`: the Gram matrix of the pair products with
   every pair multiplied, the constant-1 ones too, against ``_add_gram``,
   which takes the pairs (0, j) as y itself.

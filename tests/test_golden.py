@@ -8,8 +8,9 @@ and every Monte Carlo output and standard error) must equal, byte for byte, the 
 same name in ``tests/golden/``; the sha256 of every other file (the large
 analytic CSVs and the SVGs) must equal the one recorded in
 ``tests/golden/outputs.sha256``.  A moved CSV is reported by the largest
-relative move of each numeric column, any other moved file by a unified
-diff.  The bytes depend on numpy's floating-point kernels and, for the
+relative move of each numeric column, a moved ``covmatrix v1`` file by its
+largest relative entry move and that entry, any other moved file by a
+unified diff.  The bytes depend on numpy's floating-point kernels and, for the
 Monte Carlo runs, on its random streams, so on a numpy version other than
 the recorded one the tests are skipped, never compared loosely.
 
@@ -170,6 +171,19 @@ def column_moves(want: bytes, got: bytes) -> str:
         for j, column in enumerate(old[0]))
 
 
+def covmatrix_move(want: bytes, got: bytes) -> str:
+    """Largest relative move of an entry of a ``covmatrix v1`` file that
+    moved, and which entry it is (inf where an entry was 0 or text and
+    changed)."""
+    old, new = ([line.split() for line in data.decode().splitlines()] for data in (want, got))
+    if old[0] != new[0] or [len(row) for row in old] != [len(row) for row in new]:
+        return "  the header or the matrix shape differs"
+    move, i, j = max(((_relative_move(a, b), i, j)
+                      for i, (row_a, row_b) in enumerate(zip(old[1:], new[1:]))
+                      for j, (a, b) in enumerate(zip(row_a, row_b))), key=lambda m: m[0])
+    return f"  entry [{i}, {j}]: {move:.3g}"
+
+
 def golden_moves(outputs: dict[str, bytes]) -> dict[str, str]:
     """Name -> report of each output that differs from its file in ``tests/golden/``."""
     reports = {}
@@ -180,6 +194,8 @@ def golden_moves(outputs: dict[str, bytes]) -> dict[str, str]:
             continue
         if name.endswith(".csv") and want:
             reports[name] = f"{name}: largest relative move per column\n{column_moves(want, got)}"
+        elif want.startswith(b"covmatrix v1 "):
+            reports[name] = f"{name}: largest relative entry move\n{covmatrix_move(want, got)}"
         else:
             reports[name] = "".join(difflib.unified_diff(
                 want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),

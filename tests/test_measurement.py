@@ -263,6 +263,29 @@ def test_post_select_deterministic(model_state):
     assert np.array_equal(a.accepted, b.accepted)
 
 
+@pytest.mark.parametrize("gain, cutoff", [(1.2, 3.0), (1.1, 4.0)])
+def test_post_select_matches_whole_chunk_reference(multi_chunk_file, gain, cutoff):
+    # Each chunk's uniforms are one whole-chunk draw, a record is accepted
+    # iff t (|gamma|^2 - |beta_c|^2) > ln u, and only Bob's accepted values
+    # are divided by g; the filter works piece by piece, the reference here
+    # on whole chunks.
+    batch, _ = multi_chunk_file
+    seed = 35
+    out, rate = post_select(batch, FilterSpec(gain, cutoff), seed)
+    t = 1.0 - 1.0 / (gain * gain)
+    for k in range(3):
+        rows = slice(k * CHUNK, (k + 1) * CHUNK)
+        x, p = batch.bob_x[rows], batch.bob_p[rows]
+        u = _chunk_rng(seed, _NS_ACCEPT, k).random(len(x))
+        with np.errstate(divide="ignore"):
+            accepted = (0.5 * (x**2 + p**2) - cutoff**2) * t > np.log(u)
+        assert np.array_equal(out.accepted[rows], accepted)
+        assert np.array_equal(out.bob_x[rows], np.where(accepted, x / gain, x))
+        assert np.array_equal(out.bob_p[rows], np.where(accepted, p / gain, p))
+    assert np.array_equal(out.alice_value, batch.alice_value)
+    assert rate == np.count_nonzero(out.accepted) / len(batch)
+
+
 def test_acceptance_stream_independent_of_filter(model_state):
     # same seed, different filters: the records (Gaussian stream) are shared
     batch = sample_batch(model_state, 50_000, seed=13)
@@ -288,7 +311,7 @@ def test_model_state_roundtrip(model_state):
 
 
 def test_reconstruction_across_chunks_matches_two_pass_reference(multi_chunk_file):
-    # one pass sums about the first chunk's means, the reference about the
+    # one pass sums about the first piece's means, the reference about the
     # whole batch's: the two differ by rounding only
     batch, _ = multi_chunk_file
     assert len(batch) > 2 * CHUNK
@@ -908,30 +931,68 @@ print(faults(8), faults(40))
     assert (long - short) / 32 < 200, (short, long)
 
 
+def _peak_growth_kib(setup: str, call: str) -> int:
+    """Growth, in KiB, of a fresh interpreter's peak RSS over ``call``, after
+    ``setup``.  It reads the process's own high-water mark, VmHWM: a child's
+    ru_maxrss starts at its parent's RSS, so under pytest it hid any growth
+    smaller than pytest's own resident set."""
+    code = f"""
+{setup}
+def peak_kib():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak_kib()
+{call}
+print(peak_kib() - before)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300)
+    return int(out.stdout)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="reads ru_maxrss in KiB, as Linux reports it")
+                    reason="reads the peak RSS from /proc/self/status")
 def test_monte_carlo_pass_peak_memory_is_small():
-    # Each worker draws and reduces SUB records at a time in a 2.4 MB
+    # Each worker draws and reduces SUB records at a time in a 2.7 MB
     # workspace.  numpy.random is imported lazily and grows the peak RSS by
     # about 6,300 KiB on its own, so it is imported before the baseline
     # reading; a first BLAS call adds under 1,000 KiB.  Measured this way on
-    # a 2-vCPU VM (numpy 2.4.6), the call grows the peak RSS by 5,900-6,100
-    # KiB with the 2.6 MB workspaces and by 16,500 KiB with whole chunks in
-    # 7.6 MB ones.
-    code = """
-import resource
+    # a 2-vCPU VM (numpy 2.4.6), the call grows the peak RSS by 5,400-5,650
+    # KiB, as with the 2.4 MB workspaces before, and by 16,500 KiB with
+    # whole chunks in 7.6 MB ones (read from ru_maxrss outside pytest).
+    growth_kib = _peak_growth_kib("""
 import numpy.random
 from steerdist import FilterSpec, apply_lossy, tmss_standard
 from steerdist.measurement import CHUNK, sample_grid
 
 state = apply_lossy(tmss_standard(-6.0, 6.0), 0.3)
 filters = [None, FilterSpec(1.1, 4.5), FilterSpec(1.2, 4.5)]
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-sample_grid(state.cov[None], 16 * CHUNK, 1, [filters], [()], threads=2)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
-"""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=300)
-    growth_kib = int(out.stdout)
+""", "sample_grid(state.cov[None], 16 * CHUNK, 1, [filters], [()], threads=2)")
     assert growth_kib < 9_000, growth_kib
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+def test_recorded_batch_reduction_peak_memory_is_small():
+    # A recorded batch is filtered and reduced piece by piece in one
+    # workspace.  The batch is made without temporaries, and numpy.random and
+    # a first BLAS call come before the baseline reading (see the test
+    # above).  Measured this way on a 2-vCPU VM (numpy 2.4.6), the call on
+    # three chunks grows the peak RSS by 1,480-1,570 KiB, and by 7,100-8,100
+    # KiB when each chunk was filtered whole into eight fresh arrays.
+    growth_kib = _peak_growth_kib("""
+import numpy as np
+import numpy.random
+from steerdist import FilterSpec
+from steerdist.measurement import CHUNK, QuadratureBatch, _batch_ensemble
+
+n = 3 * CHUNK
+cols = np.random.default_rng(5).standard_normal((3, n))
+cols *= 2.0
+basis = np.empty(n, dtype=np.uint8)
+basis[0::2], basis[1::2] = 0, 1
+batch = QuadratureBatch(basis, *cols)
+np.ones((4, 4)) @ np.ones((4, 4))
+""", "_batch_ensemble(batch, FilterSpec(1.2, 3.0), 7)")
+    assert growth_kib < 4_000, growth_kib
