@@ -23,7 +23,6 @@ from .steering import (
     NoThresholdError,
     SteeringResult,
     classify,
-    classify_stack,
     region_labels,
     steerability,
     steerability_stack,

@@ -39,10 +39,9 @@ EXIT_NUMERICAL = 3
 COMMANDS = {
     "fig3a": ("run_fig3", ("a",)), "fig3b": ("run_fig3", ("b",)),
     "regions-c": ("run_regions", ("c",)), "regions-d": ("run_regions", ("d",)),
-    "fig4": ("run_fig4", ()),
-    "fig-s1": ("run_appendix", ("fig_s1",)), "fig-s2": ("run_appendix", ("fig_s2",)),
-    "fig-s4": ("run_appendix", ("fig_s4",)), "table-s1": ("run_appendix", ("table_s1",)),
-    "ingest": ("run_ingest", ()), "selfcheck": ("run_selfcheck", ()),
+    "fig4": ("run_fig4", ()), "fig-s1": ("run_fig_s1", ()), "fig-s2": ("run_fig_s2", ()),
+    "fig-s4": ("run_fig_s4", ()), "table-s1": ("run_table_s1", ()), "ingest": ("run_ingest", ()),
+    "selfcheck": ("run_selfcheck", ()),
 }
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import NOISE_MODELS
-from .gaussian import DB_RULE, MAX_CUTOFF, InputError, db_variance_ok
+from .gaussian import DB_RULE, MAX_CUTOFF, MAX_GRID_POINTS, InputError, db_variance_ok
 
 ENV_PREFIX = "STEERDIST"
 
@@ -53,7 +53,6 @@ CUTOFF_SOURCES = ("table", "config", "search")
 
 MIN_MC_SAMPLES = 10_000
 FULL_SAMPLES = 100_000_000
-MAX_GRID_POINTS = 1_000_000  # 8 MB, 2,000 x the paper's 491-point loss grid
 
 
 class ConfigError(InputError):

@@ -30,6 +30,7 @@ import numpy as np
 from .channels import ChannelSpec
 from .filtered_moments import filtered_ensemble_stack
 from .gaussian import (
+    MAX_GRID_POINTS,
     GaussianState,
     InputError,
     NumericalError,
@@ -61,6 +62,8 @@ class CutoffCriteria:
         if not 0 < self.grid_min <= self.grid_max < np.inf:  # written to refuse NaN
             raise InputError(f"need 0 < grid_min <= grid_max < inf, got {self.grid_min}, "
                              f"{self.grid_max}")
+        if not (self.grid_max - self.grid_min) / self.grid_step < MAX_GRID_POINTS - 0.5:
+            raise InputError(f"cutoff grid has more than {MAX_GRID_POINTS} points, got {self}")
 
 
 class CutoffSearchError(NumericalError):

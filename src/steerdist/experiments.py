@@ -47,7 +47,7 @@ from .measurement import (
 )
 from .nla import nla_single_mode, nla_single_mode_stack
 from .qkd import _filtered_key_rate_stack, key_rate, key_rate_with_se_stack, min_gain_for_key
-from .steering import classify_stack, steerability_stack, steerability_with_se_stack
+from .steering import region_labels, steerability_stack, steerability_with_se_stack
 
 TABLE_GAINS = (1.05, 1.10, 1.15, 1.20, 1.25)
 TABLE_LOSSES = (0.0, 0.2, 0.4, 0.6, 0.8)
@@ -240,7 +240,7 @@ def run_regions(variant: str, config: ExperimentConfig):
         i_g, i_loss = np.divmod(np.arange(n), len(losses))
         outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
         amp = nla_single_mode_stack(outs[i_loss], np.take(gains, i_g))
-        return classify_stack(amp)[2].tolist()
+        return region_labels(*steerability_stack(amp)).tolist()
 
     flat = _in_grid_order(chain, len(gains) * len(losses))
     labels = [flat[k:k + len(losses)] for k in range(0, len(flat), len(losses))]
@@ -317,16 +317,7 @@ def _appendix_grid(config):
     return losses, gains, outs
 
 
-def run_appendix(item: str, config: ExperimentConfig):
-    """Supplementary items: fig_s1, fig_s2, fig_s4, table_s1."""
-    runner = {"fig_s1": _run_fig_s1, "fig_s2": _run_fig_s2,
-              "fig_s4": _run_fig_s4, "table_s1": _run_table_s1}.get(item)
-    if runner is None:
-        raise InputError(f"unknown appendix item {item!r}")
-    return runner(config)
-
-
-def _run_fig_s1(config):
+def run_fig_s1(config: ExperimentConfig):
     """Pure-state distillation curves (analytic), lossy and noisy channels."""
     pure = tmss_standard(config.squeeze_db, -config.squeeze_db)
     g = config.gain
@@ -347,7 +338,7 @@ def _run_fig_s1(config):
     return path, rows
 
 
-def _run_fig_s2(config):
+def run_fig_s2(config: ExperimentConfig):
     """Skewness/kurtosis of accepted ensembles at the per-cell optimal cutoffs.
 
     In the sampling modes, cells whose expected accepted count at the
@@ -380,7 +371,7 @@ def _run_fig_s2(config):
     return path, rows
 
 
-def _run_fig_s4(config):
+def run_fig_s4(config: ExperimentConfig):
     """Success probability of the filter over the (g, loss) grid."""
     losses, gains, outs = _appendix_grid(config)
     cutoffs = _table_cutoffs(losses, gains)
@@ -396,7 +387,7 @@ def _run_fig_s4(config):
     return path, rows
 
 
-def _run_table_s1(config):
+def run_table_s1(config: ExperimentConfig):
     """Reproduce the optimal-cutoff table by a fresh search of every cell."""
     losses, gains, outs = _appendix_grid(config)
 

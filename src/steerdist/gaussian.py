@@ -81,6 +81,7 @@ def _raise_first(bad, make_error) -> None:
 # 10**(|dB|/10)): the exact filtered moments' cutoff^6 term overflows a float
 # near 2.4e51, and below it g^2 and products of 2x2 determinants stay finite.
 MAX_CUTOFF = 1e50
+MAX_GRID_POINTS = 1_000_000  # 8 MB, 2,000 x the paper's 491-point loss grid
 
 
 def _require_in(values, name: str, low: float, high: float = np.inf) -> None:
@@ -308,10 +309,6 @@ class GaussianState:
         cov = _require_cov(self.cov).copy()
         cov.flags.writeable = False
         object.__setattr__(self, "cov", cov)
-
-    def blocks(self):
-        """(A, B, C): Alice block, Bob block, and the Alice-row cross block."""
-        return self.cov[:2, :2], self.cov[2:, 2:], self.cov[:2, 2:]
 
 
 def from_cov(cov: np.ndarray) -> GaussianState:

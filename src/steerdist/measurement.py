@@ -188,17 +188,26 @@ def _n_chunks(count: int) -> int:
 
 
 def _map_chunks(fn, n_chunks: int, threads: int):
-    """Yield ``fn(k)`` for every chunk k in chunk order, on ``threads`` threads,
-    with at most 2 x threads chunks submitted and not yet yielded."""
+    """Yield ``fn(k, work)`` for every chunk k in chunk order, on ``threads``
+    threads, with at most 2 x threads chunks submitted and not yet yielded;
+    ``work`` is the calling thread's :class:`_Workspace`, made at its first
+    chunk."""
+    local = threading.local()
+
+    def run(k: int):
+        if not hasattr(local, "work"):
+            local.work = _Workspace()
+        return fn(k, local.work)
+
     if threads <= 1:
-        yield from map(fn, range(n_chunks))
+        yield from map(run, range(n_chunks))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for k in range(n_chunks):
             if len(pending) == 2 * threads:
                 yield pending.popleft().result()
-            pending.append(pool.submit(fn, k))
+            pending.append(pool.submit(run, k))
         while pending:
             yield pending.popleft().result()
 
@@ -272,7 +281,7 @@ def sample_batch(
             for b in (BASIS_X, BASIS_P):
                 block[:, b::2] = chol[b] @ z[b::2].T
 
-    for _ in _map_chunks(_per_worker(fill), _n_chunks(count), threads):
+    for _ in _map_chunks(fill, _n_chunks(count), threads):
         pass
     return QuadratureBatch(basis, cols[0], cols[1], cols[2])
 
@@ -614,20 +623,6 @@ class _Workspace:
         self.blocks = np.empty((10, _BLOCK))  # _add_gram of 3-variate records
 
 
-def _per_worker(fn):
-    """``fn(k, work)`` as a function of k alone: ``work`` is the calling
-    thread's :class:`_Workspace`, made at its first chunk and dropped with
-    the thread or the returned function."""
-    local = threading.local()
-
-    def run(k: int):
-        if not hasattr(local, "work"):
-            local.work = _Workspace()
-        return fn(k, local.work)
-
-    return run
-
-
 def _mag2(bob_x: np.ndarray, bob_p: np.ndarray, work: _Workspace) -> np.ndarray:
     """|gamma|^2 = 0.5 * (X^2 + P^2) of Bob's heterodyne quadratures, in
     ``work``."""
@@ -697,7 +692,7 @@ def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
                         next(out)[0, 0] += np.count_nonzero(keep)
         return sums
 
-    outs = iter(zip(*sum(_map_chunks(_per_worker(chunk), _n_chunks(count), threads))))
+    outs = iter(zip(*sum(_map_chunks(chunk, _n_chunks(count), threads))))
 
     def ensemble() -> Ensemble:
         return Ensemble(*(Moments(np.zeros(3), q) for q in next(outs)))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .filtered_moments import _filter_integrals
 from .gaussian import (
+    MAX_CUTOFF,
     GaussianState,
     InputError,
     NumericalError,
@@ -152,7 +153,7 @@ def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
     if g_grid.size == 0:
         raise InputError("gain grid is empty")
     # a gain FilterSpec refuses is evaluated at 1 here, refused in place by the scan
-    gains = np.where((g_grid >= 1.0) & (g_grid < np.inf), g_grid, 1.0)
+    gains = np.where((g_grid >= 1.0) & (g_grid <= MAX_CUTOFF), g_grid, 1.0)
     rates = _filtered_key_rate_stack(np.broadcast_to(state.cov, (g_grid.size, 4, 4)),
                                      gains, beta_c)[0]
     for g, rate in zip(g_grid.tolist(), rates.tolist()):

@@ -12,12 +12,12 @@ det S = det sigma / det sigma_cond, so the signed quantity is
 
     -ln nu = (ln det sigma_cond - ln det sigma) / 2 = -(ln det S) / 2.
 
-The stack kernels :func:`steering_signed_stack`, :func:`steerability_stack`
-and :func:`classify_stack` evaluate it through the closed-form 2x2 Schur
-complement on (N, 4, 4) stacks; :func:`steerability` and :func:`classify`
-call them with N = 1.  The tests check the kernels against the general
-route through the symplectic spectrum of the Schur complement, kept in
-``tests/reference.py``.
+The stack kernels :func:`steering_signed_stack` and
+:func:`steerability_stack` evaluate it through the closed-form 2x2 Schur
+complement on (N, 4, 4) stacks, and :func:`region_labels` labels their
+values; :func:`steerability` and :func:`classify` call them with N = 1.
+The tests check the kernels against the general route through the
+symplectic spectrum of the Schur complement, kept in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -136,12 +136,6 @@ def region_labels(g_a_to_b, g_b_to_a) -> np.ndarray:
                      ["two_way", "one_way_a_to_b", "one_way_b_to_a"], "none")
 
 
-def classify_stack(covs: np.ndarray):
-    """(G_A->B, G_B->A, labels) of a (N, 4, 4) stack."""
-    gab, gba = steerability_stack(covs)
-    return gab, gba, region_labels(gab, gba)
-
-
 def steerability(state: GaussianState, direction: str,
                  physicality_tol: float = RECONSTRUCTION_TOL) -> float:
     """Gaussian steering monotone in the given direction, in nats, checked
@@ -151,8 +145,8 @@ def steerability(state: GaussianState, direction: str,
 
 def classify(state: GaussianState) -> SteeringResult:
     """Both monotone values plus the region label used in the steering maps."""
-    gab, gba, labels = classify_stack(state.cov[None])
-    return SteeringResult(float(gab[0]), float(gba[0]), str(labels[0]))
+    gab, gba = steerability_stack(state.cov[None])
+    return SteeringResult(float(gab[0]), float(gba[0]), str(region_labels(gab, gba)[0]))
 
 
 def steerability_with_se_stack(covs: np.ndarray, ses: np.ndarray):

@@ -99,7 +99,8 @@ def schur_complement(sigma: np.ndarray, keep: str) -> np.ndarray:
     whose symplectic spectrum quantifies A->B steering); ``keep='a'`` swaps
     the roles.
     """
-    a, b, c = from_cov(sigma).blocks()
+    sigma = from_cov(sigma).cov
+    a, b, c = sigma[:2, :2], sigma[2:, 2:], sigma[:2, 2:]
     if keep == "b":
         cond, kept, cross = a, b, c  # cross: rows conditioning, cols kept
     elif keep == "a":

@@ -112,6 +112,10 @@ def test_criteria_validation():
             CutoffCriteria(grid_min=bounds[0], grid_max=bounds[1])
     assert len(select_cutoff_stack(np.eye(4)[None], 1.1, CutoffCriteria(
         grid_min=2.0, grid_max=2.0)).grid) == 1
+    # parse_grid's point cap, refused before a grid is allocated
+    for kwargs in ({"grid_step": 1e-12}, {"grid_max": 1e300}):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            CutoffCriteria(**kwargs)
 
 
 def test_search_modules_bind_no_sampler(model_state):

@@ -393,20 +393,20 @@ def test_fig4_monte_carlo_memory_is_bounded(tmp_path):
 # --- appendix --------------------------------------------------------------------
 
 def test_fig_s1_pure_state_ordering(tmp_path):
-    from steerdist.experiments import run_appendix
+    from steerdist.experiments import run_fig_s1
 
     config = _config(tmp_path, loss_grid=np.arange(0.0, 0.81, 0.05))
-    path, rows = run_appendix("fig_s1", config)
+    path, rows = run_fig_s1(config)
     assert all(r[5] <= r[4] + 1e-9 for r in rows)  # B->A never surpasses A->B
     lossy_rows = [r for r in rows if r[0] == "lossy"]
     assert lossy_rows[0][2] == pytest.approx(lossy_rows[0][3], abs=1e-9)
 
 
 def test_fig_s4_trend(tmp_path):
-    from steerdist.experiments import run_appendix
+    from steerdist.experiments import run_fig_s4
 
     config = _config(tmp_path)
-    path, rows = run_appendix("fig_s4", config)
+    path, rows = run_fig_s4(config)
     rates = {(g, loss): rate for g, loss, rate in rows}
     assert rates[(1.05, 0.8)] > rates[(1.25, 0.0)]
     for loss in (0.0, 0.4, 0.8):
@@ -426,17 +426,17 @@ def test_appendix_seeds_derive_from_grid_indices(tmp_path, monkeypatch):
 
     monkeypatch.setattr(exp, "derive_seed", recording)
     config = _config(tmp_path, mode="monte_carlo", samples=10_000)
-    exp.run_appendix("fig_s4", config)
+    exp.run_fig_s4(config)
     assert keys == [(6,)]  # one seed per grid: its cells share the draw
     keys.clear()
-    exp.run_appendix("fig_s2", _config(tmp_path, mode="monte_carlo", samples=40_000))
+    exp.run_fig_s2(_config(tmp_path, mode="monte_carlo", samples=40_000))
     assert keys == [(5,)]
 
 
 def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
     import steerdist.experiments as exp
     config = _config(tmp_path, mode="monte_carlo", samples=40_000)
-    _, rows = exp.run_appendix("fig_s4", config)
+    _, rows = exp.run_fig_s4(config)
     losses, gains, outs = exp._appendix_grid(config)
     cutoffs = exp._table_cutoffs(losses, gains)
     seed = exp.derive_seed(config.seed, 6)
@@ -446,10 +446,10 @@ def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
 
 
 def test_fig_s2_gaussianity(tmp_path):
-    from steerdist.experiments import run_appendix
+    from steerdist.experiments import run_fig_s2
 
     config = _config(tmp_path)
-    path, rows = run_appendix("fig_s2", config)
+    path, rows = run_fig_s2(config)
     assert len(rows) == 25
     for g, loss, skew, kurt in rows:
         assert abs(skew) < 0.05
@@ -459,9 +459,9 @@ def test_fig_s2_gaussianity(tmp_path):
 def test_fig_s2_reports_exact_moment_cells(tmp_path, capsys):
     import re
 
-    from steerdist.experiments import run_appendix
+    from steerdist.experiments import run_fig_s2
 
-    path, rows = run_appendix("fig_s2", _config(tmp_path, mode="monte_carlo",
+    path, rows = run_fig_s2(_config(tmp_path, mode="monte_carlo",
                                                 samples=400_000))
     pattern = re.compile(r"fig-s2: g=(\S+) loss=(\S+) Monte Carlo value replaced by the "
                          r"exact moments: expected accepted count (\d+) < 2000$")

@@ -568,7 +568,7 @@ def test_map_chunks_bounds_the_chunks_in_flight():
     lock = threading.Lock()
     started = yielded = most = 0
 
-    def fn(k):
+    def fn(k, work):
         nonlocal started, most
         with lock:
             started += 1
@@ -583,6 +583,30 @@ def test_map_chunks_bounds_the_chunks_in_flight():
             out.append(k)
     assert out == list(range(50))
     assert most <= 4
+
+
+def test_map_chunks_makes_one_workspace_per_thread(model_state, monkeypatch):
+    import steerdist.measurement as measurement
+
+    made = []
+
+    class Counted(_Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(measurement, "_Workspace", Counted)
+
+    def run(threads):  # 9 chunks: (moment arrays, workspaces made)
+        made.clear()
+        ens = sample_grid(model_state.cov[None], 8 * CHUNK + 1, 31,
+                          [(None, FilterSpec(1.2, 3.0))], [()], threads)[0][0]
+        return _moment_arrays(ens), len(made)
+
+    (one, made_one), (two, made_two) = run(1), run(2)
+    assert made_one == 1
+    assert 1 <= made_two <= 2
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
 
 
 def test_sample_moments_match_batch_pipeline(model_state):

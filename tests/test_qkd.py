@@ -237,6 +237,14 @@ def test_min_gain_scans_past_no_gain_it_does_not_reach(model_state, bad):
         min_gain_for_key(model_state, 4.5, [1.3, bad, 1.4])
 
 
+def test_min_gain_scans_past_a_gain_above_the_magnitude_bound():
+    # a gain past MAX_CUTOFF is refused at its position, as NaN and 0.5 are
+    state = tmss_standard(-4.2, 7.3)
+    assert min_gain_for_key(state, 4.5, [1.0, 1.5, 1e60]) == 1.5
+    with pytest.raises(ValueError, match=r"gain must be <= 1e\+50, got 1e\+60"):
+        min_gain_for_key(state, 4.5, [1.0, 1e60, 1.5])
+
+
 def test_key_rate_with_se(model_state):
     from steerdist import reconstruct_covariance, sample_batch
 

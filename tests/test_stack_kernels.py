@@ -20,7 +20,6 @@ from steerdist import (
     UnphysicalStateError,
     channel_stack,
     check_physical,
-    classify_stack,
     filtered_ensemble,
     filtered_ensemble_stack,
     from_cov,
@@ -75,7 +74,7 @@ def test_stack_matches_general_route_on_random_states():
         assert np.max(np.abs(got - want)) < 1e-12
         # the scalar call is the N = 1 kernel call
         assert [steerability(from_cov(c), d) for c in covs] == np.maximum(got, 0.0).tolist()
-    _, _, labels = classify_stack(covs)
+    labels = region_labels(*steerability_stack(covs))
     assert labels.tolist() == _general_labels(covs)
     assert len(set(labels.tolist())) >= 3  # the stack covers several regions
 
@@ -340,7 +339,7 @@ def test_asymmetric_cell_raises_scalar_class(model_state):
     bad = model_state.cov.copy()
     bad[0, 2] += 1e-6
     with pytest.raises(ValueError, match="symmetric") as stack_err:
-        classify_stack(_stack_with(model_state, bad))
+        steerability_stack(_stack_with(model_state, bad))
     assert stack_err.value.cell == 3
     with pytest.raises(ValueError, match="symmetric"):
         from_cov(bad)
