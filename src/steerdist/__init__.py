@@ -12,7 +12,6 @@ from .gaussian import (
     check_physical,
     from_cov,
     purity,
-    read_cov,
     save_cov,
     symplectic_eigenvalues,
     symplectic_form,

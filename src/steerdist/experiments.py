@@ -456,7 +456,7 @@ def run_selfcheck(config: ExperimentConfig):
     return all(ok for _, ok, _ in checks), lines
 
 
-def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
+def run_ingest(path: str, config: ExperimentConfig):
     """Externally recorded quadrature CSV -> filter -> reconstruction report.
 
     The records must be raw: a file with any ``accepted = 0`` row has been
@@ -469,7 +469,7 @@ def run_ingest(path: str, config: ExperimentConfig, min_accepted: int = 10_000):
             f"{len(batch)} records have accepted = 0; ingest takes raw records "
             "and applies the configured filter itself")
     ens = _batch_ensemble(batch, FilterSpec(config.gain, config.cutoff), config.seed)
-    cov, se = ens.covariance(min_accepted)
+    cov, se = ens.covariance()
     covs, ses = cov[None], se[None]  # checked for physicality by the reconstruction
     gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses))
     kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses))

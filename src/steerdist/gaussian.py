@@ -347,25 +347,7 @@ def dump_cov(sigma: np.ndarray, fh) -> None:
         fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
-def load_cov(fh) -> np.ndarray:
-    header = fh.readline().split()
-    if len(header) != 3 or header[0] != "covmatrix" or header[1] != "v1":
-        raise ValueError(f"bad covmatrix header: {' '.join(header)!r}")
-    dim = int(header[2])
-    rows = []
-    for k in range(dim):
-        parts = fh.readline().split()
-        if len(parts) != dim:
-            raise ValueError(f"row {k + 1}: expected {dim} entries, got {len(parts)}")
-        rows.append([float(x) for x in parts])
-    return _require_cov(np.array(rows))
-
-
 def save_cov(sigma: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         dump_cov(sigma, fh)
 
-
-def read_cov(path) -> np.ndarray:
-    with open(path) as fh:
-        return load_cov(fh)

@@ -133,16 +133,6 @@ def _check_filter(gains, cutoffs) -> None:
     _require_positive(cutoffs, "cutoff", MAX_CUTOFF)
 
 
-def _log_acceptance(mag2, filt: FilterSpec, out=None):
-    """t (|gamma|^2 - |beta_c|^2), t = 1 - g^-2, for squared outcome
-    magnitude |gamma|^2, written into ``out`` when it is given: the log of
-    the acceptance probability where that is below 1, and >= 0 where it is
-    1 (see the module docstring)."""
-    p = np.subtract(mag2, filt.cutoff**2, out=np.empty_like(mag2) if out is None else out)
-    p *= 1.0 - 1.0 / (filt.gain * filt.gain)
-    return p
-
-
 def _log_uniforms(u: np.ndarray) -> np.ndarray:
     """ln u of acceptance uniforms in [0, 1), in place: -inf at u = 0, which
     every record's log acceptance exceeds."""
@@ -635,9 +625,13 @@ def _mag2(bob_x: np.ndarray, bob_p: np.ndarray, work: _Workspace) -> np.ndarray:
 
 def _accepts(log_u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
     """Mask, in ``work``, of the records whose log uniform ``log_u`` is below
-    their log acceptance, as :func:`post_select` decides."""
+    their log acceptance t (|gamma|^2 - |beta_c|^2), t = 1 - g^-2, which is
+    left in ``work.acc``: :func:`post_select`'s decision (see the module
+    docstring)."""
     n = len(mag2)
-    return np.greater(_log_acceptance(mag2, filt, work.acc[:n]), log_u, out=work.keep[:n])
+    log_acc = np.subtract(mag2, filt.cutoff**2, out=work.acc[:n])
+    log_acc *= 1.0 - 1.0 / (filt.gain * filt.gain)
+    return np.greater(log_acc, log_u, out=work.keep[:n])
 
 
 def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,

@@ -160,7 +160,7 @@ def steerability_with_se_stack(covs: np.ndarray, ses: np.ndarray):
     (nonzero where the monotone is clipped to 0), -U S^-1 U^T / 2 with
     U = [cond^-1 cross; -I] in (conditioning, kept) rows.  The entries count
     as independent, though they come from the same records, which
-    overstates the seed-to-seed spread 2.4-2.8x."""
+    overstates the seed-to-seed spread 2.08-2.51x (300 seeds at loss 0.2)."""
     covs, out = require_cov_stack(covs), []
     for direction, (value, comp, _) in zip(DIRECTIONS, _signed_both(covs)):
         cond, _, cross = _blocks_1p1(covs, direction)

@@ -46,7 +46,6 @@ from steerdist.gaussian import (
     dump_cov,
     from_cov,
     inv2,
-    load_cov,
     schur_2x2,
     symplectic_eigenvalues,
 )
@@ -152,7 +151,9 @@ def cov_to_text(sigma: np.ndarray) -> str:
 
 
 def cov_from_text(text: str) -> np.ndarray:
-    return load_cov(io.StringIO(text))
+    """The matrix of a ``covmatrix v1`` text, read as the README says:
+    ``np.loadtxt(path, skiprows=1)``."""
+    return np.loadtxt(io.StringIO(text), skiprows=1)
 
 
 # --- loss threshold by bisection ---------------------------------------------

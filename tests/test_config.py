@@ -19,6 +19,15 @@ def test_parse_grid_forms():
         parse_grid("1:0:0.1")
     with pytest.raises(ConfigError):
         parse_grid("a:b:c")
+    with pytest.raises(ConfigError, match=r"^bad grid '0:1': expected start:stop:step$"):
+        parse_grid("0:1")
+
+
+def test_empty_grid_is_refused(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("[grids]\nloss_grid = ,\n")
+    with pytest.raises(ConfigError, match=r"^grids.loss_grid is empty$"):
+        load_config(str(path), env={})
 
 
 @pytest.mark.parametrize("text", ["nan,1.1", "1.0, inf", "0:nan:0.1", "0:inf:0.1", "-inf:0:1"])

@@ -196,6 +196,16 @@ def test_stack_search_marks_cells_without_cutoff(model_state):
     assert str(err.value) == str(want.value) and err.value.trace == want.value.trace
 
 
+def test_stack_search_names_the_refused_cell_not_its_row(model_state):
+    # filtered_ensemble_stack sees N x 37 (cell, cutoff) rows and tags the
+    # first refused row; the search re-tags it with that row's cell
+    anisotropic = np.diag([2.0, 2.0, 1.5, 2.5])
+    outs = np.stack([model_state.cov, anisotropic, model_state.cov])
+    with pytest.raises(NotImplementedError, match="isotropic") as exc:
+        select_cutoff_stack(outs, 1.2)
+    assert exc.value.cell == 1
+
+
 def test_fig3a_search_reports_first_cell_without_cutoff(tmp_path, model_state, capsys):
     # the middle cell (loss 0.1) is the first with no passing cutoff; loss 0
     # after it fails too

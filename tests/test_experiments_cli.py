@@ -13,7 +13,6 @@ from steerdist import (
     cutoff_from_table,
     key_rate_with_se,
     post_select,
-    read_cov,
     reconstruct_covariance,
     sample_batch,
     steerability_with_se,
@@ -483,7 +482,7 @@ def test_ingest_reproduces_in_memory_pipeline(tmp_path, multi_chunk_file):
     # boundaries it must still equal the whole-batch calls exactly
     batch, csv_path = multi_chunk_file
     config = _config(tmp_path, gain=1.1, cutoff=4.0, seed=33)
-    report_path, rows = run_ingest(str(csv_path), config, min_accepted=1_000)
+    report_path, rows = run_ingest(str(csv_path), config)
     report = {name: (value, se) for name, value, se in rows}
 
     filtered, rate = post_select(batch, FilterSpec(1.1, 4.0), seed=33)
@@ -497,8 +496,10 @@ def test_ingest_reproduces_in_memory_pipeline(tmp_path, multi_chunk_file):
     kr, se_k = key_rate_with_se(cov, se, tol)
     assert report["key_rate"][0] == kr.key_rate
     # the reconstructed covariance is persisted in the text format
-    stored = read_cov(os.path.join(config.out_dir, "ingest_cov.txt"))
-    assert np.array_equal(stored, cov)
+    path = os.path.join(config.out_dir, "ingest_cov.txt")
+    with open(path) as fh:
+        assert fh.readline() == "covmatrix v1 4\n"
+    assert np.array_equal(np.loadtxt(path, skiprows=1), cov)
 
 
 def test_ingest_vacuum_file(tmp_path):

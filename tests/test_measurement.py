@@ -50,7 +50,7 @@ from steerdist.measurement import (
     _NS_ACCEPT,
     _NS_GAUSS,
     _Workspace,
-    _log_acceptance,
+    _accepts,
     _log_uniforms,
     covariance_stack,
     reconstruction_tolerance,
@@ -66,8 +66,11 @@ def _se_units(got, want, se):
 
 def _acceptance_at(beta, f):
     """The acceptance probability at outcome magnitude |beta|, exp of the
-    log acceptance where that is negative and 1 elsewhere."""
-    return float(np.exp(min(_log_acceptance(np.array(beta * beta), f), 0.0)))
+    log acceptance :func:`_accepts` leaves in its workspace where that is
+    negative and 1 elsewhere."""
+    work = _Workspace()
+    _accepts(np.zeros(1), np.array([beta * beta]), f, work)
+    return float(np.exp(min(work.acc[0], 0.0)))
 
 
 def test_acceptance_probability_at_cutoff_is_one():
@@ -102,9 +105,9 @@ def test_threshold_acceptance_at_a_zero_uniform_and_at_unit_gain():
         warnings.simplefilter("error")
         log_u = _log_uniforms(np.array([0.0, 0.25, 1.0 - 2.0**-53]))
     assert log_u[0] == -np.inf
-    mag2 = np.array([0.0, 100.0, 0.0])
-    assert (_log_acceptance(mag2, FilterSpec(1.0, 4.5)) > log_u).all()
-    assert (_log_acceptance(mag2, FilterSpec(1.3, 4.5)) > log_u).tolist() == [True, True, False]
+    mag2, work = np.array([0.0, 100.0, 0.0]), _Workspace()
+    assert _accepts(log_u, mag2, FilterSpec(1.0, 4.5), work).all()
+    assert _accepts(log_u, mag2, FilterSpec(1.3, 4.5), work).tolist() == [True, True, False]
 
 
 def test_filter_spec_validation():
@@ -544,6 +547,12 @@ def test_grid_sampler_tags_the_refused_state(model_state):
     assert info.value.cell == 2
 
 
+def test_grid_sampler_refuses_lists_of_different_lengths(model_state):
+    covs = np.stack([model_state.cov] * 2)
+    with pytest.raises(ValueError, match="2 states, 1 filter lists and 2 lists"):
+        sample_grid(covs, 20_000, 1, [[None]], [()] * 2)
+
+
 def test_grid_sampler_refuses_the_first_failing_state(model_state):
     # each state is checked for its Alice x-p covariance, then physicality;
     # the first state that fails a check raises, whichever check it is
@@ -833,6 +842,17 @@ def test_batch_csv_writes_one_line_per_record(model_state, tmp_path, filtered):
         f"{float(batch.bob_x[i])!r},{float(batch.bob_p[i])!r},{int(flags[i])}\n"
         for i in range(len(batch)))
     assert path.read_bytes() == want.encode()
+
+
+def test_batch_refuses_no_records_and_mismatched_columns():
+    col = np.zeros(3)
+    with pytest.raises(ValueError, match="at least one record"):
+        QuadratureBatch(np.zeros(0, dtype=np.int8), col[:0], col[:0], col[:0])
+    basis = np.zeros(3, dtype=np.int8)
+    with pytest.raises(ValueError, match="column bob_x has mismatched length"):
+        QuadratureBatch(basis, col, col[:2], col)
+    with pytest.raises(ValueError, match="accepted column has mismatched length"):
+        QuadratureBatch(basis, col, col, col, np.ones(4, dtype=bool))
 
 
 def test_batch_csv_accepts_missing_accepted_column(tmp_path):

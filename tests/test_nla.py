@@ -137,6 +137,12 @@ def test_gain_too_large_rejected(model_state):
         nla_cov_two_mode(model_state.cov, GainPair(1 + 1e-6, g_max + 0.01))
 
 
+def test_gain_is_unbounded_for_a_vacuum_bob_block(model_state):
+    # Bob's largest eigenvalue <= 1: g^n leaves vacuum normalisable at any gain
+    assert max_single_mode_gain(np.diag([2.0, 2.0, 1.0, 1.0])) == np.inf
+    assert max_single_mode_gain(apply_lossy(model_state, 1.0).cov) == np.inf
+
+
 def test_single_mode_gain_too_large_rejected(model_state):
     sigma = apply_lossy(model_state, 0.3).cov  # Alice and Bob blocks differ
     g_max = max_single_mode_gain(sigma)
