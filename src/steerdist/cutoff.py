@@ -202,14 +202,17 @@ def reference_cutoff_table() -> dict:
     return table
 
 
-def cutoff_from_table(loss: float, g: float, table: dict | None = None) -> float:
-    """Nearest-grid lookup in the reference table (no interpolation)."""
-    if not (np.isfinite(loss) and np.isfinite(g)):
-        raise InputError(f"loss and gain must be finite, got loss {loss}, gain {g}")
+def cutoff_from_table(loss, g, table: dict | None = None):
+    """Nearest-grid lookup in the reference table (no interpolation), a
+    float for one (loss, g) pair or an array for broadcast arrays of them;
+    a value halfway between two grid values takes the smaller.  ``table``
+    maps every (loss, g) of its grid to a cutoff."""
+    loss, g = np.broadcast_arrays(np.asarray(loss, dtype=float), np.asarray(g, dtype=float))
+    _raise_first(~(np.isfinite(loss) & np.isfinite(g)), lambda i: InputError(
+        f"loss and gain must be finite, got loss {loss.flat[i]}, gain {g.flat[i]}"))
     if table is None:
         table = reference_cutoff_table()
-    losses = sorted({k[0] for k in table})
-    gains = sorted({k[1] for k in table})
-    nearest_loss = min(losses, key=lambda x: abs(x - loss))
-    nearest_g = min(gains, key=lambda x: abs(x - g))
-    return table[(nearest_loss, nearest_g)]
+    axes = [sorted({k[a] for k in table}) for a in (0, 1)]
+    i, j = (np.argmin(np.abs(v[..., None] - axis), axis=-1) for v, axis in zip((loss, g), axes))
+    out = np.array([[table[(x, y)] for y in axes[1]] for x in axes[0]])[i, j]
+    return float(out) if out.ndim == 0 else out

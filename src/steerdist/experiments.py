@@ -114,12 +114,6 @@ def _in_grid_order(chain, n_cells: int):
         raise
 
 
-def _table_cutoffs(losses, gains) -> list:
-    """The published cutoff of each (loss, gain) cell."""
-    table = reference_cutoff_table()
-    return [cutoff_from_table(loss, g, table) for loss, g in zip(losses, gains)]
-
-
 def _fig3_cutoffs(config, outs, losses):
     """(cutoffs, (G_A->B, G_B->A) of the ideally amplified outputs,
     acceptance rates at the cutoffs) of fig3's cells.  The last two are None
@@ -127,7 +121,7 @@ def _fig3_cutoffs(config, outs, losses):
     if config.cutoff_source == "config":
         return [config.cutoff] * len(losses), None, None
     if config.cutoff_source == "table":
-        return _table_cutoffs(losses, [config.gain] * len(losses)), None, None
+        return cutoff_from_table(losses, config.gain, reference_cutoff_table()), None, None
     scan = select_cutoff_stack(outs, config.gain)
     scan.require(losses)
     chosen = np.argmax(scan.passed, axis=1)
@@ -347,7 +341,7 @@ def run_fig_s2(config: ExperimentConfig):
     error per such cell.
     """
     losses, gains, outs = _appendix_grid(config)
-    cutoffs = _table_cutoffs(losses, gains)
+    cutoffs = cutoff_from_table(losses, gains, reference_cutoff_table())
     rates, _, kurts = (v.tolist() for v in filtered_ensemble_stack(outs, gains, cutoffs))
     rows = [[g, loss, 0.0, kurt] for loss, g, kurt in zip(losses, gains, kurts)]
     sampled = []
@@ -374,7 +368,7 @@ def run_fig_s2(config: ExperimentConfig):
 def run_fig_s4(config: ExperimentConfig):
     """Success probability of the filter over the (g, loss) grid."""
     losses, gains, outs = _appendix_grid(config)
-    cutoffs = _table_cutoffs(losses, gains)
+    cutoffs = cutoff_from_table(losses, gains, reference_cutoff_table())
     if config.mode == "analytic":
         rates = filtered_ensemble_stack(outs, gains, cutoffs)[0].tolist()
     else:

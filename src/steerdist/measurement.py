@@ -374,7 +374,7 @@ def _add_gram(q, records, center, blocks: np.ndarray | None = None) -> None:
     if blocks is None:
         blocks = np.empty((len(pairs), min(n, _BLOCK)))
     prod = blocks[:len(pairs)]  # its rows 0..d are y
-    prod[0] = 1.0
+    prod[0, :min(n, _BLOCK)] = 1.0
     for start in range(0, n, _BLOCK):
         w = min(_BLOCK, n - start)
         np.subtract(records[:, start:start + w], center, out=prod[1:d + 1, :w])

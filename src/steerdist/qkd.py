@@ -149,7 +149,9 @@ class NoPositiveKeyError(NumericalError):
 def min_gain_for_key(state: GaussianState, beta_c: float, g_grid) -> float:
     """Smallest grid gain with positive key rate at the given cutoff.  One
     stack call evaluates the grid; the scan in grid order stops at the first
-    positive key or raises at the first gain :class:`FilterSpec` refuses."""
+    positive key.  An empty grid is refused first, then a cutoff the filter
+    refuses (by the stack call, before the scan), then a gain
+    :class:`FilterSpec` refuses, where the scan meets it."""
     g_grid = np.asarray(list(g_grid), dtype=float)
     if g_grid.size == 0:
         raise InputError("gain grid is empty")

@@ -23,7 +23,10 @@ references:
   one-pass ``reconstruct_covariance``, whose centre is its first piece's;
 * :func:`add_gram_all_pairs`: the Gram matrix of the pair products with
   every pair multiplied, the constant-1 ones too, against ``_add_gram``,
-  which takes the pairs (0, j) as y itself.
+  which takes the pairs (0, j) as y itself;
+* :func:`cutoff_from_table_per_pair`: the published-table lookup one
+  (loss, g) pair at a time by ``min(axis, key=abs)``, against the grid
+  lookup of ``cutoff_from_table``.
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
@@ -387,3 +390,15 @@ def add_gram_all_pairs(q, records, center, blocks: np.ndarray | None = None) -> 
         for k, (i, j) in enumerate(pairs):
             np.multiply(y[i, :w], y[j, :w], out=prod[k, :w])
         q += prod[:, :w] @ prod[:, :w].T
+
+
+# --- published-table lookup, one pair at a time -------------------------------
+
+def cutoff_from_table_per_pair(loss: float, g: float, table: dict) -> float:
+    """The table's cutoff at the grid values nearest ``loss`` and ``g``, a
+    tie taking the first, smaller, one of the sorted axis."""
+    losses = sorted({k[0] for k in table})
+    gains = sorted({k[1] for k in table})
+    nearest_loss = min(losses, key=lambda x: abs(x - loss))
+    nearest_g = min(gains, key=lambda x: abs(x - g))
+    return table[(nearest_loss, nearest_g)]

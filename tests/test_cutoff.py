@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from reference import cutoff_from_table_per_pair
 
 import steerdist.cutoff
 import steerdist.qkd
@@ -36,12 +37,48 @@ def test_nearest_grid_lookup():
     assert cutoff_from_table(0.0, 1.2) == 5.50
     assert cutoff_from_table(0.07, 1.19) == 5.50  # snaps to (0.0, 1.20)
     assert cutoff_from_table(0.71, 1.06) == 3.00  # snaps to (0.8, 1.05)
+    for loss, g in ((0.0, 1.2), (np.float64(0.3), 1.1), (np.array(0.5), np.array(1.25))):
+        assert type(cutoff_from_table(loss, g)) is float  # one pair gives a float
 
 
 @pytest.mark.parametrize("loss, g", [(np.nan, 1.2), (0.3, np.nan), (np.inf, 1.2), (0.3, -np.inf)])
 def test_table_lookup_refuses_a_non_finite_loss_or_gain(loss, g):
     with pytest.raises(ValueError, match="loss and gain must be finite"):
         cutoff_from_table(loss, g)
+
+
+def test_grid_lookup_matches_the_per_pair_rule():
+    table = reference_cutoff_table()
+    halfway_losses = [0.1, 0.3, 0.5, 0.7]
+    halfway_gains = [1.075, 1.125, 1.175, 1.225]
+    losses = [*PAPER_LOSSES, *halfway_losses, -0.5, 0.9, 1.5, *parse_grid("0:0.98:0.002")]
+    gains = [*PAPER_GAINS, *halfway_gains, 0.5, 1.0, 1.3, 2.0]
+    # the default loss grid holds 0.1, 0.3 and 0.5 exactly, 0.7 one rounding off
+    assert np.isin(halfway_losses[:3], parse_grid("0:0.98:0.002")).all()
+    loss, g = np.meshgrid(losses, gains, indexing="ij")
+    got = cutoff_from_table(loss, g, table)
+    assert got.shape == loss.shape
+    want = [[cutoff_from_table_per_pair(x, y, table) for y in gains] for x in losses]
+    assert np.array_equal(got, want)
+    # in floats, losses 0.1 and 0.5 and gain 1.125 are exact ties, which take
+    # the smaller grid value
+    assert cutoff_from_table([0.1, 0.5], 1.125).tolist() == [table[(0.0, 1.10)],
+                                                             table[(0.4, 1.10)]]
+
+
+def test_grid_lookup_refuses_the_first_non_finite_pair():
+    loss = np.array([0.0, 0.2, np.inf, 0.6])
+    g = np.array([1.1, np.nan, 1.2, 1.3])
+    with pytest.raises(ValueError, match=r"^loss and gain must be finite, got loss 0\.2, "
+                                         r"gain nan$") as info:
+        cutoff_from_table(loss, g)
+    assert info.value.cell == 1
+    with pytest.raises(ValueError, match="got loss inf, gain 1.2") as info:
+        cutoff_from_table(loss[[0, 2]], 1.2)
+    assert info.value.cell == 1
+    with pytest.raises(ValueError, match="got loss nan, gain 1.2") as info:
+        cutoff_from_table(np.nan, 1.2)
+    assert not hasattr(info.value, "cell")  # one pair names no cell
 
 
 def test_selected_cutoffs_match_published_corners(model_state):

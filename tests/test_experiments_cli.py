@@ -437,7 +437,7 @@ def test_fig_s4_counts_are_the_single_state_counts(tmp_path):
     config = _config(tmp_path, mode="monte_carlo", samples=40_000)
     _, rows = exp.run_fig_s4(config)
     losses, gains, outs = exp._appendix_grid(config)
-    cutoffs = exp._table_cutoffs(losses, gains)
+    cutoffs = cutoff_from_table(losses, gains)
     seed = exp.derive_seed(config.seed, 6)
     for row, g, bc, out in zip(rows, gains, cutoffs, outs):
         counts = sample_grid(out[None], 40_000, seed, [()], [[FilterSpec(g, bc)]])[1]

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from steerdist import (
+    FilterSpec,
     NoPositiveKeyError,
     apply_lossy,
     from_cov,
@@ -226,6 +227,17 @@ def test_min_gain_refuses_gain_below_one(model_state):
         min_gain_for_key(model_state, 4.5, [0.9, 1.0])
     # the grid is scanned in order: a positive key before the bad gain wins
     assert min_gain_for_key(model_state, 4.5, [1.0, 1.4, 0.9]) == 1.4
+
+
+def test_min_gain_refuses_the_cutoff_before_any_gain(model_state):
+    # the stack call checks the cutoff before the scan reaches a gain, where
+    # FilterSpec(0.5, -1.0) would name the gain first; an empty grid comes first
+    with pytest.raises(ValueError, match=r"^cutoff must be finite and > 0, got -1\.0$"):
+        min_gain_for_key(model_state, -1.0, [0.5, 1.2])
+    with pytest.raises(ValueError, match=r"^gain must be >= 1, got 0\.5$"):
+        FilterSpec(0.5, -1.0)
+    with pytest.raises(ValueError, match="gain grid is empty"):
+        min_gain_for_key(model_state, -1.0, [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
