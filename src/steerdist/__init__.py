@@ -12,7 +12,6 @@ from .gaussian import (
     check_physical,
     from_cov,
     purity,
-    save_cov,
     symplectic_eigenvalues,
     symplectic_form,
     tmss_standard,

@@ -62,11 +62,10 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
     loss and again after the noise.
     """
     covs = np.asarray(covs, dtype=float)
-    losses, excess = np.broadcast_arrays(np.asarray(losses, dtype=float),
-                                         np.asarray(excess_noise, dtype=float))
-    n = max(losses.size, len(covs) if covs.ndim == 3 else 1)
-    losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
+    losses, excess = np.asarray(losses, dtype=float), np.asarray(excess_noise, dtype=float)
     _check_channel(losses, excess, noise_model)
+    n = max(np.broadcast(losses, excess).size, len(covs) if covs.ndim == 3 else 1)
+    losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
     cov = np.array(np.broadcast_to(covs, (n, *covs.shape[-2:])))
     require_cov_stack(cov)
     b = slice(2, 4)

@@ -142,10 +142,11 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     """
     outs = require_cov_stack(outs)
     n = len(outs)
-    gains = np.broadcast_to(np.asarray(gains, dtype=float), (n,))
+    gains = np.asarray(gains, dtype=float)
     _check_gains(gains)
     _raise_first(gains == 1.0, lambda i: InputError(
-        f"cutoff selection needs g > 1, got {gains[i]}"))
+        f"cutoff selection needs g > 1, got {gains.flat[i]}"))
+    gains = np.broadcast_to(gains, (n,))
     gab_ref, gba_ref = steerability_stack(nla_single_mode_stack(outs, gains))
 
     grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
@@ -154,7 +155,7 @@ def select_cutoff_stack(outs: np.ndarray, gains,
         rates, covs, kurts = filtered_ensemble_stack(
             np.repeat(outs, size, axis=0), np.repeat(gains, size), np.tile(grid, n))
     except Exception as exc:  # name the cell, not its row
-        if hasattr(exc, "cell"):
+        if getattr(exc, "cell", None) is not None:
             exc.cell //= size
         raise
     # a heavily truncated ensemble can fail the bona-fide condition outright;
@@ -204,9 +205,10 @@ def reference_cutoff_table() -> dict:
 
 def cutoff_from_table(loss, g, table: dict | None = None):
     """Nearest-grid lookup in the reference table (no interpolation), a
-    float for one (loss, g) pair or an array for broadcast arrays of them;
-    a value halfway between two grid values takes the smaller.  ``table``
-    maps every (loss, g) of its grid to a cutoff."""
+    float for one (loss, g) pair or an array for broadcast arrays of them.
+    Each value snaps to the nearest grid value in floating point (0.3 to
+    0.2); only an exact float tie takes the smaller.  ``table`` maps every
+    (loss, g) of its grid to a cutoff."""
     loss, g = np.broadcast_arrays(np.asarray(loss, dtype=float), np.asarray(g, dtype=float))
     _raise_first(~(np.isfinite(loss) & np.isfinite(g)), lambda i: InputError(
         f"loss and gain must be finite, got loss {loss.flat[i]}, gain {g.flat[i]}"))

@@ -1,15 +1,20 @@
 """Figure/table reproduction runners with CSV output.
 
-Column conventions across runners:
+Column layouts by mode (``analytic`` values come from the covariance
+pipeline, with exact acceptance rates from the filtered-ensemble engine):
 
-* ``analytic`` mode fills the main columns from the covariance pipeline
-  (exact acceptance rates from the filtered-ensemble engine); SE columns are
-  left empty.
-* ``monte_carlo`` mode fills the main columns from the sampling pipeline and
-  appends standard-error columns.
-* ``both`` keeps analytic values in the main columns and adds ``mc_*`` and
-  ``se_*`` columns, which is what the analytic/Monte-Carlo regression gate
-  consumes.
+* ``fig3a``/``fig3b``: ``monte_carlo`` fills the main columns from the
+  sampling pipeline and appends ``se_*`` columns; ``both`` keeps analytic
+  values in the main columns and appends ``mc_*`` and ``se_*`` columns,
+  which is what the analytic/Monte-Carlo regression gate consumes.
+* ``fig4`` keeps ``se_key_rate`` (empty in ``analytic``) and the analytic
+  ``key_rate_pure_6db`` in its main header in every mode; ``monte_carlo``
+  fills the other main columns from sampling, ``both`` keeps them analytic
+  and appends only ``mc_key_rate`` and ``mc_acceptance_rate``.
+* ``fig-s2`` and ``fig-s4`` write the same columns in every mode, filled
+  with the sampled values in ``monte_carlo`` and ``both`` (for ``fig-s2``,
+  where enough records are expected; see :func:`run_fig_s2`).
+* The other runners ignore the mode.
 
 Every runner is deterministic given (config, seed): re-running writes
 byte-identical CSVs.
@@ -32,7 +37,6 @@ from .gaussian import (
     InputError,
     NumericalError,
     _raise_first,
-    save_cov,
     tmss_standard,
 )
 from .measurement import (
@@ -478,5 +482,6 @@ def run_ingest(path: str, config: ExperimentConfig):
         ["v_p_cond", vp, None],
     ]
     out_path = _write_output(config, "ingest_report.csv", ["quantity", "value", "se"], rows)
-    save_cov(cov, os.path.join(config.out_dir, "ingest_cov.txt"))
+    np.savetxt(os.path.join(config.out_dir, "ingest_cov.txt"), cov, fmt="%.17g",
+               header="covmatrix v1 4", comments="")
     return out_path, rows

@@ -97,9 +97,9 @@ class FilteredEnsemble:
 def _filter_integrals(covs: np.ndarray, gains, cutoffs):
     """(gains, s2 = E[u] unfiltered, <u> accepted, acceptance rates, Bob
     kurtoses) of a (N, 4, 4) stack, after the filter and isotropy checks."""
-    g = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
-    cutoffs = np.broadcast_to(np.asarray(cutoffs, dtype=float), (len(covs),))
+    g, cutoffs = np.asarray(gains, dtype=float), np.asarray(cutoffs, dtype=float)
     _check_filter(g, cutoffs)
+    g, cutoffs = np.broadcast_to(g, (len(covs),)), np.broadcast_to(cutoffs, (len(covs),))
     b = covs[:, 2:, 2:]
     scale = np.maximum(1.0, np.abs(b[:, 0, 0])) * MODEL_RTOL
     _raise_first((np.abs(b[:, 0, 0] - b[:, 1, 1]) > scale) | (np.abs(b[:, 0, 1]) > scale),

@@ -335,19 +335,3 @@ def tmss_standard(squeeze_db: float, antisqueeze_db: float) -> GaussianState:
     require_physical_stack(state.cov[None])
     return state
 
-
-# --- plain-text serialization ------------------------------------------------
-
-def dump_cov(sigma: np.ndarray, fh) -> None:
-    """Write ``covmatrix v1 <dim>`` followed by dim rows of decimals."""
-    sigma = _require_cov(sigma)
-    dim = sigma.shape[0]
-    fh.write(f"covmatrix v1 {dim}\n")
-    for row in sigma:
-        fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def save_cov(sigma: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        dump_cov(sigma, fh)
-

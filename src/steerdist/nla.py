@@ -65,8 +65,9 @@ def nla_single_mode_stack(covs: np.ndarray, gains) -> np.ndarray:
     input; every amplified entry is checked for physicality at
     ``PHYSICALITY_TOL``."""
     covs = require_cov_stack(covs)
-    gains = np.broadcast_to(np.asarray(gains, dtype=float), (len(covs),))
+    gains = np.asarray(gains, dtype=float)
     _check_gains(gains)
+    gains = np.broadcast_to(gains, (len(covs),))
     s = _amplifier_s(gains)[:, None, None]
     k, l, x = covs[:, :2, :2], covs[:, 2:, 2:], covs[:, :2, 2:]
     n = np.eye(2) - s * l

@@ -46,7 +46,6 @@ from steerdist.gaussian import (
     NumericalError,
     _require_cov,
     check_physical,
-    dump_cov,
     from_cov,
     inv2,
     schur_2x2,
@@ -148,8 +147,9 @@ def random_physical_state(rng: np.random.Generator, nu_max: float = 3.0,
 
 
 def cov_to_text(sigma: np.ndarray) -> str:
+    """``sigma`` as ``steerdist ingest`` writes ``ingest_cov.txt``."""
     buf = io.StringIO()
-    dump_cov(sigma, buf)
+    np.savetxt(buf, sigma, fmt="%.17g", header="covmatrix v1 4", comments="")
     return buf.getvalue()
 
 

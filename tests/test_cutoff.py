@@ -64,6 +64,13 @@ def test_grid_lookup_matches_the_per_pair_rule():
     # the smaller grid value
     assert cutoff_from_table([0.1, 0.5], 1.125).tolist() == [table[(0.0, 1.10)],
                                                              table[(0.4, 1.10)]]
+    # other halfway values are not ties in floats and snap to the nearer value
+    grid_07 = parse_grid("0:0.98:0.002")[350]
+    assert grid_07 == 0.7000000000000001
+    assert cutoff_from_table([0.3, 0.7, grid_07], 1.10).tolist() == [
+        table[(0.2, 1.10)], table[(0.6, 1.10)], table[(0.8, 1.10)]]
+    assert cutoff_from_table(0.0, [1.075, 1.175, 1.225]).tolist() == [
+        table[(0.0, 1.05)], table[(0.0, 1.20)], table[(0.0, 1.25)]]
 
 
 def test_grid_lookup_refuses_the_first_non_finite_pair():

@@ -8,6 +8,7 @@ import pytest
 
 from steerdist import (
     FilterSpec,
+    InputError,
     apply_lossy,
     classify,
     cutoff_from_table,
@@ -84,6 +85,17 @@ def test_fig3b_requires_excess_noise(tmp_path):
     config = _config(tmp_path, excess_noise=0.0)
     with pytest.raises(ValueError, match="excess_noise"):
         run_fig3("b", config)
+
+
+@pytest.mark.parametrize("runner, variant, message", [
+    (run_fig3, "c", "fig3 variant must be 'a' or 'b', got 'c'"),
+    (run_regions, "a", "regions variant must be 'c' or 'd', got 'a'"),
+])
+def test_runners_refuse_an_unknown_variant(tmp_path, runner, variant, message):
+    with pytest.raises(InputError) as err:
+        runner(variant, _config(tmp_path))
+    assert str(err.value) == message
+    assert not (tmp_path / "out").exists()  # refused before any output
 
 
 def test_fig3_monte_carlo_consistency(tmp_path):

@@ -107,6 +107,13 @@ def test_symplectic_eigenvalues_rejects_non_pd():
         symplectic_eigenvalues(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+def test_symplectic_eigenvalues_rejects_a_matrix_that_is_not_2k_x_2k(shape):
+    with pytest.raises(ValueError) as err:
+        symplectic_eigenvalues(np.ones(shape))
+    assert str(err.value) == f"expected a 2k x 2k matrix, got shape {shape}"
+
+
 def test_purity_values():
     assert purity(np.eye(4)) == pytest.approx(1.0)
     # oracle: det sigma = (V_sq * V_anti)^2 so mu = 1/(V_sq * V_anti)

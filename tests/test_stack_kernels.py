@@ -16,14 +16,17 @@ from steerdist import (
     CutoffSearchError,
     FilterSpec,
     GainTooLargeError,
+    InputError,
     NumericalError,
     UnphysicalStateError,
+    apply_lossy,
     channel_stack,
     check_physical,
     filtered_ensemble,
     filtered_ensemble_stack,
     from_cov,
     max_single_mode_gain,
+    min_gain_for_key,
     nla_single_mode,
     nla_single_mode_stack,
     region_labels,
@@ -249,6 +252,21 @@ def test_amplifier_and_channel_kernels_refuse_an_infinite_value(model_state):
     with pytest.raises(ValueError, match="excess_noise must be finite and >= 0") as err:
         channel_stack(covs, 0.2, excess)
     assert err.value.cell == 4
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: select_cutoff(s, ChannelSpec(0.2), np.nan), "gain must be >= 1, got nan"),
+    (lambda s: min_gain_for_key(s, -1.0, [0.5, 1.2]), "cutoff must be finite and > 0, got -1.0"),
+    (lambda s: nla_single_mode(s.cov, 0.5), "gain must be >= 1, got 0.5"),
+    (lambda s: apply_lossy(s, 1.5), "loss must be in [0, 1], got 1.5"),
+], ids=["select_cutoff", "min_gain_for_key", "nla_single_mode", "apply_lossy"])
+def test_a_refused_single_value_names_no_cell(model_state, call, message):
+    # the kernels check a scalar argument as passed, before broadcasting it
+    # to the stack, so its refusal carries no row's cell
+    with pytest.raises(InputError) as err:
+        call(model_state)
+    assert str(err.value) == message
+    assert getattr(err.value, "cell", None) is None
 
 
 def test_unphysical_amplifier_output_raises_scalar_class(model_state):
