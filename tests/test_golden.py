@@ -86,8 +86,14 @@ MONTE_CARLO = [
     (["fig3a", "--mode", "both", "--samples", "20000"],
      "[grids]\nloss_grid = 0.97,0.2,0.74,0.4,0.9\n",
      {"fig3a_both_empty_cells.csv": "fig3a.csv", "fig3a_both_empty_cells.stderr": None}),
+    (["fig3a", "--mode", "monte_carlo", "--samples", "20000"],
+     "[grids]\nloss_grid = 0.97,0.2,0.74,0.4,0.9\n",
+     {"fig3a_monte_carlo_empty_cells.csv": "fig3a.csv",
+      "fig3a_monte_carlo_empty_cells.stderr": None}),
     (["fig4", "--mode", "both", "--samples", "400000"], "",
      {"fig4_both.csv": "fig4.csv", "fig4_both.stderr": None}),
+    (["fig4", "--mode", "monte_carlo", "--samples", "400000"], "",
+     {"fig4_monte_carlo.csv": "fig4.csv", "fig4_monte_carlo.stderr": None}),
     (["fig-s2", "--mode", "monte_carlo", "--samples", "400000"], "",
      {"fig_s2_monte_carlo.csv": "fig_s2.csv", "fig_s2_monte_carlo.stderr": None}),
     (["fig-s4", "--mode", "monte_carlo", "--samples", "400000"], "",
