@@ -64,7 +64,8 @@ def channel_stack(covs: np.ndarray, losses, excess_noise=0.0,
     covs = np.asarray(covs, dtype=float)
     losses, excess = np.asarray(losses, dtype=float), np.asarray(excess_noise, dtype=float)
     _check_channel(losses, excess, noise_model)
-    n = max(np.broadcast(losses, excess).size, len(covs) if covs.ndim == 3 else 1)
+    # N by NumPy's broadcast rule, so an empty loss grid or stack gives N = 0
+    n = np.broadcast_shapes((1,), losses.shape, excess.shape, covs.shape[:-2])[-1]
     losses, excess = np.broadcast_to(losses, (n,)), np.broadcast_to(excess, (n,))
     cov = np.array(np.broadcast_to(covs, (n, *covs.shape[-2:])))
     require_cov_stack(cov)

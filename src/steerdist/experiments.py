@@ -3,14 +3,14 @@
 Column layouts by mode (``analytic`` values come from the covariance
 pipeline, with exact acceptance rates from the filtered-ensemble engine):
 
-* ``fig3a``/``fig3b``: ``monte_carlo`` fills the main columns from the
-  sampling pipeline and appends ``se_*`` columns; ``both`` keeps analytic
-  values in the main columns and appends ``mc_*`` and ``se_*`` columns,
-  which is what the analytic/Monte-Carlo regression gate consumes.
-* ``fig4`` keeps ``se_key_rate`` (empty in ``analytic``) and the analytic
-  ``key_rate_pure_6db`` in its main header in every mode; ``monte_carlo``
-  fills the other main columns from sampling, ``both`` keeps them analytic
-  and appends only ``mc_key_rate`` and ``mc_acceptance_rate``.
+* ``fig3a``/``fig3b``: ``loss``, the four steering columns and
+  ``acceptance_rate``, sampled in ``monte_carlo``; ``both`` keeps them
+  analytic and appends the sampled ones as ``mc_*`` (which the analytic/Monte
+  Carlo regression gate reads).  Both sampling modes append their SEs as ``se_*``.
+* ``fig4``: ``g``, ``key_rate``, ``v_x_cond``, ``v_p_cond``,
+  ``acceptance_rate``, ``se_key_rate`` (empty in ``analytic``) and the
+  analytic ``key_rate_pure_6db``; ``monte_carlo`` samples the four after
+  ``g``, ``both`` appends the sampled ``mc_key_rate`` and ``mc_acceptance_rate``.
 * ``fig-s2`` and ``fig-s4`` write the same columns in every mode, filled
   with the sampled values in ``monte_carlo`` and ``both`` (for ``fig-s2``,
   where enough records are expected; see :func:`run_fig_s2`).
@@ -63,6 +63,8 @@ MC_MIN_ACCEPTED = 200
 # fig-s2 samples a cell's higher moments only when at least this many
 # records are expected to pass its filter.
 FIG_S2_MIN_EXPECTED = 2000
+
+_STEERING_COLUMNS = ("g_a2b_raw", "g_b2a_raw", "g_a2b_nla", "g_b2a_nla")
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -171,49 +173,38 @@ def run_fig3(variant: str, config: ExperimentConfig):
     g = config.gain
     losses = [float(x) for x in config.loss_grid]
 
-    header = ["loss", "g_a2b_raw", "g_b2a_raw", "g_a2b_nla", "g_b2a_nla",
-              "acceptance_rate"]
-    if config.mode == "monte_carlo":
-        header += ["se_g_a2b_raw", "se_g_b2a_raw", "se_g_a2b_nla", "se_g_b2a_nla"]
-    elif config.mode == "both":
-        header += ["mc_g_a2b_raw", "mc_g_b2a_raw", "mc_g_a2b_nla", "mc_g_b2a_nla",
-                   "mc_acceptance_rate",
-                   "se_g_a2b_raw", "se_g_b2a_raw", "se_g_a2b_nla", "se_g_b2a_nla"]
-
     def chain(n):
         outs = channel_stack(state.cov, losses[:n], excess, config.noise_model)
         beta_c, ideal, rates = _fig3_cutoffs(config, outs, losses[:n])
-        cols = []
-        if config.mode in ("analytic", "both"):
+        cols = {"loss": losses[:n]}
+        if config.mode != "monte_carlo":
             if ideal is None:
                 ideal = steerability_stack(nla_single_mode_stack(outs, g))
                 rates = filtered_ensemble_stack(outs, g, beta_c)[0]
-            cols = [v.tolist() for v in (*steerability_stack(outs), *ideal, rates)]
-        mc = []
-        if config.mode in ("monte_carlo", "both"):
+            cols.update(zip([*_STEERING_COLUMNS, "acceptance_rate"], (v.tolist() for v in (
+                *steerability_stack(outs), *ideal, rates))))
+        if config.mode != "analytic":
             filters = [(None, FilterSpec(g, bc)) for bc in beta_c]
             ens = sample_grid(outs, config.samples, derive_seed(config.seed, 3),
                               filters, [()] * n, config.threads)[0]
             mc = _mc_values(ens, steerability_with_se_stack,
                             lambda i: f"fig3{variant}: loss={losses[i]:g}", raw=True)
-        rows = []
-        for i in range(n):
-            row = [losses[i], *(col[i] for col in cols)]
-            if mc:
-                rab, seab, rba, seba, nab, senab, nba, senba = mc[i]
-                row += [rab, rba, nab, nba, ens[i][1].accepted / config.samples,
-                        seab, seba, senab, senba]
-            rows.append(row)
-        return rows
+            values = [[v[j] for v in mc] for j in range(8)]  # each steering value, then its SE
+            prefix = "mc_" if config.mode == "both" else ""
+            cols.update(zip([prefix + c for c in _STEERING_COLUMNS], values[0::2]))
+            cols[prefix + "acceptance_rate"] = [e[1].accepted / config.samples for e in ens]
+            cols.update(zip(["se_" + c for c in _STEERING_COLUMNS], values[1::2]))
+        return cols
 
-    rows = _in_grid_order(chain, len(losses))
-    path = _write_output(config, f"fig3{variant}.csv", header, rows)
+    cols = _in_grid_order(chain, len(losses))
+    rows = [list(row) for row in zip(*cols.values())]
+    path = _write_output(config, f"fig3{variant}.csv", list(cols), rows)
     if config.svg:
         series = {
-            "A->B raw": [r[1] for r in rows],
-            "B->A raw": [r[2] for r in rows],
-            "A->B amplified": [r[3] for r in rows],
-            "B->A amplified": [r[4] for r in rows],
+            "A->B raw": cols["g_a2b_raw"],
+            "B->A raw": cols["g_b2a_raw"],
+            "A->B amplified": cols["g_a2b_nla"],
+            "B->A amplified": cols["g_b2a_nla"],
         }
         svgplot.line_chart(losses, series, os.path.splitext(path)[0] + ".svg",
                            title=f"steering vs loss ({'lossy' if variant == 'a' else 'noisy'} channel)",
@@ -263,42 +254,32 @@ def run_fig4(config: ExperimentConfig):
     gains = [float(g) for g in config.fig4_g_grid]
     filters = [FilterSpec(g, beta_c) for g in gains]  # refuses a gain below 1
 
-    header = ["g", "key_rate", "v_x_cond", "v_p_cond", "acceptance_rate",
-              "se_key_rate", "key_rate_pure_6db"]
-    if config.mode == "both":
-        header += ["mc_key_rate", "mc_acceptance_rate"]
-
     # rows 0..n-1 hold the model state, rows n..2n-1 the reference
     n = len(gains)
     covs = np.repeat(np.stack([state.cov, pure_ref.cov]), n, axis=0)
     key, v_x, v_p, acc = (v.tolist() for v in _filtered_key_rate_stack(covs, gains * 2, beta_c))
-    mc = None
-    if config.mode in ("monte_carlo", "both"):
+    cols = {"g": gains, "key_rate": key[:n], "v_x_cond": v_x[:n], "v_p_cond": v_p[:n],
+            "acceptance_rate": acc[:n], "se_key_rate": [None] * n, "key_rate_pure_6db": key[n:]}
+    if config.mode != "analytic":
         (ens,), _ = sample_grid(state.cov[None], config.samples, derive_seed(config.seed, 4),
                                 [filters], [()], config.threads)
         mc = _mc_values([(e,) for e in ens], key_rate_with_se_stack,
                         lambda i: f"fig4: g={gains[i]:g}")
-
-    rows = []
-    for i, g in enumerate(gains):
-        ana, ref = [key[i], v_x[i], v_p[i], acc[i]], key[n + i]
-        if mc is None:
-            rows.append([g, *ana, None, ref])
-            continue
-        k, vx, vp, se_k = mc[i]
-        rate = ens[i].accepted / config.samples
+        k, vx, vp, cols["se_key_rate"] = ([v[j] for v in mc] for j in range(4))
+        rate = [e.accepted / config.samples for e in ens]
         if config.mode == "monte_carlo":
-            rows.append([g, k, vx, vp, rate, se_k, ref])
+            cols.update(key_rate=k, v_x_cond=vx, v_p_cond=vp, acceptance_rate=rate)
         else:
-            rows.append([g, *ana, se_k, ref, k, rate])
+            cols.update(mc_key_rate=k, mc_acceptance_rate=rate)
 
-    path = _write_output(config, "fig4.csv", header, rows)
+    rows = [list(row) for row in zip(*cols.values())]
+    path = _write_output(config, "fig4.csv", list(cols), rows)
     if config.svg:
         svgplot.line_chart(
             gains,
-            {"model state": [r[1] for r in rows],
-             "pure -6 dB": [r[6] for r in rows],
-             "zero": [0.0 for _ in rows]},
+            {"model state": cols["key_rate"],
+             "pure -6 dB": cols["key_rate_pure_6db"],
+             "zero": [0.0] * n},
             os.path.splitext(path)[0] + ".svg",
             title=f"1sDI key rate vs gain (cutoff {beta_c})",
             xlabel="gain", ylabel="key rate (bits)",
@@ -331,8 +312,7 @@ def run_fig_s1(config: ExperimentConfig):
         return [[names[i], losses[i], *(col[i] for col in cols)] for i in range(n)]
 
     rows = _in_grid_order(chain, len(cells))
-    path = _write_output(config, "fig_s1.csv", ["channel", "loss", "g_a2b_raw", "g_b2a_raw",
-                                                "g_a2b_nla", "g_b2a_nla"], rows)
+    path = _write_output(config, "fig_s1.csv", ["channel", "loss", *_STEERING_COLUMNS], rows)
     return path, rows
 
 

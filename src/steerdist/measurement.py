@@ -163,6 +163,13 @@ class QuadratureBatch:
                 raise ValueError(f"column {name} has mismatched length")
         if self.accepted is not None and len(self.accepted) != n:
             raise ValueError("accepted column has mismatched length")
+        basis = self.alice_basis
+        # one pass: viewed as unsigned, a negative code exceeds BASIS_P too
+        if basis.dtype.kind not in "iu" or basis.view(f"u{basis.itemsize}").max() > BASIS_P:
+            raise ValueError("alice_basis must hold only the integer codes "
+                             "BASIS_X (0) and BASIS_P (1)")
+        if self.accepted is not None and self.accepted.dtype != bool:
+            raise ValueError(f"accepted column must be boolean, got {self.accepted.dtype}")
 
     def __len__(self) -> int:
         return len(self.alice_basis)

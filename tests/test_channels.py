@@ -73,6 +73,16 @@ def test_channel_spec_validation():
         channel_stack(np.eye(4), float("nan"))
 
 
+@pytest.mark.parametrize("covs, losses", [
+    (np.eye(4), []),                # no loss for one matrix
+    (np.zeros((0, 4, 4)), 0.1),     # one loss for no matrix
+])
+def test_channel_stack_of_no_cells_is_empty(covs, losses):
+    # the losses broadcast against the matrices, as in the other stack kernels
+    out = channel_stack(covs, losses, 0.1)
+    assert out.shape == (0, 4, 4)
+
+
 @pytest.mark.parametrize("args, message", [
     ((1.5,), "loss must be in [0, 1], got 1.5"),
     ((float("nan"),), "loss must be in [0, 1], got nan"),

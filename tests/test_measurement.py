@@ -853,6 +853,14 @@ def test_batch_refuses_no_records_and_mismatched_columns():
         QuadratureBatch(basis, col, col[:2], col)
     with pytest.raises(ValueError, match="accepted column has mismatched length"):
         QuadratureBatch(basis, col, col, col, np.ones(4, dtype=bool))
+    # the reconstruction would drop a code other than BASIS_X/BASIS_P, which
+    # write_batch_csv cannot write, and cannot mask with a uint8 flag column
+    for codes in (np.array([0, 1, 7], dtype=np.uint8), np.array([0, -1, 1], dtype=np.int8),
+                  np.array([0.0, 1.0, 0.5])):
+        with pytest.raises(ValueError, match="only the integer codes BASIS_X"):
+            QuadratureBatch(codes, col, col, col)
+    with pytest.raises(ValueError, match="accepted column must be boolean, got uint8"):
+        QuadratureBatch(basis, col, col, col, np.ones(3, dtype=np.uint8))
 
 
 def test_batch_csv_accepts_missing_accepted_column(tmp_path):
