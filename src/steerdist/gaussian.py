@@ -250,12 +250,8 @@ def require_physical_stack(covs: np.ndarray, tol: float = PHYSICALITY_TOL) -> np
 
 
 def _require_stack(covs: np.ndarray, physicality_tol: float) -> np.ndarray:
-    """:func:`require_cov_stack`, then :func:`require_physical_stack` unless
-    ``physicality_tol`` is infinite."""
-    covs = require_cov_stack(covs)
-    if not np.isinf(physicality_tol):
-        require_physical_stack(covs, physicality_tol)
-    return covs
+    """:func:`require_cov_stack`, then :func:`require_physical_stack`."""
+    return require_physical_stack(require_cov_stack(covs), physicality_tol)
 
 
 def check_physical(sigma: np.ndarray, tol: float = PHYSICALITY_TOL):

@@ -114,6 +114,8 @@ MODEL_RTOL = 1e-9
 BASIS_X = 0
 BASIS_P = 1
 
+MIN_ACCEPTED = 10_000  # the records a reconstruction needs by default
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -140,12 +142,17 @@ def _log_uniforms(u: np.ndarray) -> np.ndarray:
         return np.log(u, out=u)
 
 
+class BatchSchemaError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class QuadratureBatch:
     """Per-shot records of one joint-measurement run.
 
-    ``alice_basis`` holds BASIS_X/BASIS_P codes, ``accepted`` is None until
-    :func:`post_select` has run.
+    ``alice_basis`` holds BASIS_X/BASIS_P codes, the value columns finite
+    1-D float64 values, and ``accepted`` is None until :func:`post_select`
+    has run.
     """
 
     alice_basis: np.ndarray
@@ -170,6 +177,15 @@ class QuadratureBatch:
                              "BASIS_X (0) and BASIS_P (1)")
         if self.accepted is not None and self.accepted.dtype != bool:
             raise ValueError(f"accepted column must be boolean, got {self.accepted.dtype}")
+        for name in ("alice_value", "bob_x", "bob_p"):
+            col = getattr(self, name)
+            if col.dtype != np.float64 or col.ndim != 1:
+                raise ValueError(f"column {name} must be 1-D float64")
+            if not np.isfinite(col).all():  # a record is named only on failure
+                bad = np.flatnonzero(~np.isfinite(col))
+                raise BatchSchemaError(
+                    f"record {bad[0]}: non-finite {name} {float(col[bad[0]])!r} "
+                    f"({bad.size} non-finite {name} values)")
 
     def __len__(self) -> int:
         return len(self.alice_basis)
@@ -499,7 +515,7 @@ def _entry(m: Moments, u: int, v: int):
 _ENSEMBLE_BLOCK = 64  # ensembles per stacked evaluation, which bounds its temporaries
 
 
-def covariance_stack(ensembles, min_accepted: int = 10_000):
+def covariance_stack(ensembles, min_accepted: int = MIN_ACCEPTED):
     """Invert the sampling conventions for N :class:`Ensemble` s at once:
     (covs, ses, errors), the (N, 4, 4) covariance estimates and standard
     errors, and per ensemble the :class:`ReconstructionError` that refuses
@@ -595,7 +611,7 @@ class Ensemble:
         x, p = self.x.marginal((1, 2)), self.p.marginal((1, 2))
         return Moments(x.center, x.gram + p.gram)
 
-    def covariance(self, min_accepted: int = 10_000):
+    def covariance(self, min_accepted: int = MIN_ACCEPTED):
         """(covariance estimate, standard errors): :func:`covariance_stack`
         with N = 1, which raises the ensemble's :class:`ReconstructionError`."""
         covs, ses, (error,) = covariance_stack([self], min_accepted)
@@ -742,7 +758,7 @@ def _batch_ensemble(batch: QuadratureBatch, filt: FilterSpec | None = None,
     return Ensemble(*map(Moments, centres, grams))
 
 
-def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = 10_000):
+def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = MIN_ACCEPTED):
     """(covariance estimate, standard errors) from a batch's accepted records
     (every record if it has no accepted column), in any basis order; see
     :meth:`Ensemble.covariance`, from one pass over the chunks
@@ -764,10 +780,6 @@ def write_batch_csv(batch: QuadratureBatch, path) -> None:
         # plain-float repr is the shortest exact round-trip representation
         fh.writelines(f"{i},{_BASIS_CHARS[b]},{a!r},{x!r},{p!r},{f}\n"
                       for i, (b, a, x, p, f) in enumerate(zip(*(c.tolist() for c in cols))))
-
-
-class BatchSchemaError(ValueError):
-    pass
 
 
 # ``idx`` is not checked.  The text columns are two bytes wide, so no
@@ -846,7 +858,7 @@ def read_batch_csv(path) -> QuadratureBatch:
     (Python's, without underscores or non-ASCII digits; spaces around a value
     are allowed) and flag ``0`` or ``1``; there is no comment character.  A
     refused line is named by its 1-based file line.  The file must hold a
-    record, and every value must be finite; a non-finite value is named by
+    record; :class:`QuadratureBatch` refuses a non-finite value, named by
     its record's 0-based position, as in the ``idx`` column
     :func:`write_batch_csv` writes.
     """
@@ -864,15 +876,8 @@ def read_batch_csv(path) -> QuadratureBatch:
         raise _line_error(path, dtype) or BatchSchemaError(str(exc)) from exc
     if not len(rec):
         raise BatchSchemaError("file contains no records")
-    values = {name: np.ascontiguousarray(rec[name]) for name in ("alice_value", "bob_x", "bob_p")}
-    for name, col in values.items():
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
-            raise BatchSchemaError(
-                f"record {bad[0]}: non-finite {name} {float(col[bad[0]])!r} "
-                f"({bad.size} non-finite {name} values)")
     return QuadratureBatch(
         (rec["alice_basis"] == b"P").astype(np.uint8),  # BASIS_X 0, BASIS_P 1
-        **values,
+        **{name: np.ascontiguousarray(rec[name]) for name in ("alice_value", "bob_x", "bob_p")},
         accepted=(rec["accepted"] == b"1") if len(cols) == 6 else None,
     )

@@ -64,13 +64,12 @@ def _rate(v_x, v_p):
     return np.log2(2.0 / (np.e * np.sqrt(v_x * v_p)))
 
 
-def key_rate(sigma: np.ndarray, physicality_tol: float = RECONSTRUCTION_TOL) -> KeyRateResult:
+def key_rate(sigma: np.ndarray) -> KeyRateResult:
     """Lower bound on the reverse-reconciliation key rate, in bits, with the
     conditional variances of heterodyne given homodyne; the matrix is checked
-    for physicality at ``physicality_tol`` (``RECONSTRUCTION_TOL``; pass
-    :func:`steerdist.measurement.reconstruction_tolerance` of the SE matrix
-    when feeding estimated covariances)."""
-    covs = _require_stack(np.asarray(sigma, dtype=float)[None], physicality_tol)
+    for physicality at ``RECONSTRUCTION_TOL``; an estimate goes to
+    :func:`key_rate_with_se`, with its SEs."""
+    covs = _require_stack(np.asarray(sigma, dtype=float)[None], RECONSTRUCTION_TOL)
     v_x, v_p = _conditional_variances_stack(covs)
     return KeyRateResult(float(_rate(v_x, v_p)[0]), float(v_x[0]), float(v_p[0]))
 

@@ -91,20 +91,17 @@ def _evaluation_error(cov: np.ndarray, comp: np.ndarray, direction: str) -> Nume
     return _not_pd_error(comp)
 
 
-def steering_signed_stack(covs: np.ndarray, direction: str,
-                          physicality_tol: float = RECONSTRUCTION_TOL) -> np.ndarray:
+def steering_signed_stack(covs: np.ndarray, direction: str) -> np.ndarray:
     """Signed pre-max steering quantity of each matrix of a (N, 4, 4) stack;
     positive iff steerable.
 
     Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
     and -ln(nu_min) (negative) otherwise, so it crosses zero continuously.
-
-    ``physicality_tol`` is loose by default (``RECONSTRUCTION_TOL``) so that
-    Monte Carlo reconstructions, accepted up to that far below the vacuum
-    bound, can be evaluated.
+    Each matrix is checked for physicality at ``RECONSTRUCTION_TOL``, like
+    :func:`steerability_stack`.
     """
     _check_direction(direction)
-    covs = _require_stack(covs, physicality_tol)
+    covs = _require_stack(covs, RECONSTRUCTION_TOL)
     value, comp, ok = _signed_1p1(covs, direction)
     _raise_first(~ok, lambda i: _evaluation_error(covs[i], comp[i], direction))
     return value
@@ -136,11 +133,11 @@ def region_labels(g_a_to_b, g_b_to_a) -> np.ndarray:
                      ["two_way", "one_way_a_to_b", "one_way_b_to_a"], "none")
 
 
-def steerability(state: GaussianState, direction: str,
-                 physicality_tol: float = RECONSTRUCTION_TOL) -> float:
+def steerability(state: GaussianState, direction: str) -> float:
     """Gaussian steering monotone in the given direction, in nats, checked
-    for physicality at ``physicality_tol`` (``RECONSTRUCTION_TOL``)."""
-    return max(0.0, float(steering_signed_stack(state.cov[None], direction, physicality_tol)[0]))
+    for physicality at ``RECONSTRUCTION_TOL``; an estimate goes to
+    :func:`steerability_with_se`."""
+    return max(0.0, float(steering_signed_stack(state.cov[None], direction)[0]))
 
 
 def classify(state: GaussianState) -> SteeringResult:

@@ -48,6 +48,7 @@ from steerdist.gaussian import (
     check_physical,
     from_cov,
     inv2,
+    require_physical_stack,
     schur_2x2,
     symplectic_eigenvalues,
 )
@@ -55,6 +56,7 @@ from steerdist.measurement import (
     BASIS_P,
     BASIS_X,
     CHUNK,
+    MIN_ACCEPTED,
     Ensemble,
     Moments,
     ReconstructionError,
@@ -65,13 +67,13 @@ from steerdist.measurement import (
     reconstruction_tolerance,
 )
 from steerdist.nla import GainTooLargeError, nla_single_mode
-from steerdist.qkd import key_rate
+from steerdist.qkd import KeyRateResult, _conditional_variances_stack, _rate
 from steerdist.steering import (
     STEERING_POSITIVITY_TOL,
     NoThresholdError,
     _blocks_1p1,
     _check_direction,
-    steerability,
+    _signed_1p1,
     steering_signed_stack,
 )
 
@@ -283,7 +285,7 @@ def _entry(gram: np.ndarray, u: int, v: int):
     return cov, np.sqrt(max(total(u, u, v, v) / n - cov * cov, 0.0) / n)
 
 
-def covariance_per_matrix(ens, min_accepted: int = 10_000):
+def covariance_per_matrix(ens, min_accepted: int = MIN_ACCEPTED):
     """(covariance estimate, standard errors) of one ``Ensemble``, raising
     its ``ReconstructionError``."""
     n_x, n_p = int(ens.x.gram[0, 0]), int(ens.p.gram[0, 0])
@@ -326,7 +328,8 @@ def _first_order_se(grad: np.ndarray, se: np.ndarray) -> float:
 
 def steerability_with_se_per_matrix(cov, se, direction: str, physicality_tol: float = 1e-2):
     """Monotone value and its first-order SE through the exact gradient."""
-    value = steerability(from_cov(cov), direction, physicality_tol)
+    require_physical_stack(cov[None], physicality_tol)
+    value = max(0.0, float(_signed_1p1(cov[None], direction)[0][0]))
     cond, kept, cross = (blk[0] for blk in _blocks_1p1(cov[None], direction))
     m, minus_i = inv2(cond) @ cross, -np.eye(2)
     u = np.vstack((m, minus_i) if direction == "a_to_b" else (minus_i, m))
@@ -336,7 +339,9 @@ def steerability_with_se_per_matrix(cov, se, direction: str, physicality_tol: fl
 
 def key_rate_with_se_per_matrix(cov, se, physicality_tol: float = 1e-2):
     """Key rate and its first-order SE through the exact gradient."""
-    result = key_rate(cov, physicality_tol)
+    require_physical_stack(cov[None], physicality_tol)
+    v_x, v_p = _conditional_variances_stack(cov[None])
+    result = KeyRateResult(float(_rate(v_x, v_p)[0]), float(v_x[0]), float(v_p[0]))
     grad = np.zeros((4, 4))
     for k, v in enumerate((result.v_x_cond, result.v_p_cond)):
         a, c, dk_dv = cov[k, k], cov[k, k + 2], -0.5 / (np.log(2.0) * v)
@@ -347,7 +352,7 @@ def key_rate_with_se_per_matrix(cov, se, physicality_tol: float = 1e-2):
 
 # --- batch reduction (two passes) ----------------------------------------------
 
-def reconstruct_covariance_two_pass(batch, min_accepted: int = 10_000):
+def reconstruct_covariance_two_pass(batch, min_accepted: int = MIN_ACCEPTED):
     """(covariance estimate, standard errors) of a batch's accepted records:
     a first pass over the chunks fixes each basis's centre (Alice's mean in
     that basis, Bob's over both bases, of the whole batch), a second adds

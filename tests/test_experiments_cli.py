@@ -711,6 +711,27 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, ini, status, message", [
+    (["selfcheck"], None, 0, None),
+    (["fig4"], "[run]\nbogus = 1\n", 2, "config error: unknown config key [run] bogus"),
+    (["regions-c"], "[grids]\ng_grid = 1.0,1.5\nloss_grid = 0:0.5:0.25\n", 3,
+     "numerical failure: gain 1.5 too large"),
+], ids=["ok", "config", "numerical"])
+def test_cli_module_exit_status_of_a_real_process(tmp_path, argv, ini, status, message):
+    # the status reaches the shell only through the module's sys.exit(main())
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        argv = [*argv, "--config", "run.ini"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-m", "steerdist.cli", *argv, "--out", "o"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == status, proc.stderr
+    if status:
+        assert proc.stderr.startswith(message)
+    else:
+        assert "[PASS]" in proc.stdout and "[FAIL]" not in proc.stdout and proc.stderr == ""
+
+
 def test_cli_selfcheck(tmp_path, capsys):
     assert main(["selfcheck", "--out", str(tmp_path / "s")]) == 0
     assert "[PASS]" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def _se_per_matrix(func, cov, se):
 
 
 def test_exact_se_matches_finite_difference_loop(model_state):
-    from steerdist import key_rate, key_rate_with_se, steering_signed_stack
+    from steerdist import key_rate_with_se, qkd, steering
 
     batch = sample_batch(apply_lossy(model_state, 0.3), 200_000, seed=31)
     filtered, _ = post_select(batch, FilterSpec(1.2, 3.0), seed=32)
@@ -374,15 +375,16 @@ def test_exact_se_matches_finite_difference_loop(model_state):
     steerable = set()
     for sigma, s, tol in cases:
         for d in ("a_to_b", "b_to_a"):
-            _, err = steerability_with_se(sigma, s, d, tol)
+            value, err = steerability_with_se(sigma, s, d, tol)
             assert err > 0.0
             assert err == pytest.approx(_se_per_matrix(
-                lambda c: steering_signed_stack(c[None], d, np.inf)[0], sigma, s), rel=1e-6)
-            steerable.add(steering_signed_stack(sigma[None], d, tol)[0] > 0.0)
+                lambda c: steering._signed_1p1(c[None], d)[0][0], sigma, s), rel=1e-6)
+            steerable.add(value > 0.0)
         _, err = key_rate_with_se(sigma, s, tol)
         assert err > 0.0
         assert err == pytest.approx(_se_per_matrix(
-            lambda c: key_rate(c, np.inf).key_rate, sigma, s), rel=1e-6)
+            lambda c: qkd._rate(*qkd._conditional_variances_stack(c[None]))[0], sigma, s),
+            rel=1e-6)
     assert steerable == {True, False}  # the clipped directions are covered too
 
 
@@ -861,6 +863,22 @@ def test_batch_refuses_no_records_and_mismatched_columns():
             QuadratureBatch(codes, col, col, col)
     with pytest.raises(ValueError, match="accepted column must be boolean, got uint8"):
         QuadratureBatch(basis, col, col, col, np.ones(3, dtype=np.uint8))
+
+
+def test_batch_refuses_value_columns_that_are_not_finite_1d_float64(model_state):
+    # a float32 column fails the reconstruction's cast, and a NaN reaches it
+    # as a degenerate estimate, so the batch refuses both at construction
+    basis, col = np.zeros(200, dtype=np.uint8), np.zeros(200)
+    with pytest.raises(ValueError, match="^column alice_value must be 1-D float64$"):
+        QuadratureBatch(basis, col.astype(np.float32), col, col)
+    with pytest.raises(ValueError, match="^column bob_x must be 1-D float64$"):
+        QuadratureBatch(basis, col, np.zeros((200, 2)), col)
+    batch = sample_batch(model_state, 200, seed=3)
+    bad = batch.alice_value.copy()
+    bad[[123, 150]] = np.nan
+    with pytest.raises(BatchSchemaError, match=r"^record 123: non-finite alice_value nan "
+                                               r"\(2 non-finite alice_value values\)$"):
+        replace(batch, alice_value=bad)
 
 
 def test_batch_csv_accepts_missing_accepted_column(tmp_path):

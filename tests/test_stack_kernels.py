@@ -302,8 +302,9 @@ def test_unphysical_cell_raises_scalar_class(model_state):
 def test_singular_conditioning_block_raises_general_class(model_state, monkeypatch):
     bad = np.diag([0.0, 0.0, 2.0, 2.0])
     covs = _stack_with(model_state, bad)
+    # the SE stack has no physicality gate, which refuses cell 3 first
     with pytest.raises(NumericalError, match="conditioning block is singular") as stack_err:
-        steering_signed_stack(covs, "a_to_b", physicality_tol=np.inf)
+        steerability_with_se_stack(covs, np.zeros_like(covs))
     assert stack_err.value.cell == 3
     with pytest.raises(NumericalError, match="conditioning block is singular"):
         _general_signed(bad, "a_to_b")
@@ -315,14 +316,17 @@ def test_singular_conditioning_block_raises_general_class(model_state, monkeypat
     # rounding leaves cell 3 evaluable in A->B only and cell 5 in B->A only
     covs = _stack_with(model_state, singular(1.2, 1.1))
     covs[5] = singular(1.1, 1.2)
-    steering_signed_stack(covs[3:4], "a_to_b", physicality_tol=np.inf)
-    steering_signed_stack(covs[5:6], "b_to_a", physicality_tol=np.inf)
     with pytest.raises(NumericalError, match="not positive definite") as want:
-        steering_signed_stack(covs[3:4], "b_to_a", physicality_tol=np.inf)
+        steerability_with_se_stack(covs[3:4], np.zeros_like(covs[3:4]))
     # the physicality gate would refuse cell 5 first, whose A->B Schur
     # complement is its positive-definiteness test; lifted, the first cell
-    # wins whichever direction fails there, in both stacks
+    # wins whichever direction fails there, in every stack
     monkeypatch.setattr(steering, "_require_stack", lambda covs, tol: require_cov_stack(covs))
+    steering_signed_stack(covs[3:4], "a_to_b")
+    steering_signed_stack(covs[5:6], "b_to_a")
+    with pytest.raises(NumericalError) as got:
+        steering_signed_stack(covs[3:4], "b_to_a")
+    assert (type(got.value), str(got.value)) == (NumericalError, str(want.value))
     for stack in (steerability_stack, lambda c: steerability_with_se_stack(c, np.zeros_like(c))):
         with pytest.raises(NumericalError) as got:
             stack(covs)
