@@ -27,7 +27,6 @@ from .steering import (
     steerability_with_se,
     steerability_with_se_stack,
     steering_loss_threshold,
-    steering_signed_stack,
 )
 from .nla import (
     GainTooLargeError,

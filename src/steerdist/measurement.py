@@ -150,9 +150,9 @@ class BatchSchemaError(ValueError):
 class QuadratureBatch:
     """Per-shot records of one joint-measurement run.
 
-    ``alice_basis`` holds BASIS_X/BASIS_P codes, the value columns finite
-    1-D float64 values, and ``accepted`` is None until :func:`post_select`
-    has run.
+    Every column is 1-D: ``alice_basis`` holds BASIS_X/BASIS_P codes, the
+    value columns finite float64 values, and ``accepted`` is None until
+    :func:`post_select` has run.
     """
 
     alice_basis: np.ndarray
@@ -170,6 +170,9 @@ class QuadratureBatch:
                 raise ValueError(f"column {name} has mismatched length")
         if self.accepted is not None and len(self.accepted) != n:
             raise ValueError("accepted column has mismatched length")
+        for name in ("alice_basis", "accepted"):
+            if getattr(self, name) is not None and getattr(self, name).ndim != 1:
+                raise ValueError(f"column {name} must be 1-D")
         basis = self.alice_basis
         # one pass: viewed as unsigned, a negative code exceeds BASIS_P too
         if basis.dtype.kind not in "iu" or basis.view(f"u{basis.itemsize}").max() > BASIS_P:
@@ -425,7 +428,7 @@ class Moments:
     first-order sums, which carry the records' mean less ``center`` (zero up
     to rounding when ``center`` is the mean), then the second-order sums.
     ``center`` and ``gram`` may carry leading axes, one entry per record
-    set; :meth:`marginal`, :meth:`central` and :meth:`_sum` act on each.
+    set; :meth:`linear`, :meth:`central` and :meth:`_sum` act on each.
     """
 
     center: np.ndarray
@@ -458,19 +461,12 @@ class Moments:
         return Moments(center, k @ self.gram @ np.swapaxes(k, -1, -2))
 
     def linear(self, l: np.ndarray) -> Moments:
-        """Moments of the records ``l @ r``: y = (1, r - c) becomes B y with
-        B = blockdiag(1, l)."""
-        b = np.eye(len(self.center) + 1)
-        b[1:, 1:] = l
-        return self._map(b, l @ self.center)
-
-    def marginal(self, variables) -> Moments:
-        """Moments of the records' ``variables``: their rows of the Gram
-        matrix, so no rounding."""
-        position = _pairs(self.center.shape[-1] + 1)[2]
-        rows = np.array([position[i, j] for i, j in itertools.combinations_with_replacement(
-            (0, *(v + 1 for v in variables)), 2)])
-        return Moments(self.center[..., list(variables)], self.gram[..., rows[:, None], rows])
+        """Moments of the records ``l @ r`` for a (k, d) map ``l``: y = (1, r
+        - c) becomes B y with B = blockdiag(1, l).  A 0/1 map that selects
+        variables selects Gram entries, so it rounds nothing."""
+        b = np.zeros((len(l) + 1, l.shape[1] + 1))
+        b[0, 0], b[1:, 1:] = 1.0, l
+        return self._map(b, self.center @ l.T)
 
     def central(self) -> Moments:
         """The moments about the mean: y = (1, r - c) becomes A y with A =
@@ -608,7 +604,7 @@ class Ensemble:
 
     def bob(self) -> Moments:
         """Moments of Bob's (X_het, P_het) over both bases."""
-        x, p = self.x.marginal((1, 2)), self.p.marginal((1, 2))
+        x, p = self.x.linear(np.eye(3)[1:]), self.p.linear(np.eye(3)[1:])
         return Moments(x.center, x.gram + p.gram)
 
     def covariance(self, min_accepted: int = MIN_ACCEPTED):

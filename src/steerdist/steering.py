@@ -12,10 +12,11 @@ det S = det sigma / det sigma_cond, so the signed quantity is
 
     -ln nu = (ln det sigma_cond - ln det sigma) / 2 = -(ln det S) / 2.
 
-The stack kernels :func:`steering_signed_stack` and
-:func:`steerability_stack` evaluate it through the closed-form 2x2 Schur
-complement on (N, 4, 4) stacks, and :func:`region_labels` labels their
-values; :func:`steerability` and :func:`classify` call them with N = 1.
+The stack kernel :func:`steerability_stack` evaluates it in both directions
+through the closed-form 2x2 Schur complement on (N, 4, 4) stacks, and
+:func:`region_labels` labels its values; :func:`steerability`,
+:func:`classify` and :func:`steering_loss_threshold` read the signed
+quantity from the same kernel.
 The tests check the kernels against the general route through the
 symplectic spectrum of the Schur complement, kept in ``tests/reference.py``.
 """
@@ -91,22 +92,6 @@ def _evaluation_error(cov: np.ndarray, comp: np.ndarray, direction: str) -> Nume
     return _not_pd_error(comp)
 
 
-def steering_signed_stack(covs: np.ndarray, direction: str) -> np.ndarray:
-    """Signed pre-max steering quantity of each matrix of a (N, 4, 4) stack;
-    positive iff steerable.
-
-    Equals -sum_{nu<1} ln nu when any Schur symplectic eigenvalue is below 1
-    and -ln(nu_min) (negative) otherwise, so it crosses zero continuously.
-    Each matrix is checked for physicality at ``RECONSTRUCTION_TOL``, like
-    :func:`steerability_stack`.
-    """
-    _check_direction(direction)
-    covs = _require_stack(covs, RECONSTRUCTION_TOL)
-    value, comp, ok = _signed_1p1(covs, direction)
-    _raise_first(~ok, lambda i: _evaluation_error(covs[i], comp[i], direction))
-    return value
-
-
 def _signed_both(covs: np.ndarray):
     """:func:`_signed_1p1` in both directions, raising at the first matrix not
     evaluable in one (A->B checked first) or with a non-finite value."""
@@ -137,7 +122,8 @@ def steerability(state: GaussianState, direction: str) -> float:
     """Gaussian steering monotone in the given direction, in nats, checked
     for physicality at ``RECONSTRUCTION_TOL``; an estimate goes to
     :func:`steerability_with_se`."""
-    return max(0.0, float(steering_signed_stack(state.cov[None], direction)[0]))
+    _check_direction(direction)
+    return float(steerability_stack(state.cov[None])[DIRECTIONS.index(direction)][0])
 
 
 def classify(state: GaussianState) -> SteeringResult:
@@ -215,7 +201,10 @@ def steering_loss_threshold(state: GaussianState, channel_template: ChannelSpec,
     outs = channel_stack(state.cov, [0.0, 1.0], channel_template.excess_noise,
                          channel_template.noise_model)
     gain = 1.0 if nla_gain is None else nla_gain
-    f_lo, f_hi = steering_signed_stack(nla_single_mode_stack(outs, gain), direction)
+    amp = nla_single_mode_stack(outs, gain)
+    _check_direction(direction)
+    signed = _signed_both(_require_stack(amp, RECONSTRUCTION_TOL))
+    f_lo, f_hi = signed[DIRECTIONS.index(direction)][0]
     if f_lo <= STEERING_POSITIVITY_TOL:
         raise NoThresholdError(f"direction {direction} is not steerable at zero loss "
                                f"(signed value {f_lo:.3e})")

@@ -30,7 +30,8 @@ references:
 
 :func:`random_physical_state`, :func:`cov_to_text` and :func:`cov_from_text`
 are test helpers: random physical states for the property tests and a text
-round trip of the covariance file format.
+round trip of the covariance file format.  :func:`signed_stack` reads one
+direction's signed steering quantity from the package's kernel.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ import numpy as np
 
 from steerdist.channels import ChannelSpec, apply_noisy
 from steerdist.gaussian import (
+    RECONSTRUCTION_TOL,
     GaussianState,
     NumericalError,
     _require_cov,
+    _require_stack,
     check_physical,
     from_cov,
     inv2,
@@ -69,16 +72,26 @@ from steerdist.measurement import (
 from steerdist.nla import GainTooLargeError, nla_single_mode
 from steerdist.qkd import KeyRateResult, _conditional_variances_stack, _rate
 from steerdist.steering import (
+    DIRECTIONS,
     STEERING_POSITIVITY_TOL,
     NoThresholdError,
     _blocks_1p1,
     _check_direction,
     _signed_1p1,
-    steering_signed_stack,
+    _signed_both,
 )
 
 
 # --- steering (general Schur/symplectic route) -------------------------------
+
+def signed_stack(covs: np.ndarray, direction: str) -> np.ndarray:
+    """Signed steering quantity in ``direction`` of each matrix of a (N, 4, 4)
+    stack, from the kernel of ``steerability_stack``: positive iff steerable,
+    each matrix checked for physicality at ``RECONSTRUCTION_TOL``."""
+    _check_direction(direction)
+    covs = _require_stack(covs, RECONSTRUCTION_TOL)
+    return _signed_both(covs)[DIRECTIONS.index(direction)][0]
+
 
 def steering_signed_general(state: GaussianState, direction: str) -> float:
     """Signed steering quantity through the symplectic spectrum of the Schur
@@ -175,7 +188,7 @@ def loss_threshold_bisection(state: GaussianState, channel_template: ChannelSpec
                           channel_template.noise_model)
         if nla_gain is not None:
             out = GaussianState(nla_single_mode(out.cov, nla_gain))
-        return float(steering_signed_stack(out.cov[None], direction)[0])
+        return float(signed_stack(out.cov[None], direction)[0])
 
     lo, hi = 0.0, 1.0
     f_lo = signed(lo)

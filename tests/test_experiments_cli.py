@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,11 +117,11 @@ def test_fig3_deterministic_output(tmp_path):
     config = _config(tmp_path, mode="both", samples=200_000,
                      loss_grid=np.array([0.2]), threads=1)
     path, _ = run_fig3("a", config)
-    first = open(path).read()
+    first = Path(path).read_text()
     config4 = _config(tmp_path, mode="both", samples=200_000,
                       loss_grid=np.array([0.2]), threads=4)
     path, _ = run_fig3("a", config4)
-    assert open(path).read() == first
+    assert Path(path).read_text() == first
 
 
 def test_fig3_point_does_not_depend_on_its_grid(tmp_path):
@@ -130,7 +131,7 @@ def test_fig3_point_does_not_depend_on_its_grid(tmp_path):
     for grid in ([0.3, 0.55, 0.8], [0.55]):
         config = _config(tmp_path, mode="both", samples=200_000, loss_grid=np.array(grid))
         path, _ = run_fig3("a", config)
-        lines.append(open(path).read().splitlines())
+        lines.append(Path(path).read_text().splitlines())
     full, single = lines
     assert single[0] == full[0] and single[1:] == [full[2]]
 

@@ -811,12 +811,13 @@ def test_pair_map_matches_records_mapped_directly():
     close(m.linear(l).central(), Moments.of(l @ r))
     position = {pair: k for k, pair in enumerate(zip(*(a.tolist() for a in np.triu_indices(4))))}
     for variables in ((1, 2), (2,), (2, 0)):
-        close(m.marginal(variables).central(), Moments.of(r[list(variables)]))
+        marginal = m.linear(np.eye(3)[list(variables)])
+        close(marginal.central(), Moments.of(r[list(variables)]))
         # a 0/1 map: the marginal's Gram matrix is a plain sub-block of Q
         idx = [0, *(v + 1 for v in variables)]
         rows = [position[min(idx[a], idx[b]), max(idx[a], idx[b])]
                 for a, b in zip(*np.triu_indices(len(idx)))]
-        assert np.array_equal(m.marginal(variables).gram, q[np.ix_(rows, rows)])
+        assert np.array_equal(marginal.gram, q[np.ix_(rows, rows)])
 
 
 # --- CSV -------------------------------------------------------------------------
@@ -879,6 +880,16 @@ def test_batch_refuses_value_columns_that_are_not_finite_1d_float64(model_state)
     with pytest.raises(BatchSchemaError, match=r"^record 123: non-finite alice_value nan "
                                                r"\(2 non-finite alice_value values\)$"):
         replace(batch, alice_value=bad)
+
+
+def test_batch_refuses_basis_and_accepted_columns_that_are_not_1d(model_state):
+    # an (n, 1) column passes the length and code checks but fails inside
+    # numpy in the reconstruction, so the batch refuses it at construction
+    batch = sample_batch(model_state, 200, seed=3)
+    with pytest.raises(ValueError, match="^column alice_basis must be 1-D$"):
+        replace(batch, alice_basis=batch.alice_basis[:, None])
+    with pytest.raises(ValueError, match="^column accepted must be 1-D$"):
+        replace(batch, accepted=np.ones((len(batch), 1), dtype=bool))
 
 
 def test_batch_csv_accepts_missing_accepted_column(tmp_path):

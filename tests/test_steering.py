@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from reference import loss_threshold_bisection, random_physical_state
+from reference import loss_threshold_bisection, random_physical_state, signed_stack
 
 from steerdist import (
     ChannelSpec,
     GainTooLargeError,
+    InputError,
     NoThresholdError,
     apply_lossy,
     classify,
@@ -12,7 +13,6 @@ from steerdist import (
     nla_single_mode,
     steerability,
     steering_loss_threshold,
-    steering_signed_stack,
     tmss_standard,
 )
 
@@ -104,6 +104,13 @@ def test_threshold_refuses_gain_below_one(model_state):
         steering_loss_threshold(model_state, ChannelSpec(0.0), "b_to_a", nla_gain=0.5)
 
 
+def test_threshold_checks_the_gain_rule_then_the_direction(model_state):
+    with pytest.raises(InputError, match=r"^direction must be one of .*, got 'sideways'$"):
+        steering_loss_threshold(model_state, ChannelSpec(0.0), "sideways")
+    with pytest.raises(InputError, match=r"^gain must be >= 1, got 0\.5$"):
+        steering_loss_threshold(model_state, ChannelSpec(0.0), "sideways", nla_gain=0.5)
+
+
 def test_threshold_unsteerable_direction_raises(model_state):
     dead = apply_lossy(model_state, 0.35)  # B->A already gone
     with pytest.raises(NoThresholdError):
@@ -128,7 +135,7 @@ def test_threshold_is_a_root_of_the_signed_quantity(model_state, channel, direct
     out = ChannelSpec(loss, channel.excess_noise, channel.noise_model).apply(model_state)
     if gain is not None:
         out = from_cov(nla_single_mode(out.cov, gain))
-    assert abs(steering_signed_stack(out.cov[None], direction)[0]) <= 1e-12
+    assert abs(signed_stack(out.cov[None], direction)[0]) <= 1e-12
 
 
 def test_threshold_closed_forms_are_exact(model_state):
@@ -175,8 +182,8 @@ def test_threshold_checks_the_gain_bound_at_both_ends(model_state):
 
 def test_signed_quantity_is_continuous_through_zero(model_state):
     thr = 0.30771011021372685
-    lo, hi = steering_signed_stack(np.stack([apply_lossy(model_state, thr + dl).cov
-                                             for dl in (-1e-4, 1e-4)]), "b_to_a")
+    lo, hi = signed_stack(np.stack([apply_lossy(model_state, thr + dl).cov
+                                    for dl in (-1e-4, 1e-4)]), "b_to_a")
     assert lo > 0 > hi
     assert abs(lo) < 1e-3 and abs(hi) < 1e-3
 

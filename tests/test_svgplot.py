@@ -1,5 +1,7 @@
 """The SVG renderers on degenerate data ranges."""
 
+import pytest
+
 from steerdist import svgplot
 
 
@@ -17,3 +19,10 @@ def test_a_constant_series_is_drawn_inside_the_frame(tmp_path):
     y = svgplot.MARGIN_T + svgplot._PLOT_H * (1.0 - 1.0 / 22.0)
     x0, x1 = svgplot.MARGIN_L, svgplot.WIDTH - svgplot.MARGIN_R
     assert f'<polyline points="{x0:.1f},{y:.1f} {x1:.1f},{y:.1f}"' in path.read_text()
+
+
+def test_a_chart_with_no_finite_value_is_refused(tmp_path):
+    path = tmp_path / "empty.svg"
+    with pytest.raises(ValueError, match="^nothing to plot$"):
+        svgplot.line_chart([0.0, 1.0], {"gone": [None, float("nan")]}, path)
+    assert not path.exists()
