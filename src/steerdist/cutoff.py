@@ -9,9 +9,10 @@ sample.  A sampled run cannot certify them in the low-loss/high-gain corner:
 at loss 0, g = 1.25 the acceptance rate at the published optimum is about
 8e-6, so 1e6 raw samples leave ~8 accepted records.  The exact criteria are
 deterministic and reproduce the published 5x5 cutoff table within one half
-grid step in every cell.  The whole cutoff grid of a cell is evaluated in
-one pass of the stack kernels; the trace keeps the points up to and
-including the first that passes, as a point-by-point scan would.
+grid step in every cell.  Every search scans :data:`CUTOFF_GRID`, the
+1.0:10.0:0.25 grid of every published cutoff, a whole cell in one pass of
+the stack kernels; the trace keeps the points up to and including the
+first that passes, as a point-by-point scan would.
 
 The accepted ensemble of a Gaussian state is symmetric about zero, so its
 exact skewness is 0 and only the kurtosis can fail the Gaussianity
@@ -30,7 +31,6 @@ import numpy as np
 from .channels import ChannelSpec
 from .filtered_moments import filtered_ensemble_stack
 from .gaussian import (
-    MAX_GRID_POINTS,
     GaussianState,
     InputError,
     NumericalError,
@@ -47,23 +47,18 @@ from .steering import DIRECTIONS, _signed_1p1, steerability_stack
 DEFAULT_KURT_TOL = 0.05
 DEFAULT_STEERING_TOL = 0.005
 
+CUTOFF_GRID = np.arange(1.0, 10.0 + 1e-9, 0.25)
+CUTOFF_GRID.flags.writeable = False  # so that no caller can move every later search
+
 
 @dataclass(frozen=True)
 class CutoffCriteria:
     kurt_tol: float = DEFAULT_KURT_TOL
     steering_tol: float = DEFAULT_STEERING_TOL
-    grid_step: float = 0.25
-    grid_min: float = 1.0
-    grid_max: float = 10.0
 
     def __post_init__(self):
-        for name in ("kurt_tol", "steering_tol", "grid_step"):
+        for name in ("kurt_tol", "steering_tol"):
             _require_positive(getattr(self, name), name)
-        if not 0 < self.grid_min <= self.grid_max < np.inf:  # written to refuse NaN
-            raise InputError(f"need 0 < grid_min <= grid_max < inf, got {self.grid_min}, "
-                             f"{self.grid_max}")
-        if not (self.grid_max - self.grid_min) / self.grid_step < MAX_GRID_POINTS - 0.5:
-            raise InputError(f"cutoff grid has more than {MAX_GRID_POINTS} points, got {self}")
 
 
 class CutoffSearchError(NumericalError):
@@ -86,7 +81,7 @@ class CutoffDiagnostics:
 
 @dataclass(frozen=True)
 class CutoffScan:
-    """The cutoff grid of every cell of a stack, evaluated in one pass.
+    """:data:`CUTOFF_GRID` at every cell of a stack, evaluated in one pass.
 
     ``beta_c`` has one entry per cell (NaN where no cutoff passes), as do
     ``ref_a_to_b`` and ``ref_b_to_a``, the steering of the ideally amplified
@@ -95,9 +90,7 @@ class CutoffScan:
     ensemble is not evaluable.
     """
 
-    criteria: CutoffCriteria
     gains: np.ndarray
-    grid: np.ndarray
     beta_c: np.ndarray
     ref_a_to_b: np.ndarray
     ref_b_to_a: np.ndarray
@@ -110,9 +103,9 @@ class CutoffScan:
     def trace(self, i: int) -> list:
         """Cell i's scan up to and including its first passing point (the
         whole grid when none passes), one dict per point."""
-        last = int(np.argmax(self.passed[i])) if self.passed[i].any() else len(self.grid) - 1
+        last = int(np.argmax(self.passed[i])) if self.passed[i].any() else len(CUTOFF_GRID) - 1
         return [
-            {"beta_c": float(self.grid[j]), "acceptance_rate": float(self.rates[i, j]),
+            {"beta_c": float(CUTOFF_GRID[j]), "acceptance_rate": float(self.rates[i, j]),
              "kurtosis": float(self.kurtosis[i, j]), "skewness": 0.0,
              "steering_err_a_to_b": float(self.err_a_to_b[i, j]),
              "steering_err_b_to_a": float(self.err_b_to_a[i, j]),
@@ -124,7 +117,7 @@ class CutoffScan:
         """Raise :class:`CutoffSearchError` for the first cell with no passing
         cutoff, tagged as ``exc.cell``; ``losses[i]`` names cell i."""
         _raise_first(np.isnan(self.beta_c), lambda i: CutoffSearchError(
-            f"no cutoff in [{self.criteria.grid_min}, {self.criteria.grid_max}] meets the "
+            f"no cutoff in [{CUTOFF_GRID[0]}, {CUTOFF_GRID[-1]}] meets the "
             f"criteria for loss={losses[i]}, g={self.gains[i]}",
             self.trace(i),
         ))
@@ -149,11 +142,10 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     gains = np.broadcast_to(gains, (n,))
     gab_ref, gba_ref = steerability_stack(nla_single_mode_stack(outs, gains))
 
-    grid = np.arange(criteria.grid_min, criteria.grid_max + 1e-9, criteria.grid_step)
-    size = len(grid)
+    size = len(CUTOFF_GRID)
     try:
         rates, covs, kurts = filtered_ensemble_stack(
-            np.repeat(outs, size, axis=0), np.repeat(gains, size), np.tile(grid, n))
+            np.repeat(outs, size, axis=0), np.repeat(gains, size), np.tile(CUTOFF_GRID, n))
     except Exception as exc:  # name the cell, not its row
         if getattr(exc, "cell", None) is not None:
             exc.cell //= size
@@ -170,9 +162,9 @@ def select_cutoff_stack(outs: np.ndarray, gains,
     kurts = kurts.reshape(n, size)
     passed = (evaluable & (np.abs(kurts - 3.0) < criteria.kurt_tol)
               & (err_ab < criteria.steering_tol) & (err_ba < criteria.steering_tol))
-    beta_c = np.where(passed.any(axis=1), grid[np.argmax(passed, axis=1)], np.nan)
-    return CutoffScan(criteria, gains, grid, beta_c, gab_ref, gba_ref, rates.reshape(n, size),
-                      kurts, err_ab, err_ba, passed)
+    beta_c = np.where(passed.any(axis=1), CUTOFF_GRID[np.argmax(passed, axis=1)], np.nan)
+    return CutoffScan(gains, beta_c, gab_ref, gba_ref, rates.reshape(n, size), kurts,
+                      err_ab, err_ba, passed)
 
 
 def select_cutoff(

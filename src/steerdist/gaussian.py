@@ -277,12 +277,10 @@ class PhysicalityReport:
 
 
 def purity(sigma: np.ndarray) -> float:
-    """mu = 1/sqrt(det sigma); equals 1 exactly for pure states."""
-    sigma = _require_cov(sigma)
-    det = float(np.linalg.det(sigma))
-    if det < 1.0 - PHYSICALITY_TOL:
-        raise UnphysicalStateError(f"det sigma = {det:.12g} < 1, not a physical state")
-    return 1.0 / np.sqrt(det)
+    """mu = 1/sqrt(det sigma); equals 1 exactly for pure states.  Raises as
+    :func:`require_physical_stack` does on an unphysical matrix."""
+    sigma = require_physical_stack(_require_cov(sigma)[None])[0]
+    return 1.0 / np.sqrt(float(np.linalg.det(sigma)))
 
 
 def _first_order_se(grad: np.ndarray, se: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ from .gaussian import (
     min_eig2,
     pd2,
     require_cov_stack,
+    require_physical_stack,
 )
 
 
@@ -93,9 +94,10 @@ def max_single_mode_gain(sigma: np.ndarray) -> float:
 
     The bound is 2*B(g) > max eigenvalue of Bob's block, i.e.
     g^2 < (v_max + 1)/(v_max - 1) where v_max is the largest eigenvalue of
-    that 2x2 block (v_max <= 1 means any gain is allowed).
+    that 2x2 block (v_max <= 1 means any gain is allowed).  Raises as
+    :func:`require_physical_stack` does on an unphysical matrix.
     """
-    sigma = _require_cov(sigma)
+    sigma = require_physical_stack(_require_cov(sigma)[None])[0]
     v_max = float(np.linalg.eigvalsh(sigma[2:, 2:])[-1])
     if v_max <= 1.0:
         return np.inf

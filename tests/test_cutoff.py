@@ -17,6 +17,7 @@ from steerdist import (
 )
 from steerdist.cli import main
 from steerdist.config import load_config, parse_grid
+from steerdist.cutoff import CUTOFF_GRID
 from steerdist.experiments import run_fig3
 from steerdist.filtered_moments import filtered_ensemble_stack
 from steerdist.nla import nla_single_mode_stack
@@ -131,10 +132,11 @@ def test_acceptance_rate_at_optimum_decreases_with_gain(model_state):
 
 
 def test_search_failure_reports_trace(model_state):
-    criteria = CutoffCriteria(steering_tol=1e-9, grid_max=3.0)
-    with pytest.raises(CutoffSearchError) as err:
+    criteria = CutoffCriteria(steering_tol=1e-9)
+    with pytest.raises(CutoffSearchError, match=r"no cutoff in \[1\.0, 10\.0\] meets the "
+                       r"criteria for loss=0\.0, g=1\.2$") as err:
         select_cutoff(model_state, ChannelSpec(0.0), 1.2, criteria)
-    assert len(err.value.trace) == 9  # 1.0 .. 3.0 in quarter steps
+    assert len(err.value.trace) == 37  # 1.0 .. 10.0 in quarter steps
 
 
 def test_gain_must_exceed_one(model_state):
@@ -145,21 +147,19 @@ def test_gain_must_exceed_one(model_state):
 def test_criteria_validation():
     with pytest.raises(ValueError):
         CutoffCriteria(kurt_tol=0.0)
-    # NaN would make every cutoff fail, an empty grid fail inside np.argmax
-    nan, inf = float("nan"), float("inf")
-    for name in ("kurt_tol", "steering_tol", "grid_step"):
-        for value in (nan, inf, -1.0):
+    # NaN would make every cutoff fail
+    for name in ("kurt_tol", "steering_tol"):
+        for value in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
                 CutoffCriteria(**{name: value})
-    for bounds in ((nan, 10.0), (1.0, nan), (1.0, inf), (0.0, 10.0), (5.0, 4.0)):
-        with pytest.raises(ValueError, match="grid_min <= grid_max"):
-            CutoffCriteria(grid_min=bounds[0], grid_max=bounds[1])
-    assert len(select_cutoff_stack(np.eye(4)[None], 1.1, CutoffCriteria(
-        grid_min=2.0, grid_max=2.0)).grid) == 1
-    # parse_grid's point cap, refused before a grid is allocated
-    for kwargs in ({"grid_step": 1e-12}, {"grid_max": 1e300}):
-        with pytest.raises(ValueError, match="more than 1000000 points"):
-            CutoffCriteria(**kwargs)
+
+
+def test_cutoff_grid_holds_every_published_cutoff():
+    assert np.array_equal(CUTOFF_GRID, np.arange(1.0, 10.0 + 1e-9, 0.25))
+    assert len(CUTOFF_GRID) == 37
+    assert set(reference_cutoff_table().values()) <= set(CUTOFF_GRID.tolist())
+    with pytest.raises(ValueError, match="read-only"):
+        CUTOFF_GRID[0] = 2.0
 
 
 def test_search_modules_bind_no_sampler(model_state):
@@ -194,7 +194,7 @@ def test_stack_search_is_bit_equal_to_scalar_search(model_state):
     for i, (loss, g) in enumerate(cells):
         bc, diag = select_cutoff(model_state, ChannelSpec(loss), g)
         j = int(np.argmax(scan.passed[i]))
-        assert scan.beta_c[i] == bc == scan.grid[j]
+        assert scan.beta_c[i] == bc == CUTOFF_GRID[j]
         assert (scan.rates[i, j], scan.kurtosis[i, j],
                 scan.err_a_to_b[i, j], scan.err_b_to_a[i, j]) == (
             diag.acceptance_rate, diag.kurtosis,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reference import cov_from_text, cov_to_text, random_physical_state, schur_complement
 from steerdist import (
+    NumericalError,
     UnphysicalStateError,
     apply_lossy,
     check_physical,
@@ -124,6 +125,15 @@ def test_purity_values():
 def test_purity_rejects_unphysical():
     with pytest.raises(UnphysicalStateError):
         purity(np.diag([0.5, 0.5, 0.5, 0.5]))
+
+
+def test_purity_applies_the_physicality_rule():
+    # a determinant of 1 or more does not make a state: det diag(-1, -1, 1, 1)
+    # is 1 and det diag(0.5, 0.5, 4, 4) is 4, but neither is physical
+    with pytest.raises(NumericalError, match="not positive definite"):
+        purity(np.diag([-1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(UnphysicalStateError, match="min symplectic eigenvalue 0.5 < 1"):
+        purity(np.diag([0.5, 0.5, 4.0, 4.0]))
 
 
 def test_purity_invariant_under_symplectic(rng):

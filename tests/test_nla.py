@@ -4,6 +4,8 @@ import pytest
 from reference import GainPair, build_gain_matrices, nla_cov_two_mode, random_physical_state
 from steerdist import (
     GainTooLargeError,
+    NumericalError,
+    UnphysicalStateError,
     apply_lossy,
     check_physical,
     from_cov,
@@ -143,6 +145,14 @@ def test_gain_is_unbounded_for_a_vacuum_bob_block(model_state):
     assert max_single_mode_gain(apply_lossy(model_state, 1.0).cov) == np.inf
 
 
+def test_max_gain_refuses_an_unphysical_state():
+    # a Bob block below vacuum is no state, so it allows no gain at all
+    with pytest.raises(UnphysicalStateError, match="min symplectic eigenvalue 0.5 < 1"):
+        max_single_mode_gain(np.diag([1.0, 1.0, 0.5, 0.5]))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        max_single_mode_gain(np.diag([1.0, 1.0, -2.0, -2.0]))
+
+
 def test_single_mode_gain_too_large_rejected(model_state):
     sigma = apply_lossy(model_state, 0.3).cov  # Alice and Bob blocks differ
     g_max = max_single_mode_gain(sigma)
@@ -210,7 +220,7 @@ def test_unit_gain_rows_of_channel_outputs_come_out_bit_identical(model_state, p
 
 def test_unit_gain_rows_are_not_checked_for_physicality():
     # the map refuses an unphysical output only where it amplifies
-    from steerdist import UnphysicalStateError, nla_single_mode_stack
+    from steerdist import nla_single_mode_stack
 
     thin = np.diag([0.5, 0.5, 0.5, 0.5])
     assert np.array_equal(nla_single_mode_stack(thin[None], 1.0)[0], thin)
