@@ -43,8 +43,8 @@ from .measurement import (
     BatchSchemaError,
     FilterSpec,
     _batch_ensemble,
+    _read_pieces,
     covariance_stack,
-    read_batch_csv,
     reconstruct_covariance,
     sample_batch,
     sample_grid,
@@ -437,24 +437,36 @@ def run_selfcheck(config: ExperimentConfig):
 def run_ingest(path: str, config: ExperimentConfig):
     """Externally recorded quadrature CSV -> filter -> reconstruction report.
 
-    The records must be raw: a file with any ``accepted = 0`` row has been
-    post-selected already and is refused.
+    The file is streamed: each piece :func:`measurement._read_pieces` parses
+    is filtered and reduced before the next is read, so memory does not grow
+    with the record count.  The records must be raw: a file with any
+    ``accepted = 0`` row has been post-selected already and is refused, with
+    the file's count of such rows, after the reader's own refusals.
     """
-    batch = read_batch_csv(path)
-    if batch.accepted is not None and not batch.accepted.all():
-        raise BatchSchemaError(
-            f"{path}: {len(batch) - int(np.count_nonzero(batch.accepted))} of "
-            f"{len(batch)} records have accepted = 0; ingest takes raw records "
-            "and applies the configured filter itself")
-    ens = _batch_ensemble(batch, FilterSpec(config.gain, config.cutoff), config.seed)
+    n = rejected = 0
+
+    def raw_pieces():  # the filter sees no piece from the first flagged one on
+        nonlocal n, rejected
+        for piece in _read_pieces(path):
+            n += len(piece[0])
+            if piece[4] is not None:
+                rejected += len(piece[4]) - int(np.count_nonzero(piece[4]))
+            if not rejected:
+                yield piece
+        if rejected:
+            raise BatchSchemaError(
+                f"{path}: {rejected} of {n} records have accepted = 0; ingest takes raw "
+                "records and applies the configured filter itself")
+
+    ens = _batch_ensemble(raw_pieces(), FilterSpec(config.gain, config.cutoff), config.seed)
     cov, se = ens.covariance()
     covs, ses = cov[None], se[None]  # checked for physicality by the reconstruction
     gab, se_ab, gba, se_ba = (float(v[0]) for v in steerability_with_se_stack(covs, ses))
     kr, vx, vp, se_k = (float(v[0]) for v in key_rate_with_se_stack(covs, ses))
     rows = [
-        ["n_records", len(batch), None],
+        ["n_records", n, None],
         ["n_accepted", ens.accepted, None],
-        ["acceptance_rate", ens.accepted / len(batch), None],
+        ["acceptance_rate", ens.accepted / n, None],
         ["g_a_to_b", gab, se_ab],
         ["g_b_to_a", gba, se_ba],
         ["key_rate", kr, se_k],

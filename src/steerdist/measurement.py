@@ -63,7 +63,11 @@ means in :func:`moment_stats`; the last two see records of any offset.  The
 batch API (:func:`sample_batch`, :func:`post_select`) sees the same records
 and makes the same acceptance decisions as the pass: a recorded batch is
 filtered piece by piece, with the chunk's uniforms of the same draw, by the
-pass's own filter step (:func:`_batch_pieces`).
+pass's own filter step (:func:`_batch_pieces`).  A recorded file streams
+through that step: :func:`_read_pieces` parses it into the same pieces of
+SUB records, and ``ingest`` filters and reduces each before the next is
+read, so it too holds O(SUB) records at any record count;
+:func:`read_batch_csv` is those pieces concatenated.
 
 Each worker thread writes a piece's temporaries into one 2.7 MB
 :class:`_Workspace`, reused for every piece, chunk, state and filter.
@@ -146,6 +150,13 @@ class BatchSchemaError(ValueError):
     pass
 
 
+def _non_finite(name: str, record, value, count) -> BatchSchemaError:
+    """The refusal of ``count`` non-finite values in column ``name``, the
+    first ``value`` at 0-based ``record``."""
+    return BatchSchemaError(f"record {record}: non-finite {name} {float(value)!r} "
+                            f"({count} non-finite {name} values)")
+
+
 @dataclass(frozen=True)
 class QuadratureBatch:
     """Per-shot records of one joint-measurement run.
@@ -186,9 +197,7 @@ class QuadratureBatch:
                 raise ValueError(f"column {name} must be 1-D float64")
             if not np.isfinite(col).all():  # a record is named only on failure
                 bad = np.flatnonzero(~np.isfinite(col))
-                raise BatchSchemaError(
-                    f"record {bad[0]}: non-finite {name} {float(col[bad[0]])!r} "
-                    f"({bad.size} non-finite {name} values)")
+                raise _non_finite(name, bad[0], col[bad[0]], bad.size)
 
     def __len__(self) -> int:
         return len(self.alice_basis)
@@ -302,21 +311,34 @@ def sample_batch(
     return QuadratureBatch(basis, cols[0], cols[1], cols[2])
 
 
-def _batch_pieces(batch: QuadratureBatch, filt: FilterSpec | None, seed: int | None,
-                  work: _Workspace):
-    """Yield (rows, keep) per piece of :func:`_draws` of a recorded batch:
-    its slice and, in ``work``, the mask of the records ``filt`` accepts by
-    the pass's filter step on Bob's raw quadratures and the piece's
-    uniforms; without ``filt``, the accepted column (None if there is none)."""
-    n = len(batch)
-    for k in range(_n_chunks(n)):
-        for start, _, u in _draws(seed, k, n, work, uniforms=filt is not None, normals=False):
-            rows = slice(k * CHUNK + start, k * CHUNK + start + SUB)
-            if filt is None:
-                yield rows, None if batch.accepted is None else batch.accepted[rows]
-            else:
-                mag2 = _mag2(batch.bob_x[rows], batch.bob_p[rows], work)
-                yield rows, _accepts(_log_uniforms(u), mag2, filt, work)
+def _pieces(batch: QuadratureBatch):
+    """Views of a batch's columns (alice_basis, alice_value, bob_x, bob_p,
+    accepted), SUB records at a time in record order; accepted is None if
+    the batch has none."""
+    cols = batch.alice_basis, batch.alice_value, batch.bob_x, batch.bob_p, batch.accepted
+    for start in range(0, len(batch), SUB):
+        yield tuple(None if col is None else col[start:start + SUB] for col in cols)
+
+
+def _batch_pieces(pieces, filt: FilterSpec | None, seed: int | None, work: _Workspace):
+    """Yield (piece, keep) per piece of recorded records: the pieces hold
+    SUB records each in record order, all but the last in full, as
+    (alice_basis, alice_value, bob_x, bob_p, accepted) columns.  ``keep`` is,
+    in ``work``, the mask of the records ``filt`` accepts by the pass's
+    filter step on Bob's raw quadratures and the uniforms :func:`_draws`
+    gives that piece; without ``filt``, the accepted column (None if there
+    is none).  A piece's uniforms are the leading values of a full piece's
+    draw, which the generator gives in order, so the record count need not
+    be known in advance."""
+    if filt is None:
+        for piece in pieces:
+            yield piece, piece[4]
+        return
+    draws = (u for k in itertools.count()
+             for _, _, u in _draws(seed, k, (k + 1) * CHUNK, work, uniforms=True, normals=False))
+    for piece, u in zip(pieces, draws):
+        mag2 = _mag2(piece[2], piece[3], work)
+        yield piece, _accepts(_log_uniforms(u[:len(mag2)]), mag2, filt, work)
 
 
 def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
@@ -327,15 +349,14 @@ def post_select(batch: QuadratureBatch, filt: FilterSpec, seed: int):
     keep their raw values and are flagged accepted = False.  The output
     columns are filled piece by piece (:func:`_batch_pieces`).
     """
-    n = len(batch)
-    accepted = np.empty(n, dtype=bool)
-    bob_x, bob_p = batch.bob_x.copy(), batch.bob_p.copy()
-    for rows, keep in _batch_pieces(batch, filt, seed, _Workspace()):
-        accepted[rows] = keep
-        for col in (bob_x[rows], bob_p[rows]):
+    out = replace(batch, bob_x=batch.bob_x.copy(), bob_p=batch.bob_p.copy(),
+                  accepted=np.empty(len(batch), dtype=bool))
+    for (*_, bob_x, bob_p, accepted), keep in _batch_pieces(_pieces(out), filt, seed,
+                                                            _Workspace()):
+        accepted[:] = keep
+        for col in (bob_x, bob_p):
             np.divide(col, filt.gain, out=col, where=keep)
-    out = replace(batch, bob_x=bob_x, bob_p=bob_p, accepted=accepted)
-    return out, float(np.count_nonzero(accepted)) / n
+    return out, float(np.count_nonzero(out.accepted)) / len(batch)
 
 
 class ReconstructionError(NumericalError):
@@ -644,12 +665,17 @@ def _mag2(bob_x: np.ndarray, bob_p: np.ndarray, work: _Workspace) -> np.ndarray:
 
 def _accepts(log_u, mag2, filt: FilterSpec, work: _Workspace) -> np.ndarray:
     """Mask, in ``work``, of the records whose log uniform ``log_u`` is below
-    their log acceptance t (|gamma|^2 - |beta_c|^2), t = 1 - g^-2, which is
-    left in ``work.acc``: :func:`post_select`'s decision (see the module
-    docstring)."""
+    their log acceptance t (|gamma|^2 - |beta_c|^2), t = 1 - g^-2:
+    :func:`post_select`'s decision (see the module docstring).  At t = 0
+    every record is accepted with no product formed, so a |gamma|^2 that
+    overflowed to inf is not made NaN by inf * 0 and rejected."""
     n = len(mag2)
+    t = 1.0 - 1.0 / (filt.gain * filt.gain)
+    if t == 0.0:
+        work.keep[:n] = True
+        return work.keep[:n]
     log_acc = np.subtract(mag2, filt.cutoff**2, out=work.acc[:n])
-    log_acc *= 1.0 - 1.0 / (filt.gain * filt.gain)
+    log_acc *= t
     return np.greater(log_acc, log_u, out=work.keep[:n])
 
 
@@ -719,29 +745,29 @@ def sample_grid(covs: np.ndarray, count: int, seed: int, filters, counted,
     return ensembles, counts
 
 
-def _batch_ensemble(batch: QuadratureBatch, filt: FilterSpec | None = None,
+def _batch_ensemble(pieces, filt: FilterSpec | None = None,
                     seed: int | None = None) -> Ensemble:
-    """The :class:`Ensemble` of a batch's accepted records (every record if
-    it has no accepted column) in one pass over its pieces
+    """The :class:`Ensemble` of the accepted records (every record if there
+    is no accepted column) of a batch's pieces, in one pass
     (:func:`_batch_pieces`); with ``filt``, of those ``post_select(batch,
     filt, seed)`` accepts, each piece's kept records compressed per Alice
-    basis and Bob's divided by g.  The first piece's kept records fix each
-    basis's centre, Alice's mean in that basis and Bob's over both, summed by
-    numpy's pairwise sum, whose order, unlike BLAS ``ddot``'s, does not
-    depend on the BLAS thread count, so neither do the result's bytes; every
-    piece's records are summed about it (:func:`_add_gram`)."""
+    basis and Bob's divided by g.  Each piece is reduced before the next is
+    read.  The first piece's kept records fix each basis's centre, Alice's
+    mean in that basis and Bob's over both, summed by numpy's pairwise sum,
+    whose order, unlike BLAS ``ddot``'s, does not depend on the BLAS thread
+    count, so neither do the result's bytes; every piece's records are
+    summed about it (:func:`_add_gram`)."""
     work = _Workspace()
-    cols = batch.alice_value, batch.bob_x, batch.bob_p
     centres, grams = None, np.zeros((2, 10, 10))  # Gram matrices of 3-variate records
-    for rows, keep in _batch_pieces(batch, filt, seed, work):
+    for (basis, *cols, _), keep in _batch_pieces(pieces, filt, seed, work):
         kept = []
         for b in (BASIS_X, BASIS_P):
-            mask = batch.alice_basis[rows] == b
+            mask = basis == b
             if keep is not None:
                 mask &= keep
             rec = np.empty((3, np.count_nonzero(mask)))
             for row, col in zip(rec, cols):
-                np.compress(mask, col[rows], out=row)
+                np.compress(mask, col, out=row)
             if filt is not None:
                 rec[1:] /= filt.gain
             kept.append(rec)
@@ -757,9 +783,9 @@ def _batch_ensemble(batch: QuadratureBatch, filt: FilterSpec | None = None,
 def reconstruct_covariance(batch: QuadratureBatch, min_accepted: int = MIN_ACCEPTED):
     """(covariance estimate, standard errors) from a batch's accepted records
     (every record if it has no accepted column), in any basis order; see
-    :meth:`Ensemble.covariance`, from one pass over the chunks
+    :meth:`Ensemble.covariance`, from one pass over the pieces
     (:func:`_batch_ensemble`)."""
-    return _batch_ensemble(batch).covariance(min_accepted)
+    return _batch_ensemble(_pieces(batch)).covariance(min_accepted)
 
 
 # --- CSV interface ------------------------------------------------------------
@@ -784,13 +810,15 @@ _RECORD_DTYPE = [("idx", "U1"), ("alice_basis", "S2"), ("alice_value", "f8"),
                  ("bob_x", "f8"), ("bob_p", "f8"), ("accepted", "S2")]
 
 
-def _records(source, dtype, skiprows: int = 0) -> np.ndarray:
-    """Parse a path or a list of lines with numpy's C reader and check the
-    text columns; raises ValueError."""
-    with warnings.catch_warnings():  # the caller reports an empty file
+def _records(source, dtype, max_rows: int | None = None) -> np.ndarray:
+    """Parse a handle's next ``max_rows`` records (every one if None) or a
+    list of lines with numpy's C reader and check the text columns; raises
+    ValueError."""
+    with warnings.catch_warnings():  # the end of the file; a skipped empty line
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", "Input line .* contained no data")
         rec = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
-                         skiprows=skiprows, encoding="utf-8", ndmin=1)
+                         max_rows=max_rows, encoding="utf-8", ndmin=1)
     for name, a, b in (("alice_basis", b"X", b"P"), ("accepted", b"0", b"1")):
         if name in rec.dtype.names and not np.all((rec[name] == a) | (rec[name] == b)):
             raise ValueError(f"{name} must be {a.decode()} or {b.decode()}")
@@ -844,6 +872,72 @@ def _has_nul(path) -> bool:
         return any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
 
 
+_PARSE_ROWS = 4096  # records per np.loadtxt call; divides SUB
+_VALUES = ("alice_value", "bob_x", "bob_p")
+
+
+def _parse_block(fh, dtype, basis, values, accepted) -> int:
+    """Parse up to ``_PARSE_ROWS`` records from ``fh`` into the heads of the
+    piece buffers; returns their count.  The parsed block is freed on
+    return, before the piece is filtered or the next block parsed."""
+    rec = _records(fh, dtype, _PARSE_ROWS)
+    n = len(rec)
+    np.equal(rec["alice_basis"], b"P", out=basis[:n])  # BASIS_X 0, BASIS_P 1
+    for row, name in zip(values, _VALUES):
+        row[:n] = rec[name]
+    if accepted is not None:
+        np.equal(rec["accepted"], b"1", out=accepted[:n])
+    return n
+
+
+def _read_pieces(path):
+    """Yield a quadrature CSV's records, after the checks :func:`read_batch_csv`
+    documents, in pieces of SUB records in file order, all but the last in
+    full: (alice_basis, alice_value, bob_x, bob_p, accepted) views of buffers
+    the next piece overwrites, accepted None without that column.  The file
+    is parsed from one strict UTF-8 handle ``_PARSE_ROWS`` records at a
+    time, so memory is O(SUB) at any record count.  The refusals come in a
+    whole-file read's order: a refused line anywhere, "no records", then the
+    value rules in ``_VALUES`` order, each naming its column's first
+    non-finite record and the file's count of them.  So the last two are
+    checked after the last line, and no piece is yielded from the first
+    non-finite value on."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline().strip()
+    cols = header.split(",")
+    if cols not in (BATCH_HEADER.split(",")[:5], BATCH_HEADER.split(",")):
+        raise BatchSchemaError(f"line 1: bad header {header!r}")
+    dtype = _RECORD_DTYPE[:len(cols)]
+    basis, values = np.empty(SUB, dtype=np.uint8), np.empty((len(_VALUES), SUB))
+    accepted = np.empty(SUB, dtype=bool) if len(cols) == 6 else None
+    n, bad = 0, {}  # column -> [first non-finite record, its value, count]
+    try:
+        if _has_nul(path):
+            raise ValueError("NUL byte")
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            m = SUB
+            while m == SUB:  # until a piece comes out short
+                m = 0
+                while m < SUB and (k := _parse_block(fh, dtype, basis[m:], values[:, m:],
+                                                     None if accepted is None else accepted[m:])):
+                    m += k
+                for row, name in zip(values[:, :m], _VALUES):
+                    if not np.isfinite(row).all():
+                        where = np.flatnonzero(~np.isfinite(row))
+                        bad.setdefault(name, [n + where[0], row[where[0]], 0])[2] += where.size
+                if m and not bad:
+                    yield (basis[:m], *values[:, :m], None if accepted is None else accepted[:m])
+                n += m
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise _line_error(path, dtype) or BatchSchemaError(str(exc)) from exc
+    if not n:
+        raise BatchSchemaError("file contains no records")
+    for name in _VALUES:
+        if name in bad:
+            raise _non_finite(name, *bad[name])
+
+
 def read_batch_csv(path) -> QuadratureBatch:
     """Read records; the ``accepted`` column is optional (raw external data).
 
@@ -854,26 +948,13 @@ def read_batch_csv(path) -> QuadratureBatch:
     (Python's, without underscores or non-ASCII digits; spaces around a value
     are allowed) and flag ``0`` or ``1``; there is no comment character.  A
     refused line is named by its 1-based file line.  The file must hold a
-    record; :class:`QuadratureBatch` refuses a non-finite value, named by
-    its record's 0-based position, as in the ``idx`` column
-    :func:`write_batch_csv` writes.
+    record, and a non-finite value is refused, named by its record's 0-based
+    position, as in the ``idx`` column :func:`write_batch_csv` writes.
+
+    The batch is the pieces of :func:`_read_pieces` concatenated, the one
+    reader ``ingest`` streams its file through.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header = fh.readline().strip()
-    cols = header.split(",")
-    if cols not in (BATCH_HEADER.split(",")[:5], BATCH_HEADER.split(",")):
-        raise BatchSchemaError(f"line 1: bad header {header!r}")
-    dtype = _RECORD_DTYPE[:len(cols)]
-    try:
-        if _has_nul(path):
-            raise ValueError("NUL byte")
-        rec = _records(path, dtype, skiprows=1)
-    except ValueError as exc:  # UnicodeDecodeError is one
-        raise _line_error(path, dtype) or BatchSchemaError(str(exc)) from exc
-    if not len(rec):
-        raise BatchSchemaError("file contains no records")
-    return QuadratureBatch(
-        (rec["alice_basis"] == b"P").astype(np.uint8),  # BASIS_X 0, BASIS_P 1
-        **{name: np.ascontiguousarray(rec[name]) for name in ("alice_value", "bob_x", "bob_p")},
-        accepted=(rec["accepted"] == b"1") if len(cols) == 6 else None,
-    )
+    pieces = [[None if col is None else col.copy() for col in piece]
+              for piece in _read_pieces(path)]
+    return QuadratureBatch(*(None if col[0] is None else np.concatenate(col)
+                             for col in zip(*pieces)))

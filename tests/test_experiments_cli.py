@@ -30,7 +30,13 @@ from steerdist.experiments import (
     run_regions,
     run_selfcheck,
 )
-from steerdist.measurement import reconstruction_tolerance, sample_grid
+from steerdist.measurement import (
+    SUB,
+    BatchSchemaError,
+    read_batch_csv,
+    reconstruction_tolerance,
+    sample_grid,
+)
 
 
 def _config(tmp_path, **kw):
@@ -538,6 +544,107 @@ def test_ingest_synthetic_model_state(tmp_path, model_state):
     for key in ("g_a_to_b", "g_b_to_a"):
         value, se = report[key]
         assert abs(value - 0.342340) < 3 * se
+
+
+def _edited_copy(path, out, edits):
+    """Copy the quadrature CSV ``path`` to ``out`` with fields replaced:
+    ``edits`` maps a 0-based record to {field index: new text}."""
+    with open(path) as src, open(out, "w") as dst:
+        dst.write(next(src))
+        for record, line in enumerate(src):
+            if record in edits:
+                fields = line.rstrip("\n").split(",")
+                for field, text in edits[record].items():
+                    fields[field] = text
+                line = ",".join(fields) + "\n"
+            dst.write(line)
+    return out
+
+
+# fields of a record line
+_BASIS, _ALICE, _BOB_X, _BOB_P, _FLAG = 1, 2, 3, 4, 5
+
+
+def test_ingest_refused_line_after_a_non_finite_value_names_the_line(tmp_path,
+                                                                      multi_chunk_file):
+    # the file is read piece by piece, yet a refused line in a late piece
+    # still wins over a value rule broken in the first one
+    _, csv_path = multi_chunk_file
+    last = 9 * SUB  # the first record of the tenth and last piece
+    bad = _edited_copy(csv_path, tmp_path / "bad.csv",
+                       {5: {_BOB_X: "nan"}, last: {_BASIS: "Q"}})
+    message = rf"^line {last + 2}: alice_basis must be X or P: '{last},Q,"
+    with pytest.raises(BatchSchemaError, match=message):
+        read_batch_csv(bad)
+    with pytest.raises(BatchSchemaError, match=message):
+        run_ingest(str(bad), _config(tmp_path))
+
+
+def test_ingest_non_finite_values_are_counted_over_the_file(tmp_path, multi_chunk_file):
+    # the first and the last piece each hold one non-finite Alice value; a
+    # bob_p NaN before them is named after them, in column order
+    batch, csv_path = multi_chunk_file
+    assert len(batch) - 1 >= 9 * SUB  # the last record is in the tenth piece
+    bad = _edited_copy(csv_path, tmp_path / "bad.csv", {
+        3: {_BOB_P: "nan"}, 7: {_ALICE: "inf"}, len(batch) - 1: {_ALICE: "-inf"}})
+    message = r"^record 7: non-finite alice_value inf \(2 non-finite alice_value values\)$"
+    with pytest.raises(BatchSchemaError, match=message):
+        read_batch_csv(bad)
+    with pytest.raises(BatchSchemaError, match=message):
+        run_ingest(str(bad), _config(tmp_path))
+
+
+def _filtered_pieces(monkeypatch) -> list:
+    """A list that gets one entry per piece the recorded-batch filter step
+    is fed."""
+    import steerdist.measurement as measurement
+
+    pieces, mag2 = [], measurement._mag2
+    monkeypatch.setattr(measurement, "_mag2", lambda *args: pieces.append(1) or mag2(*args))
+    return pieces
+
+
+def test_ingest_counts_flagged_records_over_the_file(tmp_path, multi_chunk_file,
+                                                     monkeypatch):
+    # the filter is fed no piece from the first flagged one on
+    batch, csv_path = multi_chunk_file
+    flagged = _edited_copy(csv_path, tmp_path / "flagged.csv",
+                           {SUB + 10: {_FLAG: "0"}, 5 * SUB + 3: {_FLAG: "0"}})
+    assert np.count_nonzero(~read_batch_csv(flagged).accepted) == 2
+    filtered = _filtered_pieces(monkeypatch)
+    with pytest.raises(BatchSchemaError, match=(
+            rf"^{flagged}: 2 of {len(batch)} records have accepted = 0; ingest takes raw "
+            r"records and applies the configured filter itself$")):
+        run_ingest(str(flagged), _config(tmp_path))
+    assert len(filtered) == 1
+
+
+def test_ingest_stops_filtering_at_a_non_finite_value(tmp_path, multi_chunk_file,
+                                                      monkeypatch):
+    # the filter is fed the three pieces in front of the inf's and no more,
+    # and at g = 1 raises no warning (an error in this suite)
+    _, csv_path = multi_chunk_file
+    bad = _edited_copy(csv_path, tmp_path / "bad.csv", {3 * SUB + 100: {_BOB_X: "inf"}})
+    filtered = _filtered_pieces(monkeypatch)
+    with pytest.raises(BatchSchemaError, match=(
+            rf"^record {3 * SUB + 100}: non-finite bob_x inf \(1 non-finite bob_x values\)$")):
+        run_ingest(str(bad), _config(tmp_path, gain=1.0))
+    assert len(filtered) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the huge record's squares overflow
+def test_cli_ingest_keeps_an_overflowing_record_at_gain_1(tmp_path, capsys, model_state):
+    # g = 1 accepts every record; one whose |gamma|^2 overflows was dropped
+    # as inf * 0 = NaN, and the rest were reported with exit 0
+    csv_path = tmp_path / "one_huge.csv"
+    write_batch_csv(sample_batch(model_state, 20_000, seed=37), csv_path)
+    with open(csv_path, "a") as fh:
+        fh.write("20000,X,0.5,1e200,-1.0,1\n")
+    ini = tmp_path / "gain.ini"
+    ini.write_text("[filter]\ngain = 1.0\n")
+    assert main(["ingest", str(csv_path), "--config", str(ini),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "reconstructed matrix is degenerate" in capsys.readouterr().err
 
 
 # --- selfcheck and CLI -------------------------------------------------------------
